@@ -66,6 +66,8 @@ class ChannelSet:
             raise DimensionError(f"users must be a (K, M) array, got shape {users.shape}")
         if users.shape[0] < 1 or users.shape[1] < 1:
             raise DimensionError(f"need K >= 1 and M >= 1, got shape {users.shape}")
+        if not np.isfinite(users).all():
+            raise DomainError("channel entries must be finite")
         object.__setattr__(self, "users", users)
 
     @property

@@ -74,6 +74,8 @@ def _as_matrix(channels) -> np.ndarray:
         h = h[None, :]
     if h.ndim != 2 or h.shape[1] < 1:
         raise DimensionError(f"expected (n, M) channel rows, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise DomainError("channel entries must be finite")
     return h
 
 

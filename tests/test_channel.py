@@ -89,6 +89,14 @@ def test_channel_set_validation():
         ChannelSet(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_channel_set_rejects_non_finite(bad):
+    users = np.ones((5, 3), dtype=complex)
+    users[2, 1] = bad
+    with pytest.raises(DomainError):
+        ChannelSet(users)
+
+
 def test_squared_norm_values():
     assert squared_norm(np.array([1.0, 0.0, 0.0])) == 1.0
     assert squared_norm(np.array([1.0, 1.0])) == 2.0

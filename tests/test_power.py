@@ -250,6 +250,17 @@ def test_zero_channel_rejected():
             fn(h, T10)
 
 
+@pytest.mark.parametrize(
+    "solver", [exact_min_power, approx_min_power, downlink_dual_solution]
+)
+def test_non_finite_channel_rejected(solver):
+    for bad in (np.nan, np.inf):
+        h = np.eye(3, dtype=complex)
+        h[1, 2] = bad
+        with pytest.raises(DomainError):
+            solver(h, T10)
+
+
 def test_dependent_channels_infeasible_for_residual_bound():
     h = np.array([[1, 0], [2, 0]], dtype=complex)
     with pytest.raises(InfeasibleGeometryError):

@@ -1,12 +1,20 @@
 """Selection rule tests: hand instances, invariants, exhaustive benchmark."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrmin.channel import ChannelSet, SeedSpec, sample_channel_set
-from sinrmin.errors import BudgetError, ConfigError, InfeasibleGeometryError
+from sinrmin.errors import (
+    BudgetError,
+    ConfigError,
+    DomainError,
+    InfeasibleGeometryError,
+)
 from sinrmin.power import SinrTargets, approx_min_power, exact_min_power
 from sinrmin.selection import (
     SelectionResult,
@@ -231,6 +239,91 @@ def test_exhaustive_budget_and_validation():
         select_exhaustive(c, 4, T10, budget=1000)
     with pytest.raises(ConfigError):
         select_exhaustive(c, 2, T10, power_fn="fastest")
+
+
+def _brute_force_approx(h, k_s, targets):
+    """Cheapest approx ordering, one solver call per ordering.
+
+    Infeasible orderings are skipped; a strict comparison over the
+    lexicographic enumeration keeps the first of tied minima.
+    """
+    best, order = math.inf, None
+    for cand in itertools.permutations(range(len(h)), k_s):
+        try:
+            total = approx_min_power(h[list(cand)], targets).total_power
+        except InfeasibleGeometryError:
+            continue
+        if total < best:
+            best, order = total, cand
+    return best, order
+
+
+@st.composite
+def _exhaustive_instances(draw):
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 7))
+    k_s = draw(st.one_of(st.just(min(m, k)), st.integers(1, min(m, k))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    h = sample_channel_set(m, k, SeedSpec(seed)).users.copy()
+    eps = draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-9])) if k >= 3 else 0.0
+    if eps:
+        # last user: a combination of the first two plus eps noise
+        a, b = draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+        noise = sample_channel_set(m, 1, SeedSpec(seed, 1)).users[0]
+        h[-1] = a * h[0] + 1j * b * h[1] + eps * noise
+    per_position = st.lists(st.floats(0.5, 100.0), min_size=k_s, max_size=k_s)
+    gamma = draw(st.one_of(st.floats(0.5, 100.0), per_position.map(np.array)))
+    sigma_sq = draw(st.sampled_from([0.1, 1.0]))
+    return ChannelSet(h), k_s, SinrTargets(gamma, sigma_sq), eps > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exhaustive_instances())
+def test_exhaustive_dp_equals_brute_force(instance):
+    c, k_s, targets, near_dependent = instance
+    best, want = _brute_force_approx(c.users, k_s, targets)
+    if want is None:
+        with pytest.raises(InfeasibleGeometryError):
+            select_exhaustive(c, k_s, targets)
+        return
+    got = select_exhaustive(c, k_s, targets).encoding_order
+    if near_dependent:
+        # residuals of near-dependent users carry relative error ~1e-16/eps,
+        # so orderings within that of the minimum are ties
+        got_total = approx_min_power(c.users[list(got)], targets).total_power
+        assert got_total <= best * (1 + 1e-5)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exhaustive_dp_regression_m4_k8(seed):
+    c = sample_channel_set(4, 8, SeedSpec(14, seed))
+    _, want = _brute_force_approx(c.users, 4, T10)
+    assert select_exhaustive(c, 4, T10).encoding_order == want
+
+
+def test_exhaustive_tie_break_at_depth_three():
+    # every ordering of the orthogonal triple costs 30, as do some with user 3,
+    # e.g. (0, 2, 3); the lexicographically first is expected
+    c = _cs([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    assert select_exhaustive(c, 3, T10).encoding_order == (0, 1, 2)
+
+
+def test_exhaustive_collinear_users():
+    # collinear up to 1e-14 relative: below the rank tolerance, as in the solver
+    c = _cs([[1, 0, 0], [2, 2e-14, 0], [3, 0, 3e-14], [0.5, 0, 0]])
+    with pytest.raises(InfeasibleGeometryError):
+        select_exhaustive(c, 3, T10)
+    r = select_exhaustive(c, 3, T10, "exact")
+    assert len(set(r.encoding_order)) == 3
+
+
+def test_exhaustive_rejects_non_finite_channel():
+    rows = sample_channel_set(3, 5, SeedSpec(15, 0)).users.copy()
+    rows[1, 0] = np.nan
+    with pytest.raises(DomainError):
+        select_exhaustive(ChannelSet(rows), 2, T10)
 
 
 # ---------------------------------------------------------------------------
