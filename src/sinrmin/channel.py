@@ -1,11 +1,14 @@
-r"""Channel vectors, seeded sampling, and subspace geometry helpers.
+r"""Channel vectors, seeded sampling, and subspace geometry.
 
 Each user has a flat-fading channel h in C^M whose entries are i.i.d.
 CN(0, 1): real and imaginary parts are independent N(0, 1/2), so that
 E|h_m|^2 = 1 and E||h||^2 = M.  Selection and power routines only ever
-need squared norms, projections onto the orthogonal complement of a
-growing span, and the squared sine of the angle between a vector and
-that span, so those are the primitives exposed here.
+need a channel's residual against the span of other channels. Two
+primitives provide it: `residuals` projects rows onto the orthogonal
+complement of a given orthonormal basis, batched over any leading axes,
+and `gram_schmidt` builds that basis from rows in order along with
+each row's squared residual against its predecessors. `sin_sq_angle`
+is the public one-vector form of the latter.
 """
 
 from dataclasses import dataclass
@@ -113,98 +116,63 @@ def squared_norm(h: np.ndarray) -> float:
     return float(np.real(np.vdot(h, h)))
 
 
-class ProjectionBasis:
-    """Orthonormal basis grown one vector at a time.
+def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Components of ``rows`` orthogonal to the span of ``basis``.
 
-    Uses modified Gram-Schmidt with one re-orthogonalization pass, which
-    keeps the basis orthonormal to working precision even when the input
-    vectors are nearly dependent.
+    ``basis`` holds orthonormal or zero rows, shape (..., j, M); ``rows``
+    is (..., n, M) or a single (M,) vector and broadcasts against it.
+    One re-orthogonalization pass keeps the result orthogonal to working
+    precision even for nearly dependent inputs.
     """
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise DimensionError(f"dim must be positive, got {dim}")
-        self.dim = int(dim)
-        self._q = np.zeros((0, dim), dtype=np.complex128)
-
-    @property
-    def size(self) -> int:
-        return self._q.shape[0]
-
-    def residual(self, h: np.ndarray) -> np.ndarray:
-        """Component of h orthogonal to the current span."""
-        h = np.asarray(h, dtype=np.complex128)
-        if h.shape != (self.dim,):
-            raise DimensionError(f"expected shape ({self.dim},), got {h.shape}")
-        if self.size == 0:
-            return h.copy()
-        q = self._q
-        r = h - q.T @ (q.conj() @ h)
-        r -= q.T @ (q.conj() @ r)
-        return r
-
-    def residual_norms_sq(self, rows: np.ndarray) -> np.ndarray:
-        """Squared residual norm of every row of ``rows`` against the span."""
-        rows = np.asarray(rows, dtype=np.complex128)
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise DimensionError(f"expected shape (n, {self.dim}), got {rows.shape}")
-        if self.size == 0:
-            return (rows.real**2 + rows.imag**2).sum(axis=1)
-        q = self._q
-        res = rows - (rows @ q.conj().T) @ q
-        res -= (res @ q.conj().T) @ q
-        return (res.real**2 + res.imag**2).sum(axis=1)
-
-    def add(self, h: np.ndarray) -> None:
-        """Extend the span by h.
-
-        Rejects a vector numerically inside the span and refuses to grow
-        past the ambient dimension.
-        """
-        if self.size >= self.dim:
-            raise FullSpaceError(f"basis already spans C^{self.dim}")
-        h = np.asarray(h, dtype=np.complex128)
-        r = self.residual(h)
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= RANK_TOL * float(np.linalg.norm(h)):
-            raise RankDeficiencyError("vector is numerically inside the current span")
-        self._q = np.vstack([self._q, r / rnorm])
+    if basis.shape[-2] == 0:  # nothing to remove; broadcast as the products would
+        return rows + np.zeros(basis.shape[:-2] + (1,) * rows.ndim)
+    qh = basis.conj().swapaxes(-1, -2)
+    res = rows - (rows @ qh) @ basis
+    res -= (res @ qh) @ basis
+    return res
 
 
-def project_out(h: np.ndarray, basis) -> np.ndarray:
-    """Project h onto the orthogonal complement of span(basis).
+def gram_schmidt(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of (n, M) ``rows`` taken in order, and each
+    row's squared residual against the rows before it.
 
-    ``basis`` is a sequence of vectors, possibly empty.  A basis with at
-    least dim(h) vectors leaves no complement and raises FullSpaceError;
-    numerically dependent basis vectors raise RankDeficiencyError.
+    A row whose squared residual is at most RANK_TOL^2 times its squared
+    norm adds a zero basis row, so the span stays the same.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 1 or h.shape[0] < 1:
-        raise DimensionError(f"h must be a non-empty vector, got shape {h.shape}")
-    vecs = [np.asarray(b, dtype=np.complex128) for b in basis]
-    if len(vecs) >= h.shape[0]:
-        raise FullSpaceError(
-            f"basis of {len(vecs)} vectors leaves no complement in C^{h.shape[0]}"
-        )
-    pb = ProjectionBasis(h.shape[0])
-    for b in vecs:
-        pb.add(b)
-    return pb.residual(h)
+    rows = np.asarray(rows, dtype=np.complex128)
+    basis = np.zeros_like(rows)
+    res2 = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        res = residuals(row, basis[:i])
+        res2[i] = squared_norm(res)
+        if res2[i] > RANK_TOL**2 * squared_norm(row):
+            basis[i] = res / np.sqrt(res2[i])
+    return basis, res2
 
 
 def sin_sq_angle(h: np.ndarray, basis) -> float:
     """Squared sine of the angle between h and span(basis), in [0, 1].
 
     An empty basis gives exactly 1 (the angle is right by convention);
-    a zero vector has no direction and raises DomainError.
+    a zero vector has no direction and raises DomainError. A basis with
+    at least dim(h) vectors leaves no complement and raises
+    FullSpaceError; numerically dependent basis vectors raise
+    RankDeficiencyError.
     """
     h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 1 or h.shape[0] < 1:
+        raise DimensionError(f"h must be a non-empty vector, got shape {h.shape}")
     norm_sq = squared_norm(h)
     if norm_sq == 0.0:
         raise DomainError("zero vector has no angle to a subspace")
-    vecs = list(basis)
-    if len(vecs) == 0:
-        return 1.0
-    res = project_out(h, vecs)
-    val = squared_norm(res) / norm_sq
-    return float(min(max(val, 0.0), 1.0))
+    vecs = [np.asarray(b, dtype=np.complex128) for b in basis]
+    if len(vecs) >= h.shape[0]:
+        raise FullSpaceError(
+            f"basis of {len(vecs)} vectors leaves no complement in C^{h.shape[0]}"
+        )
+    if any(b.shape != h.shape for b in vecs):
+        raise DimensionError(f"basis vectors must have shape {h.shape}")
+    q, res2 = gram_schmidt(np.vstack([*vecs, h]))
+    if not q[:-1].any(axis=1).all():
+        raise RankDeficiencyError("basis vectors are numerically dependent")
+    return float(min(max(res2[-1] / norm_sq, 0.0), 1.0))

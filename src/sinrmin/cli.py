@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -308,6 +309,8 @@ def cmd_analytic(args) -> int:
 
 
 def _simulate_config(cfg: ExperimentConfig, args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = _prepare_out(args)
     rows = run_sweep(cfg, workers=args.workers)
     report = validate_rows(rows)
@@ -429,7 +432,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

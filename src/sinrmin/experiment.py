@@ -24,10 +24,11 @@ from .analytic import (
     avg_power_sus,
 )
 from .channel import SeedSpec, sample_channel_set
-from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
+from .errors import BudgetError, ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
     ALGORITHM_TAGS,
+    check_exhaustive_budget,
     select_aus,
     select_exhaustive,
     select_nus,
@@ -177,7 +178,7 @@ class ValidationRow:
     passed: bool
 
 
-def _select(alg: str, channels, k_s, targets, master_seed, trial, budget):
+def _select(alg: str, channels, k_s, master_seed, trial):
     if alg == "NUS":
         return select_nus(channels, k_s)
     if alg == "SUS":
@@ -215,7 +216,7 @@ def _run_chunk(payload):
                         continue
                     totals[(alg, meth)][t - start] = total
                 continue
-            sel = _select(alg, channels, k_s, targets, master_seed, t, budget)
+            sel = _select(alg, channels, k_s, master_seed, t)
             ordered = channels.users[list(sel.encoding_order)]
             for meth in methods:
                 try:
@@ -241,7 +242,7 @@ def _split_trials(trials: int, workers: int):
 def _point_samples(config: ExperimentConfig, sweep_value, workers: int):
     """Per-trial totals keyed by (algorithm, method), merged by trial index."""
     m, k = config.dims_at(sweep_value)
-    algorithms = tuple(a for a in config.algorithms)
+    algorithms = config.algorithms
     methods = config.methods()
     merged = {
         (alg, meth): np.full(config.trials, np.nan)
@@ -256,7 +257,8 @@ def _point_samples(config: ExperimentConfig, sweep_value, workers: int):
     if workers <= 1 or len(args) <= 1:
         results = [_run_chunk(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks max_workers processes up front, so size it to the chunks
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_run_chunk, args))
     for start, chunk in results:
         for key, arr in chunk.items():
@@ -295,7 +297,9 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1):
     runnable = list(config.algorithms)
     skipped = []
     if "EXHAUSTIVE" in runnable:
-        if math.perm(k, config.K_s) > config.exhaustive_budget:
+        try:
+            check_exhaustive_budget(k, config.K_s, config.exhaustive_budget)
+        except BudgetError:
             runnable.remove("EXHAUSTIVE")
             skipped.append("EXHAUSTIVE")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, ProjectionBasis, squared_norm
+from .channel import RANK_TOL, gram_schmidt
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleGeometryError
 
 
@@ -87,29 +87,35 @@ def _row_norms_checked(h: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _dual_uplink(h: np.ndarray, gam: np.ndarray):
+    """Unit-noise powers, gains h_i^H Z_i^-1 h_i and directions Z_i^-1 h_i.
+
+    Z_i accumulates the already-encoded users; its inverse is maintained
+    by rank-one updates.
+    """
+    n, m = h.shape
+    zinv = np.eye(m, dtype=np.complex128)
+    p_unit = np.empty(n)
+    gains = np.empty(n)
+    dirs = np.empty((n, m), dtype=np.complex128)
+    for i in range(n):
+        zh = zinv @ h[i]
+        d = float(np.real(np.vdot(h[i], zh)))
+        dirs[i], gains[i], p_unit[i] = zh, d, gam[i] / d
+        zinv -= (p_unit[i] / (1.0 + p_unit[i] * d)) * np.outer(zh, zh.conj())
+    return p_unit, gains, dirs
+
+
 def exact_min_power(channels, targets: SinrTargets) -> PowerSolution:
     """Sequential minimum power meeting every target exactly.
 
     Position i pays sigma^2 * gamma_i / (h_i^H Z_i^-1 h_i) where Z_i
-    accumulates the already-encoded users; the inverse is maintained by
-    rank-one updates. The recursion runs in the unit-noise frame and the
-    noise factor is restored on the way out.
+    accumulates the already-encoded users. The recursion runs in the
+    unit-noise frame and the noise factor is restored on the way out.
     """
     h = _as_matrix(channels)
     _row_norms_checked(h)
-    n, m = h.shape
-    gam = targets.gamma_vector(n)
-
-    zinv = np.eye(m, dtype=np.complex128)
-    p_unit = np.empty(n)
-    gains = np.empty(n)
-    for i in range(n):
-        zh = zinv @ h[i]
-        d = float(np.real(np.vdot(h[i], zh)))
-        p_unit[i] = gam[i] / d
-        gains[i] = d
-        zinv -= (p_unit[i] / (1.0 + p_unit[i] * d)) * np.outer(zh, zh.conj())
-
+    p_unit, gains, _ = _dual_uplink(h, targets.gamma_vector(h.shape[0]))
     per_user = targets.sigma_sq * p_unit
     return PowerSolution(
         per_user_power=per_user,
@@ -129,20 +135,13 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
     """
     h = _as_matrix(channels)
     norms = _row_norms_checked(h)
-    n, m = h.shape
-    gam = targets.gamma_vector(n)
-
-    basis = ProjectionBasis(m)
-    res2 = np.empty(n)
-    for i in range(n):
-        r2 = squared_norm(basis.residual(h[i]))
-        if r2 <= (RANK_TOL**2) * norms[i]:
-            raise InfeasibleGeometryError(
-                f"channel {i} lies in the span of its predecessors"
-            )
-        res2[i] = r2
-        if i + 1 < n:
-            basis.add(h[i])
+    gam = targets.gamma_vector(h.shape[0])
+    _, res2 = gram_schmidt(h)
+    dead = np.flatnonzero(res2 <= RANK_TOL**2 * norms)
+    if dead.size:
+        raise InfeasibleGeometryError(
+            f"channel {dead[0]} lies in the span of its predecessors"
+        )
 
     per_user = targets.sigma_sq * gam / res2
     return PowerSolution(
@@ -166,18 +165,12 @@ def downlink_dual_solution(channels, targets: SinrTargets) -> PowerSolution:
     """
     h = _as_matrix(channels)
     _row_norms_checked(h)
-    n, m = h.shape
+    n = h.shape[0]
     gam = targets.gamma_vector(n)
     s2 = targets.sigma_sq
 
-    zinv = np.eye(m, dtype=np.complex128)
-    bf = np.empty((n, m), dtype=np.complex128)
-    for i in range(n):
-        zh = zinv @ h[i]
-        d = float(np.real(np.vdot(h[i], zh)))
-        bf[i] = zh / np.linalg.norm(zh)
-        p = gam[i] / d
-        zinv -= (p / (1.0 + p * d)) * np.outer(zh, zh.conj())
+    _, _, dirs = _dual_uplink(h, gam)
+    bf = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
     # cross gains g2[k, j] = |h_k^H v_j|^2
     g2 = np.abs(h.conj() @ bf.T) ** 2

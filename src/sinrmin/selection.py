@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, ChannelSet, ProjectionBasis, SeedSpec
-from .errors import (
-    BudgetError,
-    ConfigError,
-    DomainError,
-    InfeasibleGeometryError,
-    RankDeficiencyError,
-)
+from .channel import RANK_TOL, ChannelSet, SeedSpec, residuals
+from .errors import BudgetError, ConfigError, DomainError, InfeasibleGeometryError
 # approx_min_power stays bound here: the benchmark's tracer hooks it
 from .power import SinrTargets, approx_min_power, exact_min_power  # noqa: F401
 
@@ -75,30 +69,41 @@ def select_nus(channels: ChannelSet, k_s: int) -> SelectionResult:
     return SelectionResult("NUS", selected, _ascending_by_norm(selected, norms))
 
 
+def _greedy_residual(channels: ChannelSet, k_s: int, by_angle: bool) -> tuple[int, ...]:
+    """Pick order of the greedy residual rules.
+
+    Every step scores each user by its squared residual against the
+    picked span, divided by its squared norm after the first step when
+    `by_angle`. Residuals at or below the rank floor count as exactly
+    zero, so dependent users tie and the lowest index wins.
+    """
+    h = channels.users
+    norms = _squared_norms(channels)
+    basis = np.zeros((k_s, channels.M), dtype=np.complex128)
+    picked: list[int] = []
+    for step in range(k_s):
+        res = residuals(h, basis[:step])
+        res2 = np.einsum("ki,ki->k", res.conj(), res).real
+        res2[res2 <= RANK_TOL**2 * norms] = 0.0
+        scores = res2 / norms if by_angle and step else res2
+        scores[picked] = -np.inf
+        choice = int(np.argmax(scores))
+        picked.append(choice)
+        if res2[choice] > 0.0:  # a dependent pick leaves a zero row: span unchanged
+            basis[step] = res[choice] / np.sqrt(res2[choice])
+    return tuple(picked)
+
+
 def select_sus(channels: ChannelSet, k_s: int) -> SelectionResult:
     """Greedy residual-norm selection; encoding order is the pick order.
 
     The first pick is the largest norm. Every later step projects the
-    remaining channels onto the orthogonal complement of the picked span
-    and takes the largest residual. No semi-orthogonality threshold is
-    applied; the rule is pure greedy.
+    channels onto the orthogonal complement of the picked span and takes
+    the largest residual. No semi-orthogonality threshold is applied;
+    the rule is pure greedy.
     """
     _check_k_s(channels, k_s)
-    h = channels.users
-    norms = _squared_norms(channels)
-    remaining = list(range(channels.K))
-    basis = ProjectionBasis(channels.M)
-    picked: list[int] = []
-    for step in range(k_s):
-        if step == 0:
-            scores = norms[remaining]
-        else:
-            scores = basis.residual_norms_sq(h[remaining])
-        choice = remaining.pop(int(np.argmax(scores)))
-        picked.append(choice)
-        if step + 1 < k_s:
-            basis.add(h[choice])
-    order = tuple(picked)
+    order = _greedy_residual(channels, k_s, by_angle=False)
     return SelectionResult("SUS", order, order)
 
 
@@ -111,25 +116,9 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
     what rejects such geometry.
     """
     _check_k_s(channels, k_s)
-    h = channels.users
+    picked = _greedy_residual(channels, k_s, by_angle=True)
     norms = _squared_norms(channels)
-    remaining = list(range(channels.K))
-    first = int(np.argmax(norms))
-    remaining.remove(first)
-    picked = [first]
-    basis = ProjectionBasis(channels.M)
-    basis.add(h[first])
-    for _ in range(1, k_s):
-        rows = h[remaining]
-        scores = basis.residual_norms_sq(rows) / norms[remaining]
-        choice = remaining.pop(int(np.argmax(scores)))
-        picked.append(choice)
-        if len(picked) < k_s:
-            try:
-                basis.add(h[choice])
-            except RankDeficiencyError:
-                pass  # span unchanged by a dependent pick
-    return SelectionResult("AUS", tuple(picked), _ascending_by_norm(picked, norms))
+    return SelectionResult("AUS", picked, _ascending_by_norm(picked, norms))
 
 
 def select_rus(channels: ChannelSet, k_s: int, seed: SeedSpec) -> SelectionResult:
@@ -176,9 +165,7 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     basis = np.zeros((1, 0, m), dtype=np.complex128)
     costs, nexts = [], []
     for j in range(k_s):
-        qh = basis.conj().transpose(0, 2, 1)
-        res = h - (h @ qh) @ basis
-        res -= (res @ qh) @ basis  # one re-orthogonalization pass
+        res = residuals(h, basis)
         flat = res.view(np.float64)
         res2 = np.einsum("nki,nki->nk", flat, flat)
         ok = ~member & (res2 > floor)
@@ -211,6 +198,15 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     return tuple(order)
 
 
+def check_exhaustive_budget(k: int, k_s: int, budget: int) -> None:
+    """Raise BudgetError when the C(K, K_s) * K_s! orderings exceed `budget`."""
+    count = math.perm(k, k_s)
+    if count > budget:
+        raise BudgetError(
+            f"{count} orderings exceed the budget of {budget}; reduce K or K_s"
+        )
+
+
 def select_exhaustive(
     channels: ChannelSet,
     k_s: int,
@@ -232,11 +228,7 @@ def select_exhaustive(
     _check_k_s(channels, k_s)
     if power_fn not in ("exact", "approx"):
         raise ConfigError(f"power_fn must be 'exact' or 'approx', got {power_fn!r}")
-    count = math.perm(channels.K, k_s)
-    if count > budget:
-        raise BudgetError(
-            f"{count} orderings exceed the budget of {budget}; reduce K or K_s"
-        )
+    check_exhaustive_budget(channels.K, k_s, budget)
     search = _best_approx_order if power_fn == "approx" else _best_exact_order
     order = search(channels.users, k_s, targets)
     if order is None:

@@ -9,9 +9,9 @@ from scipy.special import betainc, gammainc
 
 from sinrmin.channel import (
     ChannelSet,
-    ProjectionBasis,
     SeedSpec,
-    project_out,
+    gram_schmidt,
+    residuals,
     sample_channel_set,
     sin_sq_angle,
     squared_norm,
@@ -104,23 +104,29 @@ def test_squared_norm_values():
 
 
 # ---------------------------------------------------------------------------
-# projections
+# projections onto the orthogonal complement of a span
+
+
+def _residual_against(h, vecs):
+    """Residual of h against span(vecs), through the two geometry primitives."""
+    basis, _ = gram_schmidt(np.array(vecs, dtype=complex).reshape(-1, h.shape[0]))
+    return residuals(h, basis)
 
 
 def test_project_out_axis_example():
     h = np.array([1.0, 1.0, 0.0], dtype=complex)
-    res = project_out(h, [np.array([1.0, 0.0, 0.0], dtype=complex)])
+    res = _residual_against(h, [np.array([1.0, 0.0, 0.0], dtype=complex)])
     assert np.allclose(res, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_project_out_empty_basis_is_identity():
     h = np.array([1.0 + 2.0j, -3.0j])
-    assert np.array_equal(project_out(h, []), h)
+    assert np.array_equal(_residual_against(h, []), h)
 
 
 def test_project_out_in_span_is_zero():
     b = np.array([1.0, 2.0, -1.0], dtype=complex)
-    res = project_out(3.5j * b, [b])
+    res = _residual_against(3.5j * b, [b])
     assert np.linalg.norm(res) < 1e-12 * np.linalg.norm(b)
 
 
@@ -128,32 +134,47 @@ def test_project_out_full_space_error():
     h = np.array([1.0, 1.0], dtype=complex)
     basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     with pytest.raises(FullSpaceError):
-        project_out(h, basis)
+        sin_sq_angle(h, basis)
 
 
 def test_project_out_rank_deficiency_error():
     h = np.array([1.0, 1.0, 0.0], dtype=complex)
     b = np.array([1.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(RankDeficiencyError):
-        project_out(h, [b, 2.0 * b])
+        sin_sq_angle(h, [b, 2.0 * b])
 
 
 def test_projection_basis_rejects_zero_vector():
-    pb = ProjectionBasis(3)
+    h = np.array([1.0, 1.0, 0.0], dtype=complex)
     with pytest.raises(RankDeficiencyError):
-        pb.add(np.zeros(3, dtype=complex))
+        sin_sq_angle(h, [np.zeros(3, dtype=complex)])
+    # the primitive itself keeps the span unchanged with a zero basis row
+    basis, res2 = gram_schmidt(np.zeros((1, 3), dtype=complex))
+    assert not basis.any() and res2[0] == 0.0
 
 
 def test_residual_norms_sq_matches_residual():
     rng = SeedSpec(7, 0).generator()
     z = rng.standard_normal((6, 4, 2))
     rows = z[..., 0] + 1j * z[..., 1]
-    pb = ProjectionBasis(4)
-    pb.add(rows[0])
-    pb.add(rows[1])
-    batch = pb.residual_norms_sq(rows[2:])
-    single = [squared_norm(pb.residual(r)) for r in rows[2:]]
+    basis, _ = gram_schmidt(rows[:2])
+    batch = (np.abs(residuals(rows[2:], basis)) ** 2).sum(axis=1)
+    single = [squared_norm(residuals(r, basis)) for r in rows[2:]]
     assert np.allclose(batch, single, rtol=1e-12)
+
+
+def test_gram_schmidt_res2_matches_residuals():
+    rng = SeedSpec(8, 0).generator()
+    z = rng.standard_normal((3, 5, 2))
+    rows = z[..., 0] + 1j * z[..., 1]
+    basis, res2 = gram_schmidt(rows)
+    assert np.allclose(basis @ basis.conj().T, np.eye(3), atol=1e-13)
+    for i in range(3):
+        want = squared_norm(_residual_against(rows[i], list(rows[:i])))
+        assert res2[i] == pytest.approx(want, rel=1e-12)
+    # a leading axis of bases broadcasts against the same rows
+    stacked = residuals(rows, np.stack([basis[:1], basis[1:2]]))
+    assert np.allclose(stacked[1], residuals(rows, basis[1:2]), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +259,8 @@ def test_projection_idempotent_and_pythagoras(vecs):
     h, b1, b2 = vecs
     if not _independent([b1, b2], tol=1e-4) or np.linalg.norm(h) < 1e-4:
         return
-    res = project_out(h, [b1, b2])
-    res2 = project_out(res, [b1, b2])
+    res = _residual_against(h, [b1, b2])
+    res2 = _residual_against(res, [b1, b2])
     scale = max(np.linalg.norm(h), 1.0)
     assert np.linalg.norm(res - res2) <= 1e-10 * scale
     # ||h||^2 = ||residual||^2 + ||projection||^2
@@ -290,7 +311,7 @@ def test_sin_sq_angle_two_dim_span_ks():
 
 
 def test_sin_sq_angle_matches_coordinate_shortcut():
-    # project_out against an explicit random span agrees with the analytic
+    # sin_sq_angle against an explicit random span agrees with the analytic
     # coordinate computation after a common unitary rotation
     rng = SeedSpec(4245, 0).generator()
     for _ in range(25):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -172,6 +173,33 @@ def test_simulate_rejects_bad_trials(tmp_path, capsys):
     rc = main(["simulate", *BASE_FLAGS, "--trials", "0", "--out", str(tmp_path)])
     assert rc == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_bad_workers(tmp_path, capsys, workers):
+    rc = main(["simulate", *BASE_FLAGS, "--workers", workers, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(cfg, workers=1):
+        raise ArithmeticError("closed forms disagree")
+
+    monkeypatch.setattr("sinrmin.cli.run_sweep", fail)
+    rc = main(["simulate", *BASE_FLAGS, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "error: closed forms disagree" in capsys.readouterr().err
+
+
+def test_broken_process_pool_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(cfg, workers=1):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr("sinrmin.cli.run_sweep", fail)
+    rc = main(["simulate", *BASE_FLAGS, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "error: a worker died" in capsys.readouterr().err
 
 
 def test_results_roundtrip_via_validate(tmp_path, capsys):

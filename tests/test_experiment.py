@@ -165,6 +165,32 @@ def test_exhaustive_floor_per_trial():
         assert np.all(floor <= samples[(alg, "approx")] * (1 + 1e-9))
 
 
+def test_pool_size_bounded_by_chunks(monkeypatch):
+    import sinrmin.experiment as exp
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", SerialPool)
+    cfg = _cfg(trials=3, algorithms=("NUS",))
+    samples = _point_samples(cfg, None, workers=64)
+    assert sizes == [3]
+    assert np.array_equal(samples[("NUS", "approx")],
+                          _point_samples(cfg, None, workers=1)[("NUS", "approx")])
+
+
 def test_budget_exceeded_produces_flagged_row():
     cfg = _cfg(K=12, K_s=4, trials=50, algorithms=("EXHAUSTIVE", "NUS"),
                exhaustive_budget=1000)

@@ -120,6 +120,13 @@ def test_aus_collinear_degenerate_still_selects():
         approx_min_power(
             _cs([[3, 0], [1, 0], [2, 0]]).users[list(r.encoding_order)], T10
         )
+    # every user collinear: both greedy rules still pick, lowest index first
+    c = _cs([[3, 0, 0], [1, 0, 0], [2, 0, 0]])
+    for rule in (select_sus, select_aus):
+        r = rule(c, 3)
+        assert r.selection_order == (0, 1, 2)
+        with pytest.raises(InfeasibleGeometryError):
+            approx_min_power(c.users[list(r.encoding_order)], T10)
 
 
 def test_aus_ignores_strength_after_first():
