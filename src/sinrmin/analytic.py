@@ -25,6 +25,7 @@ from .errors import ConfigError, DivergenceError
 # fraction of the running total the discarded upper tail may contribute
 _QUAD_REL = 1e-10
 _TAIL_FRACTION = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 _KINDS = (
     "norm_chisq",
@@ -203,48 +204,53 @@ def _check_integrable(spec: DistributionSpec) -> None:
         )
 
 
+def _quad_to_tail(integrand, upper: float, tail, what) -> float:
+    # integrate over [0, upper], doubling upper until the bound tail(upper)
+    # on the discarded mass is a negligible fraction of the running total
+    while True:
+        value, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300)
+        if tail(upper) <= _TAIL_FRACTION * value:
+            return float(value)
+        if upper > 1e6:
+            raise ArithmeticError(f"tail criterion unreachable for {what}")
+        upper *= 2.0
+
+
 def mean_inverse_quadrature(spec: DistributionSpec) -> float:
     """E[1/x] by adaptive quadrature on the density.
 
-    The closed forms in :func:`mean_inverse` take this route only when no
-    closed form exists, but the quadrature supports every kind so the two
-    can be cross-checked.
+    Supports every kind.  :func:`mean_inverse` falls back to it for order
+    statistics the alpha combination cannot price accurately; the tests
+    use it as the independent reference for every closed form.
     """
     _check_integrable(spec)
-    if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
-        value, _ = quad(
-            lambda t: pdf(spec, t) / t if t > 0.0 else 0.0,
-            0.0,
-            1.0,
-            epsabs=0.0,
-            epsrel=_QUAD_REL,
-            limit=300,
-        )
-        return float(value)
 
     def integrand(t: float) -> float:
         return pdf(spec, t) / t if t > 0.0 else 0.0
 
-    upper = 8.0 * spec.M + 8.0
-    while True:
-        value, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300)
-        # 1/x <= 1/upper beyond the cut, so the discarded tail is bounded
-        # by the remaining probability mass over upper
-        tail = (1.0 - float(cdf(spec, upper))) / upper
-        if tail <= _TAIL_FRACTION * value:
-            return float(value)
-        if upper > 1e6:
-            raise ArithmeticError(f"tail criterion unreachable for {spec}")
-        upper *= 2.0
+    # 1/x <= 1/upper beyond the cut, so the discarded tail is bounded by
+    # the remaining probability mass over upper; the sine laws end at 1
+    if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
+        upper = 1.0
+    else:
+        upper = 8.0 * spec.M + 8.0
+    return _quad_to_tail(
+        integrand, upper, lambda u: (1.0 - float(cdf(spec, u))) / u, spec
+    )
 
 
 @lru_cache(maxsize=None)
 def mean_inverse(spec: DistributionSpec) -> float:
     """E[1/x] for the given law.
 
-    Closed forms are returned where they exist; order statistics go
-    through adaptive quadrature.  Laws whose reciprocal mean does not
-    converge raise DivergenceError naming the offending parameters.
+    Closed forms are returned where they exist.  An order statistic with
+    M >= 2 is the integer combination of alphas from
+    :func:`order_stat_mean_inverse_alpha`, unless the combination cancels
+    so far that its rounding error (sum of |c_n alpha(M, n)| times the
+    machine epsilon) exceeds the quadrature tolerance of the value; then,
+    and for M = 1, it goes through :func:`mean_inverse_quadrature`.  Laws
+    whose reciprocal mean does not converge raise DivergenceError naming
+    the offending parameters.
     """
     _check_integrable(spec)
     if spec.kind == "norm_chisq":
@@ -256,6 +262,11 @@ def mean_inverse(spec: DistributionSpec) -> float:
         return n / (n - 1)
     if spec.kind == "norm_not_largest":
         return (spec.K / (spec.M - 1) - alpha(spec.M, spec.K)) / (spec.K - 1)
+    if spec.M >= 2:  # norm_order_stat from here on
+        terms = _alpha_terms(spec.M, spec.r, spec.K)
+        value = float(sum(terms))
+        if sum(abs(t) for t in terms) * _EPS <= _QUAD_REL * value:
+            return value
     return mean_inverse_quadrature(spec)
 
 
@@ -284,16 +295,13 @@ def alpha(M: int, K: int) -> float:
         base = math.exp(-x + (M - 2) * math.log(x) - log_gamma_m)
         return K * base * float(gammainc(M, x)) ** (K - 1)
 
-    upper = 8.0 * M + 8.0
-    while True:
-        value, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300)
-        # drop G^{K-1} <= 1: tail <= K * Gamma(M-1) * Q(M-1, upper) / Gamma(M)
-        tail = K * float(gammaincc(M - 1, upper)) / (M - 1)
-        if tail <= _TAIL_FRACTION * value:
-            return float(value)
-        if upper > 1e6:
-            raise ArithmeticError(f"tail criterion unreachable for alpha({M}, {K})")
-        upper *= 2.0
+    # drop G^{K-1} <= 1: tail <= K * Gamma(M-1) * Q(M-1, upper) / Gamma(M)
+    return _quad_to_tail(
+        integrand,
+        8.0 * M + 8.0,
+        lambda u: K * float(gammaincc(M - 1, u)) / (M - 1),
+        f"alpha({M}, {K})",
+    )
 
 
 def _order_stat_power_coeffs(r: int, K: int) -> dict:
@@ -307,17 +315,23 @@ def _order_stat_power_coeffs(r: int, K: int) -> dict:
     return {n: c for n, c in coeffs.items() if c != 0}
 
 
+def _alpha_terms(M: int, r: int, K: int) -> list:
+    # c_n * alpha(M, n) for each power G^n of the order-statistic CDF
+    combo = _order_stat_power_coeffs(r, K)
+    return [c * alpha(M, n) for n, c in sorted(combo.items())]
+
+
 def order_stat_mean_inverse_alpha(M: int, r: int, K: int) -> float:
     """E[1/x] for the r-th largest squared norm as a combination of alphas.
 
     The order-statistic CDF is a polynomial in the parent CDF G, and each
     G^n term contributes its own largest-of-n reciprocal mean, so the
-    value is an integer combination of alpha(M, n).  Needs M >= 2; the
-    quadrature route in :func:`mean_inverse` has no such restriction and
-    serves as the independent cross-check.
+    value is an integer combination of alpha(M, n) (David & Nagaraja,
+    *Order Statistics*).  Needs M >= 2.  The coefficients alternate in
+    sign and grow like binomials, so for large r and K the sum loses
+    digits; :func:`mean_inverse` detects that and uses quadrature instead.
     """
-    combo = _order_stat_power_coeffs(r, K)
-    return float(sum(c * alpha(M, n) for n, c in sorted(combo.items())))
+    return float(sum(_alpha_terms(M, r, K)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +363,8 @@ def avg_power_nus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     norm and sees an independent (i - 1)-dimensional interference span,
     so each term is a product of two reciprocal means.  Terms whose
     reciprocal mean does not converge raise DivergenceError naming the
-    term.  For K_s in {2, 4} the closed-form alpha combination is also
-    evaluated and must agree to 1e-6 relative.
+    term.  Order-statistic means come from :func:`mean_inverse`, so the
+    sum is in closed form wherever the alpha combination is accurate.
     """
     _check_targets(gamma, sigma_sq)
     if not 1 <= K_s <= K:
@@ -364,25 +378,7 @@ def avg_power_nus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
         except DivergenceError as exc:
             raise DivergenceError(f"NUS term i={idx} diverges: {exc}") from None
         total += norm_term * angle_term
-    value = gamma * sigma_sq * total
-    if K_s in (2, 4):
-        closed = _nus_alpha_form(M, K, K_s) * gamma * sigma_sq
-        if abs(closed - value) > 1e-6 * abs(value):
-            raise ArithmeticError(
-                f"NUS closed form {closed!r} disagrees with the term sum {value!r} "
-                f"at M={M}, K={K}, Ks={K_s}"
-            )
-    return value
-
-
-def _nus_alpha_form(M: int, K: int, K_s: int) -> float:
-    # same sum with every factor in closed form (order statistics via the
-    # alpha combination); defined exactly when the term sum is finite
-    total = 0.0
-    for idx in range(1, K_s + 1):
-        rank = K_s + 1 - idx
-        total += order_stat_mean_inverse_alpha(M, rank, K) * _angle_mean_inverse(M, idx - 1)
-    return total
+    return gamma * sigma_sq * total
 
 
 def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> float:
@@ -390,9 +386,10 @@ def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
 
     The i-th selected residual is stochastically no worse than the i-th
     largest of K squared norms in an (M + 1 - i)-dimensional space, which
-    turns the sum into pure order-statistic reciprocal means.  Unlike the
-    other averages this one bounds the true mean from above, so Monte
-    Carlo validation against it is one-sided.
+    turns the sum into pure order-statistic reciprocal means, each from
+    :func:`mean_inverse` (quadrature for the one-dimensional last term
+    when K_s = M).  Unlike the other averages this one bounds the true
+    mean from above, so Monte Carlo validation against it is one-sided.
     """
     _check_targets(gamma, sigma_sq)
     if not 1 <= K_s <= min(M, K):
@@ -405,18 +402,7 @@ def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
             )
         except DivergenceError as exc:
             raise DivergenceError(f"SUS term i={idx} diverges: {exc}") from None
-    value = gamma * sigma_sq * total
-    if K_s in (2, 4) and M + 1 - K_s >= 2:
-        closed = gamma * sigma_sq * sum(
-            order_stat_mean_inverse_alpha(M + 1 - idx, idx, K)
-            for idx in range(1, K_s + 1)
-        )
-        if abs(closed - value) > 1e-6 * abs(value):
-            raise ArithmeticError(
-                f"SUS closed form {closed!r} disagrees with the term sum {value!r} "
-                f"at M={M}, K={K}, Ks={K_s}"
-            )
-    return value
+    return gamma * sigma_sq * total
 
 
 def avg_power_rus(M: int, K_s: int, gamma: float, sigma_sq: float) -> float:
@@ -469,6 +455,6 @@ def avg_power_lower_bound_two(M: int, K: int, gamma: float, sigma_sq: float) -> 
         raise ConfigError(
             f"need M >= 3, K >= 2 and (M-1)(K-1) > 1, got M={M}, K={K}"
         )
-    second = order_stat_mean_inverse_alpha(M, 2, K)
+    second = mean_inverse(DistributionSpec.norm_order_stat(M, 2, K))
     best_angle = mean_inverse(DistributionSpec.sin_sq_angle_max(M, K - 1))
     return gamma * sigma_sq * (second + alpha(M, K) * best_angle)

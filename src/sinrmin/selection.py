@@ -85,7 +85,10 @@ def _greedy_residual(channels: ChannelSet, k_s: int, by_angle: bool) -> tuple[in
         res = residuals(h, basis[:step])
         res2 = np.einsum("ki,ki->k", res.conj(), res).real
         res2[res2 <= RANK_TOL**2 * norms] = 0.0
-        scores = res2 / norms if by_angle and step else res2
+        if by_angle and step:  # a zero-norm user scores 0, not 0/0
+            scores = np.divide(res2, norms, out=np.zeros_like(res2), where=norms > 0.0)
+        else:
+            scores = res2
         scores[picked] = -np.inf
         choice = int(np.argmax(scores))
         picked.append(choice)

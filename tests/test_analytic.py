@@ -1,5 +1,6 @@
 """Distribution laws, reciprocal means, and average-power formula tests."""
 
+import functools
 import math
 
 import numpy as np
@@ -185,9 +186,17 @@ def test_mean_inverse_closed_vs_quadrature():
 
 def test_mean_inverse_order_stat_vs_alpha_combination():
     for m, r, k in [(4, 1, 10), (4, 2, 10), (4, 4, 10), (3, 2, 8), (5, 3, 12), (2, 1, 4)]:
-        quad_val = mean_inverse(DistributionSpec.norm_order_stat(m, r, k))
+        quad_val = mean_inverse_quadrature(DistributionSpec.norm_order_stat(m, r, k))
         combo = order_stat_mean_inverse_alpha(m, r, k)
         assert abs(quad_val - combo) <= 1e-7 * abs(combo), (m, r, k)
+
+
+def test_mean_inverse_order_stat_cancellation_falls_back():
+    # the alpha combination alone is off by 2.9e-5 and 2.1e-6 relative here
+    for m, r, k in [(4, 8, 100), (2, 8, 64)]:
+        spec = DistributionSpec.norm_order_stat(m, r, k)
+        quad_val = mean_inverse_quadrature(spec)
+        assert abs(mean_inverse(spec) - quad_val) <= 1e-9 * quad_val, (m, r, k)
 
 
 def test_mean_inverse_single_dim_order_stat():
@@ -243,7 +252,7 @@ def test_alpha_rejects_single_antenna():
 def test_alpha_matches_order_stat_route():
     # same quantity through the generic order-statistic quadrature
     for m, k in [(2, 3), (4, 10), (6, 16)]:
-        other = mean_inverse(DistributionSpec.norm_order_stat(m, 1, k))
+        other = mean_inverse_quadrature(DistributionSpec.norm_order_stat(m, 1, k))
         assert abs(alpha(m, k) - other) <= 1e-8 * other
 
 
@@ -309,15 +318,32 @@ def test_avg_power_nus_sus_use_best_norms():
         assert avg_power_sus(m, k, 1, GAMMA, SIGMA_SQ) == pytest.approx(expect, rel=1e-7)
 
 
-def test_avg_power_corollary_check_runs_clean():
-    # two- and four-user sums carry a built-in closed-form comparison that
-    # raises on disagreement; a clean pass over a grid is the assertion
-    for m in (5, 6, 8):
-        for k in (8, 12, 16):
-            avg_power_nus(m, k, 2, GAMMA, SIGMA_SQ)
-            avg_power_nus(m, k, 4, GAMMA, SIGMA_SQ)
-            avg_power_sus(m, k, 2, GAMMA, SIGMA_SQ)
-            avg_power_sus(m, k, 4, GAMMA, SIGMA_SQ)
+def test_avg_power_nus_sus_match_quadrature_term_sum():
+    # the same sums with every order-statistic mean by quadrature on its
+    # density, angle means in closed form
+    @functools.cache
+    def quad_mean(m, r, k):
+        return mean_inverse_quadrature(DistributionSpec.norm_order_stat(m, r, k))
+
+    def angle(m, d):
+        return 1.0 if d == 0 else mean_inverse(DistributionSpec.sin_sq_angle(m, d))
+
+    for m in range(4, 9):
+        for k in range(8, 17):
+            for k_s in (2, 4):
+                sus = sum(quad_mean(m + 1 - i, i, k) for i in range(1, k_s + 1))
+                expect = GAMMA * SIGMA_SQ * sus
+                got = avg_power_sus(m, k, k_s, GAMMA, SIGMA_SQ)
+                assert abs(got - expect) <= 1e-9 * expect, ("SUS", m, k, k_s)
+                if k_s >= m:  # the last NUS angle term diverges
+                    continue
+                nus = sum(
+                    quad_mean(m, k_s + 1 - i, k) * angle(m, i - 1)
+                    for i in range(1, k_s + 1)
+                )
+                expect = GAMMA * SIGMA_SQ * nus
+                got = avg_power_nus(m, k, k_s, GAMMA, SIGMA_SQ)
+                assert abs(got - expect) <= 1e-9 * expect, ("NUS", m, k, k_s)
 
 
 def test_avg_power_nus_divergences():

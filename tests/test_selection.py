@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,10 @@ def test_aus_collinear_degenerate_still_selects():
         assert r.selection_order == (0, 1, 2)
         with pytest.raises(InfeasibleGeometryError):
             approx_min_power(c.users[list(r.encoding_order)], T10)
+    # a zero-norm user scores 0 against the span, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert select_aus(_cs([[1, 0], [0, 0], [0, 1]]), 2).selection_order == (0, 2)
 
 
 def test_aus_ignores_strength_after_first():
