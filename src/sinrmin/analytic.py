@@ -339,10 +339,10 @@ def order_stat_mean_inverse_alpha(M: int, r: int, K: int) -> float:
 
 
 def _check_targets(gamma: float, sigma_sq: float) -> None:
-    if not gamma > 0.0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-    if not sigma_sq > 0.0:
-        raise ConfigError(f"sigma_sq must be positive, got {sigma_sq}")
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 < sigma_sq < math.inf:
+        raise ConfigError(f"sigma_sq must be positive and finite, got {sigma_sq}")
 
 
 def _angle_mean_inverse(M: int, d: int) -> float:

@@ -14,7 +14,9 @@ import argparse
 import csv
 import hashlib
 import sys
+import typing
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -25,6 +27,7 @@ from .experiment import (
     LOWER_BOUND_TAG,
     ExperimentConfig,
     ResultRow,
+    ValidationRow,
     _analytic_value,
     run_sweep,
     validate_rows,
@@ -36,14 +39,9 @@ _STR_KEYS = ("power_method", "sweep_axis")
 _LIST_KEYS = ("algorithms", "sweep_values")
 _ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _LIST_KEYS
 
-_RESULT_COLUMNS = (
-    "sweep_axis", "sweep_value", "algorithm", "power_method", "trials",
-    "seed", "mc_mean", "mc_stderr", "analytic_value", "infeasible_count",
-    "note",
-)
-_VALIDATION_COLUMNS = (
-    "sweep_axis", "sweep_value", "algorithm", "check", "mc_mean",
-    "mc_stderr", "analytic_value", "status",
+_RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_VALIDATION_COLUMNS = tuple(
+    "status" if f.name == "passed" else f.name for f in fields(ValidationRow)
 )
 
 FIGURE_IDS = (1, 2, 3, 4)
@@ -135,9 +133,25 @@ def _flag_overrides(args) -> dict:
 def _cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):  # ValidationRow.passed, the status column
+        return "pass" if value else "fail"
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
+
+
+def _cells(row) -> list:
+    return [_cell(getattr(row, f.name)) for f in fields(row)]
+
+
+def _parse_cell(kind, raw: str):
+    """Inverse of `_cell` for a field annotated `kind`."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if raw == "":
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+    return kind(raw)
 
 
 def _write_table(path: Path, header, rows) -> None:
@@ -148,25 +162,11 @@ def _write_table(path: Path, header, rows) -> None:
 
 
 def write_results(rows, path: Path) -> None:
-    _write_table(path, _RESULT_COLUMNS, (
-        (
-            r.sweep_axis, _cell(r.sweep_value), r.algorithm, r.power_method,
-            r.trials, r.seed, _cell(r.mc_mean), _cell(r.mc_stderr),
-            _cell(r.analytic_value), r.infeasible_count, r.note,
-        )
-        for r in rows
-    ))
+    _write_table(path, _RESULT_COLUMNS, map(_cells, rows))
 
 
 def write_validation(report, path: Path) -> None:
-    _write_table(path, _VALIDATION_COLUMNS, (
-        (
-            v.sweep_axis, _cell(v.sweep_value), v.algorithm, v.check,
-            _cell(v.mc_mean), _cell(v.mc_stderr), _cell(v.analytic_value),
-            "pass" if v.passed else "fail",
-        )
-        for v in report
-    ))
+    _write_table(path, _VALIDATION_COLUMNS, map(_cells, report))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -185,28 +185,15 @@ def write_manifest(cfg: ExperimentConfig, path: Path) -> None:
 
 def read_results(path: Path):
     """Rows back from a results file, for the validate subcommand."""
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(_RESULT_COLUMNS):
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != _RESULT_COLUMNS:
             raise ConfigError(f"{path} is not a results file")
-        for rec in reader:
-            rows.append(ResultRow(
-                sweep_axis=rec["sweep_axis"],
-                sweep_value=int(rec["sweep_value"]) if rec["sweep_value"] else None,
-                algorithm=rec["algorithm"],
-                power_method=rec["power_method"],
-                trials=int(rec["trials"]),
-                seed=int(rec["seed"]),
-                mc_mean=float(rec["mc_mean"]) if rec["mc_mean"] else None,
-                mc_stderr=float(rec["mc_stderr"]) if rec["mc_stderr"] else None,
-                analytic_value=(
-                    float(rec["analytic_value"]) if rec["analytic_value"] else None
-                ),
-                infeasible_count=int(rec["infeasible_count"]),
-                note=rec["note"],
-            ))
-    return rows
+        records = list(reader)
+    if any(len(rec) != len(_RESULT_COLUMNS) for rec in records):
+        raise ConfigError(f"{path} has a row of the wrong length")
+    kinds = [f.type for f in fields(ResultRow)]
+    return [ResultRow(*map(_parse_cell, kinds, rec)) for rec in records]
 
 
 def write_figure_table(cfg: ExperimentConfig, rows, path: Path) -> None:
@@ -290,7 +277,7 @@ def cmd_analytic(args) -> int:
     cfg = parse_config(args.config, _flag_overrides(args), simulatable=False)
     lines = [("sweep_axis", "sweep_value", "algorithm", "analytic_value")]
     tags = list(cfg.algorithms)
-    if cfg.K_s == 2 and LOWER_BOUND_TAG not in tags:
+    if cfg.K_s == 2:
         tags.append(LOWER_BOUND_TAG)
     for sweep_value in cfg.points():
         m, k = cfg.dims_at(sweep_value)
@@ -338,11 +325,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_figure(args) -> int:
     ref = resources.files("sinrmin").joinpath(f"configs/fig{args.figure_id}.cfg")
-    values = parse_config_text(ref.read_text(), origin=f"fig{args.figure_id}.cfg")
-    for key, val in _flag_overrides(args).items():
-        if val is not None:
-            values[key] = val
-    cfg = build_config(values, simulatable=True)
+    with resources.as_file(ref) as path:
+        cfg = parse_config(path, _flag_overrides(args), simulatable=True)
     return _simulate_config(cfg, args)
 
 

@@ -11,6 +11,7 @@ forms describe the residual-norm power model, not the exact recursion.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -125,8 +126,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
-        if not self.sigma_sq > 0:
-            raise ConfigError("sigma_sq must be positive")
+        if not 0 < self.sigma_sq < math.inf:
+            raise ConfigError("sigma_sq must be positive and finite")
         if not math.isfinite(self.gamma_db):
             raise ConfigError("gamma_db must be finite")
         if self.exhaustive_budget < 1:
@@ -178,53 +179,48 @@ class ValidationRow:
     passed: bool
 
 
-def _select(alg: str, channels, k_s, master_seed, trial):
+def _encoding_order(alg, meth, channels, config, targets, trial):
+    """Encoding order one algorithm picks; only EXHAUSTIVE depends on `meth`."""
     if alg == "NUS":
-        return select_nus(channels, k_s)
-    if alg == "SUS":
-        return select_sus(channels, k_s)
-    if alg == "AUS":
-        return select_aus(channels, k_s)
-    if alg == "RUS":
-        return select_rus(channels, k_s, SeedSpec(master_seed, 2 * trial + 1))
-    return None  # EXHAUSTIVE picks per power method
+        sel = select_nus(channels, config.K_s)
+    elif alg == "SUS":
+        sel = select_sus(channels, config.K_s)
+    elif alg == "AUS":
+        sel = select_aus(channels, config.K_s)
+    elif alg == "RUS":
+        seed = SeedSpec(config.master_seed, 2 * trial + 1)
+        sel = select_rus(channels, config.K_s, seed)
+    else:
+        sel = select_exhaustive(
+            channels, config.K_s, targets, power_fn=meth,
+            budget=config.exhaustive_budget,
+        )
+    return list(sel.encoding_order)
 
 
 def _run_chunk(payload):
     """Totals for a contiguous trial range; infeasible trials stay NaN."""
-    (m, k, k_s, gamma, sigma_sq, algorithms, methods, master_seed, start, stop,
-     budget) = payload
-    targets = SinrTargets(gamma, sigma_sq)
+    config, sweep_value, start, stop = payload
+    m, k = config.dims_at(sweep_value)
+    targets = SinrTargets(config.gamma_linear, config.sigma_sq)
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
-    totals = {
-        (alg, meth): np.full(stop - start, np.nan)
-        for alg in algorithms
-        for meth in methods
-    }
+    series = [(alg, meth) for alg in config.algorithms for meth in config.methods()]
+    totals = {key: np.full(stop - start, np.nan) for key in series}
     for t in range(start, stop):
-        channels = sample_channel_set(m, k, SeedSpec(master_seed, 2 * t))
-        for alg in algorithms:
-            if alg == "EXHAUSTIVE":
-                for meth in methods:
-                    try:
-                        sel = select_exhaustive(
-                            channels, k_s, targets, power_fn=meth, budget=budget
-                        )
-                        ordered = channels.users[list(sel.encoding_order)]
-                        total = solvers[meth](ordered, targets).total_power
-                    except InfeasibleGeometryError:
-                        continue
-                    totals[(alg, meth)][t - start] = total
+        channels = sample_channel_set(m, k, SeedSpec(config.master_seed, 2 * t))
+        orders = {}  # a rule's order serves every method of the trial
+        for alg, meth in series:
+            key = (alg, meth) if alg == "EXHAUSTIVE" else alg
+            try:
+                if key not in orders:
+                    orders[key] = _encoding_order(
+                        alg, meth, channels, config, targets, t
+                    )
+                solution = solvers[meth](channels.users[orders[key]], targets)
+            except InfeasibleGeometryError:
                 continue
-            sel = _select(alg, channels, k_s, master_seed, t)
-            ordered = channels.users[list(sel.encoding_order)]
-            for meth in methods:
-                try:
-                    total = solvers[meth](ordered, targets).total_power
-                except InfeasibleGeometryError:
-                    continue
-                totals[(alg, meth)][t - start] = total
-    return start, totals
+            totals[(alg, meth)][t - start] = solution.total_power
+    return totals
 
 
 def _split_trials(trials: int, workers: int):
@@ -240,30 +236,20 @@ def _split_trials(trials: int, workers: int):
 
 
 def _point_samples(config: ExperimentConfig, sweep_value, workers: int):
-    """Per-trial totals keyed by (algorithm, method), merged by trial index."""
-    m, k = config.dims_at(sweep_value)
-    algorithms = config.algorithms
-    methods = config.methods()
-    merged = {
-        (alg, meth): np.full(config.trials, np.nan)
-        for alg in algorithms
-        for meth in methods
-    }
+    """Per-trial totals keyed by (algorithm, method), in trial order."""
+    # results do not depend on the chunking, so never fork more than the CPUs
+    chunks = min(max(1, workers), os.cpu_count() or 1)
     args = [
-        (m, k, config.K_s, config.gamma_linear, config.sigma_sq, algorithms,
-         methods, config.master_seed, lo, hi, config.exhaustive_budget)
-        for lo, hi in _split_trials(config.trials, max(1, workers))
+        (config, sweep_value, lo, hi)
+        for lo, hi in _split_trials(config.trials, chunks)
     ]
-    if workers <= 1 or len(args) <= 1:
+    if len(args) <= 1:
         results = [_run_chunk(a) for a in args]
     else:
         # the pool forks max_workers processes up front, so size it to the chunks
         with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_run_chunk, args))
-    for start, chunk in results:
-        for key, arr in chunk.items():
-            merged[key][start : start + arr.size] = arr
-    return merged
+    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 
 
 def _analytic_value(alg, m, k, k_s, gamma, sigma_sq):

@@ -33,10 +33,12 @@ class SinrTargets:
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim > 1:
             raise DimensionError(f"gamma must be scalar or 1-D, got shape {g.shape}")
-        if g.size == 0 or not np.all(g > 0):
-            raise ConfigError("all SINR targets must be positive")
-        if not self.sigma_sq > 0:
-            raise ConfigError(f"noise variance must be positive, got {self.sigma_sq}")
+        if g.size == 0 or not np.all((g > 0) & (g < np.inf)):
+            raise ConfigError("all SINR targets must be positive and finite")
+        if not 0 < self.sigma_sq < np.inf:
+            raise ConfigError(
+                f"noise variance must be positive and finite, got {self.sigma_sq}"
+            )
 
     def gamma_vector(self, n: int) -> np.ndarray:
         """Targets for `n` users, broadcasting a scalar target."""

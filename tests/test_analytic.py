@@ -432,6 +432,13 @@ def test_avg_power_config_errors():
         avg_power_nus(4, 10, 2, -1.0, SIGMA_SQ)
     with pytest.raises(ConfigError):
         avg_power_nus(4, 10, 2, GAMMA, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            avg_power_nus(4, 10, 2, bad, SIGMA_SQ)
+        with pytest.raises(ConfigError):
+            avg_power_sus(4, 10, 2, GAMMA, bad)
+        with pytest.raises(ConfigError):
+            avg_power_rus(4, 2, GAMMA, bad)
 
 
 def test_scaling_in_gamma_and_sigma():

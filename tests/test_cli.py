@@ -1,8 +1,10 @@
 """CLI tests: parsing, subcommands, file stability, exit codes."""
 
+import csv
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +17,7 @@ from sinrmin.cli import (
     read_results,
 )
 from sinrmin.errors import ConfigError
+from sinrmin.experiment import ResultRow, run_sweep, validate_rows
 
 BASE_FLAGS = [
     "--M", "4", "--K", "8", "--Ks", "2", "--gamma-db", "10",
@@ -182,6 +185,13 @@ def test_simulate_rejects_bad_workers(tmp_path, capsys, workers):
     assert "workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_non_finite_noise_exits_2(tmp_path, capsys, command):
+    rc = main([command, *BASE_FLAGS, "--sigma-sq", "inf", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "sigma_sq" in capsys.readouterr().err
+
+
 def test_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
     def fail(cfg, workers=1):
         raise ArithmeticError("closed forms disagree")
@@ -203,15 +213,36 @@ def test_broken_process_pool_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_results_roundtrip_via_validate(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "M=4\nK=8\nK_s=2\ngamma_db=10\nsigma_sq=0.1\ntrials=400\nmaster_seed=3\n"
+        "algorithms=NUS,RUS,EXHAUSTIVE\nexhaustive_budget=1\n"
+    )
     out = tmp_path / "run"
-    rc = main(["simulate", *BASE_FLAGS, "--trials", "400", "--seed", "3",
-               "--out", str(out)])
-    assert rc == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = read_results(out / "results.csv")
-    algs = {r.algorithm for r in rows}
-    assert algs == {"NUS", "RUS", "LOWER_BOUND"}
+    assert {r.algorithm for r in rows} == {"NUS", "RUS", "EXHAUSTIVE", "LOWER_BOUND"}
+    (skipped,) = [r for r in rows if r.note == "budget_exceeded"]
+    assert skipped.algorithm == "EXHAUSTIVE" and skipped.trials == 0
+    assert skipped.mc_mean is None and skipped.mc_stderr is None
+    expected = run_sweep(parse_config(cfg_path))
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        for f in fields(ResultRow):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, float):
+                b = float(format(b, ".9g"))
+            assert a == b, f.name  # None stays None
     rc = main(["validate", str(out / "results.csv"), "--out", str(out), "--strict"])
     assert rc == 0
+    with open(out / "validation.csv", newline="") as fh:
+        header, *cells = csv.reader(fh)
+    assert header == ["sweep_axis", "sweep_value", "algorithm", "check",
+                      "mc_mean", "mc_stderr", "analytic_value", "status"]
+    report = validate_rows(rows)
+    assert cells and [c[-1] for c in cells] == [
+        "pass" if v.passed else "fail" for v in report
+    ]
 
 
 def test_validate_strict_fails_on_bad_rows(tmp_path, capsys):
@@ -234,6 +265,14 @@ def test_validate_rejects_foreign_csv(tmp_path, capsys):
     alien = tmp_path / "other.csv"
     alien.write_text("a,b\n1,2\n")
     rc = main(["validate", str(alien), "--out", str(tmp_path)])
+    assert rc == 2
+    short = tmp_path / "short.csv"
+    short.write_text(
+        "sweep_axis,sweep_value,algorithm,power_method,trials,seed,mc_mean,"
+        "mc_stderr,analytic_value,infeasible_count,note\n"
+        "none,,SUS,approx,1000\n"
+    )
+    rc = main(["validate", str(short), "--out", str(tmp_path)])
     assert rc == 2
 
 

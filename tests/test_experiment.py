@@ -1,6 +1,7 @@
 """Monte Carlo harness tests: determinism, oracles, flags, validation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -69,8 +70,9 @@ def test_validate_rejects_bad_configs():
         _cfg(master_seed=-1).validate()
     with pytest.raises(ConfigError):
         _cfg(master_seed=2**64).validate()
-    with pytest.raises(ConfigError):
-        _cfg(sigma_sq=0.0).validate()
+    for sigma_sq in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            _cfg(sigma_sq=sigma_sq).validate()
     with pytest.raises(ConfigError):
         _cfg(exhaustive_budget=0).validate()
 
@@ -165,7 +167,9 @@ def test_exhaustive_floor_per_trial():
         assert np.all(floor <= samples[(alg, "approx")] * (1 + 1e-9))
 
 
-def test_pool_size_bounded_by_chunks(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with an in-process one; yields its sizes."""
     import sinrmin.experiment as exp
 
     sizes = []
@@ -184,11 +188,56 @@ def test_pool_size_bounded_by_chunks(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(exp, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_pool_size_bounded_by_chunks(monkeypatch, pool_sizes):
+    monkeypatch.setattr("os.cpu_count", lambda: 128)
     cfg = _cfg(trials=3, algorithms=("NUS",))
     samples = _point_samples(cfg, None, workers=64)
-    assert sizes == [3]
+    assert pool_sizes == [3]
     assert np.array_equal(samples[("NUS", "approx")],
                           _point_samples(cfg, None, workers=1)[("NUS", "approx")])
+
+
+def test_pool_size_bounded_by_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    cfg = _cfg(trials=50, algorithms=("NUS", "RUS"))
+    samples = _point_samples(cfg, None, workers=5000)
+    assert pool_sizes == [2]
+    serial = _point_samples(cfg, None, workers=1)
+    for key in serial:
+        assert np.array_equal(samples[key], serial[key])
+
+
+def test_one_pricing_call_per_series_and_trial(monkeypatch):
+    import sinrmin.experiment as exp
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("power_fn")))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("select_nus", "select_rus", "select_exhaustive",
+                 "approx_min_power", "exact_min_power"):
+        monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
+    trials = 4
+    cfg = _cfg(K=6, trials=trials, power_method="both",
+               algorithms=("NUS", "RUS", "EXHAUSTIVE"))
+    samples = _point_samples(cfg, None, workers=1)
+    assert all(not np.isnan(arr).any() for arr in samples.values())
+    assert Counter(calls) == {
+        ("select_nus", None): trials,
+        ("select_rus", None): trials,
+        ("select_exhaustive", "exact"): trials,
+        ("select_exhaustive", "approx"): trials,
+        # one solver call per series: NUS, RUS and EXHAUSTIVE
+        ("exact_min_power", None): 3 * trials,
+        ("approx_min_power", None): 3 * trials,
+    }
 
 
 def test_budget_exceeded_produces_flagged_row():

@@ -39,6 +39,13 @@ def test_targets_validation():
         SinrTargets(np.array([1.0, -2.0]), 1.0)
     with pytest.raises(ConfigError):
         SinrTargets(10.0, 0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            SinrTargets(bad, 1.0)
+        with pytest.raises(ConfigError):
+            SinrTargets(np.array([1.0, bad]), 1.0)
+        with pytest.raises(ConfigError):
+            SinrTargets(10.0, bad)
     with pytest.raises(DimensionError):
         SinrTargets(np.ones((2, 2)), 1.0)
 
