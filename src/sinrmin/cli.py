@@ -192,8 +192,18 @@ def read_results(path: Path):
         records = list(reader)
     if any(len(rec) != len(_RESULT_COLUMNS) for rec in records):
         raise ConfigError(f"{path} has a row of the wrong length")
-    kinds = [f.type for f in fields(ResultRow)]
-    return [ResultRow(*map(_parse_cell, kinds, rec)) for rec in records]
+    rows = []
+    for n, rec in enumerate(records, start=1):
+        cells = []
+        for field, raw in zip(fields(ResultRow), rec):
+            try:
+                cells.append(_parse_cell(field.type, raw))
+            except ValueError:
+                raise ConfigError(
+                    f"{path} row {n}: column {field.name} has {raw!r}"
+                ) from None
+        rows.append(ResultRow(*cells))
+    return rows
 
 
 def write_figure_table(cfg: ExperimentConfig, rows, path: Path) -> None:

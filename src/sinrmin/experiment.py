@@ -130,6 +130,14 @@ class ExperimentConfig:
             raise ConfigError("sigma_sq must be positive and finite")
         if not math.isfinite(self.gamma_db):
             raise ConfigError("gamma_db must be finite")
+        try:
+            linear = self.gamma_linear
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ConfigError(
+                f"gamma_db={self.gamma_db} gives no positive finite linear SINR target"
+            )
         if self.exhaustive_budget < 1:
             raise ConfigError("exhaustive_budget must be positive")
         for sweep_value in self.points():

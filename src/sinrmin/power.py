@@ -89,11 +89,23 @@ def _row_norms_checked(h: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _uplink_step(zinv: np.ndarray, h_i: np.ndarray, gamma_i):
+    """One position of the dual uplink against the predecessors' Z^-1.
+
+    Returns the direction Z^-1 h_i, the gain h_i^H Z^-1 h_i, the
+    unit-noise power gamma_i / gain, and Z^-1 once the user is added,
+    by a rank-one update.
+    """
+    zh = zinv @ h_i
+    d = float(np.real(np.vdot(h_i, zh)))
+    p = gamma_i / d
+    return zh, d, p, zinv - (p / (1.0 + p * d)) * np.outer(zh, zh.conj())
+
+
 def _dual_uplink(h: np.ndarray, gam: np.ndarray):
     """Unit-noise powers, gains h_i^H Z_i^-1 h_i and directions Z_i^-1 h_i.
 
-    Z_i accumulates the already-encoded users; its inverse is maintained
-    by rank-one updates.
+    Z_i accumulates the already-encoded users.
     """
     n, m = h.shape
     zinv = np.eye(m, dtype=np.complex128)
@@ -101,10 +113,7 @@ def _dual_uplink(h: np.ndarray, gam: np.ndarray):
     gains = np.empty(n)
     dirs = np.empty((n, m), dtype=np.complex128)
     for i in range(n):
-        zh = zinv @ h[i]
-        d = float(np.real(np.vdot(h[i], zh)))
-        dirs[i], gains[i], p_unit[i] = zh, d, gam[i] / d
-        zinv -= (p_unit[i] / (1.0 + p_unit[i] * d)) * np.outer(zh, zh.conj())
+        dirs[i], gains[i], p_unit[i], zinv = _uplink_step(zinv, h[i], gam[i])
     return p_unit, gains, dirs
 
 

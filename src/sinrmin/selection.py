@@ -10,7 +10,6 @@ deterministic on crafted inputs; with continuous channels ties have
 probability zero.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,12 @@ import numpy as np
 from .channel import RANK_TOL, ChannelSet, SeedSpec, residuals
 from .errors import BudgetError, ConfigError, DomainError, InfeasibleGeometryError
 # approx_min_power stays bound here: the benchmark's tracer hooks it
-from .power import SinrTargets, approx_min_power, exact_min_power  # noqa: F401
+from .power import (  # noqa: F401
+    SinrTargets,
+    _uplink_step,
+    approx_min_power,
+    exact_min_power,
+)
 
 ALGORITHM_TAGS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE")
 
@@ -139,16 +143,79 @@ def select_rus(channels: ChannelSet, k_s: int, seed: SeedSpec) -> SelectionResul
     return SelectionResult("RUS", picked, picked)
 
 
+def _completion_bounds(gains: np.ndarray, gamma_j, tail_gam: np.ndarray) -> np.ndarray:
+    """Unit-noise lower bound on every completion of each child prefix.
+
+    Child u pays gamma_j / gains[u] at this position. Every later user pays
+    at least its target over its gain against the parent's Z, since Z only
+    grows. Pairing the later targets (descending) with the largest gains of
+    the other users (descending) gives the smallest such sum (rearrangement
+    inequality), so per-position targets keep the bound valid.
+    """
+    r = tail_gam.size
+    order = np.argsort(-gains, kind="stable")
+    rank = order.argsort()
+    g = gains[order]
+    # u ranked q < r leaves the top r gains without g[q]: slots from q on shift up
+    keep = np.concatenate(([0.0], np.cumsum(tail_gam / g[:r])))
+    shift = np.concatenate(([0.0], np.cumsum(tail_gam / g[1 : r + 1])))
+    q = np.minimum(rank, r)
+    return gamma_j / gains + keep[q] + shift[r] - shift[q]
+
+
 def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
-    best, order = math.inf, None
-    for cand in itertools.permutations(range(h.shape[0]), k_s):
+    """Depth-first branch and bound over encoding prefixes; None when none is feasible.
+
+    A prefix's exact powers depend only on the prefix, so children are
+    taken in index order (the prefixes in lexicographic order) and a child
+    whose completions are all bounded above the incumbent is skipped. The
+    incumbent starts at the approx DP's order. Leaf totals take the steps
+    of `exact_min_power`, and equal totals keep the lexicographically
+    smaller order, as a strict scan over every ordering would.
+    """
+    h = np.ascontiguousarray(h)  # rows laid out as exact_min_power gets them
+    # a zero-norm user makes exact_min_power raise for every ordering it is in
+    live = np.flatnonzero(np.einsum("ij,ij->i", h.conj(), h).real > 0.0).tolist()
+    if len(live) < k_s:
+        return None
+    s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
+    tails = [np.sort(gam[j + 1 :])[::-1] for j in range(k_s)]
+    best, best_order = math.inf, None
+    start = _best_approx_order(h, k_s, targets)
+    if start is not None:
         try:
-            total = exact_min_power(h[list(cand)], targets).total_power
+            total = exact_min_power(h[list(start)], targets).total_power
         except DomainError:
-            continue
-        if total < best:  # strict: the lexicographically first minimum wins
-            best, order = total, cand
-    return order
+            total = math.inf
+        if total < best:
+            best, best_order = total, start
+
+    def descend(prefix, zinv, p_unit):
+        nonlocal best, best_order
+        j = len(prefix)
+        rest = [u for u in live if u not in prefix]
+        hr = h[rest]
+        gains = np.einsum("ij,ij->i", hr.conj(), hr @ zinv.T).real
+        if np.all((gains > 0.0) & (gains < math.inf)):
+            bounds = s2 * (sum(p_unit) + _completion_bounds(gains, gam[j], tails[j]))
+        else:  # a gain rounded to zero or below bounds nothing
+            bounds = np.full(len(rest), -math.inf)
+        for u, bound in zip(rest, bounds):
+            # the margin keeps rounding in the batched gains from pruning the winner
+            if bound > best * (1.0 + 1e-9):
+                continue
+            _, _, p, zinv_u = _uplink_step(zinv, h[u], gam[j])
+            order = prefix + (u,)
+            if j + 1 < k_s:
+                descend(order, zinv_u, p_unit + [p])
+                continue
+            total = float((s2 * np.array(p_unit + [p])).sum())
+            tie = total == best and best_order is not None and order < best_order
+            if total < best or tie:
+                best, best_order = total, order
+
+    descend((), np.eye(h.shape[1], dtype=np.complex128), [])
+    return best_order
 
 
 def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
@@ -223,10 +290,12 @@ def select_exhaustive(
     on-average rule. Ties resolve to the lexicographically smallest index
     sequence. An approx cost depends only on the set encoded before it,
     so that route is a DP pricing sum_{j<K_s} C(K, j) predecessor sets
-    (1,351 at K=20, K_s=4); the exact route prices every ordering, as
-    exact powers depend on the predecessors' order. For both routes
-    `budget` bounds the ordering count C(K, K_s) * K_s!, checked before
-    any work happens.
+    (1,351 at K=20, K_s=4). Exact powers depend on the predecessors'
+    order, so the exact route is a branch and bound over encoding
+    prefixes, started from the exact price of the approx optimum. Its
+    worst case is still every ordering, so for both routes `budget`
+    bounds the ordering count C(K, K_s) * K_s!, checked before any work
+    happens.
     """
     _check_k_s(channels, k_s)
     if power_fn not in ("exact", "approx"):

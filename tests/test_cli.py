@@ -192,6 +192,13 @@ def test_non_finite_noise_exits_2(tmp_path, capsys, command):
     assert "sigma_sq" in capsys.readouterr().err
 
 
+def test_gamma_overflow_exits_2(tmp_path, capsys):
+    # 10 ** 400 overflows a float; the later flag overrides the base one
+    rc = main(["analytic", *BASE_FLAGS, "--gamma-db", "4000", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "gamma_db" in capsys.readouterr().err
+
+
 def test_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
     def fail(cfg, workers=1):
         raise ArithmeticError("closed forms disagree")
@@ -274,6 +281,15 @@ def test_validate_rejects_foreign_csv(tmp_path, capsys):
     )
     rc = main(["validate", str(short), "--out", str(tmp_path)])
     assert rc == 2
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text(
+        "sweep_axis,sweep_value,algorithm,power_method,trials,seed,mc_mean,"
+        "mc_stderr,analytic_value,infeasible_count,note\n"
+        "none,,SUS,approx,abc,1,1.0,0.1,1.0,0,\n"
+    )
+    rc = main(["validate", str(garbled), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "row 1: column trials has 'abc'" in capsys.readouterr().err
 
 
 def test_figure_runs_packaged_config(tmp_path, capsys):

@@ -16,6 +16,7 @@ from sinrmin.errors import (
     DomainError,
     InfeasibleGeometryError,
 )
+from sinrmin import selection
 from sinrmin.power import SinrTargets, approx_min_power, exact_min_power
 from sinrmin.selection import (
     SelectionResult,
@@ -270,6 +271,24 @@ def _brute_force_approx(h, k_s, targets):
     return best, order
 
 
+def _brute_force_exact(h, k_s, targets):
+    """Cheapest exact ordering, one solver call per ordering.
+
+    Orderings holding a zero-norm user raise and are skipped; a strict
+    comparison over the lexicographic enumeration keeps the first of
+    tied minima.
+    """
+    best, order = math.inf, None
+    for cand in itertools.permutations(range(len(h)), k_s):
+        try:
+            total = exact_min_power(h[list(cand)], targets).total_power
+        except DomainError:
+            continue
+        if total < best:
+            best, order = total, cand
+    return best, order
+
+
 @st.composite
 def _exhaustive_instances(draw):
     m = draw(st.integers(2, 5))
@@ -306,6 +325,55 @@ def test_exhaustive_dp_equals_brute_force(instance):
         assert got_total <= best * (1 + 1e-5)
     else:
         assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(_exhaustive_instances())
+def test_exhaustive_branch_and_bound_equals_brute_force(instance):
+    c, k_s, targets, near_dependent = instance
+    best, want = _brute_force_exact(c.users, k_s, targets)
+    got = select_exhaustive(c, k_s, targets, "exact").encoding_order
+    if near_dependent:
+        # the batched bounds round differently from the leaf recursion,
+        # so orderings within 1e-5 of the minimum are ties
+        got_total = exact_min_power(c.users[list(got)], targets).total_power
+        assert got_total <= best * (1 + 1e-5)
+    else:
+        assert got == want
+
+
+def test_exhaustive_exact_skips_zero_norm_users():
+    c = _cs([[1, 0, 0], [0, 0, 0], [0, 2, 0], [1, 1, 1]])
+    got = select_exhaustive(c, 2, T10, "exact").encoding_order
+    assert 1 not in got
+    assert got == _brute_force_exact(c.users, 2, T10)[1]
+    with pytest.raises(InfeasibleGeometryError):
+        select_exhaustive(_cs([[0, 0], [1, 0], [0, 0]]), 2, T10, "exact")
+
+
+def test_exhaustive_exact_tie_keeps_first_order(monkeypatch):
+    # every ordering of orthonormal users costs the same
+    c = _cs(np.eye(4)[:3])
+    assert select_exhaustive(c, 3, T10, "exact").encoding_order == (0, 1, 2)
+    # a tied incumbent that sorts later gives way to the first ordering
+    monkeypatch.setattr(selection, "_best_approx_order", lambda h, k_s, t: (2, 1, 0))
+    assert select_exhaustive(c, 3, T10, "exact").encoding_order == (0, 1, 2)
+
+
+def test_exhaustive_exact_does_not_enumerate(monkeypatch):
+    calls = []
+
+    def counted(channels, targets):
+        calls.append(1)
+        return exact_min_power(channels, targets)
+
+    monkeypatch.setattr(selection, "exact_min_power", counted)
+    for seed in range(3):
+        calls.clear()
+        c = sample_channel_set(4, 8, SeedSpec(16, seed))
+        got = select_exhaustive(c, 3, T10, "exact").encoding_order
+        assert got == _brute_force_exact(c.users, 3, T10)[1]
+        assert len(calls) <= 2  # 336 orderings to enumerate
 
 
 @pytest.mark.parametrize("seed", range(5))
