@@ -59,30 +59,33 @@ class SeedSpec:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """K user channels stacked as rows of a (K, M) complex array."""
+    """K user channels stacked as rows of a (K, M) complex array, or a
+    block of T such sets as a (T, K, M) array, one per trial."""
 
     users: np.ndarray
 
     def __post_init__(self):
         users = np.asarray(self.users, dtype=np.complex128)
-        if users.ndim != 2:
-            raise DimensionError(f"users must be a (K, M) array, got shape {users.shape}")
-        if users.shape[0] < 1 or users.shape[1] < 1:
-            raise DimensionError(f"need K >= 1 and M >= 1, got shape {users.shape}")
+        if users.ndim not in (2, 3):
+            raise DimensionError(
+                f"users must be a (K, M) or (T, K, M) array, got shape {users.shape}"
+            )
+        if min(users.shape) < 1:
+            raise DimensionError(f"need T, K, M >= 1, got shape {users.shape}")
         if not np.isfinite(users).all():
             raise DomainError("channel entries must be finite")
         object.__setattr__(self, "users", users)
 
     @property
     def K(self) -> int:
-        return self.users.shape[0]
+        return self.users.shape[-2]
 
     @property
     def M(self) -> int:
-        return self.users.shape[1]
+        return self.users.shape[-1]
 
 
-def sample_channel_set(M: int, K: int, seed: SeedSpec) -> ChannelSet:
+def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
     r"""Draw K channels with i.i.d. CN(0, 1) entries.
 
     Each entry is (a + jb) / sqrt(2) with a, b ~ N(0, 1).  An exact zero
@@ -94,26 +97,36 @@ def sample_channel_set(M: int, K: int, seed: SeedSpec) -> ChannelSet:
         M: number of transmit antennas (entries per vector).
         K: number of users.
         seed: stream to draw from; equal seeds give bit-identical sets.
+            A sequence of T streams gives a (T, K, M) block whose set t
+            is bit-identical to what stream t alone gives.
     """
     if M < 1 or K < 1:
         raise DimensionError(f"need M >= 1 and K >= 1, got M={M}, K={K}")
-    rng = seed.generator()
-    z = rng.standard_normal((K, M, 2))
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    z = np.empty((len(seeds), K, M, 2))
+    for z_t, seed_t in zip(z, seeds):
+        seed_t.generator().standard_normal(out=z_t)
     users = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    while True:
-        norms = (users.real**2 + users.imag**2).sum(axis=1)
-        dead = np.flatnonzero(norms == 0.0)
-        if dead.size == 0:
-            break
-        z = rng.standard_normal((dead.size, M, 2))
-        users[dead] = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    return ChannelSet(users)
+    dead = (users.real**2 + users.imag**2).sum(axis=-1) == 0.0
+    for t in np.flatnonzero(dead.any(axis=-1)):
+        rng = seeds[t].generator()
+        rng.standard_normal((K, M, 2))  # the draw users[t] came from
+        while (rows := np.flatnonzero(dead[t])).size:
+            z = rng.standard_normal((rows.size, M, 2))
+            users[t, rows] = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+            dead[t] = (users[t].real**2 + users[t].imag**2).sum(axis=-1) == 0.0
+    return ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
 
 
 def squared_norm(h: np.ndarray) -> float:
     """Squared Euclidean norm ||h||^2 as a plain float."""
     h = np.asarray(h)
     return float(np.real(np.vdot(h, h)))
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of every row along the last axis."""
+    return np.einsum("...i,...i->...", rows.conj(), rows).real
 
 
 def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -125,7 +138,7 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     precision even for nearly dependent inputs.
     """
     if basis.shape[-2] == 0:  # nothing to remove; broadcast as the products would
-        return rows + np.zeros(basis.shape[:-2] + (1,) * rows.ndim)
+        return rows + np.zeros(basis.shape[:-2] + (1,) * min(rows.ndim, 2))
     qh = basis.conj().swapaxes(-1, -2)
     res = rows - (rows @ qh) @ basis
     res -= (res @ qh) @ basis
@@ -133,20 +146,22 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def gram_schmidt(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of (n, M) ``rows`` taken in order, and each
+    """Orthonormal basis of (..., n, M) ``rows`` taken in order, and each
     row's squared residual against the rows before it.
 
     A row whose squared residual is at most RANK_TOL^2 times its squared
-    norm adds a zero basis row, so the span stays the same.
+    norm adds a zero basis row, so the span stays the same. Leading axes
+    are independent stacks: each gets what it would alone.
     """
     rows = np.asarray(rows, dtype=np.complex128)
+    floor = RANK_TOL**2 * _squared_norms(rows)
     basis = np.zeros_like(rows)
-    res2 = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        res = residuals(row, basis[:i])
-        res2[i] = squared_norm(res)
-        if res2[i] > RANK_TOL**2 * squared_norm(row):
-            basis[i] = res / np.sqrt(res2[i])
+    res2 = np.empty(rows.shape[:-1])
+    for i in range(rows.shape[-2]):
+        res = residuals(rows[..., i : i + 1, :], basis[..., :i, :])[..., 0, :]
+        res2[..., i] = r2 = _squared_norms(res)
+        live = (r2 > floor[..., i])[..., None]
+        np.divide(res, np.sqrt(r2)[..., None], out=basis[..., i, :], where=live)
     return basis, res2
 
 

@@ -1,10 +1,12 @@
 """Seeded Monte Carlo over coherence blocks.
 
 One trial = one channel realization: select users, order them, price the
-selection under the configured power model(s). Trial t always draws its
-channels from stream 2t and its random-selection choices from stream
-2t+1 of the master seed, so results are identical no matter how trials
-are scheduled across workers.
+selection under the configured power model(s). Trials run in blocks: each
+rule selects once and each solver prices once per block, over (T, K, M)
+arrays. Trial t still draws its channels from stream 2t and its
+random-selection choices from stream 2t+1 of the master seed, and each
+block row gets what that trial alone would, so results are identical no
+matter how trials are split into blocks or scheduled across workers.
 
 Analytic averages attach to the approx-method rows only: the closed
 forms describe the residual-norm power model, not the exact recursion.
@@ -24,7 +26,7 @@ from .analytic import (
     avg_power_rus,
     avg_power_sus,
 )
-from .channel import SeedSpec, sample_channel_set
+from .channel import ChannelSet, SeedSpec, sample_channel_set
 from .errors import BudgetError, ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
@@ -43,6 +45,11 @@ NO_CLOSED_FORM = "no_closed_form"
 
 _SWEEP_AXES = ("none", "M", "K")
 _POWER_METHODS = ("exact", "approx")
+
+# Trials run in blocks of at most this many bytes of complex channel data
+# (16 * K * M bytes a trial), which bounds every block array and temporary
+# by a small multiple of it, whatever the trial count.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -187,8 +194,11 @@ class ValidationRow:
     passed: bool
 
 
-def _encoding_order(alg, meth, channels, config, targets, trial):
-    """Encoding order one algorithm picks; only EXHAUSTIVE depends on `meth`."""
+def _encoding_orders(alg, meth, channels, config, targets, trials):
+    """(T, K_s) encoding orders one algorithm picks for a block of trials.
+
+    Only EXHAUSTIVE depends on `meth`.
+    """
     if alg == "NUS":
         sel = select_nus(channels, config.K_s)
     elif alg == "SUS":
@@ -196,39 +206,64 @@ def _encoding_order(alg, meth, channels, config, targets, trial):
     elif alg == "AUS":
         sel = select_aus(channels, config.K_s)
     elif alg == "RUS":
-        seed = SeedSpec(config.master_seed, 2 * trial + 1)
-        sel = select_rus(channels, config.K_s, seed)
+        seeds = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
+        sel = select_rus(channels, config.K_s, seeds)
     else:
         sel = select_exhaustive(
             channels, config.K_s, targets, power_fn=meth,
             budget=config.exhaustive_budget,
         )
-    return list(sel.encoding_order)
+    return sel.encoding_order
+
+
+def _block_totals(config, targets, series, channels, trials):
+    """Totals of each series over one block of trials; infeasible trials are NaN.
+
+    A rule's orders serve every method of the block. When any series
+    meets an infeasible trial, the whole block is priced again one trial
+    at a time, so that only the infeasible trials turn NaN.
+    """
+    # looked up per call, so a patched or traced solver takes effect
+    solvers = {"exact": exact_min_power, "approx": approx_min_power}
+    orders, totals = {}, {}
+    for alg, meth in series:
+        key = (alg, meth) if alg == "EXHAUSTIVE" else alg
+        try:
+            if key not in orders:
+                orders[key] = _encoding_orders(alg, meth, channels, config, targets, trials)
+            picked = np.take_along_axis(channels.users, orders[key][..., None], axis=1)
+            total = solvers[meth](picked, targets).total_power
+            # NaN marks infeasible trials only: a total that broke down in
+            # overflow is infinite, and run_point rejects its moments
+            totals[(alg, meth)] = np.where(np.isnan(total), np.inf, total)
+        except InfeasibleGeometryError:
+            if len(trials) == 1:
+                totals[(alg, meth)] = np.full(1, np.nan)
+                continue
+            singles = [
+                _block_totals(config, targets, series,
+                              ChannelSet(channels.users[i : i + 1]), trials[i : i + 1])
+                for i in range(len(trials))
+            ]
+            return {name: np.concatenate([t[name] for t in singles]) for name in series}
+    return totals
 
 
 def _run_chunk(payload):
-    """Totals for a contiguous trial range; infeasible trials stay NaN."""
+    """Totals for a contiguous trial range, block by block; infeasible trials stay NaN."""
     config, sweep_value, start, stop = payload
     m, k = config.dims_at(sweep_value)
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
-    solvers = {"exact": exact_min_power, "approx": approx_min_power}
     series = [(alg, meth) for alg in config.algorithms for meth in config.methods()]
-    totals = {key: np.full(stop - start, np.nan) for key in series}
-    for t in range(start, stop):
-        channels = sample_channel_set(m, k, SeedSpec(config.master_seed, 2 * t))
-        orders = {}  # a rule's order serves every method of the trial
-        for alg, meth in series:
-            key = (alg, meth) if alg == "EXHAUSTIVE" else alg
-            try:
-                if key not in orders:
-                    orders[key] = _encoding_order(
-                        alg, meth, channels, config, targets, t
-                    )
-                solution = solvers[meth](channels.users[orders[key]], targets)
-            except InfeasibleGeometryError:
-                continue
-            totals[(alg, meth)][t - start] = solution.total_power
-    return totals
+    size = max(1, _BLOCK_BYTES // (16 * k * m))
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
+        for lo in range(start, stop, size):
+            trials = range(lo, min(lo + size, stop))
+            seeds = [SeedSpec(config.master_seed, 2 * t) for t in trials]
+            channels = sample_channel_set(m, k, seeds)
+            blocks.append(_block_totals(config, targets, series, channels, trials))
+    return {key: np.concatenate([b[key] for b in blocks]) for key in series}
 
 
 def _split_trials(trials: int, workers: int):
@@ -313,10 +348,16 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1):
             arr = samples[(alg, meth)]
             ok = arr[~np.isnan(arr)]
             infeasible = int(arr.size - ok.size)
-            mean = float(ok.mean()) if ok.size else None
-            stderr = (
-                float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(ok.mean()) if ok.size else None
+                stderr = (
+                    float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+                )
+            if not math.isfinite(stderr) or not math.isfinite(mean or 0.0):
+                raise ArithmeticError(
+                    f"{alg} {meth} at M={m}, K={k}: Monte Carlo mean {mean} "
+                    f"and stderr {stderr} must be finite"
+                )
             notes = []
             if infeasible > 0.0001 * arr.size:
                 notes.append("infeasible_rate_exceeded")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, gram_schmidt
+from .channel import RANK_TOL, _squared_norms, gram_schmidt
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleGeometryError
 
 
@@ -52,41 +52,64 @@ class SinrTargets:
 
 @dataclass(frozen=True, eq=False)
 class PowerSolution:
-    """Per-user powers and achieved SINRs for one channel realization."""
+    """Per-user powers and achieved SINRs for one channel realization.
+
+    For a (T, n, M) block of realizations every field gains a leading
+    trial axis and `total_power` is a (T,) array.
+    """
 
     per_user_power: np.ndarray
-    total_power: float
+    total_power: float | np.ndarray
     achieved_sinr: np.ndarray
     method_tag: str
     beamformers: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        s = float(np.sum(self.per_user_power))
-        if abs(s - self.total_power) > 1e-12 * max(abs(s), 1.0):
+        s = np.sum(self.per_user_power, axis=-1)
+        if np.any(np.abs(s - self.total_power) > 1e-12 * np.maximum(np.abs(s), 1.0)):
             raise DomainError("total_power does not match per-user sum")
         if self.beamformers is not None:
-            norms = np.linalg.norm(self.beamformers, axis=1)
+            norms = np.linalg.norm(self.beamformers, axis=-1)
             if not np.all(np.abs(norms - 1.0) <= 1e-10):
                 raise DomainError("beamformers must have unit norm")
 
 
-def _as_matrix(channels) -> np.ndarray:
+def _as_block(channels) -> tuple[np.ndarray, bool]:
+    """(T, n, M) channel rows, and whether the input was one (n, M) set."""
     h = np.asarray(channels, dtype=np.complex128)
-    if h.ndim == 1:
-        h = h[None, :]
-    if h.ndim != 2 or h.shape[1] < 1:
-        raise DimensionError(f"expected (n, M) channel rows, got shape {h.shape}")
+    single = h.ndim in (1, 2)
+    if single:
+        h = h.reshape((1,) * (3 - h.ndim) + h.shape)
+    if h.ndim != 3 or h.shape[-1] < 1:
+        raise DimensionError(
+            f"expected (n, M) or (T, n, M) channel rows, got shape {np.shape(channels)}"
+        )
     if not np.isfinite(h).all():
         raise DomainError("channel entries must be finite")
-    return h
+    return h, single
+
+
+def _as_matrix(channels) -> np.ndarray:
+    h, single = _as_block(channels)
+    if not single:
+        raise DimensionError(f"expected (n, M) channel rows, got shape {h.shape}")
+    return h[0]
 
 
 def _row_norms_checked(h: np.ndarray) -> np.ndarray:
-    norms = np.einsum("ij,ij->i", h.conj(), h).real
-    if np.any(norms <= 0.0):
-        bad = int(np.argmin(norms))
-        raise DomainError(f"channel {bad} has zero norm")
+    norms = _squared_norms(h)
+    bad = np.argwhere(norms <= 0.0)
+    if bad.size:
+        raise DomainError(f"channel {bad[0, -1]} has zero norm")
     return norms
+
+
+def _solution(per_user, achieved, method_tag, single) -> PowerSolution:
+    """A block's solution, or its only trial's when the input was one set."""
+    total = per_user.sum(axis=-1)
+    if single:
+        return PowerSolution(per_user[0], float(total[0]), achieved[0], method_tag)
+    return PowerSolution(per_user, total, achieved, method_tag)
 
 
 def _uplink_step(zinv: np.ndarray, h_i: np.ndarray, gamma_i):
@@ -94,26 +117,31 @@ def _uplink_step(zinv: np.ndarray, h_i: np.ndarray, gamma_i):
 
     Returns the direction Z^-1 h_i, the gain h_i^H Z^-1 h_i, the
     unit-noise power gamma_i / gain, and Z^-1 once the user is added,
-    by a rank-one update.
+    by a rank-one update. Leading axes of `zinv` (..., M, M) and `h_i`
+    (..., M) are trials, each stepped on its own.
     """
-    zh = zinv @ h_i
-    d = float(np.real(np.vdot(h_i, zh)))
+    zh = (zinv @ h_i[..., None])[..., 0]
+    d = (h_i.conj() * zh).sum(axis=-1).real
     p = gamma_i / d
-    return zh, d, p, zinv - (p / (1.0 + p * d)) * np.outer(zh, zh.conj())
+    w = p / (1.0 + p * d)
+    return zh, d, p, zinv - w[..., None, None] * (zh[..., :, None] * zh.conj()[..., None, :])
 
 
 def _dual_uplink(h: np.ndarray, gam: np.ndarray):
-    """Unit-noise powers, gains h_i^H Z_i^-1 h_i and directions Z_i^-1 h_i.
+    """Unit-noise powers, gains h_i^H Z_i^-1 h_i and directions Z_i^-1 h_i
+    of (..., n, M) rows.
 
     Z_i accumulates the already-encoded users.
     """
-    n, m = h.shape
-    zinv = np.eye(m, dtype=np.complex128)
-    p_unit = np.empty(n)
-    gains = np.empty(n)
-    dirs = np.empty((n, m), dtype=np.complex128)
+    n, m = h.shape[-2:]
+    zinv = np.broadcast_to(np.eye(m, dtype=np.complex128), h.shape[:-2] + (m, m))
+    p_unit = np.empty(h.shape[:-1])
+    gains = np.empty(h.shape[:-1])
+    dirs = np.empty_like(h)
     for i in range(n):
-        dirs[i], gains[i], p_unit[i], zinv = _uplink_step(zinv, h[i], gam[i])
+        dirs[..., i, :], gains[..., i], p_unit[..., i], zinv = _uplink_step(
+            zinv, h[..., i, :], gam[i]
+        )
     return p_unit, gains, dirs
 
 
@@ -123,17 +151,13 @@ def exact_min_power(channels, targets: SinrTargets) -> PowerSolution:
     Position i pays sigma^2 * gamma_i / (h_i^H Z_i^-1 h_i) where Z_i
     accumulates the already-encoded users. The recursion runs in the
     unit-noise frame and the noise factor is restored on the way out.
+    A (T, n, M) block is T independent sets priced at once; each gets
+    what it would alone.
     """
-    h = _as_matrix(channels)
+    h, single = _as_block(channels)
     _row_norms_checked(h)
-    p_unit, gains, _ = _dual_uplink(h, targets.gamma_vector(h.shape[0]))
-    per_user = targets.sigma_sq * p_unit
-    return PowerSolution(
-        per_user_power=per_user,
-        total_power=float(per_user.sum()),
-        achieved_sinr=p_unit * gains,
-        method_tag="exact_dual_ul",
-    )
+    p_unit, gains, _ = _dual_uplink(h, targets.gamma_vector(h.shape[1]))
+    return _solution(targets.sigma_sq * p_unit, p_unit * gains, "exact_dual_ul", single)
 
 
 def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
@@ -142,25 +166,22 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
     Position i pays sigma^2 * gamma_i / (||h_i||^2 sin^2 theta) against
     the span of its predecessors, which never undercuts the exact value
     when every target is >= 1. A user inside that span has no usable
-    direction left, so that raises instead of returning infinity.
+    direction left, so that raises instead of returning infinity. A
+    (T, n, M) block is T independent sets priced at once; each gets what
+    it would alone, and one infeasible set fails the block.
     """
-    h = _as_matrix(channels)
+    h, single = _as_block(channels)
     norms = _row_norms_checked(h)
-    gam = targets.gamma_vector(h.shape[0])
+    gam = targets.gamma_vector(h.shape[1])
     _, res2 = gram_schmidt(h)
-    dead = np.flatnonzero(res2 <= RANK_TOL**2 * norms)
+    dead = np.argwhere(res2 <= RANK_TOL**2 * norms)
     if dead.size:
         raise InfeasibleGeometryError(
-            f"channel {dead[0]} lies in the span of its predecessors"
+            f"channel {dead[0, -1]} lies in the span of its predecessors"
         )
-
     per_user = targets.sigma_sq * gam / res2
-    return PowerSolution(
-        per_user_power=per_user,
-        total_power=float(per_user.sum()),
-        achieved_sinr=per_user * res2 / targets.sigma_sq,
-        method_tag="approx_lemma1",
-    )
+    achieved = per_user * res2 / targets.sigma_sq
+    return _solution(per_user, achieved, "approx_lemma1", single)
 
 
 def downlink_dual_solution(channels, targets: SinrTargets) -> PowerSolution:

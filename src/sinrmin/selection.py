@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, ChannelSet, SeedSpec, residuals
+from .channel import RANK_TOL, ChannelSet, SeedSpec, _squared_norms, residuals
 from .errors import BudgetError, ConfigError, DomainError, InfeasibleGeometryError
 # approx_min_power stays bound here: the benchmark's tracer hooks it
 from .power import (  # noqa: F401
@@ -30,19 +30,30 @@ ALGORITHM_TAGS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE")
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Selected users: who was picked, and who encodes first."""
+    """Selected users: who was picked, and who encodes first.
+
+    For one channel set both orders are tuples of user indices; for a
+    (T, K, M) block they are (T, K_s) integer arrays, one row per trial.
+    """
 
     algorithm_tag: str
-    selection_order: tuple[int, ...]
-    encoding_order: tuple[int, ...]
+    selection_order: tuple[int, ...] | np.ndarray
+    encoding_order: tuple[int, ...] | np.ndarray
 
     def __post_init__(self) -> None:
         if self.algorithm_tag not in ALGORITHM_TAGS:
             raise ConfigError(f"unknown algorithm tag {self.algorithm_tag!r}")
-        if len(set(self.selection_order)) != len(self.selection_order):
+        picked = np.sort(self.selection_order, axis=-1)
+        if np.any(picked[..., 1:] == picked[..., :-1]):
             raise ConfigError("selected indices must be distinct")
-        if sorted(self.encoding_order) != sorted(self.selection_order):
+        if not np.array_equal(np.sort(self.encoding_order, axis=-1), picked):
             raise ConfigError("encoding order must permute the selection")
+
+    def __eq__(self, other):  # block orders are arrays, which == compares per entry
+        return isinstance(other, SelectionResult) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("algorithm_tag", "selection_order", "encoding_order")
+        )
 
 
 def _check_k_s(channels: ChannelSet, k_s: int) -> None:
@@ -53,52 +64,61 @@ def _check_k_s(channels: ChannelSet, k_s: int) -> None:
         )
 
 
-def _squared_norms(channels: ChannelSet) -> np.ndarray:
-    h = channels.users
-    return np.einsum("ij,ij->i", h.conj(), h).real
+def _block(channels: ChannelSet) -> np.ndarray:
+    """The channels as a (T, K, M) block; one set is the block of T=1."""
+    return channels.users if channels.users.ndim == 3 else channels.users[None]
 
 
-def _ascending_by_norm(indices, norms: np.ndarray) -> tuple[int, ...]:
-    idx = np.asarray(indices, dtype=np.intp)
-    order = np.lexsort((idx, norms[idx]))
-    return tuple(int(i) for i in idx[order])
+def _result(tag: str, channels: ChannelSet, picked, encoded) -> SelectionResult:
+    """Block orders as they are, or tuples when `channels` is one set."""
+    if channels.users.ndim == 2:
+        picked, encoded = tuple(picked[0].tolist()), tuple(encoded[0].tolist())
+    return SelectionResult(tag, picked, encoded)
+
+
+def _weakest_first(h: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Each row of `picked` ascending by norm, ties to the lower index."""
+    norms = np.take_along_axis(_squared_norms(h), picked, axis=-1)
+    return np.take_along_axis(picked, np.lexsort((picked, norms), axis=-1), axis=-1)
 
 
 def select_nus(channels: ChannelSet, k_s: int) -> SelectionResult:
     """Pick the K_s strongest norms; encode weakest of those first."""
     _check_k_s(channels, k_s)
-    norms = _squared_norms(channels)
-    by_norm_desc = np.lexsort((np.arange(channels.K), -norms))
-    selected = tuple(int(i) for i in by_norm_desc[:k_s])
-    return SelectionResult("NUS", selected, _ascending_by_norm(selected, norms))
+    h = _block(channels)
+    picked = np.argsort(-_squared_norms(h), axis=-1, kind="stable")[:, :k_s]
+    return _result("NUS", channels, picked, _weakest_first(h, picked))
 
 
-def _greedy_residual(channels: ChannelSet, k_s: int, by_angle: bool) -> tuple[int, ...]:
-    """Pick order of the greedy residual rules.
+def _greedy_residual(h: np.ndarray, k_s: int, by_angle: bool) -> np.ndarray:
+    """(T, K_s) pick orders of the greedy residual rules over a (T, K, M) block.
 
     Every step scores each user by its squared residual against the
     picked span, divided by its squared norm after the first step when
     `by_angle`. Residuals at or below the rank floor count as exactly
     zero, so dependent users tie and the lowest index wins.
     """
-    h = channels.users
-    norms = _squared_norms(channels)
-    basis = np.zeros((k_s, channels.M), dtype=np.complex128)
-    picked: list[int] = []
+    t, k, m = h.shape
+    trials = np.arange(t)
+    norms = _squared_norms(h)
+    floor = RANK_TOL**2 * norms
+    basis = np.zeros((t, k_s, m), dtype=np.complex128)
+    picked = np.empty((t, k_s), dtype=np.intp)
     for step in range(k_s):
-        res = residuals(h, basis[:step])
-        res2 = np.einsum("ki,ki->k", res.conj(), res).real
-        res2[res2 <= RANK_TOL**2 * norms] = 0.0
+        res = residuals(h, basis[:, :step])
+        res2 = _squared_norms(res)
+        res2[res2 <= floor] = 0.0
         if by_angle and step:  # a zero-norm user scores 0, not 0/0
             scores = np.divide(res2, norms, out=np.zeros_like(res2), where=norms > 0.0)
         else:
             scores = res2
-        scores[picked] = -np.inf
-        choice = int(np.argmax(scores))
-        picked.append(choice)
-        if res2[choice] > 0.0:  # a dependent pick leaves a zero row: span unchanged
-            basis[step] = res[choice] / np.sqrt(res2[choice])
-    return tuple(picked)
+        scores[trials[:, None], picked[:, :step]] = -np.inf
+        picked[:, step] = choice = np.argmax(scores, axis=-1)
+        r2 = res2[trials, choice]
+        # a dependent pick leaves a zero row: span unchanged
+        np.divide(res[trials, choice], np.sqrt(r2)[:, None], out=basis[:, step],
+                  where=(r2 > 0.0)[:, None])
+    return picked
 
 
 def select_sus(channels: ChannelSet, k_s: int) -> SelectionResult:
@@ -110,8 +130,8 @@ def select_sus(channels: ChannelSet, k_s: int) -> SelectionResult:
     the rule is pure greedy.
     """
     _check_k_s(channels, k_s)
-    order = _greedy_residual(channels, k_s, by_angle=False)
-    return SelectionResult("SUS", order, order)
+    order = _greedy_residual(_block(channels), k_s, by_angle=False)
+    return _result("SUS", channels, order, order)
 
 
 def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
@@ -123,24 +143,30 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
     what rejects such geometry.
     """
     _check_k_s(channels, k_s)
-    picked = _greedy_residual(channels, k_s, by_angle=True)
-    norms = _squared_norms(channels)
-    return SelectionResult("AUS", picked, _ascending_by_norm(picked, norms))
+    h = _block(channels)
+    picked = _greedy_residual(h, k_s, by_angle=True)
+    return _result("AUS", channels, picked, _weakest_first(h, picked))
 
 
-def select_rus(channels: ChannelSet, k_s: int, seed: SeedSpec) -> SelectionResult:
+def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     """Uniform random subset from the seed stream, encoded in draw order.
 
     Nothing here looks at the channels, including the encoding order:
     each position's norm stays a plain chi-square, which is what the
     random-selection average-power formula prices. Sorting the picks by
     norm would turn the position norms into order statistics and lower
-    the average.
+    the average. A (T, K, M) block takes a sequence of T streams, one
+    per trial.
     """
     _check_k_s(channels, k_s)
-    rng = seed.generator()
-    picked = tuple(int(i) for i in rng.choice(channels.K, size=k_s, replace=False))
-    return SelectionResult("RUS", picked, picked)
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    if len(seeds) != len(_block(channels)):
+        raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
+    picked = np.array(
+        [s.generator().choice(channels.K, size=k_s, replace=False) for s in seeds],
+        dtype=np.intp,
+    )
+    return _result("RUS", channels, picked, picked)
 
 
 def _completion_bounds(gains: np.ndarray, gamma_j, tail_gam: np.ndarray) -> np.ndarray:
@@ -175,7 +201,7 @@ def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     """
     h = np.ascontiguousarray(h)  # rows laid out as exact_min_power gets them
     # a zero-norm user makes exact_min_power raise for every ordering it is in
-    live = np.flatnonzero(np.einsum("ij,ij->i", h.conj(), h).real > 0.0).tolist()
+    live = np.flatnonzero(_squared_norms(h) > 0.0).tolist()
     if len(live) < k_s:
         return None
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
@@ -227,7 +253,7 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     """
     k, m = h.shape
     scale = targets.sigma_sq * targets.gamma_vector(k_s)
-    floor = RANK_TOL**2 * np.einsum("ij,ij->i", h.conj(), h).real
+    floor = RANK_TOL**2 * _squared_norms(h)
     users = np.arange(k)
     binom = np.array([[math.comb(n, r) for r in range(k_s + 2)] for n in range(k)])
     elems = np.zeros((1, 0), dtype=np.intp)  # members of each j-set, ascending
@@ -302,7 +328,11 @@ def select_exhaustive(
         raise ConfigError(f"power_fn must be 'exact' or 'approx', got {power_fn!r}")
     check_exhaustive_budget(channels.K, k_s, budget)
     search = _best_approx_order if power_fn == "approx" else _best_exact_order
-    order = search(channels.users, k_s, targets)
-    if order is None:
-        raise InfeasibleGeometryError("every ordering is infeasible")
-    return SelectionResult("EXHAUSTIVE", order, order)
+    h = _block(channels)
+    orders = np.empty((len(h), k_s), dtype=np.intp)
+    for t, h_t in enumerate(h):  # each set is its own search
+        order = search(h_t, k_s, targets)
+        if order is None:
+            raise InfeasibleGeometryError("every ordering is infeasible")
+        orders[t] = order
+    return _result("EXHAUSTIVE", channels, orders, orders)

@@ -177,6 +177,20 @@ def test_gram_schmidt_res2_matches_residuals():
     assert np.allclose(stacked[1], residuals(rows, basis[1:2]), atol=1e-14)
 
 
+def test_residuals_empty_basis_broadcasts_like_one_row():
+    rng = SeedSpec(9, 0).generator()
+    z = rng.standard_normal((5, 3, 4, 2))
+    stack = z[..., 0] + 1j * z[..., 1]
+    basis, _ = gram_schmidt(stack)
+    cases = [(stack[:, :1], basis), (stack[0], basis), (stack[0, 0], basis[0])]
+    for rows, q in cases:
+        empty = residuals(rows, q[..., :0, :])
+        one_row = residuals(rows, q[..., :1, :])
+        assert empty.shape == one_row.shape
+        assert np.array_equal(empty, np.broadcast_to(rows, one_row.shape))
+    assert residuals(stack[:, :1], basis[:, :0]).shape == (5, 1, 4)
+
+
 # ---------------------------------------------------------------------------
 # angles
 

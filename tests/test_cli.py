@@ -199,6 +199,18 @@ def test_gamma_overflow_exits_2(tmp_path, capsys):
     assert "gamma_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ("3", "200"))
+def test_overflowing_moments_exit_3(tmp_path, capsys, trials):
+    # 3 trials: the mean is finite and the stderr overflows; 200: both do
+    rc = main(["simulate", *BASE_FLAGS, "--K", "10", "--gamma-db", "3082",
+               "--algorithms", "NUS", "--trials", trials, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "NUS approx at M=4, K=10" in err and "must be finite" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch):
     def fail(cfg, workers=1):
         raise ArithmeticError("closed forms disagree")

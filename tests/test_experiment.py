@@ -210,7 +210,7 @@ def test_pool_size_bounded_by_cpu_count(monkeypatch, pool_sizes):
         assert np.array_equal(samples[key], serial[key])
 
 
-def test_one_pricing_call_per_series_and_trial(monkeypatch):
+def test_one_pricing_call_per_series_and_block(monkeypatch):
     import sinrmin.experiment as exp
 
     calls = []
@@ -224,20 +224,41 @@ def test_one_pricing_call_per_series_and_trial(monkeypatch):
     for name in ("select_nus", "select_rus", "select_exhaustive",
                  "approx_min_power", "exact_min_power"):
         monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
-    trials = 4
-    cfg = _cfg(K=6, trials=trials, power_method="both",
+    cfg = _cfg(K=6, trials=5, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
-    samples = _point_samples(cfg, None, workers=1)
-    assert all(not np.isnan(arr).any() for arr in samples.values())
-    assert Counter(calls) == {
-        ("select_nus", None): trials,
-        ("select_rus", None): trials,
-        ("select_exhaustive", "exact"): trials,
-        ("select_exhaustive", "approx"): trials,
-        # one solver call per series: NUS, RUS and EXHAUSTIVE
-        ("exact_min_power", None): 3 * trials,
-        ("approx_min_power", None): 3 * trials,
-    }
+    # the default budget holds all 5 trials in one block; this one, 2 trials
+    for blocks, budget in ((1, exp._BLOCK_BYTES), (3, 2 * 16 * 6 * 4)):
+        calls.clear()
+        monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)
+        samples = _point_samples(cfg, None, workers=1)
+        assert all(not np.isnan(arr).any() for arr in samples.values())
+        assert Counter(calls) == {
+            ("select_nus", None): blocks,
+            ("select_rus", None): blocks,
+            ("select_exhaustive", "exact"): blocks,
+            ("select_exhaustive", "approx"): blocks,
+            # one solver call per series: NUS, RUS and EXHAUSTIVE
+            ("exact_min_power", None): 3 * blocks,
+            ("approx_min_power", None): 3 * blocks,
+        }
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_block_size_does_not_change_samples(monkeypatch, workers):
+    import sinrmin.experiment as exp
+
+    cfg = _cfg(K=6, trials=40, power_method="both",
+               algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
+    reference = _point_samples(cfg, None, workers=1)
+    per_trial = 16 * 6 * 4
+    assert exp._BLOCK_BYTES // per_trial >= cfg.trials  # one default block
+    for budget in (exp._BLOCK_BYTES, per_trial, 7 * per_trial):
+        # the pool forks, so its workers see the patched budget
+        monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)
+        samples = _point_samples(cfg, None, workers=workers)
+        assert samples.keys() == reference.keys()
+        for key, arr in reference.items():
+            assert arr.tobytes() == samples[key].tobytes(), key
 
 
 def test_budget_exceeded_produces_flagged_row():
