@@ -9,9 +9,15 @@ complement of a given orthonormal basis, batched over any leading axes,
 and `gram_schmidt` builds that basis from rows in order along with
 each row's squared residual against its predecessors. `sin_sq_angle`
 is the public one-vector form of the latter.
+
+Random streams are defined by `SeedSpec.generator()`. `_streams`
+positions one reused generator at the start of each of many such
+streams, restating NumPy's SeedSequence -> PCG64 seeding instead of
+building a generator per stream.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +61,126 @@ class SeedSpec:
         """Fresh generator for this (master_seed, stream_index) pair."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(seq))
+
+
+# NumPy's SeedSequence (pool of four uint32 words) and PCG64 seeding
+# (NEP 19; O'Neill, "PCG", 2014), restated as integer arithmetic on
+# Python ints masked to 32 bits or on uint32 arrays, which wrap silently.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, const, mult: int = _MULT_A):
+    """SeedSequence's word hash; returns the hashed word and the next
+    constant. An array of constants hashes with each in turn, at once."""
+    const_next = const * mult & _M32
+    value = (value ^ const) * const_next & _M32
+    return value ^ value >> 16, const_next
+
+
+def _hash_run(const: int, mult: int, n: int):
+    """The constants of n successive hashes from ``const`` as an (n, 1)
+    uint32 array, and the constant after them."""
+    run = []
+    for _ in range(n):
+        run.append(const)
+        const = const * mult & _M32
+    return np.array(run, dtype=np.uint32)[:, None], const
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=16)
+def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """Pool after mixing the master seed's words, zero-padded to the pool
+    size as for any spawned sequence, and the hash constant reached; both
+    are the same for every stream index."""
+    words = [master_seed & _M32, master_seed >> 32] if master_seed >> 32 else [master_seed]
+    pool, const = [], _INIT_A
+    for word in words + [0] * (4 - len(words)):
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), const
+
+
+def _stream_states(seeds) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) at the start of each spec's stream."""
+    if not seeds:
+        return []
+    first = {}
+    which = [first.setdefault(s.master_seed, len(first)) for s in seeds]
+    masters = [_master_pool(m) for m in first]
+    pool = np.array([p for p, _ in masters], dtype=np.uint32)[which].T
+    const = masters[0][1]  # the same for every master
+    # the spawn key adds one word per 32 bits of the index, at least one,
+    # each hashed once per pool word and mixed into it
+    key = np.array([s.stream_index for s in seeds], dtype=object)
+    live = np.ones(len(seeds), dtype=bool)
+    while live.any():
+        run, const = _hash_run(const, _MULT_A, 4)
+        value, _ = _hashmix((key & _M32).astype(np.uint32), run)
+        pool = np.where(live, _mix(pool, value), pool)
+        key = key >> 32
+        live = key != 0
+    # generate_state(4, uint64): eight words cycling the pool, read as
+    # little-endian uint64 pairs
+    run, _ = _hash_run(_INIT_B, _MULT_B, 8)
+    words, _ = _hashmix(np.concatenate([pool, pool]), run, _MULT_B)
+    seeded = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
+    states = []
+    for s0, s1, s2, s3 in seeded:
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0
+        inc = ((s2 << 64 | s3) << 1 | 1) & (2**128 - 1)
+        states.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & (2**128 - 1), inc))
+    return states
+
+
+def _restated_streams(seeds):
+    seeds = list(seeds)
+    rng = np.random.Generator(np.random.PCG64(0))  # every stream's state is set below
+    for state, inc in _stream_states(seeds):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def _restated_seeding_matches() -> bool:
+    """Whether the restated seeding reproduces this NumPy's, checked on a
+    pair whose master seed and stream index both take two words."""
+    spec = SeedSpec(2**64 - 1, 2**32 + 7)
+    state = next(_restated_streams([spec])).bit_generator.state
+    return state == spec.generator().bit_generator.state
+
+
+_RESTATED_SEEDING = _restated_seeding_matches()
+
+
+def _streams(seeds):
+    """One generator per spec in order, each at the exact start of that
+    spec's stream, so it draws what ``spec.generator()`` would.
+
+    The generator is one object repositioned for every spec: finish with
+    it before taking the next. Should this NumPy seed differently from
+    the restatement, each spec gets ``spec.generator()`` instead.
+    """
+    if _RESTATED_SEEDING:
+        return _restated_streams(seeds)
+    return (s.generator() for s in seeds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +230,12 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
         raise DimensionError(f"need M >= 1 and K >= 1, got M={M}, K={K}")
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
     z = np.empty((len(seeds), K, M, 2))
-    for z_t, seed_t in zip(z, seeds):
-        seed_t.generator().standard_normal(out=z_t)
+    for z_t, rng in zip(z, _streams(seeds)):
+        rng.standard_normal(out=z_t)
     users = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     dead = (users.real**2 + users.imag**2).sum(axis=-1) == 0.0
-    for t in np.flatnonzero(dead.any(axis=-1)):
-        rng = seeds[t].generator()
+    redraw = np.flatnonzero(dead.any(axis=-1))
+    for t, rng in zip(redraw, _streams([seeds[t] for t in redraw])):
         rng.standard_normal((K, M, 2))  # the draw users[t] came from
         while (rows := np.flatnonzero(dead[t])).size:
             z = rng.standard_normal((rows.size, M, 2))
@@ -137,8 +263,10 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     One re-orthogonalization pass keeps the result orthogonal to working
     precision even for nearly dependent inputs.
     """
+    if rows.ndim == 1:  # one row, given back as (..., M)
+        return residuals(rows[None], basis)[..., 0, :]
     if basis.shape[-2] == 0:  # nothing to remove; broadcast as the products would
-        return rows + np.zeros(basis.shape[:-2] + (1,) * min(rows.ndim, 2))
+        return rows + np.zeros(basis.shape[:-2] + (1, 1))
     qh = basis.conj().swapaxes(-1, -2)
     res = rows - (rows @ qh) @ basis
     res -= (res @ qh) @ basis

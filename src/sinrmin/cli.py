@@ -13,6 +13,7 @@ files byte for byte.
 import argparse
 import csv
 import hashlib
+import os
 import sys
 import typing
 from concurrent.futures.process import BrokenProcessPool
@@ -154,11 +155,25 @@ def _parse_cell(kind, raw: str):
     return kind(raw)
 
 
+def _write_atomically(path: Path, write) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then rename it into
+    place: a write that fails leaves the old file whole and no temp file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_table(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+    _write_atomically(path, write)
 
 
 def write_results(rows, path: Path) -> None:
@@ -175,12 +190,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def write_manifest(cfg: ExperimentConfig, path: Path) -> None:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    path.write_text(
+    text = (
         f"config_hash={config_hash(cfg)}\n"
         f"tool_version={__version__}\n"
         f"timestamp={stamp}\n"
         f"master_seed={cfg.master_seed}\n"
     )
+    _write_atomically(path, lambda fh: fh.write(text))
 
 
 def read_results(path: Path):
@@ -313,11 +329,11 @@ def _simulate_config(cfg: ExperimentConfig, args) -> int:
     report = validate_rows(rows)
     write_results(rows, out / "results.csv")
     write_validation(report, out / "validation.csv")
-    write_manifest(cfg, out / "manifest.txt")
     if cfg.sweep_axis != "none":
         write_figure_table(cfg, rows, out / "figure.csv")
     if args.emit_plot_script:
         (out / "plot_results.py").write_text(_PLOT_SCRIPT)
+    write_manifest(cfg, out / "manifest.txt")  # last: it vouches for the tables
     failures = sum(1 for v in report if not v.passed)
     print(
         f"wrote {out / 'results.csv'} ({len(rows)} rows); "
@@ -428,6 +444,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 3
 
 

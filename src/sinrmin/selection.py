@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, ChannelSet, SeedSpec, _squared_norms, residuals
+from .channel import RANK_TOL, ChannelSet, SeedSpec, _squared_norms, _streams, residuals
 from .errors import BudgetError, ConfigError, DomainError, InfeasibleGeometryError
 # approx_min_power stays bound here: the benchmark's tracer hooks it
 from .power import (  # noqa: F401
@@ -163,7 +163,7 @@ def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     if len(seeds) != len(_block(channels)):
         raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
     picked = np.array(
-        [s.generator().choice(channels.K, size=k_s, replace=False) for s in seeds],
+        [rng.choice(channels.K, size=k_s, replace=False) for rng in _streams(seeds)],
         dtype=np.intp,
     )
     return _result("RUS", channels, picked, picked)

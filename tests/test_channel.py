@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betainc, gammainc
 
+from sinrmin import channel
 from sinrmin.channel import (
     ChannelSet,
     SeedSpec,
@@ -47,6 +48,39 @@ def test_seed_spec_validation():
         SeedSpec(2**64, 0)
     with pytest.raises(ConfigError):
         SeedSpec(3, -1)
+
+
+_INDEX_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.lists(st.integers(0, 2**70) | st.sampled_from(_INDEX_EDGES), min_size=1, max_size=6),
+    st.integers(1, 12),
+)
+def test_streams_match_seed_spec_generators(master, indices, k):
+    specs = [SeedSpec(master, i) for i in indices]
+    normals = [rng.standard_normal(7) for rng in channel._streams(specs)]
+    picks = [rng.choice(k, size=min(k, 3), replace=False) for rng in channel._streams(specs)]
+    for spec, z, pick in zip(specs, normals, picks, strict=True):
+        assert np.array_equal(z, spec.generator().standard_normal(7))
+        assert np.array_equal(pick, spec.generator().choice(k, size=min(k, 3), replace=False))
+
+
+def test_streams_fall_back_to_seed_spec_generators(monkeypatch):
+    specs = [SeedSpec(3, i) for i in (0, 5, 2**32 + 2)]
+    block = sample_channel_set(4, 6, specs).users
+    assert channel._restated_seeding_matches()
+    # a NumPy that seeded PCG64 differently would fail the import-time check
+    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
+    assert not channel._restated_seeding_matches()
+    monkeypatch.setattr(channel, "_RESTATED_SEEDING", False)
+    rngs = list(channel._streams(specs))
+    assert len({id(rng) for rng in rngs}) == len(specs)
+    for rng, spec in zip(rngs, specs):
+        assert rng.bit_generator.state == spec.generator().bit_generator.state
+    assert np.array_equal(sample_channel_set(4, 6, specs).users, block)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +216,28 @@ def test_residuals_empty_basis_broadcasts_like_one_row():
     z = rng.standard_normal((5, 3, 4, 2))
     stack = z[..., 0] + 1j * z[..., 1]
     basis, _ = gram_schmidt(stack)
-    cases = [(stack[:, :1], basis), (stack[0], basis), (stack[0, 0], basis[0])]
+    cases = [
+        (stack[:, :1], basis), (stack[0], basis), (stack[0, 0], basis[0]),
+        (stack[0, 0], basis),
+    ]
     for rows, q in cases:
         empty = residuals(rows, q[..., :0, :])
         one_row = residuals(rows, q[..., :1, :])
         assert empty.shape == one_row.shape
         assert np.array_equal(empty, np.broadcast_to(rows, one_row.shape))
     assert residuals(stack[:, :1], basis[:, :0]).shape == (5, 1, 4)
+
+
+def test_residuals_one_vector_against_stacked_basis():
+    rng = SeedSpec(9, 1).generator()
+    z = rng.standard_normal((5, 3, 4, 2))
+    basis, _ = gram_schmidt(z[..., 0] + 1j * z[..., 1])
+    h = np.array([1.0, 2.0, -1.0, 0.5j])
+    for j in range(4):
+        res = residuals(h, basis[:, :j])
+        assert res.shape == (5, 4)
+        for t in range(5):
+            assert np.array_equal(res[t], residuals(h, basis[t, :j]))
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,41 @@ def test_broken_process_pool_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: a worker died" in capsys.readouterr().err
 
 
+def test_keyboard_interrupt_exits_3(tmp_path, capsys, monkeypatch):
+    def interrupt(cfg, workers=1):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("sinrmin.cli.run_sweep", interrupt)
+    rc = main(["simulate", *BASE_FLAGS, "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "interrupted\n"  # no traceback
+
+
+def test_failed_write_keeps_old_tables(tmp_path, capsys, monkeypatch):
+    args = ["simulate", *BASE_FLAGS, "--trials", "20", "--out", str(tmp_path)]
+    assert main(args) == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(old) == {"results.csv", "validation.csv", "manifest.txt"}
+    real_writer = csv.writer
+
+    class HalfWriter:
+        """Writes the header and one row, then fails like a full disk."""
+
+        def __init__(self, fh, **kwargs):
+            self._inner = real_writer(fh, **kwargs)
+            self.writerow = self._inner.writerow
+
+        def writerows(self, rows):
+            rows = iter(rows)
+            self._inner.writerow(next(rows))
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr("sinrmin.cli.csv.writer", HalfWriter)
+    with pytest.raises(OSError, match="no space"):
+        main([*args, "--seed", "5"])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
 def test_results_roundtrip_via_validate(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
