@@ -33,13 +33,9 @@ from .experiment import (
     run_sweep,
     validate_rows,
 )
+from .selection import ALGORITHM_TAGS
 
-_INT_KEYS = ("M", "K", "K_s", "trials", "master_seed", "exhaustive_budget")
-_FLOAT_KEYS = ("gamma_db", "sigma_sq")
-_STR_KEYS = ("power_method", "sweep_axis")
-_LIST_KEYS = ("algorithms", "sweep_values")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _LIST_KEYS
-
+_CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 _VALIDATION_COLUMNS = tuple(
     "status" if f.name == "passed" else f.name for f in fields(ValidationRow)
@@ -54,17 +50,9 @@ FIGURE_IDS = (1, 2, 3, 4)
 
 def _convert(key: str, raw: str, where: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "algorithms":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if key == "sweep_values":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return _parse_cell(_CONFIG_TYPES[key], raw.strip())
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {key!r} {where}") from None
-    return raw.strip()
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -77,7 +65,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         if "=" not in body:
             raise ConfigError(f"expected key=value at {origin}:{lineno}: {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown key {key!r} at {origin}:{lineno}")
         if key in values:
             raise ConfigError(f"duplicate key {key!r} at {origin}:{lineno}")
@@ -146,8 +134,10 @@ def _cells(row) -> list:
 
 
 def _parse_cell(kind, raw: str):
-    """Inverse of `_cell` for a field annotated `kind`."""
+    """Inverse of `_cell` for a field annotated `kind`; a tuple is a comma list."""
     args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return tuple(args[0](part.strip()) for part in raw.split(",") if part.strip())
     if type(None) in args:
         if raw == "":
             return None
@@ -201,6 +191,8 @@ def write_manifest(cfg: ExperimentConfig, path: Path) -> None:
 
 def read_results(path: Path):
     """Rows back from a results file, for the validate subcommand."""
+    if not path.is_file():
+        raise ConfigError(f"results file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != _RESULT_COLUMNS:
@@ -393,7 +385,7 @@ def _add_common_flags(sub, with_workers: bool = True, out_default: "str | None" 
                      help="common SINR target in dB")
     sub.add_argument("--sigma-sq", dest="sigma_sq", type=float,
                      help="noise variance")
-    sub.add_argument("--algorithms", help="comma list from NUS,SUS,AUS,RUS,EXHAUSTIVE")
+    sub.add_argument("--algorithms", help=f"comma list from {','.join(ALGORITHM_TAGS)}")
     sub.add_argument("--power-method", dest="power_method",
                      choices=("exact", "approx", "both"))
     if with_workers:
@@ -442,7 +434,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, BrokenProcessPool) as exc:
+    except (ValueError, ArithmeticError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

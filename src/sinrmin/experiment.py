@@ -250,47 +250,37 @@ def _block_totals(config, targets, series, channels, trials):
 
 
 def _run_chunk(payload):
-    """Totals for a contiguous trial range, block by block; infeasible trials stay NaN."""
-    config, sweep_value, start, stop = payload
+    """Totals of every series over one block of trials; infeasible trials are NaN."""
+    config, sweep_value, trials = payload
     m, k = config.dims_at(sweep_value)
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
     series = [(alg, meth) for alg in config.algorithms for meth in config.methods()]
-    size = max(1, _BLOCK_BYTES // (16 * k * m))
-    blocks = []
+    seeds = [SeedSpec(config.master_seed, 2 * t) for t in trials]
     with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
-        for lo in range(start, stop, size):
-            trials = range(lo, min(lo + size, stop))
-            seeds = [SeedSpec(config.master_seed, 2 * t) for t in trials]
-            channels = sample_channel_set(m, k, seeds)
-            blocks.append(_block_totals(config, targets, series, channels, trials))
-    return {key: np.concatenate([b[key] for b in blocks]) for key in series}
-
-
-def _split_trials(trials: int, workers: int):
-    base, extra = divmod(trials, workers)
-    ranges = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + base + (1 if w < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
+        channels = sample_channel_set(m, k, seeds)
+        return _block_totals(config, targets, series, channels, trials)
 
 
 def _point_samples(config: ExperimentConfig, sweep_value, workers: int):
-    """Per-trial totals keyed by (algorithm, method), in trial order."""
-    # results do not depend on the chunking, so never fork more than the CPUs
-    chunks = min(max(1, workers), os.cpu_count() or 1)
-    args = [
-        (config, sweep_value, lo, hi)
-        for lo, hi in _split_trials(config.trials, chunks)
-    ]
-    if len(args) <= 1:
-        results = [_run_chunk(a) for a in args]
+    """Per-trial totals keyed by (algorithm, method), in trial order.
+
+    The trials are cut into n contiguous blocks within the byte cap, whose
+    sizes differ by at most one. With w workers (clamped to the CPUs), n is
+    a multiple of w where the cap and the trial count allow, and w > 1
+    processes map the same blocks that one runs in process.
+    """
+    m, k = config.dims_at(sweep_value)
+    # results do not depend on the blocks, so never fork more than the CPUs
+    w = min(max(1, workers), os.cpu_count() or 1)
+    cap = max(1, _BLOCK_BYTES // (16 * k * m))
+    trials = config.trials
+    n = min(trials, w * -(-trials // (w * cap)))
+    args = [(config, sweep_value, range(trials * i // n, trials * (i + 1) // n))
+            for i in range(n)]
+    if w == 1:
+        results = list(map(_run_chunk, args))
     else:
-        # the pool forks max_workers processes up front, so size it to the chunks
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        with ProcessPoolExecutor(max_workers=min(w, n)) as pool:
             results = list(pool.map(_run_chunk, args))
     return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 

@@ -3,6 +3,7 @@
 import csv
 import subprocess
 import sys
+import typing
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 
@@ -17,7 +18,7 @@ from sinrmin.cli import (
     read_results,
 )
 from sinrmin.errors import ConfigError
-from sinrmin.experiment import ResultRow, run_sweep, validate_rows
+from sinrmin.experiment import ExperimentConfig, ResultRow, run_sweep, validate_rows
 
 BASE_FLAGS = [
     "--M", "4", "--K", "8", "--Ks", "2", "--gamma-db", "10",
@@ -34,14 +35,36 @@ def test_parse_text_types_and_comments():
         "# header comment\n"
         "M=4\n"
         "K = 10  # inline comment\n"
+        "K_s=2\n"
         "gamma_db=10\n"
+        "sigma_sq=0.1\n"
         "algorithms=NUS, SUS\n"
+        "trials=50\n"
+        "master_seed=3\n"
+        "power_method=both\n"
+        "sweep_axis=K\n"
         "sweep_values=3,4,5\n"
+        "exhaustive_budget=1000\n"
     )
     assert values["M"] == 4 and values["K"] == 10
     assert values["gamma_db"] == 10.0
     assert values["algorithms"] == ("NUS", "SUS")
     assert values["sweep_values"] == (3, 4, 5)
+    # every config key, each parsed to its annotated type
+    assert values.keys() == {f.name for f in fields(ExperimentConfig)}
+    for f in fields(ExperimentConfig):
+        value = values[f.name]
+        if typing.get_origin(f.type) is tuple:
+            (kind, _) = typing.get_args(f.type)
+            assert isinstance(value, tuple)
+            assert all(type(v) is kind for v in value), f.name
+        else:
+            assert type(value) in (typing.get_args(f.type) or (f.type,)), f.name
+    # an empty dimension parses as unset (valid only on the swept axis);
+    # an empty count is still an error
+    assert parse_config_text("M=\n") == {"M": None}
+    with pytest.raises(ConfigError, match="K_s"):
+        parse_config_text("K_s=\n")
 
 
 def test_parse_text_errors_name_key_and_line():
@@ -241,6 +264,23 @@ def test_keyboard_interrupt_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "interrupted\n"  # no traceback
 
 
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["simulate", *BASE_FLAGS, "--trials", "5", "--out", str(blocker / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert "Traceback" not in err
+
+
+def test_validate_missing_results_exits_2(tmp_path, capsys):
+    rc = main(["validate", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "results file not found" in err and "Traceback" not in err
+
+
 def test_failed_write_keeps_old_tables(tmp_path, capsys, monkeypatch):
     args = ["simulate", *BASE_FLAGS, "--trials", "20", "--out", str(tmp_path)]
     assert main(args) == 0
@@ -261,8 +301,8 @@ def test_failed_write_keeps_old_tables(tmp_path, capsys, monkeypatch):
             raise OSError("no space left on device")
 
     monkeypatch.setattr("sinrmin.cli.csv.writer", HalfWriter)
-    with pytest.raises(OSError, match="no space"):
-        main([*args, "--seed", "5"])
+    assert main([*args, "--seed", "5"]) == 3
+    assert capsys.readouterr().err == "error: no space left on device\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 

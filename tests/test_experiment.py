@@ -210,6 +210,32 @@ def test_pool_size_bounded_by_cpu_count(monkeypatch, pool_sizes):
         assert np.array_equal(samples[key], serial[key])
 
 
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("trials", (1, 2, 7, 50))
+def test_trials_cut_into_capped_blocks(monkeypatch, pool_sizes, workers, trials):
+    import sinrmin.experiment as exp
+
+    blocks = []
+    run_chunk = exp._run_chunk
+
+    def recording(payload):
+        blocks.append(payload[2])
+        return run_chunk(payload)
+
+    monkeypatch.setattr("os.cpu_count", lambda: 128)
+    monkeypatch.setattr(exp, "_run_chunk", recording)
+    monkeypatch.setattr(exp, "_BLOCK_BYTES", 3 * 16 * 6 * 4)  # 3 trials
+    cfg = _cfg(K=6, trials=trials, algorithms=("NUS",))
+    samples = _point_samples(cfg, None, workers=workers)
+    assert [t for block in blocks for t in block] == list(range(trials))
+    sizes = [len(block) for block in blocks]
+    assert max(sizes) <= 3 and max(sizes) - min(sizes) <= 1
+    if trials >= workers:
+        assert len(blocks) % workers == 0
+    assert pool_sizes == ([] if workers == 1 else [min(workers, len(blocks))])
+    assert samples[("NUS", "approx")].shape == (trials,)
+
+
 def test_one_pricing_call_per_series_and_block(monkeypatch):
     import sinrmin.experiment as exp
 
