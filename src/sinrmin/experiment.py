@@ -15,6 +15,7 @@ forms describe the residual-norm power model, not the exact recursion.
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -261,27 +262,39 @@ def _run_chunk(payload):
         return _block_totals(config, targets, series, channels, trials)
 
 
-def _point_samples(config: ExperimentConfig, sweep_value, workers: int):
+def _workers(workers: int) -> int:
+    # results do not depend on the blocks, so never fork more than the CPUs
+    return min(max(1, workers), os.cpu_count() or 1)
+
+
+def _open_pool(config: ExperimentConfig, workers: int):
+    """A process pool for the blocks of any point of `config`, or a null
+    context at one worker. Every point cuts its trials into at least
+    min(w, trials) blocks, so the pool never holds an idle process."""
+    w = _workers(workers)
+    if w == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=min(w, config.trials))
+
+
+def _point_samples(config: ExperimentConfig, sweep_value, workers: int, pool=None):
     """Per-trial totals keyed by (algorithm, method), in trial order.
 
     The trials are cut into n contiguous blocks within the byte cap, whose
     sizes differ by at most one. With w workers (clamped to the CPUs), n is
     a multiple of w where the cap and the trial count allow, and w > 1
-    processes map the same blocks that one runs in process.
+    processes map the same blocks that one runs in process: those of
+    `pool` when given, else of a pool opened for this point alone.
     """
     m, k = config.dims_at(sweep_value)
-    # results do not depend on the blocks, so never fork more than the CPUs
-    w = min(max(1, workers), os.cpu_count() or 1)
+    w = _workers(workers)
     cap = max(1, _BLOCK_BYTES // (16 * k * m))
     trials = config.trials
     n = min(trials, w * -(-trials // (w * cap)))
     args = [(config, sweep_value, range(trials * i // n, trials * (i + 1) // n))
             for i in range(n)]
-    if w == 1:
-        results = list(map(_run_chunk, args))
-    else:
-        with ProcessPoolExecutor(max_workers=min(w, n)) as pool:
-            results = list(pool.map(_run_chunk, args))
+    with _open_pool(config, w) if pool is None else nullcontext(pool) as pool:
+        results = list(map(_run_chunk, args) if pool is None else pool.map(_run_chunk, args))
     return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 
 
@@ -307,8 +320,12 @@ def _analytic_value(alg, m, k, k_s, gamma, sigma_sq):
     return None, NO_CLOSED_FORM
 
 
-def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1):
-    """All result rows for one sweep point."""
+def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _pool=None):
+    """All result rows for one sweep point.
+
+    `_pool` is `run_sweep`'s process pool, shared by all its points; left
+    out, the point opens its own when it needs one.
+    """
     m, k = config.dims_at(sweep_value)
     gamma = config.gamma_linear
     rows = []
@@ -325,7 +342,7 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1):
     samples = {}
     if runnable:
         trimmed = replace(config, algorithms=tuple(runnable))
-        samples = _point_samples(trimmed, sweep_value, workers)
+        samples = _point_samples(trimmed, sweep_value, workers, _pool)
 
     for alg in config.algorithms:
         for meth in config.methods():
@@ -377,11 +394,13 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1):
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1):
-    """Rows for every sweep point, in sweep order."""
+    """Rows for every sweep point, in sweep order; the points share one
+    process pool."""
     config.validate(simulatable=True)
     rows = []
-    for sweep_value in config.points():
-        rows.extend(run_point(config, sweep_value, workers))
+    with _open_pool(config, workers) as pool:
+        for sweep_value in config.points():
+            rows.extend(run_point(config, sweep_value, workers, _pool=pool))
     return rows
 
 

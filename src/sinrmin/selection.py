@@ -12,6 +12,7 @@ probability zero.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -244,44 +245,77 @@ def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     return best_order
 
 
-def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
-    """Backward DP over predecessor sets; None when every ordering fails.
+@lru_cache(maxsize=16)
+def _set_tables(k: int, k_s: int):
+    """The DP's set structure, which depends only on (K, K_s).
 
-    g(S) = min over u outside S of sigma^2 gamma_|S| / res^2(u|S) + g(S+u),
-    with g = 0 on K_s-sets. The j-sets are held in colex order, each with an
-    orthonormal basis extending that of the set minus its largest member.
+    Per size j < K_s, the j-sets of users in colex order as a (C(K, j), K)
+    membership mask; per j < K_s - 1, the colex rank of S+u among the
+    (j+1)-sets (0 where u is in S) and, per (j+1)-set, its parent S (the
+    set minus its largest member) and that largest member. The arrays are
+    read-only: every call shares them.
     """
-    k, m = h.shape
-    scale = targets.sigma_sq * targets.gamma_vector(k_s)
-    floor = RANK_TOL**2 * _squared_norms(h)
     users = np.arange(k)
-    binom = np.array([[math.comb(n, r) for r in range(k_s + 2)] for n in range(k)])
+    binom = np.array([[math.comb(n, r) for r in range(k_s + 1)] for n in range(k)])
     elems = np.zeros((1, 0), dtype=np.intp)  # members of each j-set, ascending
     member = np.zeros((1, k), dtype=bool)
-    basis = np.zeros((1, 0, m), dtype=np.complex128)
-    costs, nexts = [], []
-    for j in range(k_s):
-        res = residuals(h, basis)
-        flat = res.view(np.float64)
-        res2 = np.einsum("nki,nki->nk", flat, flat)
-        ok = ~member & (res2 > floor)
-        costs.append(np.divide(scale[j], res2, out=np.full(res2.shape, np.inf), where=ok))
-        if j + 1 == k_s:
-            break
+    members, nexts, parents, tops = [member], [], [], []
+    for j in range(k_s - 1):
         # colex rank of S+u: members below u keep their slot, those above move up one
         below, slot = elems[:, None, :] < users[:, None], np.arange(j)
         rank = np.where(below, binom[elems, slot + 1][:, None], binom[elems, slot + 2][:, None])
         rank = rank.sum(axis=2) + binom[users, below.sum(axis=2) + 1]
-        nexts.append(np.where(ok, rank, 0))
+        nexts.append(np.where(member, 0, rank))
         # (j+1)-sets in colex order: per new largest member u, the C(u, j) j-sets below u
         parent = np.concatenate([np.arange(c) for c in binom[j:, j]])
         top = np.repeat(np.arange(j, k), binom[j:, j])
-        r, rn = res[parent, top], np.sqrt(res2[parent, top])[:, None]
-        q = np.divide(r, rn, out=np.zeros_like(r), where=rn > 0)
+        parents.append(parent)
+        tops.append(top)
         elems = np.column_stack([elems[parent], top])
         member = member[parent]
         member[np.arange(top.size), top] = True
-        basis = np.concatenate([basis[parent], q[:, None, :]], axis=1)
+        members.append(member)
+    for a in members + nexts + parents + tops:
+        a.setflags(write=False)
+    return members, nexts, parents, tops
+
+
+def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
+    """Backward DP over predecessor sets; None when every ordering fails.
+
+    g(S) = min over u outside S of sigma^2 gamma_|S| / res^2(u|S) + g(S+u),
+    with g = 0 on K_s-sets. For every j-set S, in colex order, each user is
+    held as its M - j coordinates in an orthonormal basis of the orthogonal
+    complement of span(S), so res^2(u|S) is a plain sum of squares. A set's
+    coordinates are its parent's (the set minus its largest member t) after
+    one complex Householder reflection (Householder 1958) that takes t's
+    coordinates onto the first axis, which is then dropped.
+    """
+    k, m = h.shape
+    scale = targets.sigma_sq * targets.gamma_vector(k_s)
+    floor = RANK_TOL**2 * _squared_norms(h)
+    members, nexts, parents, tops = _set_tables(k, k_s)
+    coords = np.ascontiguousarray(h, dtype=np.complex128)[None]
+    costs = []
+    for j in range(k_s):
+        flat = coords.view(np.float64)
+        res2 = np.einsum("nki,nki->nk", flat, flat)
+        ok = ~members[j] & (res2 > floor)
+        costs.append(np.divide(scale[j], res2, out=np.full(res2.shape, np.inf), where=ok))
+        if j + 1 == k_s:
+            break
+        parent, top = parents[j], tops[j]
+        # v = x + e^{i arg x_1} |x| e_1 reflects x to a multiple of e_1 and,
+        # adding like phases, never cancels; v^H v = 2 |x| (|x| + |x_1|)
+        v = coords[parent, top]
+        norm, head = np.sqrt(res2[parent, top]), np.abs(v[:, 0])
+        v[:, 0] += norm * np.divide(v[:, 0], head, out=np.ones_like(v[:, 0]), where=head > 0)
+        half = (norm * (norm + head))[:, None, None]
+        c = coords[parent]
+        # x = 0 puts t in span(S), so S+t spans only j dimensions: drop the axis as it is
+        w = np.divide(c @ v.conj()[:, :, None], half, out=np.zeros((top.size, k, 1), complex),
+                      where=half > 0)
+        coords = c[:, :, 1:] - w * v[:, None, 1:]
     for j in reversed(range(k_s - 1)):
         costs[j] += costs[j + 1].min(axis=1)[nexts[j]]
     if not np.isfinite(costs[0].min()):
@@ -316,12 +350,13 @@ def select_exhaustive(
     on-average rule. Ties resolve to the lexicographically smallest index
     sequence. An approx cost depends only on the set encoded before it,
     so that route is a DP pricing sum_{j<K_s} C(K, j) predecessor sets
-    (1,351 at K=20, K_s=4). Exact powers depend on the predecessors'
-    order, so the exact route is a branch and bound over encoding
-    prefixes, started from the exact price of the approx optimum. Its
-    worst case is still every ordering, so for both routes `budget`
-    bounds the ordering count C(K, K_s) * K_s!, checked before any work
-    happens.
+    (1,351 at K=20, K_s=4), each by one Householder reflection of its
+    parent's complement coordinates. Exact powers depend on the
+    predecessors' order, so the exact route is a branch and bound over
+    encoding prefixes, started from the exact price of the approx
+    optimum. Its worst case is still every ordering, so for both routes
+    `budget` bounds the ordering count C(K, K_s) * K_s!, checked before
+    any work happens.
     """
     _check_k_s(channels, k_s)
     if power_fn not in ("exact", "approx"):

@@ -56,20 +56,36 @@ _INDEX_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
-    st.lists(st.integers(0, 2**70) | st.sampled_from(_INDEX_EDGES), min_size=1, max_size=6),
+    # block sizes on both sides of the restated path's threshold
+    st.lists(st.integers(0, 2**70) | st.sampled_from(_INDEX_EDGES),
+             min_size=1, max_size=2 * channel._RESTATED_MIN),
     st.integers(1, 12),
 )
 def test_streams_match_seed_spec_generators(master, indices, k):
     specs = [SeedSpec(master, i) for i in indices]
-    normals = [rng.standard_normal(7) for rng in channel._streams(specs)]
-    picks = [rng.choice(k, size=min(k, 3), replace=False) for rng in channel._streams(specs)]
-    for spec, z, pick in zip(specs, normals, picks, strict=True):
-        assert np.array_equal(z, spec.generator().standard_normal(7))
-        assert np.array_equal(pick, spec.generator().choice(k, size=min(k, 3), replace=False))
+    for streams in (channel._streams, channel._restated_streams):
+        normals = [rng.standard_normal(7) for rng in streams(specs)]
+        picks = [rng.choice(k, size=min(k, 3), replace=False) for rng in streams(specs)]
+        for spec, z, pick in zip(specs, normals, picks, strict=True):
+            assert np.array_equal(z, spec.generator().standard_normal(7))
+            assert np.array_equal(pick, spec.generator().choice(k, size=min(k, 3), replace=False))
+
+
+def test_small_blocks_build_generators(monkeypatch):
+    built, restated = [], channel._restated_streams
+
+    def recording(seeds):
+        built.append(len(seeds))
+        return restated(seeds)
+
+    monkeypatch.setattr(channel, "_restated_streams", recording)
+    for n in range(1, 2 * channel._RESTATED_MIN):
+        sample_channel_set(2, 3, [SeedSpec(4, i) for i in range(n)])
+    assert built == list(range(channel._RESTATED_MIN, 2 * channel._RESTATED_MIN))
 
 
 def test_streams_fall_back_to_seed_spec_generators(monkeypatch):
-    specs = [SeedSpec(3, i) for i in (0, 5, 2**32 + 2)]
+    specs = [SeedSpec(3, i) for i in (0, 5, 2**32 + 2, *range(6, 6 + channel._RESTATED_MIN))]
     block = sample_channel_set(4, 6, specs).users
     assert channel._restated_seeding_matches()
     # a NumPy that seeded PCG64 differently would fail the import-time check

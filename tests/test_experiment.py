@@ -236,6 +236,31 @@ def test_trials_cut_into_capped_blocks(monkeypatch, pool_sizes, workers, trials)
     assert samples[("NUS", "approx")].shape == (trials,)
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_one_pool_per_sweep(monkeypatch, pool_sizes, workers):
+    import sinrmin.experiment as exp
+
+    points = []
+
+    def recording(config, sweep_value, *args, **kwargs):
+        points.append(sweep_value)
+        return run_point(config, sweep_value, *args, **kwargs)
+
+    monkeypatch.setattr("os.cpu_count", lambda: 128)
+    # the sweep still goes through run_point, where per-point spans are timed
+    monkeypatch.setattr(exp, "run_point", recording)
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=(4, 6, 8), trials=7,
+               algorithms=("NUS", "RUS"))
+    rows = run_sweep(cfg, workers=workers)
+    assert pool_sizes == ([] if workers == 1 else [2])
+    assert points == [4, 6, 8]
+    assert rows == run_sweep(cfg, workers=1)
+    pool_sizes.clear()
+    for k in cfg.sweep_values:  # each point alone opens its own
+        run_point(cfg, k, workers=workers)
+    assert pool_sizes == ([] if workers == 1 else [2, 2, 2])
+
+
 def test_one_pricing_call_per_series_and_block(monkeypatch):
     import sinrmin.experiment as exp
 

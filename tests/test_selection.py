@@ -383,6 +383,29 @@ def test_exhaustive_dp_regression_m4_k8(seed):
     assert select_exhaustive(c, 4, T10).encoding_order == want
 
 
+def test_exhaustive_dp_dependent_user_in_one_dim_complement():
+    # M=4, K_s=4: the last level's complement is one-dimensional
+    h = sample_channel_set(4, 6, SeedSpec(18, 0)).users.copy()
+    h[5] = 0.8 * h[0] - 0.5j * h[1] + 1.3 * h[2]
+    for order in itertools.permutations((0, 1, 2)):
+        with pytest.raises(InfeasibleGeometryError):
+            approx_min_power(h[[*order, 5]], T10)
+    _, want = _brute_force_approx(h, 4, T10)
+    assert select_exhaustive(ChannelSet(h), 4, T10).encoding_order == want
+
+
+@pytest.mark.parametrize(
+    "m, k, k_s, seed",
+    # M=6, K_s=3 leaves a complement of more than one coordinate at the
+    # last level; M=4, K=9, K_s=4 has 3,024 orderings
+    [(6, 10, 3, 0), (4, 9, 4, 0), (4, 9, 4, 1), (4, 9, 4, 2)],
+)
+def test_exhaustive_dp_equals_brute_force_fixed(m, k, k_s, seed):
+    c = sample_channel_set(m, k, SeedSpec(19, seed))
+    _, want = _brute_force_approx(c.users, k_s, T10)
+    assert select_exhaustive(c, k_s, T10).encoding_order == want
+
+
 def test_exhaustive_tie_break_at_depth_three():
     # every ordering of the orthogonal triple costs 30, as do some with user 3,
     # e.g. (0, 2, 3); the lexicographically first is expected
