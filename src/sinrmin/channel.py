@@ -3,13 +3,14 @@ r"""Channel vectors, seeded sampling, and subspace geometry.
 Each user has a flat-fading channel h in C^M whose entries are i.i.d.
 CN(0, 1): real and imaginary parts are independent N(0, 1/2), so that
 E|h_m|^2 = 1 and E||h||^2 = M.  Selection and power routines only ever
-need a channel's residual against the span of other channels. Two
-primitives provide it: `residuals` projects rows onto the orthogonal
-complement of a given orthonormal basis, batched over any leading axes,
-and `gram_schmidt` builds that basis from rows in order along with
-each row's squared residual against its predecessors. `sin_sq_angle`
-is the public one-vector form of the latter. (The exhaustive search
-keeps its own complement coordinates; see `selection._best_approx_order`.)
+need a channel's squared residual against the span of other channels.
+One primitive provides it: `_complement_step` takes rows held in an
+orthonormal basis of some subspace's orthogonal complement and removes
+one more direction by a complex Householder reflection, dropping an
+axis. A squared residual is then the plain sum of squares of a row's
+remaining coordinates. The greedy selection rules, the exhaustive
+search, `power.approx_min_power` and the public `sin_sq_angle` all
+step through it.
 
 Random streams are defined by `SeedSpec.generator()`. `_streams`
 positions one reused generator at the start of each of many such
@@ -33,6 +34,8 @@ from .errors import (
 # A residual shorter than RANK_TOL times the vector it came from is
 # treated as numerically zero.
 RANK_TOL = 1e-12
+
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -265,42 +268,27 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", rows.conj(), rows).real
 
 
-def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Components of ``rows`` orthogonal to the span of ``basis``.
+def _complement_step(coords: np.ndarray, x: np.ndarray, x_sq) -> np.ndarray:
+    """(..., K, m) row coordinates with the direction of x removed, as
+    (..., K, m - 1) coordinates in an orthonormal basis of what is left.
 
-    ``basis`` holds orthonormal or zero rows, shape (..., j, M); ``rows``
-    is (..., n, M) or a single (M,) vector and broadcasts against it.
-    One re-orthogonalization pass keeps the result orthogonal to working
-    precision even for nearly dependent inputs.
+    ``x`` is one (..., m) row per leading index and ``x_sq`` its squared
+    norm. One complex Householder reflection (Householder 1958) takes x
+    onto the first axis, is applied to every row, and that axis is
+    dropped. An x of exactly zero drops the first axis as it is.
     """
-    if rows.ndim == 1:  # one row, given back as (..., M)
-        return residuals(rows[None], basis)[..., 0, :]
-    if basis.shape[-2] == 0:  # nothing to remove; broadcast as the products would
-        return rows + np.zeros(basis.shape[:-2] + (1, 1))
-    qh = basis.conj().swapaxes(-1, -2)
-    res = rows - (rows @ qh) @ basis
-    res -= (res @ qh) @ basis
-    return res
-
-
-def gram_schmidt(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of (..., n, M) ``rows`` taken in order, and each
-    row's squared residual against the rows before it.
-
-    A row whose squared residual is at most RANK_TOL^2 times its squared
-    norm adds a zero basis row, so the span stays the same. Leading axes
-    are independent stacks: each gets what it would alone.
-    """
-    rows = np.asarray(rows, dtype=np.complex128)
-    floor = RANK_TOL**2 * _squared_norms(rows)
-    basis = np.zeros_like(rows)
-    res2 = np.empty(rows.shape[:-1])
-    for i in range(rows.shape[-2]):
-        res = residuals(rows[..., i : i + 1, :], basis[..., :i, :])[..., 0, :]
-        res2[..., i] = r2 = _squared_norms(res)
-        live = (r2 > floor[..., i])[..., None]
-        np.divide(res, np.sqrt(r2)[..., None], out=basis[..., i, :], where=live)
-    return basis, res2
+    # v = x + e^{i arg x_1} |x| e_1 reflects x to a multiple of e_1 and,
+    # adding like phases, never cancels; v^H v = 2 |x| (|x| + |x_1|). A
+    # subnormal |x_1| would overflow x_1 / |x_1|, and beside a |x| whose
+    # square did not underflow it is negligible, so phase 1 serves.
+    v = x.copy()
+    norm, head = np.sqrt(x_sq), np.abs(v[..., 0])
+    phase = np.divide(v[..., 0], head, out=np.ones_like(v[..., 0]), where=head >= _TINY)
+    v[..., 0] += norm * phase
+    half = (norm * (norm + head))[..., None, None]
+    w = np.divide(coords @ v.conj()[..., :, None], half,
+                  out=np.zeros(coords.shape[:-1] + (1,), complex), where=half > 0)
+    return coords[..., 1:] - w * v[..., None, 1:]
 
 
 def sin_sq_angle(h: np.ndarray, basis) -> float:
@@ -315,7 +303,7 @@ def sin_sq_angle(h: np.ndarray, basis) -> float:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.shape[0] < 1:
         raise DimensionError(f"h must be a non-empty vector, got shape {h.shape}")
-    norm_sq = squared_norm(h)
+    norm_sq = _squared_norms(h)  # the sum each residual takes, so [] gives 1 exactly
     if norm_sq == 0.0:
         raise DomainError("zero vector has no angle to a subspace")
     vecs = [np.asarray(b, dtype=np.complex128) for b in basis]
@@ -325,7 +313,10 @@ def sin_sq_angle(h: np.ndarray, basis) -> float:
         )
     if any(b.shape != h.shape for b in vecs):
         raise DimensionError(f"basis vectors must have shape {h.shape}")
-    q, res2 = gram_schmidt(np.vstack([*vecs, h]))
-    if not q[:-1].any(axis=1).all():
-        raise RankDeficiencyError("basis vectors are numerically dependent")
-    return float(min(max(res2[-1] / norm_sq, 0.0), 1.0))
+    coords = np.vstack([*vecs, h])
+    for b in vecs:
+        x_sq = _squared_norms(coords[0])
+        if x_sq <= RANK_TOL**2 * _squared_norms(b):
+            raise RankDeficiencyError("basis vectors are numerically dependent")
+        coords = _complement_step(coords[1:], coords[0], x_sq)
+    return float(min(max(_squared_norms(coords[0]) / norm_sq, 0.0), 1.0))

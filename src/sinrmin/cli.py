@@ -25,11 +25,11 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError
 from .experiment import (
-    LOWER_BOUND_TAG,
     ExperimentConfig,
     ResultRow,
     ValidationRow,
     _analytic_value,
+    _bound_tags,
     run_sweep,
     validate_rows,
 )
@@ -221,8 +221,7 @@ def write_figure_table(cfg: ExperimentConfig, rows, path: Path) -> None:
         for meth in cfg.methods():
             series.append((alg, meth, "mc"))
         series.append((alg, "approx", "analytic"))
-    if cfg.K_s == 2:
-        series.append((LOWER_BOUND_TAG, "analytic", "analytic"))
+    series += [(tag, "analytic", "analytic") for tag in _bound_tags(cfg.K_s)]
     indexed = {(r.sweep_value, r.algorithm, r.power_method): r for r in rows}
     header = [cfg.sweep_axis]
     for alg, meth, kind in series:
@@ -294,12 +293,9 @@ def _prepare_out(args) -> Path:
 def cmd_analytic(args) -> int:
     cfg = parse_config(args.config, _flag_overrides(args), simulatable=False)
     lines = [("sweep_axis", "sweep_value", "algorithm", "analytic_value")]
-    tags = list(cfg.algorithms)
-    if cfg.K_s == 2:
-        tags.append(LOWER_BOUND_TAG)
     for sweep_value in cfg.points():
         m, k = cfg.dims_at(sweep_value)
-        for alg in tags:
+        for alg in (*cfg.algorithms, *_bound_tags(cfg.K_s)):
             value, marker = _analytic_value(
                 alg, m, k, cfg.K_s, cfg.gamma_linear, cfg.sigma_sq
             )
@@ -434,8 +430,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError, BrokenProcessPool) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError, OSError, BrokenProcessPool) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

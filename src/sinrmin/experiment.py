@@ -320,6 +320,11 @@ def _analytic_value(alg, m, k, k_s, gamma, sigma_sq):
     return None, NO_CLOSED_FORM
 
 
+def _bound_tags(k_s: int) -> tuple[str, ...]:
+    """Analytic-only series of a point: the lower bound, closed form at K_s = 2 only."""
+    return (LOWER_BOUND_TAG,) if k_s == 2 else ()
+
+
 def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _pool=None):
     """All result rows for one sweep point.
 
@@ -381,12 +386,10 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
                 ";".join(notes),
             ))
 
-    if config.K_s == 2:
-        analytic, marker = _analytic_value(
-            LOWER_BOUND_TAG, m, k, config.K_s, gamma, config.sigma_sq
-        )
+    for tag in _bound_tags(config.K_s):
+        analytic, marker = _analytic_value(tag, m, k, config.K_s, gamma, config.sigma_sq)
         rows.append(ResultRow(
-            config.sweep_axis, sweep_value, LOWER_BOUND_TAG, "analytic", 0,
+            config.sweep_axis, sweep_value, tag, "analytic", 0,
             config.master_seed, None, None, analytic,
             0, "" if analytic is not None else marker,
         ))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, _squared_norms, gram_schmidt
+from .channel import RANK_TOL, _complement_step, _squared_norms
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleGeometryError
 
 
@@ -173,7 +173,12 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
     h, single = _as_block(channels)
     norms = _row_norms_checked(h)
     gam = targets.gamma_vector(h.shape[1])
-    _, res2 = gram_schmidt(h)
+    # row i's coordinates against the predecessors' span lead `coords`;
+    # past the M-th row no axis is left and the residual stays zero
+    coords, res2 = h, np.zeros(h.shape[:-1])
+    for i in range(min(h.shape[1:])):
+        res2[:, i] = _squared_norms(coords[:, 0])
+        coords = _complement_step(coords[:, 1:], coords[:, 0], res2[:, i])
     dead = np.argwhere(res2 <= RANK_TOL**2 * norms)
     if dead.size:
         raise InfeasibleGeometryError(

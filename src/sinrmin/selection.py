@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import RANK_TOL, ChannelSet, SeedSpec, _squared_norms, _streams, residuals
+from .channel import (
+    RANK_TOL, ChannelSet, SeedSpec, _complement_step, _squared_norms, _streams,
+)
 from .errors import BudgetError, ConfigError, DomainError, InfeasibleGeometryError
 # approx_min_power stays bound here: the benchmark's tracer hooks it
 from .power import (  # noqa: F401
@@ -97,17 +99,17 @@ def _greedy_residual(h: np.ndarray, k_s: int, by_angle: bool) -> np.ndarray:
     Every step scores each user by its squared residual against the
     picked span, divided by its squared norm after the first step when
     `by_angle`. Residuals at or below the rank floor count as exactly
-    zero, so dependent users tie and the lowest index wins.
+    zero, so dependent users tie and the lowest index wins. The users are
+    held in coordinates of the picked span's complement, stepped by each
+    trial's pick with `channel._complement_step`.
     """
-    t, k, m = h.shape
-    trials = np.arange(t)
+    trials = np.arange(len(h))
     norms = _squared_norms(h)
     floor = RANK_TOL**2 * norms
-    basis = np.zeros((t, k_s, m), dtype=np.complex128)
-    picked = np.empty((t, k_s), dtype=np.intp)
+    coords = h  # each user's coordinates against the picked span
+    picked = np.empty((len(h), k_s), dtype=np.intp)
     for step in range(k_s):
-        res = residuals(h, basis[:, :step])
-        res2 = _squared_norms(res)
+        res2 = _squared_norms(coords)
         res2[res2 <= floor] = 0.0
         if by_angle and step:  # a zero-norm user scores 0, not 0/0
             scores = np.divide(res2, norms, out=np.zeros_like(res2), where=norms > 0.0)
@@ -115,10 +117,11 @@ def _greedy_residual(h: np.ndarray, k_s: int, by_angle: bool) -> np.ndarray:
             scores = res2
         scores[trials[:, None], picked[:, :step]] = -np.inf
         picked[:, step] = choice = np.argmax(scores, axis=-1)
-        r2 = res2[trials, choice]
-        # a dependent pick leaves a zero row: span unchanged
-        np.divide(res[trials, choice], np.sqrt(r2)[:, None], out=basis[:, step],
-                  where=(r2 > 0.0)[:, None])
+        if step + 1 < k_s:
+            # a dependent pick drops an axis as it is; that changes no later
+            # pick: its score was the largest and zero, so every other user
+            # was already at or below the floor, and projection only shrinks
+            coords = _complement_step(coords, coords[trials, choice], res2[trials, choice])
     return picked
 
 
@@ -288,8 +291,9 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     held as its M - j coordinates in an orthonormal basis of the orthogonal
     complement of span(S), so res^2(u|S) is a plain sum of squares. A set's
     coordinates are its parent's (the set minus its largest member t) after
-    one complex Householder reflection (Householder 1958) that takes t's
-    coordinates onto the first axis, which is then dropped.
+    `channel._complement_step` by t. Coordinates of t that are exactly zero
+    put t in span(S), so S+t spans only j dimensions and the step drops an
+    axis as it is.
     """
     k, m = h.shape
     scale = targets.sigma_sq * targets.gamma_vector(k_s)
@@ -305,17 +309,7 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
         if j + 1 == k_s:
             break
         parent, top = parents[j], tops[j]
-        # v = x + e^{i arg x_1} |x| e_1 reflects x to a multiple of e_1 and,
-        # adding like phases, never cancels; v^H v = 2 |x| (|x| + |x_1|)
-        v = coords[parent, top]
-        norm, head = np.sqrt(res2[parent, top]), np.abs(v[:, 0])
-        v[:, 0] += norm * np.divide(v[:, 0], head, out=np.ones_like(v[:, 0]), where=head > 0)
-        half = (norm * (norm + head))[:, None, None]
-        c = coords[parent]
-        # x = 0 puts t in span(S), so S+t spans only j dimensions: drop the axis as it is
-        w = np.divide(c @ v.conj()[:, :, None], half, out=np.zeros((top.size, k, 1), complex),
-                      where=half > 0)
-        coords = c[:, :, 1:] - w * v[:, None, 1:]
+        coords = _complement_step(coords[parent], coords[parent, top], res2[parent, top])
     for j in reversed(range(k_s - 1)):
         costs[j] += costs[j + 1].min(axis=1)[nexts[j]]
     if not np.isfinite(costs[0].min()):

@@ -10,9 +10,10 @@ from scipy.special import betainc, gammainc
 from sinrmin import channel
 from sinrmin.channel import (
     ChannelSet,
+    RANK_TOL,
     SeedSpec,
-    gram_schmidt,
-    residuals,
+    _complement_step,
+    _squared_norms,
     sample_channel_set,
     sin_sq_angle,
     squared_norm,
@@ -157,10 +158,40 @@ def test_squared_norm_values():
 # projections onto the orthogonal complement of a span
 
 
+def _randn(rng, shape):
+    z = rng.standard_normal(shape + (2,))
+    return z[..., 0] + 1j * z[..., 1]
+
+
+def _step_through(coords, n):
+    """Step (..., K, m) coordinates by their first n rows in turn; the
+    squared residual of each of those rows, and the coordinates of the rest."""
+    res2 = []
+    for _ in range(n):
+        res2.append(_squared_norms(coords[..., 0, :]))
+        coords = _complement_step(coords[..., 1:, :], coords[..., 0, :], res2[-1])
+    return res2, coords
+
+
 def _residual_against(h, vecs):
-    """Residual of h against span(vecs), through the two geometry primitives."""
-    basis, _ = gram_schmidt(np.array(vecs, dtype=complex).reshape(-1, h.shape[0]))
-    return residuals(h, basis)
+    """Residual of h against span(vecs), through the complement step.
+
+    Stepped along with h, the rows of the identity become the columns U of
+    an orthonormal basis of the complement, so the residual is (h U) U^H.
+    """
+    m = h.shape[0]
+    vecs = np.array(vecs, dtype=complex).reshape(-1, m)
+    _, coords = _step_through(np.vstack([vecs, h, np.eye(m)]), len(vecs))
+    return coords[0] @ coords[1:].conj().T
+
+
+def _lstsq_res2(h, vecs):
+    """Squared residual of h against span(vecs) from an lstsq projection."""
+    if not len(vecs):
+        return squared_norm(h)
+    b = np.array(vecs).T
+    coef = np.linalg.lstsq(b, h, rcond=None)[0]
+    return squared_norm(h - b @ coef)
 
 
 def test_project_out_axis_example():
@@ -198,62 +229,100 @@ def test_projection_basis_rejects_zero_vector():
     h = np.array([1.0, 1.0, 0.0], dtype=complex)
     with pytest.raises(RankDeficiencyError):
         sin_sq_angle(h, [np.zeros(3, dtype=complex)])
-    # the primitive itself keeps the span unchanged with a zero basis row
-    basis, res2 = gram_schmidt(np.zeros((1, 3), dtype=complex))
-    assert not basis.any() and res2[0] == 0.0
+    # the step itself drops the first axis as it is for an exactly zero x,
+    # per leading index: the span removed is that axis, nothing is rotated
+    rows = _randn(SeedSpec(6, 0).generator(), (2, 4, 3))
+    x = np.stack([np.zeros(3, dtype=complex), rows[1, 0]])
+    out = _complement_step(rows, x, _squared_norms(x))
+    assert np.array_equal(out[0], rows[0, :, 1:])
+    assert not np.allclose(out[1], rows[1, :, 1:])
 
 
 def test_residual_norms_sq_matches_residual():
-    rng = SeedSpec(7, 0).generator()
-    z = rng.standard_normal((6, 4, 2))
-    rows = z[..., 0] + 1j * z[..., 1]
-    basis, _ = gram_schmidt(rows[:2])
-    batch = (np.abs(residuals(rows[2:], basis)) ** 2).sum(axis=1)
-    single = [squared_norm(residuals(r, basis)) for r in rows[2:]]
-    assert np.allclose(batch, single, rtol=1e-12)
+    rows = _randn(SeedSpec(7, 0).generator(), (6, 4))
+    _, batch = _step_through(rows, 2)
+    for r, coords in zip(rows[2:], batch):
+        _, single = _step_through(np.vstack([rows[:2], r[None]]), 2)
+        assert _squared_norms(coords) == pytest.approx(_squared_norms(single[0]), rel=1e-12)
+        assert _squared_norms(coords) == pytest.approx(_lstsq_res2(r, rows[:2]), rel=1e-12)
 
 
-def test_gram_schmidt_res2_matches_residuals():
+def test_complement_step_res2_matches_lstsq():
+    # each row's squared residual against the rows before it, for as many
+    # rows as axes; the identity's coordinates stay an orthonormal basis
     rng = SeedSpec(8, 0).generator()
-    z = rng.standard_normal((3, 5, 2))
-    rows = z[..., 0] + 1j * z[..., 1]
-    basis, res2 = gram_schmidt(rows)
-    assert np.allclose(basis @ basis.conj().T, np.eye(3), atol=1e-13)
-    for i in range(3):
-        want = squared_norm(_residual_against(rows[i], list(rows[:i])))
-        assert res2[i] == pytest.approx(want, rel=1e-12)
-    # a leading axis of bases broadcasts against the same rows
-    stacked = residuals(rows, np.stack([basis[:1], basis[1:2]]))
-    assert np.allclose(stacked[1], residuals(rows, basis[1:2]), atol=1e-14)
+    for m in (1, 2, 5):
+        for _ in range(20):
+            rows = _randn(rng, (m, m))
+            res2, rest = _step_through(np.vstack([rows, np.eye(m)]), m)
+            for i in range(m):
+                assert res2[i] == pytest.approx(_lstsq_res2(rows[i], rows[:i]), rel=1e-12)
+            assert rest.shape == (m, 0)
+        _, basis = _step_through(np.vstack([rows[:2], np.eye(m)]), min(m, 2))
+        assert np.allclose(basis.conj().T @ basis, np.eye(max(m - 2, 0)), atol=1e-14)
+        assert np.allclose(rows[:2] @ basis, 0.0, atol=1e-14)
 
 
-def test_residuals_empty_basis_broadcasts_like_one_row():
+def test_complement_step_dependent_and_zero_rows_fall_below_floor():
+    # the callers' rank floor: a squared residual at or below RANK_TOL^2 times
+    # the row's squared norm counts as zero. Dependent and zero rows land
+    # there, a row with a small independent part stays above it.
+    rng = SeedSpec(10, 0).generator()
+    a, b = _randn(rng, (2, 5))
+    e = np.linalg.svd(np.vstack([a, b]))[2][-1].conj()  # orthogonal to a and b
+    rows = np.vstack([a, b, (2 - 1j) * a + 3.5 * b, np.zeros(5), a + 1e-6 * e, b])
+    norms = _squared_norms(rows)
+    _, rest = _step_through(rows, 2)
+    rest2 = _squared_norms(rest)
+    floor = RANK_TOL**2 * norms[2:]
+    assert rest2[0] <= floor[0] and rest2[1] == 0.0 and rest2[3] <= floor[3]
+    assert rest2[2] > floor[2]
+    assert rest2[2] == pytest.approx(1e-12 * squared_norm(e), rel=1e-6)
+    # stepping by a dependent row, reflected or dropped as it is, still
+    # projects: the zero row stays zero and the other row does not grow
+    for x_sq in (rest2[0], 0.0):
+        after = _squared_norms(_complement_step(rest[1:3], rest[0], x_sq))
+        assert after[0] == 0.0 and after[1] <= rest2[2] * (1 + 1e-12)
+
+
+def test_complement_step_subnormal_first_coordinate():
+    # x_1 / |x_1| overflows for a subnormal x_1; the step must still project
+    rows = _randn(SeedSpec(11, 0).generator(), (3, 3))
+    for first in (1e-311, -2.2e-311j, 5e-324):
+        x = np.array([first, 1.0, -0.5j])
+        _, rest = _step_through(np.vstack([x, rows]), 1)
+        assert np.isfinite(rest).all()
+        for r, got in zip(rows, _squared_norms(rest)):
+            assert got == pytest.approx(_lstsq_res2(r, [x]), rel=1e-12)
+        want = _lstsq_res2(rows[0], [x]) / squared_norm(rows[0])
+        assert sin_sq_angle(rows[0], [x]) == pytest.approx(want, rel=1e-12)
+
+
+def test_complement_step_broadcasts_over_leading_axes():
+    # one (m,) row x per leading index, any number of rows: each leading
+    # index gets what it would alone
     rng = SeedSpec(9, 0).generator()
-    z = rng.standard_normal((5, 3, 4, 2))
-    stack = z[..., 0] + 1j * z[..., 1]
-    basis, _ = gram_schmidt(stack)
-    cases = [
-        (stack[:, :1], basis), (stack[0], basis), (stack[0, 0], basis[0]),
-        (stack[0, 0], basis),
-    ]
-    for rows, q in cases:
-        empty = residuals(rows, q[..., :0, :])
-        one_row = residuals(rows, q[..., :1, :])
-        assert empty.shape == one_row.shape
-        assert np.array_equal(empty, np.broadcast_to(rows, one_row.shape))
-    assert residuals(stack[:, :1], basis[:, :0]).shape == (5, 1, 4)
-
-
-def test_residuals_one_vector_against_stacked_basis():
-    rng = SeedSpec(9, 1).generator()
-    z = rng.standard_normal((5, 3, 4, 2))
-    basis, _ = gram_schmidt(z[..., 0] + 1j * z[..., 1])
-    h = np.array([1.0, 2.0, -1.0, 0.5j])
-    for j in range(4):
-        res = residuals(h, basis[:, :j])
-        assert res.shape == (5, 4)
+    for k in (0, 1, 4):
+        coords = _randn(rng, (5, 3, k, 4))
+        x = _randn(rng, (5, 3, 4))
+        out = _complement_step(coords, x, _squared_norms(x))
+        assert out.shape == (5, 3, k, 3)
         for t in range(5):
-            assert np.array_equal(res[t], residuals(h, basis[t, :j]))
+            for u in range(3):
+                alone = _complement_step(coords[t, u], x[t, u], _squared_norms(x[t, u]))
+                assert np.array_equal(out[t, u], alone)
+
+
+def test_complement_step_rows_beyond_the_axes():
+    # more rows than axes: after M steps every further row has no
+    # coordinates left, so its squared residual is exactly zero
+    rows = _randn(SeedSpec(9, 1).generator(), (3, 7, 4))
+    res2, rest = _step_through(rows, 4)
+    assert rest.shape == (3, 3, 0)
+    assert np.array_equal(_squared_norms(rest), np.zeros((3, 3)))
+    for t in range(3):
+        for i in range(4):
+            assert res2[i][t] == pytest.approx(_lstsq_res2(rows[t, i], rows[t, :i]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

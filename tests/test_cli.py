@@ -254,6 +254,28 @@ def test_broken_process_pool_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: a worker died" in capsys.readouterr().err
 
 
+def test_empty_list_items_are_skipped(capsys):
+    # a doubled comma is not an error: the empty item is dropped
+    assert main(["analytic", *BASE_FLAGS, "--algorithms", "NUS,,SUS,"]) == 0
+    skipped = capsys.readouterr().out
+    assert main(["analytic", *BASE_FLAGS, "--algorithms", "NUS,SUS"]) == 0
+    assert skipped == capsys.readouterr().out
+    assert ",NUS," in skipped and ",SUS," in skipped
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    # what an allocation too large for the machine raises, e.g. at --K 10**12
+    for exc, line in ((MemoryError("Unable to allocate 58.2 TiB"), "Unable to allocate 58.2 TiB"),
+                      (MemoryError(), "MemoryError")):
+        def fail(cfg, workers=1):
+            raise exc
+
+        monkeypatch.setattr("sinrmin.cli.run_sweep", fail)
+        rc = main(["simulate", *BASE_FLAGS, "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {line}\n"  # no traceback
+
+
 def test_keyboard_interrupt_exits_3(tmp_path, capsys, monkeypatch):
     def interrupt(cfg, workers=1):
         raise KeyboardInterrupt

@@ -281,3 +281,14 @@ def test_more_users_than_dimensions_infeasible():
     h = _instance(2, 3, 9)
     with pytest.raises(InfeasibleGeometryError):
         approx_min_power(h, T10)
+
+
+def test_rows_past_the_dimension_name_channel_m():
+    # rows past the M-th have no axis left; the first of them is named, for
+    # one set and for a block, while the first M rows alone are feasible
+    for m, n in ((1, 2), (2, 3), (3, 6)):
+        h = _instance(m, n, 9)
+        for rows in (h, np.stack([h, h])):
+            with pytest.raises(InfeasibleGeometryError, match=f"^channel {m} lies"):
+                approx_min_power(rows, T10)
+        assert np.isfinite(approx_min_power(h[:m], T10).total_power)

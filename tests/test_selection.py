@@ -406,6 +406,16 @@ def test_exhaustive_dp_equals_brute_force_fixed(m, k, k_s, seed):
     assert select_exhaustive(c, k_s, T10).encoding_order == want
 
 
+def test_exhaustive_dp_subnormal_first_coordinate():
+    # user 0's first coordinate is subnormal: its phase x_1/|x_1| must not
+    # overflow into the reflection, which would leave a wrong order
+    h = np.array([[1e-311, 1.0, 0.5], [0.3, 0.2, 1.0], [1.0, -0.4, 0.1],
+                  [0.2, 0.9, -0.7]], dtype=complex)
+    _, want = _brute_force_approx(h, 3, T10)
+    assert want == (2, 0, 3)
+    assert select_exhaustive(ChannelSet(h), 3, T10).encoding_order == want
+
+
 def test_exhaustive_tie_break_at_depth_three():
     # every ordering of the orthogonal triple costs 30, as do some with user 3,
     # e.g. (0, 2, 3); the lexicographically first is expected
