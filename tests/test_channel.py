@@ -185,6 +185,23 @@ def _residual_against(h, vecs):
     return coords[0] @ coords[1:].conj().T
 
 
+def _residuals(rows, basis):
+    """Components of (..., n, M) rows, or of one (M,) row given back as
+    (..., M), orthogonal to the span of (..., j, M) basis rows, per
+    leading index after broadcasting, through the complement step."""
+    if rows.ndim == 1:
+        return _residuals(rows[None], basis)[..., 0, :]
+    m, n = rows.shape[-1], rows.shape[-2]
+    lead = np.broadcast_shapes(rows.shape[:-2], basis.shape[:-2])
+    coords = np.concatenate([
+        np.broadcast_to(basis, lead + basis.shape[-2:]),
+        np.broadcast_to(rows, lead + rows.shape[-2:]),
+        np.broadcast_to(np.eye(m, dtype=complex), lead + (m, m)),
+    ], axis=-2)
+    _, coords = _step_through(coords, basis.shape[-2])
+    return coords[..., :n, :] @ coords[..., n:, :].conj().swapaxes(-1, -2)
+
+
 def _lstsq_res2(h, vecs):
     """Squared residual of h against span(vecs) from an lstsq projection."""
     if not len(vecs):
@@ -323,6 +340,34 @@ def test_complement_step_rows_beyond_the_axes():
     for t in range(3):
         for i in range(4):
             assert res2[i][t] == pytest.approx(_lstsq_res2(rows[t, i], rows[t, :i]), rel=1e-12)
+
+
+def test_residuals_empty_basis_broadcasts_like_one_row():
+    # no basis rows: the rows come back as they are, broadcast to the
+    # shape one basis row would give
+    stack = _randn(SeedSpec(9, 0).generator(), (5, 3, 4))
+    cases = [
+        (stack[:, :1], stack), (stack[0], stack), (stack[0, 0], stack[0]),
+        (stack[0, 0], stack),
+    ]
+    for rows, q in cases:
+        empty = _residuals(rows, q[..., :0, :])
+        one_row = _residuals(rows, q[..., :1, :])
+        assert empty.shape == one_row.shape
+        assert np.array_equal(empty, np.broadcast_to(rows, one_row.shape))
+    assert _residuals(stack[:, :1], stack[:, :0]).shape == (5, 1, 4)
+
+
+def test_residuals_one_vector_against_stacked_basis():
+    # one vector against a stack of bases: each trial gets what it would alone
+    basis = _randn(SeedSpec(9, 1).generator(), (5, 3, 4))
+    h = np.array([1.0, 2.0, -1.0, 0.5j])
+    for j in range(4):
+        res = _residuals(h, basis[:, :j])
+        assert res.shape == (5, 4)
+        for t in range(5):
+            assert np.array_equal(res[t], _residuals(h, basis[t, :j]))
+            assert squared_norm(res[t]) == pytest.approx(_lstsq_res2(h, basis[t, :j]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
