@@ -211,8 +211,8 @@ class ChannelSet:
             )
         if min(users.shape) < 1:
             raise DimensionError(f"need T, K, M >= 1, got shape {users.shape}")
-        if not np.isfinite(users).all():
-            raise DomainError("channel entries must be finite")
+        if not np.isfinite(_squared_norms(users)).all():  # finite entries too
+            raise DomainError("channel squared norms must be finite")
         object.__setattr__(self, "users", users)
 
     @property
@@ -303,8 +303,7 @@ def sin_sq_angle(h: np.ndarray, basis) -> float:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.shape[0] < 1:
         raise DimensionError(f"h must be a non-empty vector, got shape {h.shape}")
-    norm_sq = _squared_norms(h)  # the sum each residual takes, so [] gives 1 exactly
-    if norm_sq == 0.0:
+    if not h.any():
         raise DomainError("zero vector has no angle to a subspace")
     vecs = [np.asarray(b, dtype=np.complex128) for b in basis]
     if len(vecs) >= h.shape[0]:
@@ -313,10 +312,15 @@ def sin_sq_angle(h: np.ndarray, basis) -> float:
         )
     if any(b.shape != h.shape for b in vecs):
         raise DimensionError(f"basis vectors must have shape {h.shape}")
-    coords = np.vstack([*vecs, h])
-    for b in vecs:
+    # sin^2 does not depend on scale, so each row is scaled by the power of two
+    # that puts its largest part in [0.5, 1): exact, and no square leaves range
+    parts = np.vstack([*vecs, h]).view(np.float64)
+    coords = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=1, keepdims=True))[1])
+    coords = coords.view(np.complex128)
+    norm_sq = _squared_norms(coords[-1])  # the sum each residual takes, so [] gives 1 exactly
+    for b_sq in _squared_norms(coords[:-1]):
         x_sq = _squared_norms(coords[0])
-        if x_sq <= RANK_TOL**2 * _squared_norms(b):
+        if x_sq <= RANK_TOL**2 * b_sq:
             raise RankDeficiencyError("basis vectors are numerically dependent")
         coords = _complement_step(coords[1:], coords[0], x_sq)
     return float(min(max(_squared_norms(coords[0]) / norm_sq, 0.0), 1.0))

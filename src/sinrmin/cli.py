@@ -211,6 +211,8 @@ def read_results(path: Path):
                     f"{path} row {n}: column {field.name} has {raw!r}"
                 ) from None
         rows.append(ResultRow(*cells))
+        if rows[-1].mc_mean is not None and rows[-1].mc_stderr is None:
+            raise ConfigError(f"{path} row {n}: mc_mean without mc_stderr")
     return rows
 
 

@@ -84,8 +84,8 @@ def _as_block(channels) -> tuple[np.ndarray, bool]:
         raise DimensionError(
             f"expected (n, M) or (T, n, M) channel rows, got shape {np.shape(channels)}"
         )
-    if not np.isfinite(h).all():
-        raise DomainError("channel entries must be finite")
+    if not np.isfinite(_squared_norms(h)).all():  # finite entries too
+        raise DomainError("channel squared norms must be finite")
     return h, single
 
 

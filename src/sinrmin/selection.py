@@ -19,8 +19,8 @@ import numpy as np
 from .channel import (
     RANK_TOL, ChannelSet, SeedSpec, _complement_step, _squared_norms, _streams,
 )
-from .errors import BudgetError, ConfigError, DomainError, InfeasibleGeometryError
-# approx_min_power stays bound here: the benchmark's tracer hooks it
+from .errors import BudgetError, ConfigError, InfeasibleGeometryError
+# approx_min_power and exact_min_power stay bound here: perfbench/tracing.py hooks them
 from .power import (  # noqa: F401
     SinrTargets,
     _uplink_step,
@@ -196,12 +196,11 @@ def _completion_bounds(gains: np.ndarray, gamma_j, tail_gam: np.ndarray) -> np.n
 def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     """Depth-first branch and bound over encoding prefixes; None when none is feasible.
 
-    A prefix's exact powers depend only on the prefix, so children are
-    taken in index order (the prefixes in lexicographic order) and a child
-    whose completions are all bounded above the incumbent is skipped. The
-    incumbent starts at the approx DP's order. Leaf totals take the steps
-    of `exact_min_power`, and equal totals keep the lexicographically
-    smaller order, as a strict scan over every ordering would.
+    A prefix's exact powers depend only on the prefix. Children go best
+    bound first, and the first one bounded above the incumbent ends the
+    node. Leaf totals take the steps of `exact_min_power`, and equal
+    totals keep the lexicographically smaller order, as a strict scan
+    over every ordering would, whatever the visit order.
     """
     h = np.ascontiguousarray(h)  # rows laid out as exact_min_power gets them
     # a zero-norm user makes exact_min_power raise for every ordering it is in
@@ -211,14 +210,6 @@ def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
     tails = [np.sort(gam[j + 1 :])[::-1] for j in range(k_s)]
     best, best_order = math.inf, None
-    start = _best_approx_order(h, k_s, targets)
-    if start is not None:
-        try:
-            total = exact_min_power(h[list(start)], targets).total_power
-        except DomainError:
-            total = math.inf
-        if total < best:
-            best, best_order = total, start
 
     def descend(prefix, zinv, p_unit):
         nonlocal best, best_order
@@ -230,10 +221,11 @@ def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
             bounds = s2 * (sum(p_unit) + _completion_bounds(gains, gam[j], tails[j]))
         else:  # a gain rounded to zero or below bounds nothing
             bounds = np.full(len(rest), -math.inf)
-        for u, bound in zip(rest, bounds):
+        for i in np.argsort(bounds, kind="stable"):
             # the margin keeps rounding in the batched gains from pruning the winner
-            if bound > best * (1.0 + 1e-9):
-                continue
+            if bounds[i] > best * (1.0 + 1e-9):
+                break  # the later children are bounded higher still
+            u = rest[i]
             _, _, p, zinv_u = _uplink_step(zinv, h[u], gam[j])
             order = prefix + (u,)
             if j + 1 < k_s:
@@ -347,8 +339,8 @@ def select_exhaustive(
     (1,351 at K=20, K_s=4), each by one Householder reflection of its
     parent's complement coordinates. Exact powers depend on the
     predecessors' order, so the exact route is a branch and bound over
-    encoding prefixes, started from the exact price of the approx
-    optimum. Its worst case is still every ordering, so for both routes
+    encoding prefixes that takes each prefix's children best bound
+    first. Its worst case is still every ordering, so for both routes
     `budget` bounds the ordering count C(K, K_s) * K_s!, checked before
     any work happens.
     """

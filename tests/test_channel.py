@@ -140,7 +140,8 @@ def test_channel_set_validation():
         ChannelSet(np.zeros((0, 3)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+# 1e200 is finite, but its square, and so the row's squared norm, is not
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), 1e200])
 def test_channel_set_rejects_non_finite(bad):
     users = np.ones((5, 3), dtype=complex)
     users[2, 1] = bad
@@ -399,6 +400,25 @@ def test_sin_sq_angle_zero_vector_rejected():
 def test_sin_sq_angle_in_span_is_zero():
     b = np.array([1.0, 1.0j, 0.0])
     assert sin_sq_angle(1.5 * b, [b]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_sin_sq_angle_does_not_depend_on_scale():
+    # squared norms of these vectors underflow to zero or overflow
+    for scale in (5e-324, 1e-300, 1e-170, 1e170, 1e300):
+        assert sin_sq_angle([1, 1, 0], [[scale, 0, 0]]) == pytest.approx(0.5, rel=1e-12)
+        assert sin_sq_angle([scale, scale, 0], [[1, 0, 0]]) == pytest.approx(0.5, rel=1e-12)
+    rng = SeedSpec(12, 0).generator()
+    h, b = _randn(rng, (2, 4))
+    want = sin_sq_angle(h, [b])
+    for s, t in ((2.0**-600, 2.0**500), (2.0**900, 2.0**-900)):
+        assert sin_sq_angle(s * h, [t * b]) == want  # power-of-two scaling is exact
+    # exact zeros and dependent bases still raise at any scale
+    with pytest.raises(DomainError):
+        sin_sq_angle(np.zeros(3), [[1e-170, 0, 0]])
+    with pytest.raises(RankDeficiencyError):
+        sin_sq_angle([1, 1, 0], [[1e-170, 0, 0], [3e-170, 0, 0]])
+    with pytest.raises(RankDeficiencyError):
+        sin_sq_angle([1, 1, 0], [[1e170, 0, 0], [0, 0, 0]])
 
 
 # ---------------------------------------------------------------------------

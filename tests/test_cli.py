@@ -1,13 +1,19 @@
 """CLI tests: parsing, subcommands, file stability, exit codes."""
 
+import contextlib
 import csv
+import io
 import subprocess
 import sys
+import tempfile
 import typing
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrmin.cli import (
     build_config,
@@ -430,3 +436,115 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "0.833333" in proc.stdout
+
+
+
+# ---------------------------------------------------------------------------
+# exit codes over a small grammar of argv and config text
+
+_EDGE = ("nan", "inf", "-inf", "1e308", "-1e308", str(2**64), "-1", "-2.5", "0")
+_NOT_NUMBERS = ("abc", "", "1,2", "0x10")
+_ALG_ITEMS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE", "", "FOO")
+# per flag (or config key): values a run accepts, and values it must reject
+# cleanly; dimensions stay <= 6, since a huge K * M allocates before any check
+_GRAMMAR = {
+    "M": (("2", "4", "6"), ("-1", "0", "nan", "inf", "1e308", "2.5") + _NOT_NUMBERS),
+    "K": (("3", "6"), ("-1", "0", "nan", "inf", "1e308", "2.5") + _NOT_NUMBERS),
+    "Ks": (("1", "2", "3"), ("-1", "0", "5", "6", "nan", "2.5") + _NOT_NUMBERS),
+    "gamma-db": (("10", "-3"), ("3082", "4000") + _EDGE + _NOT_NUMBERS),
+    "sigma-sq": (("0.1", "1"), _EDGE + _NOT_NUMBERS),
+    "seed": (("0", str(2**64 - 1)), ("-1", str(2**64), "nan", "")),
+    "algorithms": (("NUS,SUS,AUS,RUS,EXHAUSTIVE", "RUS", "AUS,EXHAUSTIVE"), None),
+    "power-method": (("exact", "approx", "both"), ("", "fast")),
+    "trials": (("1", "2"), ("-1", "0")),  # a huge count builds its blocks first
+    "workers": (("1",), ("-1", "0")),
+    "sweep-axis": (("none",), ("M", "K", "", "T")),
+    "sweep-values": (("",), None),
+    "exhaustive-budget": (("1000000",), ("1", "0", "-1", str(2**64), "nan")),
+    "rel-tol": (("0.02",), _EDGE + _NOT_NUMBERS),
+    "z": (("3",), _EDGE + _NOT_NUMBERS),
+}
+_LISTS = {"algorithms": _ALG_ITEMS, "sweep-values": ("-1", "0", "2", "6", "", "x", "nan")}
+_CONFIG_ONLY = ("sweep-axis", "sweep-values", "exhaustive-budget")
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from(range(12))) == 0
+
+
+def _value(draw, name):
+    """A value for `name`, one it must reject about one time in twelve."""
+    valid, bad = _GRAMMAR[name]
+    if not _rarely(draw):
+        return draw(st.sampled_from(valid))
+    if bad is None:  # a list with empty, unknown or repeated items
+        return ",".join(draw(st.lists(st.sampled_from(_LISTS[name]), max_size=4)))
+    return draw(st.sampled_from(bad))
+
+
+def _pick(draw, usual, rare):
+    return draw(st.sampled_from(rare if _rarely(draw) else usual))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with placeholder paths, --config kind, config text, results text)."""
+    command = draw(st.sampled_from(("analytic", "simulate", "figure", "validate")))
+    config = _pick(draw, ("none", "file"), ("missing", "dir"))
+    if command == "validate":  # it takes no --config
+        argv = [command, _pick(draw, ("results",), ("missing", "dir", "file"))]
+        names, config = ["rel-tol", "z"], "none"
+    else:
+        argv = [command]
+        if command == "figure":
+            argv.append(_pick(draw, ("1", "2", "3", "4"), ("5", "x")))
+        names = [n for n in _GRAMMAR if n not in _CONFIG_ONLY + ("rel-tol", "z")]
+        if command == "analytic":
+            names.remove("workers")
+    for name in names:
+        # without --trials a packaged figure runs 20,000 trials a point; with
+        # a config file, a flag left out leaves that file's value in force
+        passed = not _rarely(draw) and (config != "file" or draw(st.booleans()))
+        if passed or name == "trials":
+            argv.append(f"--{name}={_value(draw, name)}")  # "=": a value may start with -
+    if draw(st.booleans()):
+        argv.append("--strict")  # a failed validation row exits 4
+    lines = []
+    for name in _GRAMMAR:
+        key = {"Ks": "K_s", "seed": "master_seed"}.get(name, name.replace("-", "_"))
+        if name not in ("rel-tol", "z", "workers") and not _rarely(draw):
+            lines.append(f"{key}={_value(draw, name)}")
+    for line in ("unknown_key=1", "no equals sign", "M=4", "K=4"):  # M, K repeat
+        if _rarely(draw):
+            lines.append(line)
+    cells = [_pick(draw, usual, rare) for usual, rare in (
+        (("none",), ("K", "")), (("",), ("4", "abc")), (("NUS",), ("FOO", "LOWER_BOUND")),
+        (("approx",), ("", "both")), (("2",), ("-1", "nan")), (("0",), ("-1",)),
+        (("1.5",), _EDGE + _NOT_NUMBERS), (("0.1",), _EDGE + _NOT_NUMBERS),
+        (("1.4",), _EDGE + _NOT_NUMBERS), (("0",), ("-1", "3", "abc")), (("",), ("note",)),
+    )]
+    results = ",".join(f.name for f in fields(ResultRow)) + "\n" + ",".join(cells) + "\n"
+    return argv, config, "\n".join(lines) + "\n", results
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invocations())
+def test_main_exits_with_a_documented_code(invocation):
+    argv, config, text, results = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "dir").mkdir()
+        (tmp / "file").write_text(text)
+        (tmp / "results").write_text(results)
+        paths = {p: str(tmp / p) for p in ("missing", "dir", "file", "results")}
+        argv = [paths.get(a, a) for a in argv] + ["--out", str(tmp / "out")]
+        if config != "none":
+            argv += ["--config", paths[config]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag or its value
+                rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -266,6 +266,10 @@ def test_non_finite_channel_rejected(solver):
         h[1, 2] = bad
         with pytest.raises(DomainError):
             solver(h, T10)
+    # finite entries whose squared norms overflow: not a NaN total, nor
+    # "channel 0 lies in the span of its predecessors"
+    with pytest.raises(DomainError):
+        solver([[1e200, 0], [1e200, 1e200]], SinrTargets(10, 0.1))
 
 
 def test_dependent_channels_infeasible_for_residual_bound():

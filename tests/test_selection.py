@@ -105,6 +105,13 @@ def test_sus_single_pick_equals_nus():
     assert select_sus(c, 1).encoding_order == select_nus(c, 1).encoding_order
 
 
+def test_sus_rejects_overflowing_channel():
+    # the first two users' squared norms overflow to inf, on which SUS
+    # picked the weakest user first; such a set is refused
+    with pytest.raises(DomainError):
+        select_sus(ChannelSet([[1e200, 0, 0], [1e200, 1e200, 0], [0, 1, 0]]), 2)
+
+
 # ---------------------------------------------------------------------------
 # AUS
 
@@ -355,25 +362,30 @@ def test_exhaustive_exact_tie_keeps_first_order(monkeypatch):
     # every ordering of orthonormal users costs the same
     c = _cs(np.eye(4)[:3])
     assert select_exhaustive(c, 3, T10, "exact").encoding_order == (0, 1, 2)
-    # a tied incumbent that sorts later gives way to the first ordering
-    monkeypatch.setattr(selection, "_best_approx_order", lambda h, k_s, t: (2, 1, 0))
+    # bounds falling with the index still prune nothing, but the search now
+    # reaches the tied leaf (2, 1, 0) first; it gives way to the first ordering
+    monkeypatch.setattr(
+        selection, "_completion_bounds",
+        lambda gains, g, tails: -np.arange(len(gains), dtype=float),
+    )
     assert select_exhaustive(c, 3, T10, "exact").encoding_order == (0, 1, 2)
 
 
 def test_exhaustive_exact_does_not_enumerate(monkeypatch):
     calls = []
+    step = selection._uplink_step
 
-    def counted(channels, targets):
+    def counted(*args):
         calls.append(1)
-        return exact_min_power(channels, targets)
+        return step(*args)
 
-    monkeypatch.setattr(selection, "exact_min_power", counted)
+    monkeypatch.setattr(selection, "_uplink_step", counted)
     for seed in range(3):
         calls.clear()
         c = sample_channel_set(4, 8, SeedSpec(16, seed))
         got = select_exhaustive(c, 3, T10, "exact").encoding_order
         assert got == _brute_force_exact(c.users, 3, T10)[1]
-        assert len(calls) <= 2  # 336 orderings to enumerate
+        assert len(calls) <= 60  # one per priced prefix; enumerating prices 400
 
 
 @pytest.mark.parametrize("seed", range(5))
