@@ -12,12 +12,13 @@ remaining coordinates. The greedy selection rules, the exhaustive
 search, `power.approx_min_power` and the public `sin_sq_angle` all
 step through it.
 
-Random streams are defined by `SeedSpec.generator()`. `_streams`
-positions one reused generator at the start of each of many such
-streams, restating NumPy's SeedSequence -> PCG64 seeding instead of
-building a generator per stream.
+Random streams are defined by `SeedSpec.generator()`. Restating NumPy's
+SeedSequence -> PCG64 seeding over many such streams at once, `_streams`
+positions one reused generator at the start of each, and `_stream_words`
+computes each stream's first 32-bit words without any generator.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,6 +151,19 @@ def _stream_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
+def _stream_words(seeds, n: int):
+    """The first n words `next_uint32` hands out on each spec's stream, as a
+    (T, n) uint32 array. Each PCG64 output, an LCG step and then XSL-RR,
+    gives its low half first."""
+    outputs = []
+    for state, inc in _stream_states(seeds):
+        for _ in range(-(-n // 2)):
+            state = (state * _PCG_MULT + inc) & (2**128 - 1)
+            x, rot = (state >> 64 ^ state) & (2**64 - 1), state >> 122
+            outputs.append((x >> rot | x << 64 - rot) & (2**64 - 1))
+    return np.array(outputs, dtype="<u8").reshape(len(seeds), -(-n // 2)).view("<u4")[:, :n]
+
+
 def _restated_streams(seeds):
     seeds = list(seeds)
     rng = np.random.Generator(np.random.PCG64(0))  # every stream's state is set below
@@ -164,11 +178,13 @@ def _restated_streams(seeds):
 
 
 def _restated_seeding_matches() -> bool:
-    """Whether the restated seeding reproduces this NumPy's, checked on a
-    pair whose master seed and stream index both take two words."""
+    """Whether the restated seeding and output words reproduce this NumPy's,
+    checked on a pair whose master seed and stream index both take two words."""
     spec = SeedSpec(2**64 - 1, 2**32 + 7)
     state = next(_restated_streams([spec])).bit_generator.state
-    return state == spec.generator().bit_generator.state
+    raw = spec.generator().bit_generator.random_raw(3).astype("<u8").view("<u4")[:5]
+    words = _stream_words([spec], 5)[0]
+    return state == spec.generator().bit_generator.state and np.array_equal(words, raw)
 
 
 _RESTATED_SEEDING = _restated_seeding_matches()
@@ -181,6 +197,12 @@ _RESTATED_SEEDING = _restated_seeding_matches()
 _RESTATED_MIN = 5
 
 
+def _restated(seeds) -> bool:
+    """Whether a block of specs takes the restated seeding and words:
+    `_RESTATED_MIN` or more, on a NumPy that seeds as restated."""
+    return _RESTATED_SEEDING and len(seeds) >= _RESTATED_MIN
+
+
 def _streams(seeds):
     """One generator per spec of the sequence ``seeds`` in order, each at
     the exact start of that spec's stream, so it draws what
@@ -191,9 +213,17 @@ def _streams(seeds):
     Fewer specs, or a NumPy that seeds differently from the restatement,
     get ``spec.generator()`` each.
     """
-    if _RESTATED_SEEDING and len(seeds) >= _RESTATED_MIN:
+    if _restated(seeds):
         return _restated_streams(seeds)
     return (s.generator() for s in seeds)
+
+
+def _seed_list(seed) -> list:
+    """One spec, or a sequence of them, as a list of specs."""
+    seeds = list(seed) if isinstance(seed, Sequence) else [seed]
+    if not all(isinstance(s, SeedSpec) for s in seeds):
+        raise ConfigError(f"seed must be a SeedSpec or a sequence of them, got {seed!r}")
+    return seeds
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +269,9 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
             A sequence of T streams gives a (T, K, M) block whose set t
             is bit-identical to what stream t alone gives.
     """
-    if M < 1 or K < 1:
-        raise DimensionError(f"need M >= 1 and K >= 1, got M={M}, K={K}")
-    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (M, K)):
+        raise DimensionError(f"need integers M >= 1 and K >= 1, got M={M!r}, K={K!r}")
+    seeds = _seed_list(seed)
     z = np.empty((len(seeds), K, M, 2))
     for z_t, rng in zip(z, _streams(seeds)):
         rng.standard_normal(out=z_t)

@@ -51,6 +51,7 @@ _POWER_METHODS = ("exact", "approx")
 # (16 * K * M bytes a trial), which bounds every block array and temporary
 # by a small multiple of it, whatever the trial count.
 _BLOCK_BYTES = 1 << 20
+_SAMPLE_BYTES = 1 << 28  # a point's per-trial totals, 8 bytes a trial and series
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,9 @@ class ExperimentConfig:
             )
         if self.exhaustive_budget < 1:
             raise ConfigError("exhaustive_budget must be positive")
+        samples = 8 * self.trials * len(self.algorithms) * len(self.methods())
+        if simulatable and samples > _SAMPLE_BYTES:
+            raise ConfigError(f"a point's samples take {samples} bytes, over {_SAMPLE_BYTES}")
         for sweep_value in self.points():
             m, k = self.dims_at(sweep_value)
             if self.K_s > k:
@@ -156,6 +160,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"K_s={self.K_s} exceeds min(M, K)={min(m, k)} at M={m}, K={k}"
                 )
+            if simulatable and 16 * k * m > _BLOCK_BYTES:
+                raise ConfigError(
+                    f"a trial's channels take {16 * k * m} bytes, over {_BLOCK_BYTES}")
 
     def canonical(self) -> str:
         """Stable key=value rendering used for config hashing."""

@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import (
-    RANK_TOL, ChannelSet, SeedSpec, _complement_step, _squared_norms, _streams,
+    _M32, RANK_TOL, ChannelSet, _complement_step, _restated, _seed_list, _squared_norms,
+    _stream_words,
 )
 from .errors import BudgetError, ConfigError, InfeasibleGeometryError
 # approx_min_power and exact_min_power stay bound here: perfbench/tracing.py hooks them
@@ -61,7 +62,7 @@ class SelectionResult:
 
 def _check_k_s(channels: ChannelSet, k_s: int) -> None:
     limit = min(channels.M, channels.K)
-    if not 1 <= k_s <= limit:
+    if not isinstance(k_s, (int, np.integer)) or not 1 <= k_s <= limit:
         raise ConfigError(
             f"K_s={k_s} out of range [1, {limit}] for M={channels.M}, K={channels.K}"
         )
@@ -161,15 +162,35 @@ def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     norm would turn the position norms into order statistics and lower
     the average. A (T, K, M) block takes a sequence of T streams, one
     per trial.
+
+    Each trial picks what ``spec.generator().choice(K, k_s, replace=False)``
+    does. Up to K = 10,000 a block of `channel._restated` specs runs its
+    steps over the `channel._stream_words` of all trials at once; a trial
+    whose Lemire draw rejects a word, and any other block, calls ``choice``.
     """
     _check_k_s(channels, k_s)
-    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    seeds, k = _seed_list(seed), channels.K
     if len(seeds) != len(_block(channels)):
         raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
-    picked = np.array(
-        [rng.choice(channels.K, size=k_s, replace=False) for rng in _streams(seeds)],
-        dtype=np.intp,
-    )
+    redo, picked = range(len(seeds)), np.empty((len(seeds), k_s), dtype=np.intp)
+    if _restated(seeds) and k <= 10_000:  # beyond, choice may shuffle a tail instead
+        # Floyd's sampling (Bentley & Floyd 1987), then a Fisher-Yates shuffle;
+        # a draw in [0, j] is one word's 32-bit Lemire draw (Lemire 2019),
+        # which choice rejects when the product's low half is below 2^32 mod (j + 1)
+        spans = np.array([*range(k - k_s, k), *range(k_s - 1, 0, -1)], dtype=np.uint64) + 1
+        skip = int(k == k_s)  # Floyd's draw in [0, 0] takes no word; 0 gives 0
+        words = _stream_words(seeds, spans.size - skip)
+        scaled = np.hstack([np.zeros((len(seeds), skip), np.uint32), words]) * spans
+        draws = (scaled >> 32).astype(np.intp)
+        redo = np.flatnonzero((scaled & _M32 < np.uint64(2**32) % spans).any(axis=1))
+        picked = draws[:, :k_s]  # a Floyd draw already picked takes j instead
+        for c in range(1, k_s):
+            picked[(picked[:, :c] == picked[:, c:c + 1]).any(axis=1), c] = k - k_s + c
+        rows = np.arange(len(seeds))
+        for i, j in zip(range(k_s - 1, 0, -1), draws[:, k_s:].T):
+            picked[rows, i], picked[rows, j] = picked[rows, j], picked[rows, i]
+    for t in redo:
+        picked[t] = seeds[t].generator().choice(k, size=k_s, replace=False)
     return _result("RUS", channels, picked, picked)
 
 

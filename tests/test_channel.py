@@ -64,6 +64,9 @@ _INDEX_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]
 )
 def test_streams_match_seed_spec_generators(master, indices, k):
     specs = [SeedSpec(master, i) for i in indices]
+    for spec, words in zip(specs, channel._stream_words(specs, 2 * k - 1), strict=True):
+        raw = spec.generator().bit_generator.random_raw(k).astype("<u8").view("<u4")
+        assert np.array_equal(words, raw[: 2 * k - 1])
     for streams in (channel._streams, channel._restated_streams):
         normals = [rng.standard_normal(7) for rng in streams(specs)]
         picks = [rng.choice(k, size=min(k, 3), replace=False) for rng in streams(specs)]
@@ -98,6 +101,13 @@ def test_streams_fall_back_to_seed_spec_generators(monkeypatch):
     for rng, spec in zip(rngs, specs):
         assert rng.bit_generator.state == spec.generator().bit_generator.state
     assert np.array_equal(sample_channel_set(4, 6, specs).users, block)
+
+
+def test_seeding_check_compares_output_words(monkeypatch):
+    # a NumPy whose PCG64 output differed from the restated XSL-RR would fail it
+    words = channel._stream_words
+    monkeypatch.setattr(channel, "_stream_words", lambda seeds, n: words(seeds, n) ^ np.uint32(1))
+    assert not channel._restated_seeding_matches()
 
 
 # ---------------------------------------------------------------------------

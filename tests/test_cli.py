@@ -269,8 +269,22 @@ def test_empty_list_items_are_skipped(capsys):
     assert ",NUS," in skipped and ",SUS," in skipped
 
 
+@pytest.mark.parametrize("flags, nbytes", [
+    (["--K", str(10**12), "--trials", "1"], "64000000000000 bytes"),  # one trial's channels
+    (["--K", "6", "--trials", str(10**10)], "80000000000 bytes"),  # the point's samples
+])
+def test_memory_bounds_exit_2_before_any_work(tmp_path, capsys, monkeypatch, flags, nbytes):
+    monkeypatch.setattr("sinrmin.cli.run_sweep", None)  # never reached
+    argv = ["simulate", "--M", "4", "--Ks", "2", "--gamma-db", "10", "--sigma-sq", "0.1",
+            "--algorithms", "NUS", *flags, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and nbytes in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
-    # what an allocation too large for the machine raises, e.g. at --K 10**12
+    # the backstop for an allocation too large for the machine
     for exc, line in ((MemoryError("Unable to allocate 58.2 TiB"), "Unable to allocate 58.2 TiB"),
                       (MemoryError(), "MemoryError")):
         def fail(cfg, workers=1):
@@ -446,17 +460,18 @@ _EDGE = ("nan", "inf", "-inf", "1e308", "-1e308", str(2**64), "-1", "-2.5", "0")
 _NOT_NUMBERS = ("abc", "", "1,2", "0x10")
 _ALG_ITEMS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE", "", "FOO")
 # per flag (or config key): values a run accepts, and values it must reject
-# cleanly; dimensions stay <= 6, since a huge K * M allocates before any check
+# cleanly; a simulation rejects a huge K or trial count by the memory bounds
+# of ExperimentConfig.validate, before it allocates anything
 _GRAMMAR = {
     "M": (("2", "4", "6"), ("-1", "0", "nan", "inf", "1e308", "2.5") + _NOT_NUMBERS),
-    "K": (("3", "6"), ("-1", "0", "nan", "inf", "1e308", "2.5") + _NOT_NUMBERS),
+    "K": (("3", "6"), ("-1", "0", "nan", "inf", "1e308", "2.5", str(10**12)) + _NOT_NUMBERS),
     "Ks": (("1", "2", "3"), ("-1", "0", "5", "6", "nan", "2.5") + _NOT_NUMBERS),
     "gamma-db": (("10", "-3"), ("3082", "4000") + _EDGE + _NOT_NUMBERS),
     "sigma-sq": (("0.1", "1"), _EDGE + _NOT_NUMBERS),
     "seed": (("0", str(2**64 - 1)), ("-1", str(2**64), "nan", "")),
     "algorithms": (("NUS,SUS,AUS,RUS,EXHAUSTIVE", "RUS", "AUS,EXHAUSTIVE"), None),
     "power-method": (("exact", "approx", "both"), ("", "fast")),
-    "trials": (("1", "2"), ("-1", "0")),  # a huge count builds its blocks first
+    "trials": (("1", "2"), ("-1", "0", str(10**10))),
     "workers": (("1",), ("-1", "0")),
     "sweep-axis": (("none",), ("M", "K", "", "T")),
     "sweep-values": (("",), None),

@@ -3,16 +3,19 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinrmin import channel
 from sinrmin.channel import ChannelSet, SeedSpec, sample_channel_set
 from sinrmin.errors import (
     BudgetError,
     ConfigError,
+    DimensionError,
     DomainError,
     InfeasibleGeometryError,
 )
@@ -52,6 +55,29 @@ def test_k_s_range_enforced():
     c2 = sample_channel_set(8, 3, SeedSpec(1, 1))
     with pytest.raises(ConfigError):
         select_sus(c2, 4)  # K_s > K
+
+
+_EYE = ChannelSet(np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (sample_channel_set, (4, 3, 7), ConfigError),
+    (sample_channel_set, (4, 3, [1]), ConfigError),
+    (sample_channel_set, (4, 3, "ab"), ConfigError),
+    (sample_channel_set, (4.5, 3, SeedSpec(1)), DimensionError),
+    (sample_channel_set, (4, 3.0, SeedSpec(1)), DimensionError),
+    (select_rus, (_EYE, 2, 5), ConfigError),
+    (select_rus, (_EYE, 2, [5]), ConfigError),
+    (select_rus, (_EYE, 2, [SeedSpec(1), None]), ConfigError),
+    (select_rus, (_EYE, 2.0, SeedSpec(1)), ConfigError),
+    (select_nus, (_EYE, 2.0), ConfigError),
+    (select_sus, (_EYE, "2"), ConfigError),
+    (select_aus, (_EYE, None), ConfigError),
+    (select_exhaustive, (_EYE, 2.5, T10), ConfigError),
+])
+def test_bad_arguments_raise_package_errors(call, args, error):
+    with pytest.raises(error):
+        call(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +215,66 @@ def test_rus_pair_frequencies_uniform():
     bound = 3.0 * np.sqrt(draws * p * (1 - p))
     for pair, n in counts.items():
         assert abs(n - draws * p) <= bound, (pair, n)
+
+
+def _rejects(spec, k, k_s) -> bool:
+    """Whether ``choice(k, k_s, replace=False)`` on spec's stream takes more
+    words than its 2 k_s - 1 draws (one fewer at k_s = K), as it does when
+    a Lemire draw rejects a word."""
+    n = 2 * k_s - 1 - (k == k_s)
+    used = spec.generator().bit_generator
+    np.random.Generator(used).choice(k, size=k_s, replace=False)
+    plain = spec.generator().bit_generator
+    plain.random_raw(-(-n // 2))
+    return (used.state["state"], used.state["has_uint32"]) != (plain.state["state"], n % 2)
+
+
+def _assert_picks_equal_choice(specs, k, k_s):
+    """select_rus on a block of ``specs`` picks what each spec's generator
+    chooses; returns the specs whose generators select_rus built."""
+    block = ChannelSet(np.zeros((len(specs), k, k_s), dtype=complex))
+    with mock.patch.object(SeedSpec, "generator", autospec=True,
+                           side_effect=SeedSpec.generator) as built:
+        picked = select_rus(block, k_s, specs).selection_order
+    for row, spec in zip(picked, specs, strict=True):
+        assert np.array_equal(row, spec.generator().choice(k, size=k_s, replace=False))
+    return [c.args[0] for c in built.call_args_list]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**70) | st.sampled_from([2**32, 2**64 - 1, 2**64]),
+             min_size=1, max_size=3 * channel._RESTATED_MIN),
+    st.integers(1, 30) | st.sampled_from([10_000, 10_001, 20_000]),
+    st.data(),
+)
+def test_rus_picks_equal_generator_choice(master, indices, k, data):
+    k_s = data.draw(st.integers(1, min(k, 6)), label="k_s")
+    specs = [SeedSpec(master, i) for i in indices]
+    built = _assert_picks_equal_choice(specs, k, k_s)
+    # blocks below the restated threshold and K beyond Floyd's range build
+    # every generator; the rest only those whose Lemire draw rejects a word
+    if len(specs) < channel._RESTATED_MIN or k > 10_000:
+        assert built == specs
+    else:
+        assert built == [s for s in specs if _rejects(s, k, k_s)]
+
+
+def test_rus_rejected_lemire_draw_calls_choice():
+    # found by searching the indices of this master seed: the third Floyd
+    # draw, in [0, 8837], rejects the word of stream 70387
+    specs = [SeedSpec(20261018, i) for i in range(70385, 70390)]
+    assert [_rejects(s, 8839, 4) for s in specs] == [False, False, True, False, False]
+    assert _assert_picks_equal_choice(specs, 8839, 4) == [specs[2]]
+
+
+def test_rus_without_restated_seeding_calls_choice(monkeypatch):
+    specs = [SeedSpec(9, i) for i in range(2 * channel._RESTATED_MIN)]
+    monkeypatch.setattr(channel, "_RESTATED_SEEDING", False)
+    # words from the restatement would now be wrong; none may be used
+    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
+    assert _assert_picks_equal_choice(specs, 12, 3) == specs
 
 
 # ---------------------------------------------------------------------------
