@@ -208,7 +208,10 @@ def _quad_to_tail(integrand, upper: float, tail, what) -> float:
     # integrate over [0, upper], doubling upper until the bound tail(upper)
     # on the discarded mass is a negligible fraction of the running total
     while True:
-        value, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300)
+        value, _, _, *lost = quad(
+            integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300, full_output=1)
+        if lost:  # QUADPACK's message, returned in place of an IntegrationWarning
+            raise ArithmeticError(f"quadrature lost its tolerance for {what}")
         if tail(upper) <= _TAIL_FRACTION * value:
             return float(value)
         if upper > 1e6:

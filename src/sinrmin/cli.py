@@ -15,9 +15,8 @@ import csv
 import hashlib
 import os
 import sys
-import typing
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -30,6 +29,7 @@ from .experiment import (
     ValidationRow,
     _analytic_value,
     _bound_tags,
+    _parse_cell,
     run_sweep,
     validate_rows,
 )
@@ -42,6 +42,19 @@ _VALIDATION_COLUMNS = tuple(
 )
 
 FIGURE_IDS = (1, 2, 3, 4)
+
+# (flag, config field, help) of every flag that sets a field of ExperimentConfig
+CONFIG_FLAGS = (
+    ("--seed", "master_seed", "master seed (64-bit)"),
+    ("--trials", "trials", "Monte Carlo trials per point"),
+    ("--M", "M", "transmit antennas"),
+    ("--K", "K", "total users"),
+    ("--Ks", "K_s", "selected users"),
+    ("--gamma-db", "gamma_db", "common SINR target in dB"),
+    ("--sigma-sq", "sigma_sq", "noise variance"),
+    ("--algorithms", "algorithms", f"comma list from {','.join(ALGORITHM_TAGS)}"),
+    ("--power-method", "power_method", "exact, approx or both"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +88,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 def build_config(values: dict, simulatable: bool = True) -> ExperimentConfig:
     """Validated ExperimentConfig from parsed key/value pairs."""
-    values = dict(values)
-    values.setdefault("trials", 10_000)
-    values.setdefault("master_seed", 0)
-    for key in ("K_s", "gamma_db", "sigma_sq", "algorithms"):
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"missing required key {f.name!r}")
     cfg = ExperimentConfig(**values)
     cfg.validate(simulatable=simulatable)
     return cfg
@@ -93,26 +103,14 @@ def parse_config(path=None, overrides=None, simulatable: bool = True):
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         values = parse_config_text(p.read_text(), origin=str(p))
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
+    values.update(overrides or {})
     return build_config(values, simulatable=simulatable)
 
 
 def _flag_overrides(args) -> dict:
-    over = {
-        "M": args.M,
-        "K": args.K,
-        "K_s": args.Ks,
-        "gamma_db": args.gamma_db,
-        "sigma_sq": args.sigma_sq,
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "power_method": args.power_method,
-    }
-    if args.algorithms is not None:
-        over["algorithms"] = _convert("algorithms", args.algorithms, "on command line")
-    return over
+    """The config fields given as flags, each parsed like its config file key."""
+    given = ((field, getattr(args, field)) for _, field, _ in CONFIG_FLAGS)
+    return {key: _convert(key, raw, "on command line") for key, raw in given if raw is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +129,6 @@ def _cell(value) -> str:
 
 def _cells(row) -> list:
     return [_cell(getattr(row, f.name)) for f in fields(row)]
-
-
-def _parse_cell(kind, raw: str):
-    """Inverse of `_cell` for a field annotated `kind`; a tuple is a comma list."""
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        return tuple(args[0](part.strip()) for part in raw.split(",") if part.strip())
-    if type(None) in args:
-        if raw == "":
-            return None
-        (kind,) = (a for a in args if a is not type(None))
-    return kind(raw)
 
 
 def _write_atomically(path: Path, write) -> None:
@@ -371,21 +357,11 @@ def cmd_validate(args) -> int:
 
 def _add_common_flags(sub, with_workers: bool = True, out_default: "str | None" = ".") -> None:
     sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--seed", type=int, help="master seed (64-bit)")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+    for flag, field, text in CONFIG_FLAGS:
+        sub.add_argument(flag, dest=field, help=text)
     sub.add_argument("--out", help="output directory", default=out_default)
     sub.add_argument("--strict", action="store_true",
                      help="exit 4 when any validation row fails")
-    sub.add_argument("--M", type=int, help="transmit antennas")
-    sub.add_argument("--K", type=int, help="total users")
-    sub.add_argument("--Ks", type=int, help="selected users")
-    sub.add_argument("--gamma-db", dest="gamma_db", type=float,
-                     help="common SINR target in dB")
-    sub.add_argument("--sigma-sq", dest="sigma_sq", type=float,
-                     help="noise variance")
-    sub.add_argument("--algorithms", help=f"comma list from {','.join(ALGORITHM_TAGS)}")
-    sub.add_argument("--power-method", dest="power_method",
-                     choices=("exact", "approx", "both"))
     if with_workers:
         sub.add_argument("--workers", type=int, default=1,
                          help="parallel worker processes")

@@ -12,8 +12,10 @@ Analytic averages attach to the approx-method rows only: the closed
 forms describe the residual-norm power model, not the exact recursion.
 """
 
+import inspect
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
@@ -51,7 +53,28 @@ _POWER_METHODS = ("exact", "approx")
 # (16 * K * M bytes a trial), which bounds every block array and temporary
 # by a small multiple of it, whatever the trial count.
 _BLOCK_BYTES = 1 << 20
-_SAMPLE_BYTES = 1 << 28  # a point's per-trial totals, 8 bytes a trial and series
+_SAMPLE_BYTES = 1 << 28  # a point's per-trial totals; one trial's exhaustive approx DP
+
+
+def _parse_cell(kind, raw: str):
+    """A field annotated `kind` from its text in a config file or a table
+    cell; a tuple is a comma list, an empty optional is None."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return tuple(args[0](part.strip()) for part in raw.split(",") if part.strip())
+    if type(None) in args:
+        if raw == "":
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+    return kind(raw)
+
+
+def _has_type(value, kind) -> bool:
+    """Whether `value` has the annotated type `kind`: a bool is no int, an int is a float."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, tuple) and all(_has_type(v, item) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -67,8 +90,8 @@ class ExperimentConfig:
     gamma_db: float
     sigma_sq: float
     algorithms: tuple[str, ...]
-    trials: int
-    master_seed: int
+    trials: int = 10_000
+    master_seed: int = 0
     M: int | None = None
     K: int | None = None
     power_method: str = "approx"
@@ -93,7 +116,7 @@ class ExperimentConfig:
     def dims_at(self, sweep_value) -> tuple[int, int]:
         m = sweep_value if self.sweep_axis == "M" else self.M
         k = sweep_value if self.sweep_axis == "K" else self.K
-        return int(m), int(k)
+        return m, k
 
     def validate(self, simulatable: bool = True) -> None:
         """Raise ConfigError on anything that would fail mid-run.
@@ -102,6 +125,9 @@ class ExperimentConfig:
         sense, so K_s may exceed M (the result is then a divergence
         marker, not an error).
         """
+        for f in fields(self):
+            if not _has_type(value := getattr(self, f.name), f.type):
+                raise ConfigError(f"{f.name}={value!r} is not {inspect.formatannotation(f.type)}")
         if self.sweep_axis not in _SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {_SWEEP_AXES}")
         if self.sweep_axis == "none":
@@ -113,10 +139,10 @@ class ExperimentConfig:
             val = getattr(self, name)
             if self.sweep_axis == name:
                 continue
-            if val is None or int(val) < 1:
+            if val is None or val < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         for v in self.sweep_values:
-            if int(v) < 1:
+            if v < 1:
                 raise ConfigError(f"sweep value {v} must be a positive integer")
         if self.K_s < 1:
             raise ConfigError("K_s must be a positive integer")
@@ -163,6 +189,11 @@ class ExperimentConfig:
             if simulatable and 16 * k * m > _BLOCK_BYTES:
                 raise ConfigError(
                     f"a trial's channels take {16 * k * m} bytes, over {_BLOCK_BYTES}")
+            # the exhaustive approx DP gathers C(K, j) sets x K users x (M - j + 1) at level j
+            if simulatable and "EXHAUSTIVE" in self.algorithms and "approx" in self.methods():
+                dp = 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(self.K_s))
+                if dp > _SAMPLE_BYTES and math.perm(k, self.K_s) <= self.exhaustive_budget:
+                    raise ConfigError(f"the exhaustive DP takes {dp} bytes, over {_SAMPLE_BYTES}")
 
     def canonical(self) -> str:
         """Stable key=value rendering used for config hashing."""

@@ -8,7 +8,7 @@ import sys
 import tempfile
 import typing
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrmin.cli import (
+    CONFIG_FLAGS,
     build_config,
+    build_parser,
     config_hash,
     main,
     parse_config,
@@ -90,6 +92,25 @@ def test_build_config_requires_core_keys():
     with pytest.raises(ConfigError, match="gamma_db"):
         build_config({"M": 4, "K": 8, "K_s": 2, "sigma_sq": 0.1,
                       "algorithms": ("NUS",)})
+
+
+def test_flags_and_required_keys_come_from_the_config_fields():
+    names = [f.name for f in fields(ExperimentConfig)]
+    for flag, field, _ in CONFIG_FLAGS:
+        assert field in names, flag
+        args = build_parser().parse_args(["analytic", flag, "raw"])
+        assert getattr(args, field) == "raw", flag  # the raw text, parsed later
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    full = {"M": 4, "K": 8, "K_s": 2, "gamma_db": 10.0, "sigma_sq": 0.1,
+            "algorithms": ("NUS",)}
+    assert build_config(full) == ExperimentConfig(**full)  # the defaults are the fields'
+    for name in full:
+        try:
+            build_config({k: v for k, v in full.items() if k != name})
+            missing = False
+        except ConfigError as exc:
+            missing = str(exc) == f"missing required key {name!r}"
+        assert missing == (name in required), name
 
 
 def test_parse_config_flags_override_file(tmp_path):
@@ -199,6 +220,24 @@ def test_simulate_writes_stable_files(tmp_path, capsys):
     assert m1["config_hash"] == m2["config_hash"]
     assert m1["master_seed"] == "11"
     assert set(m1) == {"config_hash", "tool_version", "timestamp", "master_seed"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--M", "4.5"], "bad value '4.5' for key 'M' on command line"),
+    (["--Ks", "2.0"], "bad value '2.0' for key 'K_s' on command line"),
+    (["--power-method", "fast"], "power_method must be exact, approx, or both"),
+    (["--M="], "M must be a positive integer"),  # unset, as M= in a config file
+])
+def test_bad_flag_value_is_one_config_error_line(capsys, flags, message):
+    assert main(["analytic", *BASE_FLAGS, *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"  # no usage text
+
+
+def test_quadrature_that_loses_its_tolerance_exits_3(capsys):
+    argv = ["analytic", *BASE_FLAGS, "--K", str(10**12), "--algorithms", "NUS"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: quadrature lost its tolerance for alpha(4, 999999999999)\n")
 
 
 def test_simulate_rejects_bad_trials(tmp_path, capsys):
@@ -525,8 +564,9 @@ def _invocations(draw):
     if draw(st.booleans()):
         argv.append("--strict")  # a failed validation row exits 4
     lines = []
+    keys = {flag[2:]: field for flag, field, _ in CONFIG_FLAGS}
     for name in _GRAMMAR:
-        key = {"Ks": "K_s", "seed": "master_seed"}.get(name, name.replace("-", "_"))
+        key = keys.get(name, name.replace("-", "_"))
         if name not in ("rel-tol", "z", "workers") and not _rarely(draw):
             lines.append(f"{key}={_value(draw, name)}")
     for line in ("unknown_key=1", "no equals sign", "M=4", "K=4"):  # M, K repeat

@@ -2,11 +2,13 @@
 
 import math
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from sinrmin.analytic import alpha, avg_power_rus
+from sinrmin.cli import parse_config
 from sinrmin.errors import ConfigError, InfeasibleGeometryError
 from sinrmin.experiment import (
     ExperimentConfig,
@@ -71,8 +73,10 @@ def test_validate_rejects_bad_configs():
     with pytest.raises(ConfigError):
         _cfg(master_seed=2**64).validate()
     for sigma_sq in (0.0, math.inf, math.nan):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sigma_sq must be positive and finite"):
             _cfg(sigma_sq=sigma_sq).validate()
+    with pytest.raises(ConfigError, match="gamma_db must be finite"):
+        _cfg(gamma_db=math.nan).validate()
     with pytest.raises(ConfigError):
         _cfg(exhaustive_budget=0).validate()
 
@@ -92,6 +96,41 @@ def test_validate_checks_every_sweep_point():
     cfg = _cfg(M=None, sweep_axis="M", sweep_values=(8, 3), K_s=4)
     with pytest.raises(ConfigError):
         cfg.validate()  # K_s=4 > M=3 at the second point
+
+
+@pytest.mark.parametrize("overrides, field", [
+    (dict(M=4.7), "M"),
+    (dict(K=None, sweep_axis="K", sweep_values=(4.5, 6)), "sweep_values"),
+    (dict(trials=10.5), "trials"),
+    (dict(K_s=1.5), "K_s"),
+    (dict(trials=True), "trials"),  # a bool is not an int
+    (dict(gamma_db="10"), "gamma_db"),
+    (dict(algorithms=["RUS"]), "algorithms"),
+    (dict(power_method=None), "power_method"),
+])
+def test_field_types_are_checked_before_sampling(monkeypatch, overrides, field):
+    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    with pytest.raises(ConfigError, match=f"^{field}="):
+        run_sweep(_cfg(**overrides))
+
+
+def test_float_fields_accept_ints():
+    _cfg(gamma_db=10, sigma_sq=1).validate()
+
+
+def test_exhaustive_dp_memory_is_bounded_before_any_work():
+    # 999,000 orderings are within the budget, and one trial's channels take
+    # 1,040,000 bytes, but the DP's largest level would take 1.04 GB
+    big = dict(M=65, K=1000, K_s=2, trials=1, algorithms=("EXHAUSTIVE",))
+    for method in ("approx", "both"):
+        with pytest.raises(ConfigError, match="1040000000 bytes"):
+            _cfg(**big, power_method=method).validate()
+    _cfg(**big, power_method="exact").validate()
+    _cfg(**big, exhaustive_budget=998_999).validate()  # skipped, never run
+    _cfg(**big).validate(simulatable=False)
+    ref = resources.files("sinrmin").joinpath("configs/fig4.cfg")
+    with resources.as_file(ref) as path:
+        assert "EXHAUSTIVE" in parse_config(path).algorithms  # largest level 729,600 bytes
 
 
 def test_canonical_is_stable_and_complete():
