@@ -359,6 +359,27 @@ def _angle_mean_inverse(M: int, d: int) -> float:
     return mean_inverse(DistributionSpec.sin_sq_angle(M, d))
 
 
+def _sum_terms(name: str, K_s: int, term) -> float:
+    # term(i) summed over the positions i = 1..K_s, naming a term that diverges
+    total = 0.0
+    for idx in range(1, K_s + 1):
+        try:
+            total += term(idx)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{name} term i={idx} diverges: {exc}") from None
+    return total
+
+
+def _two_user_power(M: int, K: int, gamma: float, sigma_sq: float, first) -> float:
+    # gamma sigma^2 (E[1/first] + alpha(M, K) E[1/max sin^2]) for the law first(M, K)
+    _check_targets(gamma, sigma_sq)
+    if M < 3 or K < 2 or (M - 1) * (K - 1) <= 1:
+        raise ConfigError(f"need M >= 3, K >= 2 and (M-1)(K-1) > 1, got M={M}, K={K}")
+    first_term = mean_inverse(first(M, K))
+    best_angle = mean_inverse(DistributionSpec.sin_sq_angle_max(M, K - 1))
+    return gamma * sigma_sq * (first_term + alpha(M, K) * best_angle)
+
+
 def avg_power_nus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> float:
     """Average total power under norm-based selection of K_s out of K users.
 
@@ -372,16 +393,8 @@ def avg_power_nus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     _check_targets(gamma, sigma_sq)
     if not 1 <= K_s <= K:
         raise ConfigError(f"need 1 <= Ks <= K, got Ks={K_s}, K={K}")
-    total = 0.0
-    for idx in range(1, K_s + 1):
-        rank = K_s + 1 - idx
-        try:
-            norm_term = mean_inverse(DistributionSpec.norm_order_stat(M, rank, K))
-            angle_term = _angle_mean_inverse(M, idx - 1)
-        except DivergenceError as exc:
-            raise DivergenceError(f"NUS term i={idx} diverges: {exc}") from None
-        total += norm_term * angle_term
-    return gamma * sigma_sq * total
+    return gamma * sigma_sq * _sum_terms("NUS", K_s, lambda i: mean_inverse(
+        DistributionSpec.norm_order_stat(M, K_s + 1 - i, K)) * _angle_mean_inverse(M, i - 1))
 
 
 def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> float:
@@ -397,15 +410,8 @@ def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     _check_targets(gamma, sigma_sq)
     if not 1 <= K_s <= min(M, K):
         raise ConfigError(f"need 1 <= Ks <= min(M, K), got Ks={K_s}, M={M}, K={K}")
-    total = 0.0
-    for idx in range(1, K_s + 1):
-        try:
-            total += mean_inverse(
-                DistributionSpec.norm_order_stat(M + 1 - idx, idx, K)
-            )
-        except DivergenceError as exc:
-            raise DivergenceError(f"SUS term i={idx} diverges: {exc}") from None
-    return gamma * sigma_sq * total
+    return gamma * sigma_sq * _sum_terms("SUS", K_s, lambda i: mean_inverse(
+        DistributionSpec.norm_order_stat(M + 1 - i, i, K)))
 
 
 def avg_power_rus(M: int, K_s: int, gamma: float, sigma_sq: float) -> float:
@@ -419,13 +425,8 @@ def avg_power_rus(M: int, K_s: int, gamma: float, sigma_sq: float) -> float:
     if K_s < 1:
         raise ConfigError(f"need Ks >= 1, got Ks={K_s}")
     norm_term = mean_inverse(DistributionSpec.norm_chisq(M))  # needs M >= 2
-    total = 0.0
-    for idx in range(1, K_s + 1):
-        try:
-            total += norm_term * _angle_mean_inverse(M, idx - 1)
-        except DivergenceError as exc:
-            raise DivergenceError(f"RUS term i={idx} diverges: {exc}") from None
-    return gamma * sigma_sq * total
+    return gamma * sigma_sq * _sum_terms(
+        "RUS", K_s, lambda i: norm_term * _angle_mean_inverse(M, i - 1))
 
 
 def avg_power_aus_two(M: int, K: int, gamma: float, sigma_sq: float) -> float:
@@ -436,14 +437,7 @@ def avg_power_aus_two(M: int, K: int, gamma: float, sigma_sq: float) -> float:
     draws while its norm is a uniformly chosen non-maximal one.  Encoding
     puts the weaker user first.
     """
-    _check_targets(gamma, sigma_sq)
-    if M < 3 or K < 2 or (M - 1) * (K - 1) <= 1:
-        raise ConfigError(
-            f"need M >= 3, K >= 2 and (M-1)(K-1) > 1, got M={M}, K={K}"
-        )
-    weak_norm = mean_inverse(DistributionSpec.norm_not_largest(M, K))
-    best_angle = mean_inverse(DistributionSpec.sin_sq_angle_max(M, K - 1))
-    return gamma * sigma_sq * (weak_norm + alpha(M, K) * best_angle)
+    return _two_user_power(M, K, gamma, sigma_sq, DistributionSpec.norm_not_largest)
 
 
 def avg_power_lower_bound_two(M: int, K: int, gamma: float, sigma_sq: float) -> float:
@@ -453,11 +447,5 @@ def avg_power_lower_bound_two(M: int, K: int, gamma: float, sigma_sq: float) -> 
     second-largest norm at the interference-free position and the largest
     norm paired with the best possible angle among its K - 1 partners.
     """
-    _check_targets(gamma, sigma_sq)
-    if M < 3 or K < 2 or (M - 1) * (K - 1) <= 1:
-        raise ConfigError(
-            f"need M >= 3, K >= 2 and (M-1)(K-1) > 1, got M={M}, K={K}"
-        )
-    second = mean_inverse(DistributionSpec.norm_order_stat(M, 2, K))
-    best_angle = mean_inverse(DistributionSpec.sin_sq_angle_max(M, K - 1))
-    return gamma * sigma_sq * (second + alpha(M, K) * best_angle)
+    return _two_user_power(
+        M, K, gamma, sigma_sq, lambda M, K: DistributionSpec.norm_order_stat(M, 2, K))

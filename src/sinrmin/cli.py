@@ -298,8 +298,6 @@ def cmd_analytic(args) -> int:
 
 
 def _simulate_config(cfg: ExperimentConfig, args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = _prepare_out(args)
     rows = run_sweep(cfg, workers=args.workers)
     report = validate_rows(rows)
@@ -355,20 +353,6 @@ def cmd_validate(args) -> int:
 # argument parsing
 
 
-def _add_common_flags(sub, with_workers: bool = True, out_default: "str | None" = ".") -> None:
-    sub.add_argument("--config", help="key=value config file")
-    for flag, field, text in CONFIG_FLAGS:
-        sub.add_argument(flag, dest=field, help=text)
-    sub.add_argument("--out", help="output directory", default=out_default)
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 4 when any validation row fails")
-    if with_workers:
-        sub.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes")
-        sub.add_argument("--emit-plot-script", action="store_true",
-                         help="also write plot_results.py next to results.csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinrmin",
@@ -377,18 +361,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("analytic", help="closed-form average powers")
+    # each subcommand takes exactly the flags its handler reads
+    keys = argparse.ArgumentParser(add_help=False)
+    for flag, field, text in CONFIG_FLAGS:
+        keys.add_argument(flag, dest=field, help=text)
+    run = argparse.ArgumentParser(add_help=False, parents=[keys])
+    run.add_argument("--out", default=".", help="output directory")
+    run.add_argument("--strict", action="store_true",
+                     help="exit 4 when any validation row fails")
+    run.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    run.add_argument("--emit-plot-script", action="store_true",
+                     help="also write plot_results.py next to results.csv")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value config file")
+
+    sub = subs.add_parser("analytic", parents=[config, keys],
+                          help="closed-form average powers")
     # stdout-first: analytic.csv is only written when --out is given
-    _add_common_flags(sub, with_workers=False, out_default=None)
+    sub.add_argument("--out", help="output directory")
     sub.set_defaults(fn=cmd_analytic)
 
-    sub = subs.add_parser("simulate", help="seeded Monte Carlo sweep")
-    _add_common_flags(sub)
+    sub = subs.add_parser("simulate", parents=[config, run], help="seeded Monte Carlo sweep")
     sub.set_defaults(fn=cmd_simulate)
 
-    sub = subs.add_parser("figure", help="run a pre-registered figure config")
+    sub = subs.add_parser("figure", parents=[run], help="run a pre-registered figure config")
     sub.add_argument("figure_id", type=int, choices=FIGURE_IDS)
-    _add_common_flags(sub)
     sub.set_defaults(fn=cmd_figure)
 
     sub = subs.add_parser("validate", help="re-check a results file")

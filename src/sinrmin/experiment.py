@@ -196,13 +196,14 @@ class ExperimentConfig:
                     raise ConfigError(f"the exhaustive DP takes {dp} bytes, over {_SAMPLE_BYTES}")
 
     def canonical(self) -> str:
-        """Stable key=value rendering used for config hashing."""
+        """Stable key=value rendering used for config hashing; it loads back
+        as a config file, an unset field as an empty value."""
         lines = []
         for f in fields(self):
             val = getattr(self, f.name)
             if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)
-            lines.append(f"{f.name}={val}")
+            lines.append(f"{f.name}={'' if val is None else val}")
         return "\n".join(lines) + "\n"
 
 
@@ -302,7 +303,9 @@ def _run_chunk(payload):
 
 def _workers(workers: int) -> int:
     # results do not depend on the blocks, so never fork more than the CPUs
-    return min(max(1, workers), os.cpu_count() or 1)
+    if not _has_type(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _open_pool(config: ExperimentConfig, workers: int):
@@ -364,11 +367,13 @@ def _bound_tags(k_s: int) -> tuple[str, ...]:
 
 
 def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _pool=None):
-    """All result rows for one sweep point.
+    """All result rows for one sweep point; config and workers are checked first.
 
     `_pool` is `run_sweep`'s process pool, shared by all its points; left
     out, the point opens its own when it needs one.
     """
+    config.validate(simulatable=True)
+    workers = _workers(workers)
     m, k = config.dims_at(sweep_value)
     gamma = config.gamma_linear
     rows = []
@@ -450,8 +455,11 @@ def validate_rows(rows, rel_tol: float = 0.02, z: float = 3.0):
 
     SUS closed forms are upper bounds, so those rows get a one-sided
     check; everything else must agree within max(rel_tol * analytic,
-    z * stderr).
+    z * stderr); both must be finite and non-negative.
     """
+    for name, value in (("rel_tol", rel_tol), ("z", z)):
+        if not _has_type(value, float) or not 0.0 <= value < math.inf:
+            raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
     report = []
     for row in rows:
         if row.mc_mean is None or row.analytic_value is None:

@@ -133,6 +133,38 @@ def test_sample_channel_set_moments():
     assert abs((cs.users.real**2).sum(axis=1).mean() - 2.0) < 0.05
 
 
+def test_zero_row_is_redrawn_from_its_trial_stream(monkeypatch):
+    specs = [SeedSpec(8, i) for i in range(2 * channel._RESTATED_MIN)]
+    M, K, t, row = 3, 4, 5, 2
+    reference = sample_channel_set(M, K, specs).users
+    streams = channel._streams
+
+    class ZeroRow:  # trial t's block draw comes out with one all-zero row
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, out):
+            self.rng.standard_normal(*args, out=out)
+            out[row] = 0.0
+
+    def patched(seeds):
+        block = len(seeds) == len(specs)  # the block draw, not the redraw
+        for spec, rng in zip(seeds, streams(seeds)):
+            yield ZeroRow(rng) if block and spec == specs[t] else rng
+
+    monkeypatch.setattr(channel, "_streams", patched)
+    users = sample_channel_set(M, K, specs).users
+    others = np.arange(len(specs)) != t
+    assert np.array_equal(users[others], reference[others])
+    rng = specs[t].generator()
+    rng.standard_normal((K, M, 2))  # the draw users[t] came from
+    z = rng.standard_normal((1, M, 2))
+    assert np.array_equal(users[t, row], ((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))[0])
+    assert squared_norm(users[t, row]) > 0.0
+    kept = np.arange(K) != row
+    assert np.array_equal(users[t, kept], reference[t, kept])
+
+
 def test_sample_channel_set_edge_dims():
     cs = sample_channel_set(1, 1, SeedSpec(5, 0))
     assert cs.users.shape == (1, 1)

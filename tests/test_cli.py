@@ -9,6 +9,7 @@ import tempfile
 import typing
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,18 @@ def test_config_hash_stable_and_sensitive():
     c = config_hash(build_config({**values, "trials": 11}))
     assert a == b != c
     assert len(a) == 64
+
+
+def test_canonical_text_loads_back():
+    configs = [build_config({
+        "M": 4, "K": 8, "K_s": 2, "gamma_db": 10.0, "sigma_sq": 0.1, "algorithms": ("NUS",),
+    })]
+    for n in (1, 2, 3, 4):  # each sweeps M or K and leaves that field unset
+        ref = resources.files("sinrmin").joinpath(f"configs/fig{n}.cfg")
+        with resources.as_file(ref) as path:
+            configs.append(parse_config(path))
+    for cfg in configs:
+        assert build_config(parse_config_text(cfg.canonical())) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +449,22 @@ def test_validate_strict_fails_on_bad_rows(tmp_path, capsys):
     assert (tmp_path / "validation.csv").read_text().count("fail") == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--rel-tol", "-0.1"), ("--z", "inf"), ("--z", "nan"),
+])
+def test_validate_rejects_bad_tolerances(tmp_path, capsys, flag, value):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "sweep_axis,sweep_value,algorithm,power_method,trials,seed,mc_mean,"
+        "mc_stderr,analytic_value,infeasible_count,note\n"
+        "none,,NUS,approx,1000,1,0.38,0.002,0.383311,0,\n"
+    )
+    rc = main(["validate", str(results), "--out", str(tmp_path), flag, value])
+    assert rc == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"config error: {name} must be finite")
+
+
 def test_validate_rejects_foreign_csv(tmp_path, capsys):
     alien = tmp_path / "other.csv"
     alien.write_text("a,b\n1,2\n")
@@ -479,6 +508,20 @@ def test_figure_rejects_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["figure", "7", "--out", "/tmp/zz"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure", "2", "--config", "my.cfg"], "--config"),  # the packaged config is the run
+    (["analytic", *BASE_FLAGS, "--strict"], "--strict"),  # nothing to validate
+])
+def test_subcommands_take_only_the_flags_they_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert flag not in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path):
@@ -550,8 +593,9 @@ def _invocations(draw):
         names, config = ["rel-tol", "z"], "none"
     else:
         argv = [command]
-        if command == "figure":
+        if command == "figure":  # it runs its packaged config, and takes no --config
             argv.append(_pick(draw, ("1", "2", "3", "4"), ("5", "x")))
+            config = "none"
         names = [n for n in _GRAMMAR if n not in _CONFIG_ONLY + ("rel-tol", "z")]
         if command == "analytic":
             names.remove("workers")
@@ -561,7 +605,7 @@ def _invocations(draw):
         passed = not _rarely(draw) and (config != "file" or draw(st.booleans()))
         if passed or name == "trials":
             argv.append(f"--{name}={_value(draw, name)}")  # "=": a value may start with -
-    if draw(st.booleans()):
+    if command != "analytic" and draw(st.booleans()):
         argv.append("--strict")  # a failed validation row exits 4
     lines = []
     keys = {flag[2:]: field for flag, field, _ in CONFIG_FLAGS}

@@ -114,6 +114,24 @@ def test_field_types_are_checked_before_sampling(monkeypatch, overrides, field):
         run_sweep(_cfg(**overrides))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(algorithms=("NUS", "FOO")), "unknown algorithm 'FOO'"),
+    (dict(trials=10.5), "^trials="),
+])
+def test_run_point_validates_before_any_work(monkeypatch, overrides, message):
+    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    with pytest.raises(ConfigError, match=message):
+        run_point(_cfg(**overrides))
+
+
+@pytest.mark.parametrize("run", [run_sweep, run_point])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+def test_bad_worker_counts_are_config_errors(monkeypatch, run, workers):
+    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    with pytest.raises(ConfigError, match=f"^workers must be an int >= 1, got {workers!r}$"):
+        run(_cfg(), workers=workers)
+
+
 def test_float_fields_accept_ints():
     _cfg(gamma_db=10, sigma_sq=1).validate()
 
@@ -456,6 +474,14 @@ def test_validate_rows_checks_and_sides():
     assert rus.check == "two_sided" and rus.passed
     assert sus_ok.check == "one_sided_upper" and sus_ok.passed
     assert not sus_bad.passed
+
+
+@pytest.mark.parametrize("tolerance", [dict(rel_tol=math.nan), dict(rel_tol=math.inf),
+                                       dict(rel_tol=-0.1), dict(z=math.inf), dict(z=-1.0)])
+def test_validate_rows_rejects_bad_tolerances(tolerance):
+    (name, value), = tolerance.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be finite and non-negative"):
+        validate_rows([], **tolerance)
 
 
 def test_validate_rows_two_sided_failure():
