@@ -50,8 +50,9 @@ _SWEEP_AXES = ("none", "M", "K")
 _POWER_METHODS = ("exact", "approx")
 
 # Trials run in blocks of at most this many bytes of complex channel data
-# (16 * K * M bytes a trial), which bounds every block array and temporary
-# by a small multiple of it, whatever the trial count.
+# (16 * K * M bytes a trial; 16 * M * max(K, M) when exact pricing holds an
+# M x M Z^-1 a trial), which bounds every block array and temporary by a
+# small multiple of it, whatever the trial count.
 _BLOCK_BYTES = 1 << 20
 _SAMPLE_BYTES = 1 << 28  # a point's per-trial totals; one trial's exhaustive approx DP
 
@@ -189,6 +190,9 @@ class ExperimentConfig:
             if simulatable and 16 * k * m > _BLOCK_BYTES:
                 raise ConfigError(
                     f"a trial's channels take {16 * k * m} bytes, over {_BLOCK_BYTES}")
+            if simulatable and "exact" in self.methods() and 16 * m * m > _BLOCK_BYTES:
+                raise ConfigError(
+                    f"a trial's exact Z^-1 takes {16 * m * m} bytes, over {_BLOCK_BYTES}")
             # the exhaustive approx DP gathers C(K, j) sets x K users x (M - j + 1) at level j
             if simulatable and "EXHAUSTIVE" in self.algorithms and "approx" in self.methods():
                 dp = 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(self.K_s))
@@ -329,7 +333,7 @@ def _point_samples(config: ExperimentConfig, sweep_value, workers: int, pool=Non
     """
     m, k = config.dims_at(sweep_value)
     w = _workers(workers)
-    cap = max(1, _BLOCK_BYTES // (16 * k * m))
+    cap = max(1, _BLOCK_BYTES // (16 * m * (max(k, m) if "exact" in config.methods() else k)))
     trials = config.trials
     n = min(trials, w * -(-trials // (w * cap)))
     args = [(config, sweep_value, range(trials * i // n, trials * (i + 1) // n))
@@ -367,12 +371,14 @@ def _bound_tags(k_s: int) -> tuple[str, ...]:
 
 
 def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _pool=None):
-    """All result rows for one sweep point; config and workers are checked first.
+    """All result rows for one sweep point; config, point and workers are checked first.
 
     `_pool` is `run_sweep`'s process pool, shared by all its points; left
     out, the point opens its own when it needs one.
     """
     config.validate(simulatable=True)
+    if sweep_value not in config.points():
+        raise ConfigError(f"sweep value {sweep_value!r} is not a point of {config.points()}")
     workers = _workers(workers)
     m, k = config.dims_at(sweep_value)
     gamma = config.gamma_linear

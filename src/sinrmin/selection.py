@@ -30,6 +30,7 @@ from .power import (  # noqa: F401
 )
 
 ALGORITHM_TAGS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE")
+_CHUNK_BYTES = 1 << 24  # Z^-1 bytes of one step of the exact search: 16 K M^2 a prefix
 
 
 @dataclass(frozen=True)
@@ -194,71 +195,60 @@ def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     return _result("RUS", channels, picked, picked)
 
 
-def _completion_bounds(gains: np.ndarray, gamma_j, tail_gam: np.ndarray) -> np.ndarray:
-    """Unit-noise lower bound on every completion of each child prefix.
-
-    Child u pays gamma_j / gains[u] at this position. Every later user pays
-    at least its target over its gain against the parent's Z, since Z only
-    grows. Pairing the later targets (descending) with the largest gains of
-    the other users (descending) gives the smallest such sum (rearrangement
-    inequality), so per-position targets keep the bound valid.
-    """
-    r = tail_gam.size
-    order = np.argsort(-gains, kind="stable")
-    rank = order.argsort()
-    g = gains[order]
-    # u ranked q < r leaves the top r gains without g[q]: slots from q on shift up
-    keep = np.concatenate(([0.0], np.cumsum(tail_gam / g[:r])))
-    shift = np.concatenate(([0.0], np.cumsum(tail_gam / g[1 : r + 1])))
-    q = np.minimum(rank, r)
-    return gamma_j / gains + keep[q] + shift[r] - shift[q]
-
-
 def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
-    """Depth-first branch and bound over encoding prefixes; None when none is feasible.
+    """Branch and bound over encoding prefixes, a level at a time; None when none is feasible.
 
-    A prefix's exact powers depend only on the prefix. Children go best
-    bound first, and the first one bounded above the incumbent ends the
-    node. Leaf totals take the steps of `exact_min_power`, and equal
-    totals keep the lexicographically smaller order, as a strict scan
-    over every ordering would, whatever the visit order.
+    One step prices a chunk of prefixes against every user. A child's
+    bound adds the later targets over its parent's largest free gain, as
+    Z only grows. A dive down the first lowest bounds gives an incumbent,
+    then chunks go depth first in lexicographic order. Leaf totals take
+    the steps of `exact_min_power`; only a strictly cheaper chunk replaces
+    the best, so ties keep the lexicographically smallest order.
     """
-    h = np.ascontiguousarray(h)  # rows laid out as exact_min_power gets them
     # a zero-norm user makes exact_min_power raise for every ordering it is in
-    live = np.flatnonzero(_squared_norms(h) > 0.0).tolist()
-    if len(live) < k_s:
+    live = np.flatnonzero(_squared_norms(h) > 0.0)
+    if live.size < k_s:
         return None
+    h = np.ascontiguousarray(h[live])  # rows laid out as exact_min_power gets them
+    k, m = h.shape
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
-    tails = [np.sort(gam[j + 1 :])[::-1] for j in range(k_s)]
-    best, best_order = math.inf, None
+    rows = max(1, _CHUNK_BYTES // (16 * k * m * m))  # prefixes one step takes
 
-    def descend(prefix, zinv, p_unit):
-        nonlocal best, best_order
-        j = len(prefix)
-        rest = [u for u in live if u not in prefix]
-        hr = h[rest]
-        gains = np.einsum("ij,ij->i", hr.conj(), hr @ zinv.T).real
-        if np.all((gains > 0.0) & (gains < math.inf)):
-            bounds = s2 * (sum(p_unit) + _completion_bounds(gains, gam[j], tails[j]))
-        else:  # a gain rounded to zero or below bounds nothing
-            bounds = np.full(len(rest), -math.inf)
-        for i in np.argsort(bounds, kind="stable"):
-            # the margin keeps rounding in the batched gains from pruning the winner
-            if bounds[i] > best * (1.0 + 1e-9):
-                break  # the later children are bounded higher still
-            u = rest[i]
-            _, _, p, zinv_u = _uplink_step(zinv, h[u], gam[j])
-            order = prefix + (u,)
-            if j + 1 < k_s:
-                descend(order, zinv_u, p_unit + [p])
-                continue
-            total = float((s2 * np.array(p_unit + [p])).sum())
-            tie = total == best and best_order is not None and order < best_order
-            if total < best or tie:
-                best, best_order = total, order
+    def expand(order, zinv, p, limit):
+        """Children of (N, j) prefixes bounded at or below `limit`, in (parent, user) order."""
+        j = order.shape[1]
+        with np.errstate(all="ignore"):  # prefix users are stepped too; their rows drop out
+            _, d, p_u, zinv_u = _uplink_step(zinv[:, None], h, gam[j])
+            free = (order[:, :, None] != np.arange(k)).all(axis=1)  # users not in the prefix
+            reach = np.where(free, d, 0.0).max(axis=1, keepdims=True)
+            bound = s2 * (p.sum(axis=1, keepdims=True) + p_u + gam[j + 1 :].sum() / reach)
+            # a free gain rounded to zero or below bounds none of its parent's children
+            bound[~(~free | ((d > 0.0) & (d < math.inf))).all(axis=1)] = -math.inf
+            parent, user = np.nonzero(free & ~(bound > limit))
+        return (np.column_stack([order[parent], user]), zinv_u[parent, user],
+                np.column_stack([p[parent], p_u[parent, user]]), bound[parent, user])
 
-    descend((), np.eye(h.shape[1], dtype=np.complex128), [])
-    return best_order
+    root = (np.zeros((1, 0), np.intp), np.eye(m, dtype=np.complex128)[None], np.zeros((1, 0)))
+    kids = expand(*root, math.inf)
+    for _ in range(k_s - 1):  # the dive: each level's first lowest bound
+        i = np.argmin(kids[3])
+        kids = expand(*(a[i : i + 1] for a in kids[:3]), math.inf)
+    dive = (s2 * kids[2][np.argmin(kids[3])]).sum()
+    best, best_order, stack = math.inf, None, [root]
+    while stack:
+        order, zinv, p = stack.pop()
+        if len(order) > rows:  # the rest waits until this chunk's subtree is done
+            stack.append((order[rows:], zinv[rows:], p[rows:]))
+        limit = float(np.fmin(dive, best)) * (1.0 + 1e-9)  # a margin for rounding; fmin skips NaN
+        order, zinv, p, _ = expand(order[:rows], zinv[:rows], p[:rows], limit)
+        if len(order) and order.shape[1] < k_s:
+            stack.append((order, zinv, p))
+        elif len(order):
+            total = (s2 * p).sum(axis=1)
+            i = np.argmin(np.where(np.isnan(total), math.inf, total))  # the first of tied totals
+            if total[i] < best:
+                best, best_order = float(total[i]), order[i]
+    return None if best_order is None else tuple(live[best_order].tolist())
 
 
 @lru_cache(maxsize=16)
@@ -360,10 +350,10 @@ def select_exhaustive(
     (1,351 at K=20, K_s=4), each by one Householder reflection of its
     parent's complement coordinates. Exact powers depend on the
     predecessors' order, so the exact route is a branch and bound over
-    encoding prefixes that takes each prefix's children best bound
-    first. Its worst case is still every ordering, so for both routes
-    `budget` bounds the ordering count C(K, K_s) * K_s!, checked before
-    any work happens.
+    encoding prefixes, a level at a time, that prices a chunk of prefixes
+    against every user in one step. Its worst case is still every
+    ordering, so for both routes `budget` bounds the ordering count
+    C(K, K_s) * K_s!, checked before any work happens.
     """
     _check_k_s(channels, k_s)
     if power_fn not in ("exact", "approx"):

@@ -124,6 +124,51 @@ def test_run_point_validates_before_any_work(monkeypatch, overrides, message):
         run_point(_cfg(**overrides))
 
 
+@pytest.mark.parametrize("overrides, sweep_value", [
+    (dict(K=None, sweep_axis="K", sweep_values=(4, 6)), None),
+    (dict(K=None, sweep_axis="K", sweep_values=(4, 6)), 9),
+    (dict(), 4),  # a config with no sweep has the one point None
+])
+def test_run_point_checks_its_sweep_value(monkeypatch, overrides, sweep_value):
+    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    with pytest.raises(ConfigError, match=f"^sweep value {sweep_value!r} is not a point"):
+        run_point(_cfg(**overrides), sweep_value)
+
+
+def test_validate_bounds_the_exact_z_inverse():
+    # one trial's channels fit in the block bytes, but its M x M Z^-1 would take 4 GiB
+    big = dict(K_s=2, algorithms=("NUS",), M=16384, K=4)
+    for method in ("exact", "both"):
+        with pytest.raises(ConfigError, match=f"Z\\^-1 takes {16 * 16384**2} bytes"):
+            _cfg(power_method=method, **big).validate()
+    _cfg(power_method="approx", **big).validate()
+    _cfg(power_method="exact", M=256, K=4).validate()  # exactly the block bytes
+    with pytest.raises(ConfigError, match="Z\\^-1 takes"):
+        _cfg(power_method="exact", M=None, K=4, sweep_axis="M", sweep_values=(4, 257)).validate()
+
+
+def test_exact_blocks_hold_each_trials_z_inverse(monkeypatch):
+    import sinrmin.experiment as exp
+
+    sizes = []
+    run_chunk = exp._run_chunk
+
+    def recording(payload):
+        sizes.append(len(payload[2]))
+        return run_chunk(payload)
+
+    monkeypatch.setattr(exp, "_run_chunk", recording)
+    cfg = _cfg(M=8, K=3, trials=10, power_method="both", algorithms=("NUS", "EXHAUSTIVE"))
+    reference = _point_samples(cfg, None, workers=1)
+    sizes.clear()
+    # 3 trials of Z^-1, which is room for 8 trials of channels
+    monkeypatch.setattr(exp, "_BLOCK_BYTES", 3 * 16 * 8 * 8)
+    samples = _point_samples(cfg, None, workers=1)
+    assert max(sizes) == 3
+    for key, arr in reference.items():
+        assert arr.tobytes() == samples[key].tobytes(), key
+
+
 @pytest.mark.parametrize("run", [run_sweep, run_point])
 @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
 def test_bad_worker_counts_are_config_errors(monkeypatch, run, workers):

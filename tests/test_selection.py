@@ -427,8 +427,9 @@ def test_exhaustive_branch_and_bound_equals_brute_force(instance):
     best, want = _brute_force_exact(c.users, k_s, targets)
     got = select_exhaustive(c, k_s, targets, "exact").encoding_order
     if near_dependent:
-        # the batched bounds round differently from the leaf recursion,
-        # so orderings within 1e-5 of the minimum are ties
+        # the search's batched steps round the gains of near-dependent users
+        # differently from the per-ordering solver, so orderings within 1e-5
+        # of the minimum are ties
         got_total = exact_min_power(c.users[list(got)], targets).total_power
         assert got_total <= best * (1 + 1e-5)
     else:
@@ -446,32 +447,47 @@ def test_exhaustive_exact_skips_zero_norm_users():
 
 def test_exhaustive_exact_tie_keeps_first_order(monkeypatch):
     # every ordering of orthonormal users costs the same
-    c = _cs(np.eye(4)[:3])
-    assert select_exhaustive(c, 3, T10, "exact").encoding_order == (0, 1, 2)
-    # bounds falling with the index still prune nothing, but the search now
-    # reaches the tied leaf (2, 1, 0) first; it gives way to the first ordering
-    monkeypatch.setattr(
-        selection, "_completion_bounds",
-        lambda gains, g, tails: -np.arange(len(gains), dtype=float),
-    )
-    assert select_exhaustive(c, 3, T10, "exact").encoding_order == (0, 1, 2)
+    eye = _cs(np.eye(4)[:3])
+    # a copy of a user in the best order ties every ordering it is in
+    h = sample_channel_set(4, 6, SeedSpec(16, 2)).users.copy()
+    best = _brute_force_exact(h, 3, T10)[1]
+    h[5] = h[min(best)]
+    assert 5 not in best and _brute_force_exact(h, 3, T10)[1] == best
+    # with one prefix a chunk, tied leaves are priced in different chunks
+    for chunk in (selection._CHUNK_BYTES, 1):
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", chunk)
+        assert select_exhaustive(eye, 3, T10, "exact").encoding_order == (0, 1, 2)
+        assert select_exhaustive(ChannelSet(h), 3, T10, "exact").encoding_order == best
+
+
+def test_exhaustive_exact_orders_do_not_depend_on_chunks(monkeypatch):
+    h = sample_channel_set(4, 7, [SeedSpec(20, t) for t in range(30)]).users.copy()
+    h[::3, 5] = h[::3, 0]  # copies of users tie orderings
+    h[1::3, 6] = h[1::3, 2]
+    for targets in (T10, SinrTargets(np.array([3.0, 0.5, 8.0]), 0.1)):
+        orders = select_exhaustive(ChannelSet(h), 3, targets, "exact").encoding_order
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", 1)
+        chunked = select_exhaustive(ChannelSet(h), 3, targets, "exact").encoding_order
+        monkeypatch.undo()
+        assert np.array_equal(chunked, orders)
 
 
 def test_exhaustive_exact_does_not_enumerate(monkeypatch):
-    calls = []
+    rows = []
     step = selection._uplink_step
 
     def counted(*args):
-        calls.append(1)
-        return step(*args)
+        out = step(*args)
+        rows.append(out[1].size)  # one gain per prefix and user stepped
+        return out
 
     monkeypatch.setattr(selection, "_uplink_step", counted)
     for seed in range(3):
-        calls.clear()
+        rows.clear()
         c = sample_channel_set(4, 8, SeedSpec(16, seed))
         got = select_exhaustive(c, 3, T10, "exact").encoding_order
         assert got == _brute_force_exact(c.users, 3, T10)[1]
-        assert len(calls) <= 60  # one per priced prefix; enumerating prices 400
+        assert sum(rows) <= 320  # enumerating the 336 orderings steps 520 rows
 
 
 @pytest.mark.parametrize("seed", range(5))
