@@ -30,11 +30,11 @@ from .analytic import (
     avg_power_sus,
 )
 from .channel import ChannelSet, SeedSpec, sample_channel_set
-from .errors import BudgetError, ConfigError, DivergenceError, InfeasibleGeometryError
+from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
+    _CHUNK_BYTES,
     ALGORITHM_TAGS,
-    check_exhaustive_budget,
     select_aus,
     select_exhaustive,
     select_nus,
@@ -193,11 +193,17 @@ class ExperimentConfig:
             if simulatable and "exact" in self.methods() and 16 * m * m > _BLOCK_BYTES:
                 raise ConfigError(
                     f"a trial's exact Z^-1 takes {16 * m * m} bytes, over {_BLOCK_BYTES}")
+            searched = (simulatable and "EXHAUSTIVE" in self.algorithms
+                        and math.perm(k, self.K_s) <= self.exhaustive_budget)
             # the exhaustive approx DP gathers C(K, j) sets x K users x (M - j + 1) at level j
-            if simulatable and "EXHAUSTIVE" in self.algorithms and "approx" in self.methods():
+            if searched and "approx" in self.methods():
                 dp = 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(self.K_s))
-                if dp > _SAMPLE_BYTES and math.perm(k, self.K_s) <= self.exhaustive_budget:
+                if dp > _SAMPLE_BYTES:
                     raise ConfigError(f"the exhaustive DP takes {dp} bytes, over {_SAMPLE_BYTES}")
+            # the exact search steps at least one prefix at a time: 16 K M^2 bytes of Z^-1
+            if searched and "exact" in self.methods() and 16 * k * m * m > _CHUNK_BYTES:
+                raise ConfigError(
+                    f"the exact search's step takes {16 * k * m * m} bytes, over {_CHUNK_BYTES}")
 
     def canonical(self) -> str:
         """Stable key=value rendering used for config hashing; it loads back
@@ -386,12 +392,9 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
 
     runnable = list(config.algorithms)
     skipped = []
-    if "EXHAUSTIVE" in runnable:
-        try:
-            check_exhaustive_budget(k, config.K_s, config.exhaustive_budget)
-        except BudgetError:
-            runnable.remove("EXHAUSTIVE")
-            skipped.append("EXHAUSTIVE")
+    if "EXHAUSTIVE" in runnable and math.perm(k, config.K_s) > config.exhaustive_budget:
+        runnable.remove("EXHAUSTIVE")  # select_exhaustive would raise a BudgetError
+        skipped.append("EXHAUSTIVE")
 
     samples = {}
     if runnable:

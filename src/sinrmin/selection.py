@@ -30,7 +30,7 @@ from .power import (  # noqa: F401
 )
 
 ALGORITHM_TAGS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE")
-_CHUNK_BYTES = 1 << 24  # Z^-1 bytes of one step of the exact search: 16 K M^2 a prefix
+_CHUNK_BYTES = 1 << 20  # Z^-1 bytes of one exact search step: 16 K M^2 a prefix, of any trial
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SelectionResult:
 
 def _check_k_s(channels: ChannelSet, k_s: int) -> None:
     limit = min(channels.M, channels.K)
-    if not isinstance(k_s, (int, np.integer)) or not 1 <= k_s <= limit:
+    if isinstance(k_s, bool) or not isinstance(k_s, (int, np.integer)) or not 1 <= k_s <= limit:
         raise ConfigError(
             f"K_s={k_s} out of range [1, {limit}] for M={channels.M}, K={channels.K}"
         )
@@ -195,60 +195,68 @@ def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     return _result("RUS", channels, picked, picked)
 
 
-def _best_exact_order(h: np.ndarray, k_s: int, targets: SinrTargets):
-    """Branch and bound over encoding prefixes, a level at a time; None when none is feasible.
+def _firsts(trial: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Per trial, the row of its first smallest key; NaN is smallest, as in np.argmin."""
+    i = np.lexsort((key, ~np.isnan(key), trial))
+    return i[np.diff(trial[i], prepend=-1) != 0]
 
-    One step prices a chunk of prefixes against every user. A child's
-    bound adds the later targets over its parent's largest free gain, as
-    Z only grows. A dive down the first lowest bounds gives an incumbent,
-    then chunks go depth first in lexicographic order. Leaf totals take
-    the steps of `exact_min_power`; only a strictly cheaper chunk replaces
-    the best, so ties keep the lexicographically smallest order.
+
+def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
+    """Branch and bound over the encoding prefixes of a (T, K, M) block, a
+    level at a time; (T, K_s) orders, or None when a trial has none feasible.
+
+    A step prices a chunk of prefix rows, of any trials, against every user.
+    A child's bound adds the later targets over its parent's largest free
+    gain, as Z only grows. A dive down each trial's first lowest bounds gives
+    its incumbent; then chunks go depth first in (trial, prefix) order, and
+    leaf totals take the steps of `exact_min_power`. Only a strictly cheaper
+    chunk replaces a trial's best, so ties keep the lexicographically first.
     """
+    n, k, m = h.shape
     # a zero-norm user makes exact_min_power raise for every ordering it is in
-    live = np.flatnonzero(_squared_norms(h) > 0.0)
-    if live.size < k_s:
+    live = _squared_norms(h) > 0.0
+    if (live.sum(axis=1) < k_s).any():
         return None
-    h = np.ascontiguousarray(h[live])  # rows laid out as exact_min_power gets them
-    k, m = h.shape
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
     rows = max(1, _CHUNK_BYTES // (16 * k * m * m))  # prefixes one step takes
 
-    def expand(order, zinv, p, limit):
-        """Children of (N, j) prefixes bounded at or below `limit`, in (parent, user) order."""
+    def expand(trial, order, zinv, p, limit):
+        """Children of (N, j) prefixes within their trial's `limit`, in (row, user) order."""
         j = order.shape[1]
-        with np.errstate(all="ignore"):  # prefix users are stepped too; their rows drop out
-            _, d, p_u, zinv_u = _uplink_step(zinv[:, None], h, gam[j])
-            free = (order[:, :, None] != np.arange(k)).all(axis=1)  # users not in the prefix
+        with np.errstate(all="ignore"):  # taken users are stepped too; their rows drop out
+            _, d, p_u, zinv_u = _uplink_step(zinv[:, None], h[trial], gam[j])
+            free = live[trial] & (order[:, :, None] != np.arange(k)).all(axis=1)
             reach = np.where(free, d, 0.0).max(axis=1, keepdims=True)
             bound = s2 * (p.sum(axis=1, keepdims=True) + p_u + gam[j + 1 :].sum() / reach)
             # a free gain rounded to zero or below bounds none of its parent's children
             bound[~(~free | ((d > 0.0) & (d < math.inf))).all(axis=1)] = -math.inf
-            parent, user = np.nonzero(free & ~(bound > limit))
-        return (np.column_stack([order[parent], user]), zinv_u[parent, user],
+            parent, user = np.nonzero(free & ~(bound > limit[trial, None]))
+        return (trial[parent], np.column_stack([order[parent], user]), zinv_u[parent, user],
                 np.column_stack([p[parent], p_u[parent, user]]), bound[parent, user])
 
-    root = (np.zeros((1, 0), np.intp), np.eye(m, dtype=np.complex128)[None], np.zeros((1, 0)))
-    kids = expand(*root, math.inf)
-    for _ in range(k_s - 1):  # the dive: each level's first lowest bound
-        i = np.argmin(kids[3])
-        kids = expand(*(a[i : i + 1] for a in kids[:3]), math.inf)
-    dive = (s2 * kids[2][np.argmin(kids[3])]).sum()
-    best, best_order, stack = math.inf, None, [root]
+    best, best_order = np.full(n, math.inf), np.empty((n, k_s), np.intp)
+    root = (np.arange(n), np.zeros((n, 0), np.intp),
+            np.broadcast_to(np.eye(m, dtype=np.complex128), (n, m, m)), np.zeros((n, 0)))
+    dive, stack = np.empty(n), [root]
+    for lo in range(0, n, rows):  # the dive, each trial's first lowest bound a level; best is inf
+        kids = expand(*(a[lo : lo + rows] for a in root), best)
+        for _ in range(k_s - 1):
+            kids = expand(*(a[_firsts(kids[0], kids[4])] for a in kids[:4]), best)
+        dive[lo : lo + rows] = (s2 * kids[3][_firsts(kids[0], kids[4])]).sum(axis=1)
     while stack:
-        order, zinv, p = stack.pop()
-        if len(order) > rows:  # the rest waits until this chunk's subtree is done
-            stack.append((order[rows:], zinv[rows:], p[rows:]))
-        limit = float(np.fmin(dive, best)) * (1.0 + 1e-9)  # a margin for rounding; fmin skips NaN
-        order, zinv, p, _ = expand(order[:rows], zinv[:rows], p[:rows], limit)
+        chunk = stack.pop()
+        if len(chunk[0]) > rows:  # the rest waits until this chunk's subtree is done
+            stack.append(tuple(a[rows:] for a in chunk))
+        limit = np.fmin(dive, best) * (1.0 + 1e-9)  # a margin for rounding; fmin skips NaN
+        trial, order, zinv, p, _ = expand(*(a[:rows] for a in chunk), limit)
         if len(order) and order.shape[1] < k_s:
-            stack.append((order, zinv, p))
+            stack.append((trial, order, zinv, p))
         elif len(order):
             total = (s2 * p).sum(axis=1)
-            i = np.argmin(np.where(np.isnan(total), math.inf, total))  # the first of tied totals
-            if total[i] < best:
-                best, best_order = float(total[i]), order[i]
-    return None if best_order is None else tuple(live[best_order].tolist())
+            i = _firsts(trial, np.where(np.isnan(total), math.inf, total))  # first of ties
+            i = i[total[i] < best[trial[i]]]
+            best[trial[i]], best_order[trial[i]] = total[i], order[i]
+    return best_order if (best < math.inf).all() else None
 
 
 @lru_cache(maxsize=16)
@@ -325,15 +333,6 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     return tuple(order)
 
 
-def check_exhaustive_budget(k: int, k_s: int, budget: int) -> None:
-    """Raise BudgetError when the C(K, K_s) * K_s! orderings exceed `budget`."""
-    count = math.perm(k, k_s)
-    if count > budget:
-        raise BudgetError(
-            f"{count} orderings exceed the budget of {budget}; reduce K or K_s"
-        )
-
-
 def select_exhaustive(
     channels: ChannelSet,
     k_s: int,
@@ -346,25 +345,30 @@ def select_exhaustive(
     Ordering is searched, not assumed: weakest-first is only an
     on-average rule. Ties resolve to the lexicographically smallest index
     sequence. An approx cost depends only on the set encoded before it,
-    so that route is a DP pricing sum_{j<K_s} C(K, j) predecessor sets
-    (1,351 at K=20, K_s=4), each by one Householder reflection of its
-    parent's complement coordinates. Exact powers depend on the
-    predecessors' order, so the exact route is a branch and bound over
-    encoding prefixes, a level at a time, that prices a chunk of prefixes
-    against every user in one step. Its worst case is still every
-    ordering, so for both routes `budget` bounds the ordering count
-    C(K, K_s) * K_s!, checked before any work happens.
+    so that route is a DP over sum_{j<K_s} C(K, j) predecessor sets
+    (1,351 at K=20, K_s=4), one channel set at a time. Exact powers depend
+    on the predecessors' order, so the exact route is one branch and bound
+    over the encoding prefixes of a whole block: each prefix row carries
+    its set's index and pruning limit, and one step prices a chunk of rows
+    (at most `_CHUNK_BYTES` of Z^-1) against every user. The worst case is
+    still every ordering, so `budget` bounds the ordering count
+    C(K, K_s) * K_s! before any work happens.
     """
     _check_k_s(channels, k_s)
     if power_fn not in ("exact", "approx"):
         raise ConfigError(f"power_fn must be 'exact' or 'approx', got {power_fn!r}")
-    check_exhaustive_budget(channels.K, k_s, budget)
-    search = _best_approx_order if power_fn == "approx" else _best_exact_order
+    if not isinstance(targets, SinrTargets):
+        raise ConfigError(f"targets must be SinrTargets, got {targets!r}")
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ConfigError(f"budget must be an int >= 1, got {budget!r}")
+    if (count := math.perm(channels.K, k_s)) > budget:
+        raise BudgetError(f"{count} orderings exceed the budget of {budget}; reduce K or K_s")
     h = _block(channels)
-    orders = np.empty((len(h), k_s), dtype=np.intp)
-    for t, h_t in enumerate(h):  # each set is its own search
-        order = search(h_t, k_s, targets)
-        if order is None:
-            raise InfeasibleGeometryError("every ordering is infeasible")
-        orders[t] = order
+    if power_fn == "exact":
+        orders = _best_exact_orders(h, k_s, targets)
+    else:  # each set is its own DP
+        orders = [_best_approx_order(h_t, k_s, targets) for h_t in h]
+        orders = None if None in orders else np.array(orders, dtype=np.intp)
+    if orders is None:
+        raise InfeasibleGeometryError("every ordering is infeasible")
     return _result("EXHAUSTIVE", channels, orders, orders)

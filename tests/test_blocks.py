@@ -8,6 +8,7 @@ targets, and that an infeasible trial turns only its own total NaN.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from sinrmin import experiment
 from sinrmin.channel import ChannelSet, SeedSpec, sample_channel_set
 from sinrmin.errors import InfeasibleGeometryError
 from sinrmin.power import SinrTargets, approx_min_power, exact_min_power
-from sinrmin.selection import select_aus, select_nus, select_rus, select_sus
+from sinrmin.selection import select_aus, select_exhaustive, select_nus, select_rus, select_sus
 
 
 @st.composite
@@ -116,3 +117,25 @@ def test_infeasible_trial_is_the_only_nan(t, data):
         if i != bad:
             want = approx_min_power(h[i][order], targets).total_power
             assert totals[("NUS", "approx")][i] == want
+
+
+def test_exhaustive_infeasible_trial_in_a_block():
+    t, bad = 5, 2
+    cfg = experiment.ExperimentConfig(
+        M=4, K=6, K_s=3, gamma_db=10.0, sigma_sq=0.1, algorithms=("EXHAUSTIVE",),
+        power_method="both", trials=t, master_seed=3,
+    )
+    h = sample_channel_set(4, 6, [SeedSpec(3, 2 * i) for i in range(t)]).users.copy()
+    h[bad, 2:] = 0.0  # two nonzero users left, one fewer than K_s
+    targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
+    series = [("EXHAUSTIVE", meth) for meth in cfg.methods()]
+    for _, meth in series:
+        with pytest.raises(InfeasibleGeometryError):
+            select_exhaustive(ChannelSet(h), 3, targets, meth)
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
+    solvers = {"exact": exact_min_power, "approx": approx_min_power}
+    for key in series:
+        assert np.isnan(totals[key]).tolist() == [i == bad for i in range(t)]
+        for i in set(range(t)) - {bad}:
+            order = list(select_exhaustive(ChannelSet(h[i]), 3, targets, key[1]).encoding_order)
+            assert totals[key][i] == solvers[key[1]](h[i][order], targets).total_power

@@ -188,12 +188,27 @@ def test_exhaustive_dp_memory_is_bounded_before_any_work():
     for method in ("approx", "both"):
         with pytest.raises(ConfigError, match="1040000000 bytes"):
             _cfg(**big, power_method=method).validate()
-    _cfg(**big, power_method="exact").validate()
+    with pytest.raises(ConfigError, match="exact search's step takes 67600000 bytes"):
+        _cfg(**big, power_method="exact").validate()  # its own bound, not the DP's
     _cfg(**big, exhaustive_budget=998_999).validate()  # skipped, never run
     _cfg(**big).validate(simulatable=False)
     ref = resources.files("sinrmin").joinpath("configs/fig4.cfg")
     with resources.as_file(ref) as path:
         assert "EXHAUSTIVE" in parse_config(path).algorithms  # largest level 729,600 bytes
+
+
+def test_exact_search_memory_is_bounded_before_any_work():
+    # 65,280 orderings are within the budget, and one trial's channels and
+    # Z^-1 fit in the block bytes, but one prefix's step takes 16 K M^2 bytes
+    big = dict(M=256, K=256, K_s=2, trials=1, algorithms=("NUS", "EXHAUSTIVE"))
+    for method in ("exact", "both"):
+        with pytest.raises(ConfigError, match=f"step takes {16 * 256**3} bytes, over 1048576"):
+            _cfg(**big, power_method=method).validate()
+    _cfg(**big, exhaustive_budget=65_279, power_method="exact").validate()  # skipped
+    _cfg(**dict(big, algorithms=("NUS",)), power_method="exact").validate()
+    _cfg(M=16, K=256, K_s=2, algorithms=("EXHAUSTIVE",), power_method="exact").validate()
+    with pytest.raises(ConfigError, match=f"step takes {16 * 257 * 256} bytes"):
+        _cfg(M=16, K=257, K_s=2, algorithms=("EXHAUSTIVE",), power_method="exact").validate()
 
 
 def test_canonical_is_stable_and_complete():

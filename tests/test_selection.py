@@ -74,6 +74,13 @@ _EYE = ChannelSet(np.eye(4, dtype=complex))
     (select_sus, (_EYE, "2"), ConfigError),
     (select_aus, (_EYE, None), ConfigError),
     (select_exhaustive, (_EYE, 2.5, T10), ConfigError),
+    (select_exhaustive, (_EYE, True, T10, "exact"), ConfigError),
+    (select_nus, (_EYE, True), ConfigError),
+    (select_exhaustive, (_EYE, 2, 10.0), ConfigError),
+    (select_exhaustive, (_EYE, 2, T10, "exact", "x"), ConfigError),
+    (select_exhaustive, (_EYE, 2, T10, "exact", 10.5), ConfigError),
+    (select_exhaustive, (_EYE, 2, T10, "exact", True), ConfigError),
+    (select_exhaustive, (_EYE, 2, T10, "approx", 0), ConfigError),
 ])
 def test_bad_arguments_raise_package_errors(call, args, error):
     with pytest.raises(error):
@@ -470,6 +477,24 @@ def test_exhaustive_exact_orders_do_not_depend_on_chunks(monkeypatch):
         chunked = select_exhaustive(ChannelSet(h), 3, targets, "exact").encoding_order
         monkeypatch.undo()
         assert np.array_equal(chunked, orders)
+
+
+@pytest.mark.parametrize("chunk", [selection._CHUNK_BYTES, 1])
+def test_exhaustive_exact_block_equals_its_rows(monkeypatch, chunk):
+    h = sample_channel_set(4, 7, [SeedSpec(21, t) for t in range(40)]).users.copy()
+    h[::3, 5] = h[::3, 0]  # copies of users tie orderings
+    h[1::3, 6] = h[1::3, 2]
+    h[2::5, 4] = h[2::5, 1]
+    h[7, 3] = 0.0  # a zero-norm user in one trial only
+    for targets in (T10, SinrTargets(np.array([3.0, 0.5, 8.0]), 0.1)):
+        # each row alone, with its leaves in one chunk
+        rows = [select_exhaustive(ChannelSet(h_t), 3, targets, "exact").encoding_order
+                for h_t in h]
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", chunk)
+        block = select_exhaustive(ChannelSet(h), 3, targets, "exact").encoding_order
+        monkeypatch.undo()
+        assert 3 not in rows[7]
+        assert [tuple(o) for o in block.tolist()] == rows
 
 
 def test_exhaustive_exact_does_not_enumerate(monkeypatch):
