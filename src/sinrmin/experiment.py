@@ -266,26 +266,36 @@ def _encoding_orders(alg, meth, channels, config, targets, trials):
     return sel.encoding_order
 
 
+def _priced(solver, picked, targets):
+    """Totals of (N, K_s, M) picked rows, each priced as that set alone; if
+    the call raises, row by row. NaN marks infeasible rows only: a total that
+    broke down in overflow is infinite, and run_point rejects its moments."""
+    try:
+        total = solver(picked, targets).total_power
+    except InfeasibleGeometryError:
+        if len(picked) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_priced(solver, row[None], targets) for row in picked])
+    return np.where(np.isnan(total), np.inf, total)
+
+
 def _block_totals(config, targets, series, channels, trials):
     """Totals of each series over one block of trials; infeasible trials are NaN.
 
-    A rule's orders serve every method of the block. When any series
-    meets an infeasible trial, the whole block is priced again one trial
-    at a time, so that only the infeasible trials turn NaN.
+    A rule's orders serve every method of the block, and each method makes
+    one solver call on the picked rows of all its series, stacked along the
+    trial axis. A selection that raises (EXHAUSTIVE with no feasible order)
+    runs the block again one trial at a time, so only those trials turn NaN.
     """
     # looked up per call, so a patched or traced solver takes effect
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
-    orders, totals = {}, {}
+    orders, picks, totals = {}, {}, {}
     for alg, meth in series:
         key = (alg, meth) if alg == "EXHAUSTIVE" else alg
         try:
             if key not in orders:
                 orders[key] = _encoding_orders(alg, meth, channels, config, targets, trials)
-            picked = np.take_along_axis(channels.users, orders[key][..., None], axis=1)
-            total = solvers[meth](picked, targets).total_power
-            # NaN marks infeasible trials only: a total that broke down in
-            # overflow is infinite, and run_point rejects its moments
-            totals[(alg, meth)] = np.where(np.isnan(total), np.inf, total)
+            picks.setdefault(meth, {})[(alg, meth)] = orders[key]
         except InfeasibleGeometryError:
             if len(trials) == 1:
                 totals[(alg, meth)] = np.full(1, np.nan)
@@ -296,7 +306,12 @@ def _block_totals(config, targets, series, channels, trials):
                 for i in range(len(trials))
             ]
             return {name: np.concatenate([t[name] for t in singles]) for name in series}
-    return totals
+    for meth, picked in picks.items():
+        order = np.stack(list(picked.values()))[..., None]
+        rows = np.take_along_axis(channels.users[None], order, axis=2)
+        total = _priced(solvers[meth], rows.reshape(-1, *rows.shape[2:]), targets)
+        totals.update(zip(picked, np.split(total, len(picked))))
+    return {name: totals[name] for name in series}
 
 
 def _run_chunk(payload):

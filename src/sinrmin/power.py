@@ -178,7 +178,8 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
     coords, res2 = h, np.zeros(h.shape[:-1])
     for i in range(min(h.shape[1:])):
         res2[:, i] = _squared_norms(coords[:, 0])
-        coords = _complement_step(coords[:, 1:], coords[:, 0], res2[:, i])
+        if i + 1 < h.shape[1]:
+            coords = _complement_step(coords[:, 1:], coords[:, 0], res2[:, i])
     dead = np.argwhere(res2 <= RANK_TOL**2 * norms)
     if dead.size:
         raise InfeasibleGeometryError(

@@ -89,7 +89,7 @@ def test_block_rows_equal_one_set_calls(instance):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.data())
+@given(st.integers(1, 6), st.data())
 def test_infeasible_trial_is_the_only_nan(t, data):
     bad = data.draw(st.integers(0, t - 1))
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -139,3 +139,22 @@ def test_exhaustive_infeasible_trial_in_a_block():
         for i in set(range(t)) - {bad}:
             order = list(select_exhaustive(ChannelSet(h[i]), 3, targets, key[1]).encoding_order)
             assert totals[key][i] == solvers[key[1]](h[i][order], targets).total_power
+
+
+@pytest.mark.parametrize("t", (1, 3, 7))
+def test_stacked_pricing_equals_each_series_alone(t):
+    cfg = experiment.ExperimentConfig(
+        M=4, K=6, K_s=3, gamma_db=10.0, sigma_sq=0.1,
+        algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"),
+        power_method="both", trials=t, master_seed=11,
+    )
+    block = sample_channel_set(4, 6, [SeedSpec(11, 2 * i) for i in range(t)])
+    targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
+    series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
+    totals = experiment._block_totals(cfg, targets, series, block, range(t))
+    solvers = {"exact": exact_min_power, "approx": approx_min_power}
+    for alg, meth in series:
+        order = experiment._encoding_orders(alg, meth, block, cfg, targets, range(t))
+        rows = np.take_along_axis(block.users, order[..., None], axis=1)
+        want = solvers[meth](rows, targets).total_power
+        assert totals[(alg, meth)].tobytes() == want.tobytes()

@@ -378,7 +378,7 @@ def test_one_pool_per_sweep(monkeypatch, pool_sizes, workers):
     assert pool_sizes == ([] if workers == 1 else [2, 2, 2])
 
 
-def test_one_pricing_call_per_series_and_block(monkeypatch):
+def test_one_pricing_call_per_method_and_block(monkeypatch):
     import sinrmin.experiment as exp
 
     calls = []
@@ -405,9 +405,9 @@ def test_one_pricing_call_per_series_and_block(monkeypatch):
             ("select_rus", None): blocks,
             ("select_exhaustive", "exact"): blocks,
             ("select_exhaustive", "approx"): blocks,
-            # one solver call per series: NUS, RUS and EXHAUSTIVE
-            ("exact_min_power", None): 3 * blocks,
-            ("approx_min_power", None): 3 * blocks,
+            # one solver call per method: NUS, RUS and EXHAUSTIVE stacked
+            ("exact_min_power", None): blocks,
+            ("approx_min_power", None): blocks,
         }
 
 

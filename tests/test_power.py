@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinrmin.channel import SeedSpec, sample_channel_set
+from sinrmin.channel import SeedSpec, _complement_step, _squared_norms, sample_channel_set
 from sinrmin.errors import (
     ConfigError,
     DimensionError,
@@ -296,3 +296,28 @@ def test_rows_past_the_dimension_name_channel_m():
             with pytest.raises(InfeasibleGeometryError, match=f"^channel {m} lies"):
                 approx_min_power(rows, T10)
         assert np.isfinite(approx_min_power(h[:m], T10).total_power)
+
+
+@pytest.mark.parametrize("m", (1, 2, 4))
+def test_approx_steps_once_per_predecessor(monkeypatch, m):
+    # row i needs the complement of rows 0..i-1 only, so n rows take n - 1
+    # steps; the totals are those of a loop that also steps past the last row
+    import sinrmin.power as power
+
+    steps = []
+
+    def counted(*args):
+        steps.append(args[0].shape)
+        return _complement_step(*args)
+
+    monkeypatch.setattr(power, "_complement_step", counted)
+    for n in range(1, m + 1):
+        h = np.stack([_instance(m, n, trial) for trial in range(3)])
+        steps.clear()
+        total = approx_min_power(h, T10).total_power
+        assert len(steps) == n - 1
+        coords, res2 = h, np.zeros(h.shape[:-1])
+        for i in range(n):
+            res2[:, i] = _squared_norms(coords[:, 0])
+            coords = _complement_step(coords[:, 1:], coords[:, 0], res2[:, i])
+        assert total.tobytes() == (T10.sigma_sq * T10.gamma / res2).sum(axis=-1).tobytes()
