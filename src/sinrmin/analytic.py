@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
+from scipy.special import betainc, betaln, cython_special, gammainc, gammaln
 
 from .errors import ConfigError, DivergenceError
 
@@ -292,19 +292,25 @@ def alpha(M: int, K: int) -> float:
         )
     log_gamma_m = gammaln(M)
 
+    # the scalar forms run the ufuncs' C kernels without their dispatch
     def integrand(x: float) -> float:
         if x <= 0.0:
             return 0.0
         base = math.exp(-x + (M - 2) * math.log(x) - log_gamma_m)
-        return K * base * float(gammainc(M, x)) ** (K - 1)
+        return K * base * cython_special.gammainc(M, x) ** (K - 1)
 
     # drop G^{K-1} <= 1: tail <= K * Gamma(M-1) * Q(M-1, upper) / Gamma(M)
-    return _quad_to_tail(
-        integrand,
-        8.0 * M + 8.0,
-        lambda u: K * float(gammaincc(M - 1, u)) / (M - 1),
-        f"alpha({M}, {K})",
-    )
+    def tail(u: float) -> float:
+        return K * cython_special.gammaincc(M - 1, u) / (M - 1)
+
+    # the largest norm is at least the mean of the K, whose sum is
+    # Gamma(KM, 1), so alpha <= K / (KM - 1).  A limit whose tail exceeds
+    # that share (1% over, for rounding) fails the tail test whatever the
+    # integral comes to: integrate once, from the first limit not ruled out
+    upper, bound = 8.0 * M + 8.0, 1.01 * _TAIL_FRACTION * K / (K * M - 1)
+    while tail(upper) > bound and upper <= 1e6:
+        upper *= 2.0
+    return _quad_to_tail(integrand, upper, tail, f"alpha({M}, {K})")
 
 
 def _order_stat_power_coeffs(r: int, K: int) -> dict:

@@ -98,9 +98,9 @@ def _as_matrix(channels) -> np.ndarray:
 
 def _row_norms_checked(h: np.ndarray) -> np.ndarray:
     norms = _squared_norms(h)
-    bad = np.argwhere(norms <= 0.0)
-    if bad.size:
-        raise DomainError(f"channel {bad[0, -1]} has zero norm")
+    bad = norms <= 0.0
+    if bad.any():  # argwhere only to name the channel
+        raise DomainError(f"channel {np.argwhere(bad)[0, -1]} has zero norm")
     return norms
 
 
@@ -180,10 +180,10 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
         res2[:, i] = _squared_norms(coords[:, 0])
         if i + 1 < h.shape[1]:
             coords = _complement_step(coords[:, 1:], coords[:, 0], res2[:, i])
-    dead = np.argwhere(res2 <= RANK_TOL**2 * norms)
-    if dead.size:
+    dead = res2 <= RANK_TOL**2 * norms
+    if dead.any():
         raise InfeasibleGeometryError(
-            f"channel {dead[0, -1]} lies in the span of its predecessors"
+            f"channel {np.argwhere(dead)[0, -1]} lies in the span of its predecessors"
         )
     per_user = targets.sigma_sq * gam / res2
     achieved = per_user * res2 / targets.sigma_sq

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc, gammainc
+from scipy.integrate import quad
+from scipy.special import betainc, cython_special, gammainc, gammaincc, gammaln
 
+import sinrmin.analytic as analytic
 from sinrmin.analytic import (
     DistributionSpec,
     _order_stat_power_coeffs,
@@ -265,6 +267,72 @@ def test_alpha_against_sampled_maximum():
     est = inv.mean()
     stderr = inv.std(ddof=1) / math.sqrt(inv.size)
     assert abs(alpha(m, k) - est) <= 3.0 * stderr
+
+
+_ALPHA_GRID = [(m, k) for m in range(2, 17) for k in range(1, 65)]
+
+
+def test_scalar_gamma_functions_match_the_ufuncs_bitwise():
+    # alpha calls the scalar forms in place of the ufuncs; that is safe only
+    # while the installed scipy gives both the same bits
+    tiny = np.finfo(float).tiny
+    xs = np.concatenate(([0.0, 5e-324, tiny / 2**20, tiny / 2], np.logspace(-300, 6, 1531)))
+    for a in range(1, 65):
+        for scalar, ufunc in (
+            (cython_special.gammainc, gammainc),
+            (cython_special.gammaincc, gammaincc),
+        ):
+            got = np.array([scalar(a, x) for x in xs])
+            assert got.tobytes() == ufunc(a, xs).tobytes(), (scalar, a)
+
+
+def _alpha_doubling_from_8m8(m: int, k: int) -> float:
+    # alpha as it was integrated before it chose its first limit: the ufuncs,
+    # [0, 8M+8] first and, while the tail test fails, twice the limit from 0
+    log_gamma_m = gammaln(m)
+
+    def integrand(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        base = math.exp(-x + (m - 2) * math.log(x) - log_gamma_m)
+        return k * base * float(gammainc(m, x)) ** (k - 1)
+
+    upper = 8.0 * m + 8.0
+    while True:
+        value = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=300)[0]
+        if k * float(gammaincc(m - 1, upper)) / (m - 1) <= 1e-12 * value:
+            return float(value)
+        upper *= 2.0
+
+
+def test_alpha_equals_the_doubling_loop_bitwise():
+    alpha.cache_clear()
+    for m, k in _ALPHA_GRID:
+        assert alpha(m, k).hex() == _alpha_doubling_from_8m8(m, k).hex(), (m, k)
+
+
+def test_alpha_integrates_once(monkeypatch):
+    # the first limit is the one the doubling loop would have ended on
+    limits = []
+
+    def counted(func, a, b, **kwargs):
+        limits.append(b)
+        return quad(func, a, b, **kwargs)
+
+    monkeypatch.setattr(analytic, "quad", counted)
+    for m, k in _ALPHA_GRID:
+        alpha.cache_clear()
+        limits.clear()
+        alpha(m, k)
+        assert len(limits) == 1, (m, k, limits)
+    alpha.cache_clear()
+
+
+def test_alpha_within_the_bounds_its_first_limit_rests_on():
+    # 1/max <= K / (sum of the K norms), whose mean is K / (KM - 1) <= 1 / (M - 1)
+    for m, k in _ALPHA_GRID:
+        assert alpha(m, k) * (m - 1) <= 1.0 + 1e-12, (m, k)
+        assert alpha(m, k) * (k * m - 1) / k <= 1.0 + 1e-12, (m, k)
 
 
 def test_order_stat_power_coeffs_match_printed_forms():

@@ -298,6 +298,33 @@ def test_rows_past_the_dimension_name_channel_m():
         assert np.isfinite(approx_min_power(h[:m], T10).total_power)
 
 
+def test_failure_messages_name_the_first_bad_channel():
+    # the channel named is the last index of the first bad entry in C order:
+    # in a block, trial 1's channel 2 comes before trial 2's channel 0
+    h = _instance(3, 3, 4)
+    zero, dependent = h.copy(), h.copy()
+    zero[2] = 0.0
+    dependent[2] = h[0] + 2.0 * h[1]
+    zero_block = np.stack([_instance(3, 3, t) for t in range(3)])
+    zero_block[1, 2] = 0.0
+    zero_block[2, 0] = 0.0
+    dependent_block = np.stack([_instance(3, 3, t) for t in range(3)])
+    dependent_block[1, 2] = dependent_block[1, 0] - dependent_block[1, 1]
+    dependent_block[2, 1] = 3.0 * dependent_block[2, 0]
+    for rows, solvers in (
+        (zero, (exact_min_power, approx_min_power, downlink_dual_solution)),
+        (zero_block, (exact_min_power, approx_min_power)),  # the dual takes one set
+    ):
+        for fn in solvers:
+            with pytest.raises(DomainError, match="^channel 2 has zero norm$"):
+                fn(rows, T10)
+    for rows in (dependent, dependent_block):
+        with pytest.raises(
+            InfeasibleGeometryError, match="^channel 2 lies in the span of its predecessors$"
+        ):
+            approx_min_power(rows, T10)
+
+
 @pytest.mark.parametrize("m", (1, 2, 4))
 def test_approx_steps_once_per_predecessor(monkeypatch, m):
     # row i needs the complement of rows 0..i-1 only, so n rows take n - 1
