@@ -101,15 +101,6 @@ class DistributionSpec:
         return cls("sin_sq_angle_max", M, K=K)
 
 
-def _order_stat_cdf_from_parent(g: np.ndarray, r: int, K: int) -> np.ndarray:
-    # r-th largest of K is <= x iff at least K + 1 - r parents are <= x
-    out = np.zeros_like(g)
-    one_minus = 1.0 - g
-    for j in range(K + 1 - r, K + 1):
-        out += math.comb(K, j) * g**j * one_minus ** (K - j)
-    return np.minimum(out, 1.0)
-
-
 def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     """Cumulative distribution function, vectorized over x.
 
@@ -131,8 +122,8 @@ def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
             out = g
         elif spec.kind == "norm_not_largest":
             out = (spec.K * g - g**spec.K) / (spec.K - 1)
-        else:
-            out = _order_stat_cdf_from_parent(g, spec.r, spec.K)
+        else:  # r-th largest of K is <= x iff at least K + 1 - r are: a binomial tail
+            out = betainc(spec.K + 1 - spec.r, spec.r, g)
     return float(out[0]) if scalar else out
 
 
@@ -247,8 +238,8 @@ def mean_inverse(spec: DistributionSpec) -> float:
     """E[1/x] for the given law.
 
     Closed forms are returned where they exist.  An order statistic with
-    M >= 2 is the integer combination of alphas from
-    :func:`order_stat_mean_inverse_alpha`, unless the combination cancels
+    M >= 2 is the integer combination of alphas from `_alpha_terms`,
+    unless the combination cancels
     so far that its rounding error (sum of |c_n alpha(M, n)| times the
     machine epsilon) exceeds the quadrature tolerance of the value; then,
     and for M = 1, it goes through :func:`mean_inverse_quadrature`.  Laws
@@ -292,12 +283,15 @@ def alpha(M: int, K: int) -> float:
         )
     log_gamma_m = gammaln(M)
 
-    # the scalar forms run the ufuncs' C kernels without their dispatch
+    # the scalar forms run the ufuncs' C kernels without their dispatch. Near
+    # G = 1 the power comes from Q = 1 - G, which G itself has rounded away
     def integrand(x: float) -> float:
         if x <= 0.0:
             return 0.0
         base = math.exp(-x + (M - 2) * math.log(x) - log_gamma_m)
-        return K * base * cython_special.gammainc(M, x) ** (K - 1)
+        if (g := cython_special.gammainc(M, x)) < 0.5:
+            return K * base * g ** (K - 1)
+        return K * base * math.exp((K - 1) * math.log1p(-cython_special.gammaincc(M, x)))
 
     # drop G^{K-1} <= 1: tail <= K * Gamma(M-1) * Q(M-1, upper) / Gamma(M)
     def tail(u: float) -> float:
@@ -314,33 +308,19 @@ def alpha(M: int, K: int) -> float:
 
 
 def _order_stat_power_coeffs(r: int, K: int) -> dict:
-    # expand the order-statistic CDF as sum_n c_n G^n with integer c_n
-    coeffs: dict = {}
-    for j in range(K + 1 - r, K + 1):
-        cj = math.comb(K, j)
-        for m in range(0, K - j + 1):
-            n = j + m
-            coeffs[n] = coeffs.get(n, 0) + cj * math.comb(K - j, m) * (-1) ** m
-    return {n: c for n, c in coeffs.items() if c != 0}
+    # the order-statistic CDF I_G(a, r), a = K + 1 - r, as sum_n c_n G^n
+    a = K + 1 - r
+    return {n: (-1) ** (n - a) * math.comb(K, n) * math.comb(n - 1, a - 1)
+            for n in range(a, K + 1)}
 
 
 def _alpha_terms(M: int, r: int, K: int) -> list:
-    # c_n * alpha(M, n) for each power G^n of the order-statistic CDF
-    combo = _order_stat_power_coeffs(r, K)
-    return [c * alpha(M, n) for n, c in sorted(combo.items())]
-
-
-def order_stat_mean_inverse_alpha(M: int, r: int, K: int) -> float:
-    """E[1/x] for the r-th largest squared norm as a combination of alphas.
-
-    The order-statistic CDF is a polynomial in the parent CDF G, and each
-    G^n term contributes its own largest-of-n reciprocal mean, so the
-    value is an integer combination of alpha(M, n) (David & Nagaraja,
-    *Order Statistics*).  Needs M >= 2.  The coefficients alternate in
-    sign and grow like binomials, so for large r and K the sum loses
-    digits; :func:`mean_inverse` detects that and uses quadrature instead.
-    """
-    return float(sum(_alpha_terms(M, r, K)))
+    # c_n * alpha(M, n) for each power G^n of the order-statistic CDF. G^n is
+    # the law of a largest of n, so the terms sum to E[1/x] for the r-th
+    # largest (David & Nagaraja, *Order Statistics*); needs M >= 2. The c_n
+    # alternate in sign and grow like binomials, so for large r and K the sum
+    # loses digits; mean_inverse detects that and uses quadrature instead
+    return [c * alpha(M, n) for n, c in _order_stat_power_coeffs(r, K).items()]
 
 
 # ---------------------------------------------------------------------------

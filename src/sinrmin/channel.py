@@ -12,7 +12,8 @@ remaining coordinates. The greedy selection rules, the exhaustive
 search, `power.approx_min_power` and the public `sin_sq_angle` all
 step through it.
 
-Random streams are defined by `SeedSpec.generator()`. Restating NumPy's
+Random streams are defined by `SeedSpec.generator()`. Taking the master
+seed's pool from NumPy's SeedSequence and restating the rest of its
 SeedSequence -> PCG64 seeding over many such streams at once, `_streams`
 positions one reused generator at the start of each, and `_stream_words`
 computes each stream's first 32-bit words without any generator.
@@ -101,22 +102,16 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+# the hash constant after the master seed's words fill and mix the pool:
+# sixteen hashes on from _INIT_A, whatever the master seed
+_MASTER_CONST = _INIT_A * pow(_MULT_A, 16, 2**32) & _M32
+
+
 @lru_cache(maxsize=16)
-def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """Pool after mixing the master seed's words, zero-padded to the pool
-    size as for any spawned sequence, and the hash constant reached; both
-    are the same for every stream index."""
-    words = [master_seed & _M32, master_seed >> 32] if master_seed >> 32 else [master_seed]
-    pool, const = [], _INIT_A
-    for word in words + [0] * (4 - len(words)):
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), const
+def _master_pool(master_seed: int) -> tuple[int, ...]:
+    """NumPy's pool after mixing the master seed's words, zero-padded to the
+    pool size as for any spawned sequence; the same for every stream index."""
+    return tuple(np.random.SeedSequence(master_seed).pool.tolist())
 
 
 def _stream_states(seeds) -> list[tuple[int, int]]:
@@ -125,9 +120,8 @@ def _stream_states(seeds) -> list[tuple[int, int]]:
         return []
     first = {}
     which = [first.setdefault(s.master_seed, len(first)) for s in seeds]
-    masters = [_master_pool(m) for m in first]
-    pool = np.array([p for p, _ in masters], dtype=np.uint32)[which].T
-    const = masters[0][1]  # the same for every master
+    pool = np.array([_master_pool(m) for m in first], dtype=np.uint32)[which].T
+    const = _MASTER_CONST
     # the spawn key adds one word per 32 bits of the index, at least one,
     # each hashed once per pool word and mixed into it
     key = np.array([s.stream_index for s in seeds], dtype=object)

@@ -12,6 +12,7 @@ files byte for byte.
 
 import argparse
 import csv
+import functools
 import hashlib
 import os
 import sys
@@ -353,6 +354,7 @@ def cmd_validate(args) -> int:
 # argument parsing
 
 
+@functools.cache  # one parser per process: an in-process caller pays for it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinrmin",

@@ -10,6 +10,7 @@ deterministic on crafted inputs; with continuous channels ties have
 probability zero.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -263,32 +264,28 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
 def _set_tables(k: int, k_s: int):
     """The DP's set structure, which depends only on (K, K_s).
 
-    Per size j < K_s, the j-sets of users in colex order as a (C(K, j), K)
-    membership mask; per j < K_s - 1, the colex rank of S+u among the
-    (j+1)-sets (0 where u is in S) and, per (j+1)-set, its parent S (the
-    set minus its largest member) and that largest member. The arrays are
-    read-only: every call shares them.
+    Per size j < K_s, the j-sets of users in lexicographic order as a
+    (C(K, j), K) membership mask; per j < K_s - 1, the rank of S+u among
+    the (j+1)-sets (0 where u is in S) and, per (j+1)-set, its parent S
+    (the set minus its largest member) and that largest member. The
+    arrays are read-only: every call shares them.
     """
-    users = np.arange(k)
-    binom = np.array([[math.comb(n, r) for r in range(k_s + 1)] for n in range(k)])
-    elems = np.zeros((1, 0), dtype=np.intp)  # members of each j-set, ascending
-    member = np.zeros((1, k), dtype=bool)
-    members, nexts, parents, tops = [member], [], [], []
-    for j in range(k_s - 1):
-        # colex rank of S+u: members below u keep their slot, those above move up one
-        below, slot = elems[:, None, :] < users[:, None], np.arange(j)
-        rank = np.where(below, binom[elems, slot + 1][:, None], binom[elems, slot + 2][:, None])
-        rank = rank.sum(axis=2) + binom[users, below.sum(axis=2) + 1]
-        nexts.append(np.where(member, 0, rank))
-        # (j+1)-sets in colex order: per new largest member u, the C(u, j) j-sets below u
-        parent = np.concatenate([np.arange(c) for c in binom[j:, j]])
-        top = np.repeat(np.arange(j, k), binom[j:, j])
-        parents.append(parent)
-        tops.append(top)
-        elems = np.column_stack([elems[parent], top])
-        member = member[parent]
-        member[np.arange(top.size), top] = True
+    sets = [list(itertools.combinations(range(k), j)) for j in range(k_s)]
+    rank = [{s: i for i, s in enumerate(level)} for level in sets]
+    members, nexts, parents, tops = [], [], [], []
+    for j, level in enumerate(sets):
+        member = np.zeros((len(level), k), dtype=bool)
+        member[np.repeat(np.arange(len(level)), j), np.ravel(level).astype(np.intp)] = True
         members.append(member)
+        if j + 1 == k_s:
+            break
+        nxt = np.zeros((len(level), k), dtype=np.intp)
+        for t, s in enumerate(sets[j + 1]):
+            for i, u in enumerate(s):
+                nxt[rank[j][s[:i] + s[i + 1:]], u] = t
+        nexts.append(nxt)
+        parents.append(np.array([rank[j][s[:-1]] for s in sets[j + 1]], dtype=np.intp))
+        tops.append(np.array([s[-1] for s in sets[j + 1]], dtype=np.intp))
     for a in members + nexts + parents + tops:
         a.setflags(write=False)
     return members, nexts, parents, tops
@@ -298,13 +295,13 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     """Backward DP over predecessor sets; None when every ordering fails.
 
     g(S) = min over u outside S of sigma^2 gamma_|S| / res^2(u|S) + g(S+u),
-    with g = 0 on K_s-sets. For every j-set S, in colex order, each user is
-    held as its M - j coordinates in an orthonormal basis of the orthogonal
-    complement of span(S), so res^2(u|S) is a plain sum of squares. A set's
-    coordinates are its parent's (the set minus its largest member t) after
-    `channel._complement_step` by t. Coordinates of t that are exactly zero
-    put t in span(S), so S+t spans only j dimensions and the step drops an
-    axis as it is.
+    with g = 0 on K_s-sets. For every j-set S, in lexicographic order, each
+    user is held as its M - j coordinates in an orthonormal basis of the
+    orthogonal complement of span(S), so res^2(u|S) is a plain sum of
+    squares. A set's coordinates are its parent's (the set minus its
+    largest member t) after `channel._complement_step` by t. Coordinates
+    of t that are exactly zero put t in span(S), so S+t spans only j
+    dimensions and the step drops an axis as it is.
     """
     k, m = h.shape
     scale = targets.sigma_sq * targets.gamma_vector(k_s)

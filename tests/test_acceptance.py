@@ -17,13 +17,13 @@ from scipy import stats
 
 from sinrmin.analytic import (
     DistributionSpec,
+    _alpha_terms,
     alpha,
     avg_power_nus,
     avg_power_rus,
     cdf,
     mean_inverse,
     mean_inverse_quadrature,
-    order_stat_mean_inverse_alpha,
 )
 from sinrmin.channel import SeedSpec, sample_channel_set
 from sinrmin.cli import parse_config
@@ -88,8 +88,8 @@ def test_criterion_2_norm_selection_closed_form(capsys):
                 * angle[m]
             )
             closed = (
-                order_stat_mean_inverse_alpha(m, 2, k)
-                + order_stat_mean_inverse_alpha(m, 1, k) * angle[m]
+                float(sum(_alpha_terms(m, 2, k)))
+                + float(sum(_alpha_terms(m, 1, k))) * angle[m]
             )
             api = avg_power_nus(m, k, 2, 1.0, 1.0)
             worst = max(worst, abs(closed - quad) / quad, abs(api - quad) / quad)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc, cython_special, gammainc, gammaincc, gammaln
+from scipy.special import cython_special, gammainc, gammaincc, gammaln
 
 import sinrmin.analytic as analytic
 from sinrmin.analytic import (
     DistributionSpec,
+    _alpha_terms,
     _order_stat_power_coeffs,
     alpha,
     avg_power_aus_two,
@@ -21,7 +22,6 @@ from sinrmin.analytic import (
     cdf,
     mean_inverse,
     mean_inverse_quadrature,
-    order_stat_mean_inverse_alpha,
     pdf,
 )
 from sinrmin.channel import SeedSpec
@@ -85,13 +85,15 @@ def test_cdf_order_stat_largest_is_power_of_parent():
 
 
 def test_cdf_order_stat_matches_beta_tail_identity():
-    # independent route: the binomial tail equals a regularized incomplete beta
+    # cdf takes the regularized incomplete beta; check it against the binomial
+    # tail it equals: at least K + 1 - r of the K parents at or below x
     M, K = 4, 10
     xs = np.linspace(0.05, 18, 40)
     g = gammainc(M, xs)
     for r in range(1, K + 1):
         spec = DistributionSpec.norm_order_stat(M, r, K)
-        assert np.allclose(cdf(spec, xs), betainc(K + 1 - r, r, g), atol=1e-12)
+        tail = sum(math.comb(K, j) * g**j * (1.0 - g) ** (K - j) for j in range(K + 1 - r, K + 1))
+        assert np.allclose(cdf(spec, xs), tail, atol=1e-12)
 
 
 def test_cdf_not_largest_combination():
@@ -189,7 +191,7 @@ def test_mean_inverse_closed_vs_quadrature():
 def test_mean_inverse_order_stat_vs_alpha_combination():
     for m, r, k in [(4, 1, 10), (4, 2, 10), (4, 4, 10), (3, 2, 8), (5, 3, 12), (2, 1, 4)]:
         quad_val = mean_inverse_quadrature(DistributionSpec.norm_order_stat(m, r, k))
-        combo = order_stat_mean_inverse_alpha(m, r, k)
+        combo = float(sum(_alpha_terms(m, r, k)))
         assert abs(quad_val - combo) <= 1e-7 * abs(combo), (m, r, k)
 
 
@@ -288,14 +290,17 @@ def test_scalar_gamma_functions_match_the_ufuncs_bitwise():
 
 def _alpha_doubling_from_8m8(m: int, k: int) -> float:
     # alpha as it was integrated before it chose its first limit: the ufuncs,
-    # [0, 8M+8] first and, while the tail test fails, twice the limit from 0
+    # [0, 8M+8] first and, while the tail test fails, twice the limit from 0;
+    # the integrand is alpha's, with G^{K-1} from 1 - G where G >= 1/2
     log_gamma_m = gammaln(m)
 
     def integrand(x: float) -> float:
         if x <= 0.0:
             return 0.0
         base = math.exp(-x + (m - 2) * math.log(x) - log_gamma_m)
-        return k * base * float(gammainc(m, x)) ** (k - 1)
+        if (g := float(gammainc(m, x))) < 0.5:
+            return k * base * g ** (k - 1)
+        return k * base * math.exp((k - 1) * math.log1p(-float(gammaincc(m, x))))
 
     upper = 8.0 * m + 8.0
     while True:
@@ -333,6 +338,31 @@ def test_alpha_within_the_bounds_its_first_limit_rests_on():
     for m, k in _ALPHA_GRID:
         assert alpha(m, k) * (m - 1) <= 1.0 + 1e-12, (m, k)
         assert alpha(m, k) * (k * m - 1) / k <= 1.0 + 1e-12, (m, k)
+
+
+def test_alpha_holds_its_tolerance_at_large_k():
+    # G^{K-1} from a G rounded near 1 lost QUADPACK its tolerance from K ~ 1.2e8
+    for m in (2, 4, 16):
+        k = 2 * 10**8
+        assert alpha(m, k) < alpha(m, 10**8), m
+        assert alpha(m, k) <= k / (k * m - 1), m
+
+
+def _double_loop_coeffs(r: int, k: int) -> dict:
+    # sum_{j >= K+1-r} C(K, j) G^j (1 - G)^{K-j}, each (1 - G)^{K-j} expanded
+    coeffs: dict = {}
+    for j in range(k + 1 - r, k + 1):
+        for m in range(0, k - j + 1):
+            coeffs[j + m] = coeffs.get(j + m, 0) + math.comb(k, j) * math.comb(k - j, m) * (-1) ** m
+    return {n: c for n, c in coeffs.items() if c != 0}
+
+
+def test_order_stat_power_coeffs_match_the_double_loop_expansion():
+    # ascending in n too: _alpha_terms sums in that order
+    for k in range(1, 41):
+        for r in range(1, k + 1):
+            want = sorted(_double_loop_coeffs(r, k).items())
+            assert list(_order_stat_power_coeffs(r, k).items()) == want, (r, k)
 
 
 def test_order_stat_power_coeffs_match_printed_forms():

@@ -250,7 +250,8 @@ def test_quadrature_that_loses_its_tolerance_exits_3(capsys):
     argv = ["analytic", *BASE_FLAGS, "--K", str(10**12), "--algorithms", "NUS"]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
-        "error: quadrature lost its tolerance for alpha(4, 999999999999)\n")
+        "error: quadrature lost its tolerance for DistributionSpec(kind='norm_order_stat',"
+        " M=4, r=2, K=1000000000000, i=0)\n")
 
 
 def test_simulate_rejects_bad_trials(tmp_path, capsys):

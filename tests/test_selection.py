@@ -515,6 +515,27 @@ def test_exhaustive_exact_does_not_enumerate(monkeypatch):
         assert sum(rows) <= 320  # enumerating the 336 orderings steps 520 rows
 
 
+def test_set_tables_structure():
+    # every set reached from its parent by its largest member, and every S+u
+    for k in range(1, 10):
+        for k_s in range(1, k + 1):
+            members, nexts, parents, tops = selection._set_tables(k, k_s)
+            sets = [[frozenset(np.flatnonzero(row).tolist()) for row in m] for m in members]
+            for j, level in enumerate(sets):
+                assert all(len(s) == j for s in level) and len(set(level)) == len(level)
+                assert len(level) == math.comb(k, j)
+            for j in range(k_s - 1):
+                for i, s in enumerate(sets[j]):
+                    for u in range(k):
+                        t = nexts[j][i, u]
+                        assert t == 0 if u in s else sets[j + 1][t] == s | {u}, (k, k_s, j, s, u)
+                rebuilt = [sets[j][p] | {u} for p, u in zip(parents[j], tops[j])]
+                assert rebuilt == sets[j + 1]
+                assert all(u == max(s) for s, u in zip(sets[j + 1], tops[j]))
+            for a in members + nexts + parents + tops:
+                assert not a.flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_exhaustive_dp_regression_m4_k8(seed):
     c = sample_channel_set(4, 8, SeedSpec(14, seed))
