@@ -82,7 +82,7 @@ def _has_type(value, kind) -> bool:
 class ExperimentConfig:
     """Full description of one simulation or sweep.
 
-    The swept dimension's own field may stay None; every other field is
+    The swept dimension's own field stays None; every other field is
     concrete. `gamma_db` is the only dB quantity in the package and is
     converted exactly once, by `gamma_linear`.
     """
@@ -139,12 +139,15 @@ class ExperimentConfig:
         for name in ("M", "K"):
             val = getattr(self, name)
             if self.sweep_axis == name:
-                continue
-            if val is None or val < 1:
+                if val is not None:
+                    raise ConfigError(f"{name}={val} given for the swept dimension {name}")
+            elif val is None or val < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         for v in self.sweep_values:
             if v < 1:
                 raise ConfigError(f"sweep value {v} must be a positive integer")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError(f"sweep_values {self.sweep_values} repeat a value")
         if self.K_s < 1:
             raise ConfigError("K_s must be a positive integer")
         if not self.algorithms:
@@ -266,51 +269,40 @@ def _encoding_orders(alg, meth, channels, config, targets, trials):
     return sel.encoding_order
 
 
-def _priced(solver, picked, targets):
-    """Totals of (N, K_s, M) picked rows, each priced as that set alone; if
-    the call raises, row by row. NaN marks infeasible rows only: a total that
-    broke down in overflow is infinite, and run_point rejects its moments."""
-    try:
-        total = solver(picked, targets).total_power
-    except InfeasibleGeometryError:
-        if len(picked) == 1:
-            return np.full(1, np.nan)
-        return np.concatenate([_priced(solver, row[None], targets) for row in picked])
-    return np.where(np.isnan(total), np.inf, total)
-
-
 def _block_totals(config, targets, series, channels, trials):
-    """Totals of each series over one block of trials; infeasible trials are NaN.
+    """Totals of each series over one block of trials; infeasible cells are NaN.
 
     A rule's orders serve every method of the block, and each method makes
     one solver call on the picked rows of all its series, stacked along the
-    trial axis. A selection that raises (EXHAUSTIVE with no feasible order)
-    runs the block again one trial at a time, so only those trials turn NaN.
+    trial axis. A block that raises InfeasibleGeometryError runs again as two
+    halves, down to one trial, whose series then run alone: only a series
+    that raises alone turns NaN, and a total that overflowed is infinite.
     """
     # looked up per call, so a patched or traced solver takes effect
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
     orders, picks, totals = {}, {}, {}
-    for alg, meth in series:
-        key = (alg, meth) if alg == "EXHAUSTIVE" else alg
-        try:
+    try:
+        for alg, meth in series:
+            key = (alg, meth) if alg == "EXHAUSTIVE" else alg
             if key not in orders:
                 orders[key] = _encoding_orders(alg, meth, channels, config, targets, trials)
             picks.setdefault(meth, {})[(alg, meth)] = orders[key]
-        except InfeasibleGeometryError:
-            if len(trials) == 1:
-                totals[(alg, meth)] = np.full(1, np.nan)
-                continue
-            singles = [
-                _block_totals(config, targets, series,
-                              ChannelSet(channels.users[i : i + 1]), trials[i : i + 1])
-                for i in range(len(trials))
-            ]
-            return {name: np.concatenate([t[name] for t in singles]) for name in series}
-    for meth, picked in picks.items():
-        order = np.stack(list(picked.values()))[..., None]
-        rows = np.take_along_axis(channels.users[None], order, axis=2)
-        total = _priced(solvers[meth], rows.reshape(-1, *rows.shape[2:]), targets)
-        totals.update(zip(picked, np.split(total, len(picked))))
+        for meth, picked in picks.items():
+            order = np.stack(list(picked.values()))[..., None]
+            rows = np.take_along_axis(channels.users[None], order, axis=2)
+            total = solvers[meth](rows.reshape(-1, *rows.shape[2:]), targets).total_power
+            total = np.where(np.isnan(total), np.inf, total)
+            totals.update(zip(picked, np.split(total, len(picked))))
+    except InfeasibleGeometryError:
+        if len(trials) > 1:
+            cut = len(trials) // 2
+            parts = [_block_totals(config, targets, series, ChannelSet(channels.users[half]),
+                                   trials[half]) for half in (slice(cut), slice(cut, None))]
+            return {name: np.concatenate([p[name] for p in parts]) for name in series}
+        if len(series) == 1:
+            return {series[0]: np.full(1, np.nan)}
+        for name in series:
+            totals.update(_block_totals(config, targets, [name], channels, trials))
     return {name: totals[name] for name in series}
 
 

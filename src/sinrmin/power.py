@@ -17,6 +17,17 @@ from .channel import RANK_TOL, _complement_step, _squared_norms
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleGeometryError
 
 
+def _real(value, what: str) -> np.ndarray:
+    """`value` as float64 when it holds only real numbers (no bool, text or None)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must be real, got {value!r}")
+    return arr.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class SinrTargets:
     """Per-user SINR targets (linear scale) and the noise variance.
@@ -30,14 +41,15 @@ class SinrTargets:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.gamma, dtype=np.float64)
+        g = _real(self.gamma, "SINR targets")
         if g.ndim > 1:
             raise DimensionError(f"gamma must be scalar or 1-D, got shape {g.shape}")
         if g.size == 0 or not np.all((g > 0) & (g < np.inf)):
             raise ConfigError("all SINR targets must be positive and finite")
-        if not 0 < self.sigma_sq < np.inf:
+        s2 = _real(self.sigma_sq, "noise variance")
+        if s2.ndim or not 0 < s2 < np.inf:
             raise ConfigError(
-                f"noise variance must be positive and finite, got {self.sigma_sq}"
+                f"noise variance must be one positive finite number, got {self.sigma_sq!r}"
             )
 
     def gamma_vector(self, n: int) -> np.ndarray:
@@ -72,6 +84,11 @@ class PowerSolution:
             norms = np.linalg.norm(self.beamformers, axis=-1)
             if not np.all(np.abs(norms - 1.0) <= 1e-10):
                 raise DomainError("beamformers must have unit norm")
+
+
+def _check_sinr_targets(targets) -> None:
+    if not isinstance(targets, SinrTargets):
+        raise ConfigError(f"targets must be SinrTargets, got {targets!r}")
 
 
 def _as_block(channels) -> tuple[np.ndarray, bool]:
@@ -154,6 +171,7 @@ def exact_min_power(channels, targets: SinrTargets) -> PowerSolution:
     A (T, n, M) block is T independent sets priced at once; each gets
     what it would alone.
     """
+    _check_sinr_targets(targets)
     h, single = _as_block(channels)
     _row_norms_checked(h)
     p_unit, gains, _ = _dual_uplink(h, targets.gamma_vector(h.shape[1]))
@@ -170,6 +188,7 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
     (T, n, M) block is T independent sets priced at once; each gets what
     it would alone, and one infeasible set fails the block.
     """
+    _check_sinr_targets(targets)
     h, single = _as_block(channels)
     norms = _row_norms_checked(h)
     gam = targets.gamma_vector(h.shape[1])
@@ -201,6 +220,7 @@ def downlink_dual_solution(channels, targets: SinrTargets) -> PowerSolution:
     matches the exact recursion to machine precision. `achieved_sinr` is
     recomputed from the returned beamformers and powers, not assumed.
     """
+    _check_sinr_targets(targets)
     h = _as_matrix(channels)
     _row_norms_checked(h)
     n = h.shape[0]
@@ -236,6 +256,7 @@ def evaluate_sinr(channels, beamformers, powers, targets: SinrTargets) -> np.nda
     the earlier beams' leakage. Only the noise variance of `targets` is
     used here.
     """
+    _check_sinr_targets(targets)
     h = _as_matrix(channels)
     bf = _as_matrix(beamformers)
     q = np.atleast_1d(np.asarray(powers, dtype=np.float64))

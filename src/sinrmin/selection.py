@@ -25,6 +25,7 @@ from .errors import BudgetError, ConfigError, InfeasibleGeometryError
 # approx_min_power and exact_min_power stay bound here: perfbench/tracing.py hooks them
 from .power import (  # noqa: F401
     SinrTargets,
+    _check_sinr_targets,
     _uplink_step,
     approx_min_power,
     exact_min_power,
@@ -354,8 +355,7 @@ def select_exhaustive(
     _check_k_s(channels, k_s)
     if power_fn not in ("exact", "approx"):
         raise ConfigError(f"power_fn must be 'exact' or 'approx', got {power_fn!r}")
-    if not isinstance(targets, SinrTargets):
-        raise ConfigError(f"targets must be SinrTargets, got {targets!r}")
+    _check_sinr_targets(targets)
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise ConfigError(f"budget must be an int >= 1, got {budget!r}")
     if (count := math.perm(channels.K, k_s)) > budget:

@@ -4,8 +4,10 @@ Each public sampler, selection rule and power solver takes a (T, K, M)
 block as well as one (K, M) set, and a set is priced as the block of
 T=1. These properties check that a block's row t is exactly what set t
 gives alone, on near-dependent users, at K_s = M and with per-position
-targets, and that an infeasible trial turns only its own total NaN.
+targets, and that an infeasible trial turns only its own totals NaN.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -88,45 +90,50 @@ def test_block_rows_equal_one_set_calls(instance):
         assert tuple(rus.encoding_order[t]) == select_rus(ChannelSet(h[t]), k_s, s).encoding_order
 
 
+def _copy_strongest_user(h, trials):
+    """A copy of each trial's strongest user: NUS picks both, and the second
+    lies in the first's span, so only those trials' approx prices are infeasible."""
+    for i in trials:
+        strongest = int(np.argmax((np.abs(h[i]) ** 2).sum(axis=1)))
+        h[i, (strongest + 1) % h.shape[1]] = h[i, strongest]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6), st.data())
+@given(st.integers(1, 9), st.data())
 def test_infeasible_trial_is_the_only_nan(t, data):
-    bad = data.draw(st.integers(0, t - 1))
+    # the block's first and last trials are always among the bad ones
+    bad = {0, t - 1} | data.draw(st.sets(st.integers(0, t - 1), max_size=3))
     seed = data.draw(st.integers(0, 2**32 - 1))
     cfg = experiment.ExperimentConfig(
         M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1, algorithms=("NUS", "SUS"),
         power_method="both", trials=t, master_seed=seed,
     )
     h = sample_channel_set(4, 6, [SeedSpec(seed, 2 * i) for i in range(t)]).users.copy()
-    # a copy of the strongest user: NUS picks both, and the second lies in
-    # the first's span, so only that trial's approx price is infeasible
-    strongest = int(np.argmax((np.abs(h[bad]) ** 2).sum(axis=1)))
-    h[bad, (strongest + 1) % 6] = h[bad, strongest]
+    _copy_strongest_user(h, bad)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
     totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
 
-    nan = np.isnan(totals[("NUS", "approx")])
-    assert nan[bad] and nan.sum() == 1
+    assert np.isnan(totals[("NUS", "approx")]).tolist() == [i in bad for i in range(t)]
     for key in series:
         if key != ("NUS", "approx"):
             assert not np.isnan(totals[key]).any()
     for i in range(t):
         order = list(select_nus(ChannelSet(h[i]), 2).encoding_order)
         assert totals[("NUS", "exact")][i] == exact_min_power(h[i][order], targets).total_power
-        if i != bad:
+        if i not in bad:
             want = approx_min_power(h[i][order], targets).total_power
             assert totals[("NUS", "approx")][i] == want
 
 
 def test_exhaustive_infeasible_trial_in_a_block():
-    t, bad = 5, 2
+    t, bad = 5, {1, 4}
     cfg = experiment.ExperimentConfig(
         M=4, K=6, K_s=3, gamma_db=10.0, sigma_sq=0.1, algorithms=("EXHAUSTIVE",),
         power_method="both", trials=t, master_seed=3,
     )
     h = sample_channel_set(4, 6, [SeedSpec(3, 2 * i) for i in range(t)]).users.copy()
-    h[bad, 2:] = 0.0  # two nonzero users left, one fewer than K_s
+    h[sorted(bad), 2:] = 0.0  # two nonzero users left, one fewer than K_s
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [("EXHAUSTIVE", meth) for meth in cfg.methods()]
     for _, meth in series:
@@ -135,10 +142,55 @@ def test_exhaustive_infeasible_trial_in_a_block():
     totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
     for key in series:
-        assert np.isnan(totals[key]).tolist() == [i == bad for i in range(t)]
-        for i in set(range(t)) - {bad}:
+        assert np.isnan(totals[key]).tolist() == [i in bad for i in range(t)]
+        for i in set(range(t)) - bad:
             order = list(select_exhaustive(ChannelSet(h[i]), 3, targets, key[1]).encoding_order)
             assert totals[key][i] == solvers[key[1]](h[i][order], targets).total_power
+
+
+def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
+    # the block that raises is priced again as halves, so one bad trial
+    # costs two calls a level and one a series at the last
+    t, bad = 64, 37
+    cfg = experiment.ExperimentConfig(
+        M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1,
+        algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"), trials=t, master_seed=5,
+    )
+    h = sample_channel_set(4, 6, [SeedSpec(5, 2 * i) for i in range(t)]).users.copy()
+    _copy_strongest_user(h, [bad])
+    calls = []
+
+    def counted(rows, targets):
+        calls.append(len(rows))
+        return approx_min_power(rows, targets)
+
+    monkeypatch.setattr(experiment, "approx_min_power", counted)
+    targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
+    series = [(alg, "approx") for alg in cfg.algorithms]
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
+    assert np.isnan(totals[("NUS", "approx")]).tolist() == [i == bad for i in range(t)]
+    for key in series:
+        assert not np.isnan(np.delete(totals[key], bad)).any()
+    assert len(calls) <= 2 * math.ceil(math.log2(t)) + len(series) + 1
+
+
+def test_an_overflowed_total_is_infinite_not_infeasible():
+    # the first user's unit-noise power overflows and the recursion turns
+    # NaN; run_point must reject that total, not count it as infeasible
+    cfg = experiment.ExperimentConfig(
+        M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1, algorithms=("NUS",),
+        power_method="exact", trials=3, master_seed=2,
+    )
+    h = sample_channel_set(4, 6, [SeedSpec(2, 2 * i) for i in range(3)]).users
+    block = ChannelSet(0.01 * h)
+    targets = SinrTargets(1e307, 0.1)
+    series = [("NUS", "exact")]
+    order = select_nus(block, 2).encoding_order[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.take_along_axis(block.users, order, axis=1)
+        assert np.isnan(exact_min_power(rows, targets).total_power).all()
+        totals = experiment._block_totals(cfg, targets, series, block, range(3))
+    assert np.isposinf(totals[("NUS", "exact")]).all()
 
 
 @pytest.mark.parametrize("t", (1, 3, 7))

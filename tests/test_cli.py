@@ -505,6 +505,11 @@ def test_figure_runs_packaged_config(tmp_path, capsys):
     assert (out / "plot_results.py").exists()
 
 
+def test_figure_rejects_a_value_for_its_swept_dimension(tmp_path, capsys):
+    assert main(["figure", "1", "--M", "8", "--trials", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: M=8 given for the swept dimension M\n"
+
+
 def test_figure_rejects_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["figure", "7", "--out", "/tmp/zz"])

@@ -58,6 +58,10 @@ def test_validate_rejects_bad_configs():
         _cfg(sweep_values=(3, 4)).validate()  # values without axis
     with pytest.raises(ConfigError):
         _cfg(M=None).validate()
+    with pytest.raises(ConfigError, match="swept dimension M"):
+        _cfg(M=8, sweep_axis="M", sweep_values=(3, 4)).validate()
+    with pytest.raises(ConfigError, match="repeat a value"):
+        _cfg(K=None, sweep_axis="K", sweep_values=(4, 6, 4)).validate()
     with pytest.raises(ConfigError):
         _cfg(algorithms=()).validate()
     with pytest.raises(ConfigError):

@@ -50,6 +50,23 @@ def test_targets_validation():
         SinrTargets(np.ones((2, 2)), 1.0)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (SinrTargets, (10.0, "0.1")),
+    (SinrTargets, (10.0, None)),
+    (SinrTargets, ("abc", 0.1)),
+    (SinrTargets, (10.0, np.array([0.1, 0.2]))),
+    (SinrTargets, ([1.0, [2.0, 3.0]], 0.1)),  # ragged
+    (SinrTargets, (True, 0.1)),
+    (exact_min_power, (np.eye(2), None)),
+    (approx_min_power, (np.eye(2), 10.0)),
+    (downlink_dual_solution, (np.eye(2), (10.0, 0.1))),
+    (evaluate_sinr, (np.eye(2), np.eye(2), [1.0, 1.0], None)),
+])
+def test_malformed_targets_are_config_errors(fn, args):
+    with pytest.raises(ConfigError):
+        fn(*args)
+
+
 def test_gamma_vector_broadcast_and_mismatch():
     assert np.array_equal(T10.gamma_vector(3), [10.0, 10.0, 10.0])
     vec = SinrTargets(np.array([1.0, 2.0]), 1.0)
