@@ -269,40 +269,49 @@ def _encoding_orders(alg, meth, channels, config, targets, trials):
     return sel.encoding_order
 
 
-def _block_totals(config, targets, series, channels, trials):
+def _block_totals(config, targets, series, channels, trials, orders=(), totals=(), raises=False):
     """Totals of each series over one block of trials; infeasible cells are NaN.
 
     A rule's orders serve every method of the block, and each method makes
     one solver call on the picked rows of all its series, stacked along the
-    trial axis. A block that raises InfeasibleGeometryError runs again as two
-    halves, down to one trial, whose series then run alone: only a series
-    that raises alone turns NaN, and a total that overflowed is infinite.
+    trial axis. A block that raises InfeasibleGeometryError runs again as
+    halves that keep the `orders` and `totals` found, down to one trial,
+    whose series then run alone: only a series that raises alone turns NaN.
+    A second half `raises` unrun when the first ran clean.
     """
     # looked up per call, so a patched or traced solver takes effect
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
-    orders, picks, totals = {}, {}, {}
+    orders, totals, picks = dict(orders), dict(totals), {}
     try:
+        if raises:
+            raise InfeasibleGeometryError("the block's other half ran clean")
         for alg, meth in series:
             key = (alg, meth) if alg == "EXHAUSTIVE" else alg
-            if key not in orders:
-                orders[key] = _encoding_orders(alg, meth, channels, config, targets, trials)
-            picks.setdefault(meth, {})[(alg, meth)] = orders[key]
+            if (alg, meth) not in totals:
+                if key not in orders:
+                    orders[key] = _encoding_orders(alg, meth, channels, config, targets, trials)
+                picks.setdefault(meth, {})[(alg, meth)] = orders[key]
         for meth, picked in picks.items():
             order = np.stack(list(picked.values()))[..., None]
             rows = np.take_along_axis(channels.users[None], order, axis=2)
             total = solvers[meth](rows.reshape(-1, *rows.shape[2:]), targets).total_power
-            total = np.where(np.isnan(total), np.inf, total)
+            total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
             totals.update(zip(picked, np.split(total, len(picked))))
     except InfeasibleGeometryError:
         if len(trials) > 1:
-            cut = len(trials) // 2
-            parts = [_block_totals(config, targets, series, ChannelSet(channels.users[half]),
-                                   trials[half]) for half in (slice(cut), slice(cut, None))]
+            cut, parts = len(trials) // 2, []
+            for half in (slice(cut), slice(cut, None)):
+                # a raising block has a half that raises: the second, if the first ran clean
+                raises = bool(parts) and not np.isnan(list(parts[0].values())).any()
+                parts.append(_block_totals(
+                    config, targets, series, ChannelSet(channels.users[half]), trials[half],
+                    {k: v[half] for k, v in orders.items()},
+                    {k: v[half] for k, v in totals.items()}, raises))
             return {name: np.concatenate([p[name] for p in parts]) for name in series}
         if len(series) == 1:
             return {series[0]: np.full(1, np.nan)}
         for name in series:
-            totals.update(_block_totals(config, targets, [name], channels, trials))
+            totals.update(_block_totals(config, targets, [name], channels, trials, orders, totals))
     return {name: totals[name] for name in series}
 
 

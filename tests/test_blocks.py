@@ -149,8 +149,9 @@ def test_exhaustive_infeasible_trial_in_a_block():
 
 
 def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
-    # the block that raises is priced again as halves, so one bad trial
-    # costs two calls a level and one a series at the last
+    # the block that raises is priced again as halves that keep its orders,
+    # so one bad trial costs at most two calls a level and one a series at
+    # the last, and each rule selects once
     t, bad = 64, 37
     cfg = experiment.ExperimentConfig(
         M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1,
@@ -164,7 +165,13 @@ def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
         calls.append(len(rows))
         return approx_min_power(rows, targets)
 
+    def searched(*args, **kwargs):
+        searches.append(1)
+        return select_exhaustive(*args, **kwargs)
+
+    searches = []
     monkeypatch.setattr(experiment, "approx_min_power", counted)
+    monkeypatch.setattr(experiment, "select_exhaustive", searched)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, "approx") for alg in cfg.algorithms]
     totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
@@ -172,6 +179,31 @@ def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
     for key in series:
         assert not np.isnan(np.delete(totals[key], bad)).any()
     assert len(calls) <= 2 * math.ceil(math.log2(t)) + len(series) + 1
+    assert len(searches) == 1
+
+
+def test_a_clean_first_half_leaves_the_raise_to_the_second(monkeypatch):
+    # one of a raising block's halves raises, so when the first prices
+    # clean the second is cut again without a call of its own
+    cfg = experiment.ExperimentConfig(
+        M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1, algorithms=("NUS", "SUS"),
+        trials=4, master_seed=8,
+    )
+    h = sample_channel_set(4, 6, [SeedSpec(8, 2 * i) for i in range(4)]).users.copy()
+    _copy_strongest_user(h, [3])
+    calls = []
+
+    def counted(rows, targets):
+        calls.append(len(rows))
+        return approx_min_power(rows, targets)
+
+    monkeypatch.setattr(experiment, "approx_min_power", counted)
+    targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
+    series = [(alg, "approx") for alg in cfg.algorithms]
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(4))
+    assert np.isnan(totals[("NUS", "approx")]).tolist() == [False, False, False, True]
+    assert not np.isnan(totals[("SUS", "approx")]).any()
+    assert calls == [8, 4, 2, 1, 1]
 
 
 def test_an_overflowed_total_is_infinite_not_infeasible():
