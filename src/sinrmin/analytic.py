@@ -202,12 +202,37 @@ def _quad_to_tail(integrand, upper: float, tail, what) -> float:
         value, _, _, *lost = quad(
             integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300, full_output=1)
         if lost:  # QUADPACK's message, returned in place of an IntegrationWarning
-            raise ArithmeticError(f"quadrature lost its tolerance for {what}")
+            raise ArithmeticError(
+                f"quadrature lost its tolerance for {what} on [0, {upper:g}]: "
+                + " ".join(lost[0].split()))
         if tail(upper) <= _TAIL_FRACTION * value:
             return float(value)
         if upper > 1e6:
-            raise ArithmeticError(f"tail criterion unreachable for {what}")
+            raise ArithmeticError(f"tail criterion unreachable for {what} at upper {upper:g}")
         upper *= 2.0
+
+
+def _order_stat_quadrature(M: int, r: int, K: int) -> tuple:
+    # pdf(t) / t and the tail bound of the r-th largest of K squared norms, at
+    # scalar speed as in alpha.  Where G >= 1/2, G^{K-r} and 1 - G come from
+    # Q = 1 - G, which G itself has rounded away.  The mass above u is
+    # 1 - I_G(K+1-r, r) = I_Q(r, K+1-r). The scalar betainc takes no ints;
+    # its ufunc, called a few times per integral, takes K beyond int64 as a float
+    coef, log_gamma_m = float(r * math.comb(K, r)), gammaln(M)
+
+    def integrand(t: float) -> float:
+        if t <= 0.0:
+            return 0.0
+        parent = math.exp(-t + (M - 1) * math.log(t) - log_gamma_m)
+        if (g := cython_special.gammainc(M, t)) < 0.5:
+            return coef * g ** (K - r) * (1.0 - g) ** (r - 1) * parent / t
+        q = cython_special.gammaincc(M, t)
+        return coef * math.exp((K - r) * math.log1p(-q)) * q ** (r - 1) * parent / t
+
+    def tail(u: float) -> float:
+        return float(betainc(float(r), float(K + 1 - r), cython_special.gammaincc(M, u))) / u
+
+    return integrand, tail
 
 
 def mean_inverse_quadrature(spec: DistributionSpec) -> float:
@@ -218,19 +243,19 @@ def mean_inverse_quadrature(spec: DistributionSpec) -> float:
     use it as the independent reference for every closed form.
     """
     _check_integrable(spec)
-
-    def integrand(t: float) -> float:
-        return pdf(spec, t) / t if t > 0.0 else 0.0
-
-    # 1/x <= 1/upper beyond the cut, so the discarded tail is bounded by
-    # the remaining probability mass over upper; the sine laws end at 1
-    if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
-        upper = 1.0
+    if spec.kind == "norm_order_stat":
+        integrand, tail = _order_stat_quadrature(spec.M, spec.r, spec.K)
     else:
-        upper = 8.0 * spec.M + 8.0
-    return _quad_to_tail(
-        integrand, upper, lambda u: (1.0 - float(cdf(spec, u))) / u, spec
-    )
+        def integrand(t: float) -> float:
+            return pdf(spec, t) / t if t > 0.0 else 0.0
+
+        def tail(u: float) -> float:
+            return (1.0 - float(cdf(spec, u))) / u
+
+    # 1/x <= 1/u beyond a cut u, so the discarded tail is bounded by the
+    # probability mass above u over u; the sine laws end at 1
+    upper = 1.0 if spec.kind in ("sin_sq_angle", "sin_sq_angle_max") else 8.0 * spec.M + 8.0
+    return _quad_to_tail(integrand, upper, tail, spec)
 
 
 @lru_cache(maxsize=None)

@@ -211,6 +211,59 @@ def test_mean_inverse_single_dim_order_stat():
     assert np.isfinite(val) and val > 0
 
 
+_EPS = np.finfo(float).eps
+_ORDER_STATS = [(m, r, k) for m in range(1, 9) for k in range(1, 25) for r in range(1, k + 1)]
+
+
+def test_order_stat_integrand_is_the_density_over_t():
+    # pdf stays the independent check of the scalar integrand. Where G < 1/2
+    # both take the same products, but numpy's exp and log may round the
+    # parent density's exponent -t + (M-1) log t otherwise than math's. Above,
+    # pdf's G^{K-r} carries up to K - r roundings of G, and its 1 - G an
+    # absolute rounding of G, which Q does not
+    ts = np.logspace(-3, 2, 161)
+    for m, r, k in _ORDER_STATS:
+        integrand, _ = analytic._order_stat_quadrature(m, r, k)
+        got = np.array([integrand(t) for t in ts])
+        ref = pdf(DistributionSpec.norm_order_stat(m, r, k), ts) / ts
+        g, q = gammainc(m, ts), gammaincc(m, ts)
+        ulps = np.abs(got - ref) / np.where(ref > 0.0, ref, 1.0) / _EPS
+        exponent = 4.0 + ts + (m - 1) * np.abs(np.log(ts))
+        low = (g < 0.5) & (ref > 0.0)
+        high = (g >= 0.5) & (q >= 1e-8) & (ref > 0.0)
+        assert np.all(ulps[low] <= exponent[low]), (m, r, k)
+        bound = exponent[high] + 2.0 * (1 + (k - r) + (r - 1) / q[high])
+        assert np.all(ulps[high] <= bound), (m, r, k)
+
+
+def test_order_stat_tail_is_the_mass_above_the_limit():
+    # I_Q(r, K+1-r) against 1 - I_G(K+1-r, r), which rounds to an absolute
+    # few eps; the bound leaves room for the betainc of the oldest supported SciPy
+    for m, r, k in _ORDER_STATS:
+        spec = DistributionSpec.norm_order_stat(m, r, k)
+        if analytic._divergence_exponent(spec) < 1:
+            continue
+        _, tail = analytic._order_stat_quadrature(m, r, k)
+        us = np.array([0.25, 1.0, 4.0] + [(8.0 * m + 8.0) * 2**j for j in range(4)])
+        got = np.array([tail(u) for u in us])
+        assert np.all(np.abs(got - (1.0 - cdf(spec, us)) / us) * us <= 64 * _EPS), (m, r, k)
+
+
+def test_mean_inverse_order_stat_at_large_k():
+    # K alpha(M, K-1) - (K-1) alpha(M, K) cancels, so these go to quadrature,
+    # where a G rounded to 1 raised ArithmeticError at K = 1e15 and gave
+    # 9.5e-94 at K = 1e18. The references are mpmath's at 50 digits
+    spec = DistributionSpec.norm_order_stat(2, 2, 10**15)
+    assert abs(mean_inverse(spec) - 0.026485994884306) <= 1e-10
+    ref = 0.022304443712853929536
+    assert abs(mean_inverse(DistributionSpec.norm_order_stat(2, 2, 10**18)) - ref) <= 1e-10 * ref
+
+
+def test_quad_to_tail_names_the_limit_it_gave_up_at():
+    with pytest.raises(ArithmeticError, match=r"^tail criterion unreachable for x at upper 1\.04858e\+06$"):
+        analytic._quad_to_tail(lambda t: 1.0, 1.0, lambda u: 1.0, "x")
+
+
 def test_mean_inverse_divergences():
     with pytest.raises(DivergenceError):
         mean_inverse(DistributionSpec.norm_chisq(1))

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import sinrmin.analytic as analytic
 from sinrmin.cli import (
     CONFIG_FLAGS,
     build_config,
@@ -246,12 +248,28 @@ def test_bad_flag_value_is_one_config_error_line(capsys, flags, message):
     assert capsys.readouterr().err == f"config error: {message}\n"  # no usage text
 
 
-def test_quadrature_that_loses_its_tolerance_exits_3(capsys):
+def test_nus_at_a_trillion_users(capsys):
+    # the second-largest norm's quadrature holds its tolerance at any K; it
+    # exited 3 here when it formed G^{K-2} from a G rounded near 1. mpmath
+    # gives 0.0677908309989 for the NUS sum
     argv = ["analytic", *BASE_FLAGS, "--K", str(10**12), "--algorithms", "NUS"]
-    assert main(argv) == 3
+    assert main(argv) == 0
+    assert "none,,NUS,0.067791\n" in capsys.readouterr().out
+
+
+def test_quadrature_that_loses_its_tolerance_exits_3(capsys, monkeypatch):
+    message = "The occurrence of roundoff error is detected, which prevents \n  the requested tolerance"
+
+    def lost(func, a, b, **kwargs):
+        return (*quad(func, a, b, **kwargs), message)
+
+    analytic.alpha.cache_clear()
+    analytic.mean_inverse.cache_clear()
+    monkeypatch.setattr(analytic, "quad", lost)
+    assert main(["analytic", *BASE_FLAGS, "--algorithms", "NUS"]) == 3
     assert capsys.readouterr().err == (
-        "error: quadrature lost its tolerance for DistributionSpec(kind='norm_order_stat',"
-        " M=4, r=2, K=1000000000000, i=0)\n")
+        "error: quadrature lost its tolerance for alpha(4, 7) on [0, 40]: The occurrence"
+        " of roundoff error is detected, which prevents the requested tolerance\n")
 
 
 def test_simulate_rejects_bad_trials(tmp_path, capsys):
