@@ -12,6 +12,7 @@ Carlo estimation lives in ``experiment``.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,12 +219,23 @@ def _order_stat_quadrature(M: int, r: int, K: int) -> tuple:
     # Q = 1 - G, which G itself has rounded away.  The mass above u is
     # 1 - I_G(K+1-r, r) = I_Q(r, K+1-r). The scalar betainc takes no ints;
     # its ufunc, called a few times per integral, takes K beyond int64 as a float
-    coef, log_gamma_m = float(r * math.comb(K, r)), gammaln(M)
+    count, log_gamma_m, log_coef = r * math.comb(K, r), gammaln(M), None
+    try:
+        coef = float(count)
+    except OverflowError:  # r C(K, r) past the float range: the product in logs
+        log_coef = math.log(count)  # math.log takes any int
 
     def integrand(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        parent = math.exp(-t + (M - 1) * math.log(t) - log_gamma_m)
+        log_parent = -t + (M - 1) * math.log(t) - log_gamma_m
+        if log_coef is not None:
+            g, q = cython_special.gammainc(M, t), cython_special.gammaincc(M, t)
+            if g == 0.0 or q == 0.0:  # a power of zero; parent underflows where q does
+                return 0.0
+            lg, lq = (math.log(g), math.log1p(-g)) if g < 0.5 else (math.log1p(-q), math.log(q))
+            return math.exp(log_coef + (K - r) * lg + (r - 1) * lq + log_parent) / t
+        parent = math.exp(log_parent)
         if (g := cython_special.gammainc(M, t)) < 0.5:
             return coef * g ** (K - r) * (1.0 - g) ** (r - 1) * parent / t
         q = cython_special.gammaincc(M, t)
@@ -282,10 +294,12 @@ def mean_inverse(spec: DistributionSpec) -> float:
     if spec.kind == "norm_not_largest":
         return (spec.K / (spec.M - 1) - alpha(spec.M, spec.K)) / (spec.K - 1)
     if spec.M >= 2:  # norm_order_stat from here on
-        terms = _alpha_terms(spec.M, spec.r, spec.K)
-        value = float(sum(terms))
-        if sum(abs(t) for t in terms) * _EPS <= _QUAD_REL * value:
-            return value
+        # a coefficient past the float range cancels past any tolerance
+        with suppress(OverflowError):
+            terms = _alpha_terms(spec.M, spec.r, spec.K)
+            value = float(sum(terms))
+            if sum(abs(t) for t in terms) * _EPS <= _QUAD_REL * value:
+                return value
     return mean_inverse_quadrature(spec)
 
 

@@ -35,6 +35,7 @@ from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
     _CHUNK_BYTES,
     ALGORITHM_TAGS,
+    _dp_trial_bytes,
     select_aus,
     select_exhaustive,
     select_nus,
@@ -54,7 +55,10 @@ _POWER_METHODS = ("exact", "approx")
 # M x M Z^-1 a trial), which bounds every block array and temporary by a
 # small multiple of it, whatever the trial count.
 _BLOCK_BYTES = 1 << 20
-_SAMPLE_BYTES = 1 << 28  # a point's per-trial totals; one trial's exhaustive approx DP
+# A point's per-trial totals, and one trial's largest exhaustive approx DP
+# level (`selection._dp_trial_bytes`); a DP chunk holds more than one trial
+# only within `selection._CHUNK_BYTES`.
+_SAMPLE_BYTES = 1 << 28
 
 
 def _parse_cell(kind, raw: str):
@@ -198,9 +202,8 @@ class ExperimentConfig:
                     f"a trial's exact Z^-1 takes {16 * m * m} bytes, over {_BLOCK_BYTES}")
             searched = (simulatable and "EXHAUSTIVE" in self.algorithms
                         and math.perm(k, self.K_s) <= self.exhaustive_budget)
-            # the exhaustive approx DP gathers C(K, j) sets x K users x (M - j + 1) at level j
             if searched and "approx" in self.methods():
-                dp = 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(self.K_s))
+                dp = _dp_trial_bytes(k, m, self.K_s)
                 if dp > _SAMPLE_BYTES:
                     raise ConfigError(f"the exhaustive DP takes {dp} bytes, over {_SAMPLE_BYTES}")
             # the exact search steps at least one prefix at a time: 16 K M^2 bytes of Z^-1

@@ -129,19 +129,22 @@ def _solution(per_user, achieved, method_tag, single) -> PowerSolution:
     return PowerSolution(per_user, total, achieved, method_tag)
 
 
-def _uplink_step(zinv: np.ndarray, h_i: np.ndarray, gamma_i):
+def _uplink_gain(zinv: np.ndarray, h_i: np.ndarray, gamma_i):
     """One position of the dual uplink against the predecessors' Z^-1.
 
-    Returns the direction Z^-1 h_i, the gain h_i^H Z^-1 h_i, the
-    unit-noise power gamma_i / gain, and Z^-1 once the user is added,
-    by a rank-one update. Leading axes of `zinv` (..., M, M) and `h_i`
-    (..., M) are trials, each stepped on its own.
+    Returns the direction Z^-1 h_i, the gain h_i^H Z^-1 h_i and the
+    unit-noise power gamma_i / gain. Leading axes of `zinv` (..., M, M)
+    and `h_i` (..., M) are trials, each stepped on its own.
     """
     zh = (zinv @ h_i[..., None])[..., 0]
     d = (h_i.conj() * zh).sum(axis=-1).real
-    p = gamma_i / d
+    return zh, d, gamma_i / d
+
+
+def _uplink_update(zinv: np.ndarray, zh: np.ndarray, d: np.ndarray, p: np.ndarray):
+    """Z^-1 once the user of `_uplink_gain`'s (zh, d, p) is added, by a rank-one update."""
     w = p / (1.0 + p * d)
-    return zh, d, p, zinv - w[..., None, None] * (zh[..., :, None] * zh.conj()[..., None, :])
+    return zinv - w[..., None, None] * (zh[..., :, None] * zh.conj()[..., None, :])
 
 
 def _dual_uplink(h: np.ndarray, gam: np.ndarray):
@@ -156,9 +159,10 @@ def _dual_uplink(h: np.ndarray, gam: np.ndarray):
     gains = np.empty(h.shape[:-1])
     dirs = np.empty_like(h)
     for i in range(n):
-        dirs[..., i, :], gains[..., i], p_unit[..., i], zinv = _uplink_step(
-            zinv, h[..., i, :], gam[i]
-        )
+        step = _uplink_gain(zinv, h[..., i, :], gam[i])
+        dirs[..., i, :], gains[..., i], p_unit[..., i] = step
+        if i + 1 < n:
+            zinv = _uplink_update(zinv, *step)
     return p_unit, gains, dirs
 
 

@@ -26,7 +26,8 @@ from .errors import BudgetError, ConfigError, InfeasibleGeometryError
 from .power import (  # noqa: F401
     SinrTargets,
     _check_sinr_targets,
-    _uplink_step,
+    _uplink_gain,
+    _uplink_update,
     approx_min_power,
     exact_min_power,
 )
@@ -222,29 +223,35 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
     rows = max(1, _CHUNK_BYTES // (16 * k * m * m))  # prefixes one step takes
 
-    def expand(trial, order, zinv, p, limit):
-        """Children of (N, j) prefixes within their trial's `limit`, in (row, user) order."""
+    def expand(trial, order, zinv, p, limit, first=False):
+        """Children of (N, j) prefixes within their trial's `limit`, in (row, user)
+        order, or only each trial's `first` lowest bound; Z^-1 below the leaf level."""
         j = order.shape[1]
         with np.errstate(all="ignore"):  # taken users are stepped too; their rows drop out
-            _, d, p_u, zinv_u = _uplink_step(zinv[:, None], h[trial], gam[j])
+            zh, d, p_u = _uplink_gain(zinv[:, None], h[trial], gam[j])
             free = live[trial] & (order[:, :, None] != np.arange(k)).all(axis=1)
             reach = np.where(free, d, 0.0).max(axis=1, keepdims=True)
             bound = s2 * (p.sum(axis=1, keepdims=True) + p_u + gam[j + 1 :].sum() / reach)
             # a free gain rounded to zero or below bounds none of its parent's children
             bound[~(~free | ((d > 0.0) & (d < math.inf))).all(axis=1)] = -math.inf
-            parent, user = np.nonzero(free & ~(bound > limit[trial, None]))
-        return (trial[parent], np.column_stack([order[parent], user]), zinv_u[parent, user],
-                np.column_stack([p[parent], p_u[parent, user]]), bound[parent, user])
+            kept = parent, user = np.nonzero(free & ~(bound > limit[trial, None]))
+            if first:
+                i = _firsts(trial[parent], bound[kept])
+                kept = parent, user = parent[i], user[i]
+            zinv_u = _uplink_update(zinv[parent], zh[kept], d[kept], p_u[kept]) \
+                if j + 1 < k_s else None
+        return (trial[parent], np.column_stack([order[parent], user]), zinv_u,
+                np.column_stack([p[parent], p_u[kept]]), bound[kept])
 
     best, best_order = np.full(n, math.inf), np.empty((n, k_s), np.intp)
     root = (np.arange(n), np.zeros((n, 0), np.intp),
             np.broadcast_to(np.eye(m, dtype=np.complex128), (n, m, m)), np.zeros((n, 0)))
     dive, stack = np.empty(n), [root]
     for lo in range(0, n, rows):  # the dive, each trial's first lowest bound a level; best is inf
-        kids = expand(*(a[lo : lo + rows] for a in root), best)
+        kids = expand(*(a[lo : lo + rows] for a in root), best, first=True)
         for _ in range(k_s - 1):
-            kids = expand(*(a[_firsts(kids[0], kids[4])] for a in kids[:4]), best)
-        dive[lo : lo + rows] = (s2 * kids[3][_firsts(kids[0], kids[4])]).sum(axis=1)
+            kids = expand(*kids[:4], best, first=True)
+        dive[lo : lo + rows] = (s2 * kids[3]).sum(axis=1)
     while stack:
         chunk = stack.pop()
         if len(chunk[0]) > rows:  # the rest waits until this chunk's subtree is done
@@ -261,39 +268,48 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     return best_order if (best < math.inf).all() else None
 
 
+def _dp_trial_bytes(k: int, m: int, k_s: int) -> int:
+    """Bytes of one trial's largest DP level: C(K, j) sets x K users x the
+    M - j + 1 coordinates gathered from their parents, at level j < K_s."""
+    return 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(k_s))
+
+
 @lru_cache(maxsize=16)
 def _set_tables(k: int, k_s: int):
     """The DP's set structure, which depends only on (K, K_s).
 
     Per size j < K_s, the j-sets of users in lexicographic order as a
     (C(K, j), K) membership mask; per j < K_s - 1, the rank of S+u among
-    the (j+1)-sets (0 where u is in S) and, per (j+1)-set, its parent S
-    (the set minus its largest member) and that largest member. The
-    arrays are read-only: every call shares them.
+    the (j+1)-sets (0 where u is in S) and, per (j+1)-set T, its members
+    in ascending order with the rank of T less each of them. T's parent
+    is the set less its largest, last member. The arrays are read-only:
+    every call shares them.
     """
     sets = [list(itertools.combinations(range(k), j)) for j in range(k_s)]
     rank = [{s: i for i, s in enumerate(level)} for level in sets]
-    members, nexts, parents, tops = [], [], [], []
+    members, nexts, drops, elems = [], [], [], []
     for j, level in enumerate(sets):
         member = np.zeros((len(level), k), dtype=bool)
         member[np.repeat(np.arange(len(level)), j), np.ravel(level).astype(np.intp)] = True
         members.append(member)
         if j + 1 == k_s:
             break
+        elem = np.array(sets[j + 1], dtype=np.intp).reshape(-1, j + 1)
+        drop = np.array([[rank[j][s[:i] + s[i + 1:]] for i in range(j + 1)]
+                         for s in sets[j + 1]], dtype=np.intp).reshape(elem.shape)
         nxt = np.zeros((len(level), k), dtype=np.intp)
-        for t, s in enumerate(sets[j + 1]):
-            for i, u in enumerate(s):
-                nxt[rank[j][s[:i] + s[i + 1:]], u] = t
+        nxt[drop, elem] = np.arange(len(elem))[:, None]
         nexts.append(nxt)
-        parents.append(np.array([rank[j][s[:-1]] for s in sets[j + 1]], dtype=np.intp))
-        tops.append(np.array([s[-1] for s in sets[j + 1]], dtype=np.intp))
-    for a in members + nexts + parents + tops:
+        drops.append(drop)
+        elems.append(elem)
+    for a in members + nexts + drops + elems:
         a.setflags(write=False)
-    return members, nexts, parents, tops
+    return members, nexts, drops, elems
 
 
-def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
-    """Backward DP over predecessor sets; None when every ordering fails.
+def _best_approx_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
+    """Backward DP over the predecessor sets of a (T, K, M) chunk of trials;
+    (T, K_s) orders, or None when a trial has no feasible ordering.
 
     g(S) = min over u outside S of sigma^2 gamma_|S| / res^2(u|S) + g(S+u),
     with g = 0 on K_s-sets. For every j-set S, in lexicographic order, each
@@ -303,32 +319,73 @@ def _best_approx_order(h: np.ndarray, k_s: int, targets: SinrTargets):
     largest member t) after `channel._complement_step` by t. Coordinates
     of t that are exactly zero put t in span(S), so S+t spans only j
     dimensions and the step drops an axis as it is.
+
+    A last-level set T is stepped only if F(T) + sigma^2 gamma_last / r is
+    within its trial's incumbent, F(T) being the cheapest encoding of T and
+    r the largest residual its parent leaves a user outside T; residuals
+    only shrink as the span grows. The incumbent is a greedy dive through
+    the levels. Every other last-level set costs +inf, which no optimal
+    ordering, tied ones included, goes through.
     """
-    k, m = h.shape
+    n, k, m = h.shape
     scale = targets.sigma_sq * targets.gamma_vector(k_s)
-    floor = RANK_TOL**2 * _squared_norms(h)
-    members, nexts, parents, tops = _set_tables(k, k_s)
-    coords = np.ascontiguousarray(h, dtype=np.complex128)[None]
-    costs = []
-    for j in range(k_s):
+    floor = RANK_TOL**2 * _squared_norms(h)[:, None]
+    members, nexts, drops, elems = _set_tables(k, k_s)
+    trials, last = np.arange(n), k_s - 1
+
+    def price(coords, j, member, floor):
         flat = coords.view(np.float64)
-        res2 = np.einsum("nki,nki->nk", flat, flat)
-        ok = ~members[j] & (res2 > floor)
-        costs.append(np.divide(scale[j], res2, out=np.full(res2.shape, np.inf), where=ok))
-        if j + 1 == k_s:
-            break
-        parent, top = parents[j], tops[j]
-        coords = _complement_step(coords[parent], coords[parent, top], res2[parent, top])
-    for j in reversed(range(k_s - 1)):
-        costs[j] += costs[j + 1].min(axis=1)[nexts[j]]
-    if not np.isfinite(costs[0].min()):
+        res2 = np.einsum("...ki,...ki->...k", flat, flat)
+        ok = ~member & (res2 > floor)
+        return res2, np.divide(scale[j], res2, out=np.full(res2.shape, np.inf), where=ok)
+
+    def step(coords, res2, parent, top):  # the rows of `parent`'s sets, stepped by `top`
+        return _complement_step(coords[parent], coords[parent + (top,)], res2[parent + (top,)])
+
+    coords = np.ascontiguousarray(h, dtype=np.complex128)[:, None]
+    costs, enc = [], np.zeros((n, 1))  # enc: each set's cheapest encoding, F
+    dive, spent = np.zeros(n, np.intp), np.zeros(n)  # the greedy dive's set and its cost
+    for j in range(last):
+        res2, cost = price(coords, j, members[j], floor)
+        costs.append(cost)
+        drop, elem = drops[j], elems[j]
+        enc = (enc[:, drop] + cost[:, drop, elem]).min(axis=2)
+        user = np.argmin(cost[trials, dive], axis=1)
+        spent += cost[trials, dive, user]
+        dive = nexts[j][dive, user]
+        if j + 1 < last:
+            coords = step(coords, res2, (slice(None), drop[:, -1]), elem[:, -1])
+    # the last level as flat (trial, set) rows: every trial's root when K_s = 1
+    t, s, rows = trials, np.zeros(n, np.intp), coords[:, 0]
+    if last:
+        parent, top = drops[last - 1][:, -1], elems[last - 1][:, -1]
+        _, tail = price(step(coords, res2, (trials, parent[dive]), top[dive]), last,
+                        members[last][dive], floor[:, 0])
+        incumbent = spent + tail.min(axis=1)
+        # the largest residual the parent leaves outside the set: its top two
+        # bound it, the parent's own members' (zero up to rounding) included
+        two = np.sort(res2, axis=2)[:, parent, -2:]
+        reach = np.where(res2[:, parent, top] < two[..., 1], two[..., 1], two[..., 0])
+        with np.errstate(divide="ignore"):  # no residual left bounds by +inf
+            bound = enc + scale[last] / reach
+        t, s = np.nonzero(bound <= incumbent[:, None] * (1.0 + 1e-9))
+        rows = step(coords, res2, (t, parent[s]), top[s])
+    _, tail = price(rows, last, members[last][s], floor[t, 0])
+    shape = (n, len(members[last]))  # per last-level set: its least cost, its row in tail
+    least, row = np.full(shape, np.inf), np.zeros(shape, np.intp)
+    least[t, s], row[t, s] = tail.min(axis=1), np.arange(len(t))
+    for j in reversed(range(last)):
+        costs[j] += least[:, nexts[j]]
+        least = costs[j].min(axis=2)
+    if not np.isfinite(least).all():
         return None
     # argmin takes the first minimum, so ties go to the smallest user
-    order, s = [int(np.argmin(costs[0][0]))], 0
-    for j in range(1, k_s):
-        s = nexts[j - 1][s, order[-1]]
-        order.append(int(np.argmin(costs[j][s])))
-    return tuple(order)
+    order, s = np.empty((n, k_s), np.intp), np.zeros(n, np.intp)
+    for j in range(last):
+        order[:, j] = np.argmin(costs[j][trials, s], axis=1)
+        s = nexts[j][s, order[:, j]]
+    order[:, last] = np.argmin(tail[row[trials, s]], axis=1)
+    return order
 
 
 def select_exhaustive(
@@ -344,11 +401,16 @@ def select_exhaustive(
     on-average rule. Ties resolve to the lexicographically smallest index
     sequence. An approx cost depends only on the set encoded before it,
     so that route is a DP over sum_{j<K_s} C(K, j) predecessor sets
-    (1,351 at K=20, K_s=4), one channel set at a time. Exact powers depend
-    on the predecessors' order, so the exact route is one branch and bound
-    over the encoding prefixes of a whole block: each prefix row carries
-    its set's index and pruning limit, and one step prices a chunk of rows
-    (at most `_CHUNK_BYTES` of Z^-1) against every user. The worst case is
+    (1,351 at K=20, K_s=4), run over chunks of trials whose levels fit in
+    `_CHUNK_BYTES`, or one trial where a trial alone is larger. Of the
+    last level's sets it steps only those whose cheapest encoding plus a
+    bound on the last user's cost is within a greedy dive's total (about
+    90 of 1,140 a trial at K=20, K_s=4). Exact powers depend on the
+    predecessors' order, so the exact route is one branch and bound over
+    the encoding prefixes of a whole block: each prefix row carries its
+    set's index and pruning limit, one step prices a chunk of rows (at
+    most `_CHUNK_BYTES` of Z^-1) against every user, and only the kept
+    children below the leaf level get their own Z^-1. The worst case is
     still every ordering, so `budget` bounds the ordering count
     C(K, K_s) * K_s! before any work happens.
     """
@@ -363,9 +425,11 @@ def select_exhaustive(
     h = _block(channels)
     if power_fn == "exact":
         orders = _best_exact_orders(h, k_s, targets)
-    else:  # each set is its own DP
-        orders = [_best_approx_order(h_t, k_s, targets) for h_t in h]
-        orders = None if None in orders else np.array(orders, dtype=np.intp)
+    else:  # a chunk holds the trials whose DP levels fit in _CHUNK_BYTES, at least one
+        rows = max(1, _CHUNK_BYTES // _dp_trial_bytes(channels.K, channels.M, k_s))
+        orders = [_best_approx_orders(h[lo : lo + rows], k_s, targets)
+                  for lo in range(0, len(h), rows)]
+        orders = None if any(o is None for o in orders) else np.concatenate(orders)
     if orders is None:
         raise InfeasibleGeometryError("every ordering is infeasible")
     return _result("EXHAUSTIVE", channels, orders, orders)

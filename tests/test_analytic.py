@@ -259,6 +259,19 @@ def test_mean_inverse_order_stat_at_large_k():
     assert abs(mean_inverse(DistributionSpec.norm_order_stat(2, 2, 10**18)) - ref) <= 1e-10 * ref
 
 
+def test_mean_inverse_order_stat_past_the_float_range():
+    # r C(K, r) passes the float range from r = 18 at K = 1e18, where the
+    # alpha combination and the quadrature both raised OverflowError. The
+    # references are mpmath's at 40 digits
+    refs = {(2, 18): 0.023611548543417084, (2, 20): 0.023673371310629959,
+            (1, 20): 0.025991121502352727, (3, 19): 0.021971163456059734}
+    for (m, r), ref in refs.items():
+        spec = DistributionSpec.norm_order_stat(m, r, 10**18)
+        assert abs(mean_inverse(spec) - ref) <= 1e-10 * ref, (m, r)
+    # the sum of SUS at M = K_s = 20 takes every r from 1 to 20
+    assert abs(avg_power_sus(20, 10**18, 20, 10.0, 0.1) - 0.328292152181966) <= 1e-10
+
+
 def test_quad_to_tail_names_the_limit_it_gave_up_at():
     with pytest.raises(ArithmeticError, match=r"^tail criterion unreachable for x at upper 1\.04858e\+06$"):
         analytic._quad_to_tail(lambda t: 1.0, 1.0, lambda u: 1.0, "x")

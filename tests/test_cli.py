@@ -257,6 +257,16 @@ def test_nus_at_a_trillion_users(capsys):
     assert "none,,NUS,0.067791\n" in capsys.readouterr().out
 
 
+def test_order_statistics_past_the_float_range(capsys):
+    # r C(K, r) overflowed a float from r = 18 at K = 1e18, and both rows
+    # exited 3 with "int too large to convert to float"
+    flags = ["--K", str(10**18), "--Ks", "20", "--gamma-db", "10", "--sigma-sq", "0.1"]
+    assert main(["analytic", "--M", "20", *flags, "--algorithms", "SUS"]) == 0
+    assert "none,,SUS,0.328292\n" in capsys.readouterr().out
+    assert main(["analytic", "--M", "2", *flags, "--algorithms", "NUS"]) == 0
+    assert "NUS term i=2 diverges" in capsys.readouterr().out
+
+
 def test_quadrature_that_loses_its_tolerance_exits_3(capsys, monkeypatch):
     message = "The occurrence of roundoff error is detected, which prevents \n  the requested tolerance"
 

@@ -498,28 +498,41 @@ def test_exhaustive_exact_block_equals_its_rows(monkeypatch, chunk):
 
 
 def test_exhaustive_exact_does_not_enumerate(monkeypatch):
-    rows = []
-    step = selection._uplink_step
+    # a gain is one (prefix, user) pair priced; an update is the Z^-1 of one
+    # kept child, whose p * d is the target of the position it was stepped at
+    gains, updates = [], []
+    gain, update = selection._uplink_gain, selection._uplink_update
 
-    def counted(*args):
-        out = step(*args)
-        rows.append(out[1].size)  # one gain per prefix and user stepped
+    def counted_gain(zinv, h_i, gamma_i):
+        out = gain(zinv, h_i, gamma_i)
+        gains.append(out[1].size)
         return out
 
-    monkeypatch.setattr(selection, "_uplink_step", counted)
+    def counted_update(zinv, zh, d, p):
+        updates.append(p * d)
+        return update(zinv, zh, d, p)
+
+    monkeypatch.setattr(selection, "_uplink_gain", counted_gain)
+    monkeypatch.setattr(selection, "_uplink_update", counted_update)
+    targets = SinrTargets(np.array([10.0, 10.5, 11.0]), 1.0)
     for seed in range(3):
-        rows.clear()
+        gains.clear()
+        updates.clear()
         c = sample_channel_set(4, 8, SeedSpec(16, seed))
-        got = select_exhaustive(c, 3, T10, "exact").encoding_order
-        assert got == _brute_force_exact(c.users, 3, T10)[1]
-        assert sum(rows) <= 320  # enumerating the 336 orderings steps 520 rows
+        got = select_exhaustive(c, 3, targets, "exact").encoding_order
+        assert got == _brute_force_exact(c.users, 3, targets)[1]
+        assert sum(gains) <= 320  # enumerating the 336 orderings steps 520 rows
+        # only children at the first two positions: a leaf's Z^-1 is never used
+        stepped_at = np.concatenate(updates)
+        assert np.isin(np.round(stepped_at, 6), [10.0, 10.5]).all()
+        assert stepped_at.size <= 40  # every first- and second-position child makes 64
 
 
 def test_set_tables_structure():
-    # every set reached from its parent by its largest member, and every S+u
+    # every set reached from the set less each member, and every S+u
     for k in range(1, 10):
         for k_s in range(1, k + 1):
-            members, nexts, parents, tops = selection._set_tables(k, k_s)
+            members, nexts, drops, elems = selection._set_tables(k, k_s)
             sets = [[frozenset(np.flatnonzero(row).tolist()) for row in m] for m in members]
             for j, level in enumerate(sets):
                 assert all(len(s) == j for s in level) and len(set(level)) == len(level)
@@ -529,11 +542,54 @@ def test_set_tables_structure():
                     for u in range(k):
                         t = nexts[j][i, u]
                         assert t == 0 if u in s else sets[j + 1][t] == s | {u}, (k, k_s, j, s, u)
-                rebuilt = [sets[j][p] | {u} for p, u in zip(parents[j], tops[j])]
-                assert rebuilt == sets[j + 1]
-                assert all(u == max(s) for s, u in zip(sets[j + 1], tops[j]))
-            for a in members + nexts + parents + tops:
+                assert drops[j].shape == elems[j].shape == (len(sets[j + 1]), j + 1)
+                for t, (drop, elem) in enumerate(zip(drops[j], elems[j])):
+                    assert elem.tolist() == sorted(sets[j + 1][t])
+                    assert all(sets[j][d] | {u} == sets[j + 1][t] for d, u in zip(drop, elem))
+                    assert all(u not in sets[j][d] for d, u in zip(drop, elem))
+            for a in members + nexts + drops + elems:
                 assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("trials_a_chunk", [None, 1, 3])
+@pytest.mark.parametrize("k_s", [1, 2, 4])
+def test_exhaustive_dp_block_equals_its_rows(monkeypatch, k_s, trials_a_chunk):
+    h = sample_channel_set(4, 7, [SeedSpec(22, t) for t in range(40)]).users.copy()
+    h[::3, 5] = h[::3, 0]  # copies of users tie orderings
+    h[1::3, 6] = 1j * h[1::3, 2]  # a phase-rotated copy
+    h[2::5, 4] = h[2::5, 1]
+    h[7, 3] = 0.0  # a zero-norm user in one trial only
+    chunk = selection._CHUNK_BYTES if trials_a_chunk is None else (
+        trials_a_chunk * selection._dp_trial_bytes(7, 4, k_s))
+    bad = h.copy()  # no feasible ordering: a trial of zero users but one (none at K_s = 1),
+    bad[9] = 0.0  # whose sets with that user leave no residual to bound the last step by
+    bad[9, 2] = h[9, 2] if k_s > 1 else 0.0
+    for targets in (T10, SinrTargets(np.array([3.0, 0.5, 8.0, 2.0])[:k_s], 0.1)):
+        rows = [select_exhaustive(ChannelSet(h_t), k_s, targets).encoding_order for h_t in h]
+        with pytest.raises(InfeasibleGeometryError):
+            select_exhaustive(ChannelSet(bad[9]), k_s, targets)
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", chunk)
+        block = select_exhaustive(ChannelSet(h), k_s, targets).encoding_order
+        with pytest.raises(InfeasibleGeometryError):
+            select_exhaustive(ChannelSet(bad), k_s, targets)
+        monkeypatch.undo()
+        assert 3 not in rows[7]
+        assert [tuple(o) for o in block.tolist()] == rows
+
+
+def test_exhaustive_dp_does_not_enumerate(monkeypatch):
+    # at M = K_s = 4 a step into the last level leaves one coordinate a user
+    rows, step = [], selection._complement_step
+
+    def counted(coords, x, x_sq):
+        out = step(coords, x, x_sq)
+        if out.shape[-1] == 1:
+            rows.append(math.prod(out.shape[:-2]))
+        return out
+
+    monkeypatch.setattr(selection, "_complement_step", counted)
+    select_exhaustive(sample_channel_set(4, 20, [SeedSpec(23, t) for t in range(20)]), 4, T10)
+    assert sum(rows) <= 200 * 20  # stepping every last-level set takes 1,140 a trial
 
 
 @pytest.mark.parametrize("seed", range(5))
