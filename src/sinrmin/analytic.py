@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, betaln, cython_special, gammainc, gammaln
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
 
 from .errors import ConfigError, DivergenceError
 
@@ -26,7 +25,14 @@ from .errors import ConfigError, DivergenceError
 # fraction of the running total the discarded upper tail may contribute
 _QUAD_REL = 1e-10
 _TAIL_FRACTION = 1e-12
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+# composite Gauss-Legendre: the 20-point rule on [0, 1], the panels an
+# integral starts with, the most it may hold (a bound on its time and
+# memory), and an agreement that keeps a panel whatever its share: the
+# integrands are exps of sums of logs up to ~1e3, with that many roundings
+_UNIT_NODES, _HALF_WEIGHTS = (x / 2.0 for x in np.polynomial.legendre.leggauss(20))
+_UNIT_NODES += 0.5
+_START_PANELS, _MAX_PANELS, _ROUNDOFF = 8, 1024, 2.0**12 * _EPS
 
 _KINDS = (
     "norm_chisq",
@@ -177,72 +183,84 @@ def _divergence_exponent(spec: DistributionSpec) -> int:
 
 
 def _describe(spec: DistributionSpec) -> str:
-    parts = [f"M={spec.M}"]
-    if spec.kind == "norm_order_stat":
-        parts += [f"r={spec.r}", f"K={spec.K}"]
-    elif spec.kind in ("norm_not_largest", "sin_sq_angle_max"):
-        parts.append(f"K={spec.K}")
-    if spec.kind == "sin_sq_angle":
-        parts.append(f"i={spec.i}")
-    return f"{spec.kind} with {', '.join(parts)}"
+    # M and the parameters the kind takes, which are the nonzero ones
+    parts = ", ".join(f"{n}={getattr(spec, n)}" for n in ("M", "r", "K", "i")
+                      if n == "M" or getattr(spec, n))
+    return f"{spec.kind} with {parts}"
 
 
 def _check_integrable(spec: DistributionSpec) -> None:
     s = _divergence_exponent(spec)
     if s < 1:
         raise DivergenceError(
-            f"E[1/x] diverges for {_describe(spec)}: "
-            f"density ~ x^{s} near the lower end"
-        )
+            f"E[1/x] diverges for {_describe(spec)}: density ~ x^{s} near the lower end")
+
+
+def _integrate(integrand, lower: float, upper: float, what) -> float:
+    # composite Gauss-Legendre on [lower, upper]. Each panel's rule is checked
+    # against the sum of the rule on its two halves; the halves are kept when
+    # the two agree to the panel's share of the tolerance, or to the rounding
+    # of the integrand values, and each half becomes a panel otherwise
+    def rule(left, width):  # on each panel [left, left + width]
+        return width * (integrand(left[..., None] + width * _UNIT_NODES) @ _HALF_WEIGHTS)
+
+    width = (upper - lower) / _START_PANELS
+    left = lower + width * np.arange(_START_PANELS)
+    whole, kept = rule(left, width), []
+    while len(kept) + left.size <= _MAX_PANELS:
+        width *= 0.5
+        left = left[:, None] + np.array([0.0, width])
+        halves = rule(left, width)
+        pair = halves.sum(axis=1)
+        share = _QUAD_REL * (math.fsum(kept) + float(pair.sum())) * 2.0 * width / (upper - lower)
+        done = np.abs(whole - pair) <= np.maximum(share, _ROUNDOFF * np.abs(pair))
+        kept += pair[done].tolist()
+        if done.all():
+            return math.fsum(kept)
+        left, whole = left[~done].ravel(), halves[~done].ravel()
+    raise ArithmeticError(f"quadrature lost its tolerance for {what} on "
+                          f"[{lower:g}, {upper:g}] at {_MAX_PANELS} panels")
 
 
 def _quad_to_tail(integrand, upper: float, tail, what) -> float:
-    # integrate over [0, upper], doubling upper until the bound tail(upper)
-    # on the discarded mass is a negligible fraction of the running total
+    # integrate over [0, upper], doubling upper and adding the new piece until
+    # the bound tail(upper) on the discarded mass is negligible in the total
+    value, lower = 0.0, 0.0
     while True:
-        value, _, _, *lost = quad(
-            integrand, 0.0, upper, epsabs=0.0, epsrel=_QUAD_REL, limit=300, full_output=1)
-        if lost:  # QUADPACK's message, returned in place of an IntegrationWarning
-            raise ArithmeticError(
-                f"quadrature lost its tolerance for {what} on [0, {upper:g}]: "
-                + " ".join(lost[0].split()))
+        value += _integrate(integrand, lower, upper, what)
         if tail(upper) <= _TAIL_FRACTION * value:
-            return float(value)
+            return value
         if upper > 1e6:
             raise ArithmeticError(f"tail criterion unreachable for {what} at upper {upper:g}")
-        upper *= 2.0
+        lower, upper = upper, 2.0 * upper
+
+
+def _gamma_cdf_logs(M: int, x: np.ndarray) -> tuple:
+    # log G and log(1 - G) for G the Gamma(M, 1) CDF, each taken from whichever
+    # of G and Q = 1 - G is below 1/2: the other has rounded it away. A value
+    # below the normal range counts as the smallest normal; its powers vanish
+    g, q = (np.maximum(f(M, x), _TINY) for f in (gammainc, gammaincc))
+    high = g >= 0.5
+    log_g, log_q = np.log(g), np.log(q)
+    np.log1p(-q, out=log_g, where=high)
+    np.log1p(-g, out=log_q, where=~high)
+    return log_g, log_q
 
 
 def _order_stat_quadrature(M: int, r: int, K: int) -> tuple:
-    # pdf(t) / t and the tail bound of the r-th largest of K squared norms, at
-    # scalar speed as in alpha.  Where G >= 1/2, G^{K-r} and 1 - G come from
-    # Q = 1 - G, which G itself has rounded away.  The mass above u is
-    # 1 - I_G(K+1-r, r) = I_Q(r, K+1-r). The scalar betainc takes no ints;
-    # its ufunc, called a few times per integral, takes K beyond int64 as a float
-    count, log_gamma_m, log_coef = r * math.comb(K, r), gammaln(M), None
-    try:
-        coef = float(count)
-    except OverflowError:  # r C(K, r) past the float range: the product in logs
-        log_coef = math.log(count)  # math.log takes any int
+    # pdf(t) / t and the tail bound of the r-th largest of K squared norms. The
+    # density r C(K, r) G^{K-r} (1 - G)^{r-1} times the parent's is summed in
+    # logs, so a coefficient past the float range meets the powers that cancel
+    # it. The mass above u is I_Q(r, K+1-r); the ufunc takes K past int64 as a float
+    log_coef = math.log(r * math.comb(K, r)) - gammaln(M)  # math.log takes any int
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        log_parent = -t + (M - 1) * math.log(t) - log_gamma_m
-        if log_coef is not None:
-            g, q = cython_special.gammainc(M, t), cython_special.gammaincc(M, t)
-            if g == 0.0 or q == 0.0:  # a power of zero; parent underflows where q does
-                return 0.0
-            lg, lq = (math.log(g), math.log1p(-g)) if g < 0.5 else (math.log1p(-q), math.log(q))
-            return math.exp(log_coef + (K - r) * lg + (r - 1) * lq + log_parent) / t
-        parent = math.exp(log_parent)
-        if (g := cython_special.gammainc(M, t)) < 0.5:
-            return coef * g ** (K - r) * (1.0 - g) ** (r - 1) * parent / t
-        q = cython_special.gammaincc(M, t)
-        return coef * math.exp((K - r) * math.log1p(-q)) * q ** (r - 1) * parent / t
+    def integrand(t: np.ndarray) -> np.ndarray:
+        log_g, log_q = _gamma_cdf_logs(M, t)
+        return np.exp(log_coef + float(K - r) * log_g + (r - 1) * log_q
+                      - t + (M - 1) * np.log(t)) / t
 
     def tail(u: float) -> float:
-        return float(betainc(float(r), float(K + 1 - r), cython_special.gammaincc(M, u))) / u
+        return float(betainc(float(r), float(K + 1 - r), gammaincc(M, u))) / u
 
     return integrand, tail
 
@@ -258,8 +276,8 @@ def mean_inverse_quadrature(spec: DistributionSpec) -> float:
     if spec.kind == "norm_order_stat":
         integrand, tail = _order_stat_quadrature(spec.M, spec.r, spec.K)
     else:
-        def integrand(t: float) -> float:
-            return pdf(spec, t) / t if t > 0.0 else 0.0
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return pdf(spec, t) / t
 
         def tail(u: float) -> float:
             return (1.0 - float(cdf(spec, u))) / u
@@ -317,25 +335,8 @@ def alpha(M: int, K: int) -> float:
     if K < 1:
         raise ConfigError(f"need K >= 1, got K={K}")
     if M < 2:
-        raise DivergenceError(
-            f"mean inverse of the largest squared norm needs M >= 2, got M={M}"
-        )
-    log_gamma_m = gammaln(M)
-
-    # the scalar forms run the ufuncs' C kernels without their dispatch. Near
-    # G = 1 the power comes from Q = 1 - G, which G itself has rounded away
-    def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        base = math.exp(-x + (M - 2) * math.log(x) - log_gamma_m)
-        if (g := cython_special.gammainc(M, x)) < 0.5:
-            return K * base * g ** (K - 1)
-        return K * base * math.exp((K - 1) * math.log1p(-cython_special.gammaincc(M, x)))
-
-    # drop G^{K-1} <= 1: tail <= K * Gamma(M-1) * Q(M-1, upper) / Gamma(M)
-    def tail(u: float) -> float:
-        return K * cython_special.gammaincc(M - 1, u) / (M - 1)
-
+        raise DivergenceError(f"mean inverse of the largest squared norm needs M >= 2, got M={M}")
+    integrand, tail = _order_stat_quadrature(M, 1, K)  # the largest of K
     # the largest norm is at least the mean of the K, whose sum is
     # Gamma(KM, 1), so alpha <= K / (KM - 1).  A limit whose tail exceeds
     # that share (1% over, for rounding) fails the tail test whatever the
@@ -378,9 +379,7 @@ def _angle_mean_inverse(M: int, d: int) -> float:
     if d == 0:
         return 1.0
     if d >= M:
-        raise DivergenceError(
-            f"a {d}-dimensional span fills C^{M}; the angle is zero almost surely"
-        )
+        raise DivergenceError(f"a {d}-dimensional span fills C^{M}; the angle is zero almost surely")
     return mean_inverse(DistributionSpec.sin_sq_angle(M, d))
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import cython_special, gammainc, gammaincc, gammaln
+from scipy.special import betainc, gammainc, gammaincc, gammaln
 
 import sinrmin.analytic as analytic
 from sinrmin.analytic import (
@@ -216,24 +216,44 @@ _ORDER_STATS = [(m, r, k) for m in range(1, 9) for k in range(1, 25) for r in ra
 
 
 def test_order_stat_integrand_is_the_density_over_t():
-    # pdf stays the independent check of the scalar integrand. Where G < 1/2
-    # both take the same products, but numpy's exp and log may round the
-    # parent density's exponent -t + (M-1) log t otherwise than math's. Above,
-    # pdf's G^{K-r} carries up to K - r roundings of G, and its 1 - G an
-    # absolute rounding of G, which Q does not
+    # pdf stays the independent check of the array integrand, which sums the
+    # logs of the coefficient, the powers and the parent density: each value
+    # carries about as many roundings as those terms are large, and pdf's own
+    # exponent about as many. Where G >= 1/2, pdf's 1 - G carries an absolute
+    # rounding of G, which Q does not. Subnormal values hold fewer digits
     ts = np.logspace(-3, 2, 161)
     for m, r, k in _ORDER_STATS:
         integrand, _ = analytic._order_stat_quadrature(m, r, k)
-        got = np.array([integrand(t) for t in ts])
+        got = integrand(ts)
         ref = pdf(DistributionSpec.norm_order_stat(m, r, k), ts) / ts
         g, q = gammainc(m, ts), gammaincc(m, ts)
+        log_g, log_q = analytic._gamma_cdf_logs(m, ts)
         ulps = np.abs(got - ref) / np.where(ref > 0.0, ref, 1.0) / _EPS
-        exponent = 4.0 + ts + (m - 1) * np.abs(np.log(ts))
-        low = (g < 0.5) & (ref > 0.0)
-        high = (g >= 0.5) & (q >= 1e-8) & (ref > 0.0)
-        assert np.all(ulps[low] <= exponent[low]), (m, r, k)
-        bound = exponent[high] + 2.0 * (1 + (k - r) + (r - 1) / q[high])
+        roundings = (4.0 + math.log(r * math.comb(k, r)) + ts + (m - 1) * np.abs(np.log(ts))
+                     + (k - r) * np.abs(log_g) + (r - 1) * np.abs(log_q))
+        normal = ref >= np.finfo(float).tiny
+        low = (g < 0.5) & normal
+        high = (g >= 0.5) & (q >= 1e-8) & normal
+        assert np.all(ulps[low] <= 4.0 * roundings[low]), (m, r, k)
+        bound = 4.0 * roundings[high] + 2.0 * (1 + (k - r) + (r - 1) / q[high])
         assert np.all(ulps[high] <= bound), (m, r, k)
+
+
+def test_gamma_cdf_logs_take_each_side_from_the_one_below_a_half():
+    # log G from G and log(1 - G) from 1 - G while G < 1/2; past that both
+    # come from Q, so log G stays nonzero where G has rounded to 1
+    xs = np.concatenate((np.logspace(-3, 2, 121), [200.0, 700.0, 800.0]))
+    for m in (1, 2, 4, 16, 64):
+        g, q = gammainc(m, xs), gammaincc(m, xs)
+        log_g, log_q = analytic._gamma_cdf_logs(m, xs)
+        low, high = (g < 0.5) & (g > 0.0), (g >= 0.5) & (q > 0.0)
+        assert np.array_equal(log_g[low], np.log(g[low])), m
+        assert np.array_equal(log_q[low], np.log1p(-g[low])), m
+        assert np.array_equal(log_g[high], np.log1p(-q[high])), m
+        assert np.array_equal(log_q[high], np.log(q[high])), m
+        assert np.all(log_g[high] < 0.0), m
+        # a Q below the normal range counts as the smallest normal
+        assert np.all(log_q[q == 0.0] == np.log(np.finfo(float).tiny)), m
 
 
 def test_order_stat_tail_is_the_mass_above_the_limit():
@@ -274,7 +294,67 @@ def test_mean_inverse_order_stat_past_the_float_range():
 
 def test_quad_to_tail_names_the_limit_it_gave_up_at():
     with pytest.raises(ArithmeticError, match=r"^tail criterion unreachable for x at upper 1\.04858e\+06$"):
-        analytic._quad_to_tail(lambda t: 1.0, 1.0, lambda u: 1.0, "x")
+        analytic._quad_to_tail(np.ones_like, 1.0, lambda u: 1.0, "x")
+
+
+def test_order_stat_quadrature_integrates_each_piece_once(monkeypatch):
+    # M = 2, r = 2 at K = 1e18 doubles its limit twice from 8M + 8; each
+    # doubling integrates only the new piece and adds it to the total
+    pieces, nodes = [], []
+    integrate = analytic._integrate
+    quadrature = analytic._order_stat_quadrature
+
+    def counted_quadrature(m, r, k):
+        integrand, tail = quadrature(m, r, k)
+
+        def counted(t):
+            nodes.append((len(pieces) - 1, t.size, t.min(), t.max()))
+            return integrand(t)
+
+        return counted, tail
+
+    def recorded(integrand, lower, upper, what):
+        pieces.append((lower, upper))
+        return integrate(integrand, lower, upper, what)
+
+    monkeypatch.setattr(analytic, "_order_stat_quadrature", counted_quadrature)
+    monkeypatch.setattr(analytic, "_integrate", recorded)
+    value = mean_inverse_quadrature(DistributionSpec.norm_order_stat(2, 2, 10**18))
+    assert pieces == [(0.0, 24.0), (24.0, 48.0), (48.0, 96.0)]
+    # every evaluation lies inside the piece being integrated, and each piece
+    # takes as many as integrating it alone does
+    for piece, _, lo, hi in nodes:
+        assert pieces[piece][0] < lo and hi < pieces[piece][1], (piece, lo, hi)
+    integrand, _ = quadrature(2, 2, 10**18)
+    for i, (lower, upper) in enumerate(pieces):
+        alone = []
+        integrate(lambda t: alone.append(t.size) or integrand(t), lower, upper, "x")
+        assert sum(alone) == sum(n for piece, n, _, _ in nodes if piece == i), (lower, upper)
+    ref = 0.022304443712853929536  # mpmath's at 50 digits
+    assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_integrate_is_exact_on_polynomials_of_the_rule_degree():
+    # the 20-point rule integrates degree 39 exactly, so the first panels pass
+    value = analytic._integrate(lambda t: t**39, 0.0, 2.0, "x")
+    assert value == pytest.approx(2.0**40 / 40, rel=1e-14)
+    assert analytic._integrate(lambda t: 3.0 * t**2, 1.0, 4.0, "x") == pytest.approx(63.0, rel=1e-14)
+
+
+def test_integrand_that_misses_the_tolerance_raises_at_the_panel_cap():
+    # noise of 1e-6 relative never meets the tolerance: the panels double each
+    # level until the cap, and no call evaluates more than two halves of each
+    sizes = []
+    noise = np.random.default_rng(5)
+
+    def noisy(t):
+        sizes.append(t.size)
+        return 1.0 + 1e-6 * noise.random(t.shape)
+
+    with pytest.raises(ArithmeticError, match=r"^quadrature lost its tolerance for x on \[0, 1\] at 1024 panels$"):
+        analytic._integrate(noisy, 0.0, 1.0, "x")
+    assert max(sizes) <= 2 * analytic._MAX_PANELS * analytic._UNIT_NODES.size
+    assert len(sizes) <= 2 + math.log2(analytic._MAX_PANELS / analytic._START_PANELS)
 
 
 def test_mean_inverse_divergences():
@@ -340,57 +420,79 @@ def test_alpha_against_sampled_maximum():
 _ALPHA_GRID = [(m, k) for m in range(2, 17) for k in range(1, 65)]
 
 
-def test_scalar_gamma_functions_match_the_ufuncs_bitwise():
-    # alpha calls the scalar forms in place of the ufuncs; that is safe only
-    # while the installed scipy gives both the same bits
-    tiny = np.finfo(float).tiny
-    xs = np.concatenate(([0.0, 5e-324, tiny / 2**20, tiny / 2], np.logspace(-300, 6, 1531)))
-    for a in range(1, 65):
-        for scalar, ufunc in (
-            (cython_special.gammainc, gammainc),
-            (cython_special.gammaincc, gammaincc),
-        ):
-            got = np.array([scalar(a, x) for x in xs])
-            assert got.tobytes() == ufunc(a, xs).tobytes(), (scalar, a)
+def _log_cdfs(m: int, x: float) -> tuple:
+    # log G and log(1 - G), each from whichever of G and Q is below 1/2
+    g = float(gammainc(m, x))
+    if g < 0.5:
+        return (math.log(g) if g > 0.0 else -math.inf), math.log1p(-g)
+    q = float(gammaincc(m, x))
+    return math.log1p(-q), (math.log(q) if q > 0.0 else -math.inf)
 
 
-def _alpha_doubling_from_8m8(m: int, k: int) -> float:
-    # alpha as it was integrated before it chose its first limit: the ufuncs,
-    # [0, 8M+8] first and, while the tail test fails, twice the limit from 0;
-    # the integrand is alpha's, with G^{K-1} from 1 - G where G >= 1/2
-    log_gamma_m = gammaln(m)
-
-    def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        base = math.exp(-x + (m - 2) * math.log(x) - log_gamma_m)
-        if (g := float(gammainc(m, x))) < 0.5:
-            return k * base * g ** (k - 1)
-        return k * base * math.exp((k - 1) * math.log1p(-float(gammaincc(m, x))))
-
-    upper = 8.0 * m + 8.0
+def _quad_reference(integrand, m: int, tail) -> float:
+    # scipy's QUADPACK as the independent check, from [0, 8M+8] in doubled
+    # pieces until the tail bound is 1e-13 of the total; full_output returns
+    # a lost tolerance as a message, which the comparison would catch
+    value, lower, upper = 0.0, 0.0, 8.0 * m + 8.0
     while True:
-        value = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=300)[0]
-        if k * float(gammaincc(m - 1, upper)) / (m - 1) <= 1e-12 * value:
-            return float(value)
-        upper *= 2.0
+        value += quad(integrand, lower, upper, epsabs=0.0, epsrel=1e-13, limit=500, full_output=1)[0]
+        if tail(upper) <= 1e-13 * value:
+            return value
+        lower, upper = upper, 2.0 * upper
 
 
-def test_alpha_equals_the_doubling_loop_bitwise():
+def _alpha_reference(m: int, k: int) -> float:
+    def integrand(x: float) -> float:
+        log_g = _log_cdfs(m, x)[0] if k > 1 else 0.0
+        return k * math.exp((k - 1) * log_g - x + (m - 2) * math.log(x) - gammaln(m))
+
+    return _quad_reference(integrand, m, lambda u: k * float(gammaincc(m - 1, u)) / (m - 1))
+
+
+def _order_stat_reference(m: int, r: int, k: int) -> float:
+    log_coef = math.log(r * math.comb(k, r)) - gammaln(m)
+
+    def integrand(t: float) -> float:
+        log_g, log_q = _log_cdfs(m, t)
+        exponent = log_coef - t + (m - 1) * math.log(t)
+        exponent += ((k - r) * log_g if k > r else 0.0) + ((r - 1) * log_q if r > 1 else 0.0)
+        return math.exp(exponent) / t
+
+    return _quad_reference(integrand, m, lambda u: float(betainc(r, k + 1 - r, gammaincc(m, u))) / u)
+
+
+_ALPHA_LARGE_K = [(m, 10**e) for m in range(2, 17) for e in range(3, 19)]
+
+
+def test_alpha_matches_a_quad_reference():
+    # alpha also drops a tail of up to 1e-12 of its value: 8.7e-13 at (7, 1e8)
     alpha.cache_clear()
-    for m, k in _ALPHA_GRID:
-        assert alpha(m, k).hex() == _alpha_doubling_from_8m8(m, k).hex(), (m, k)
+    for m, k in _ALPHA_GRID + _ALPHA_LARGE_K:
+        ref = _alpha_reference(m, k)
+        assert abs(alpha(m, k) - ref) <= 1e-12 * ref, (m, k)
+
+
+def test_mean_inverse_quadrature_matches_a_quad_reference():
+    specs = _ORDER_STATS + [(m, r, 10**e) for m in (2, 3, 4, 8, 16) for e in range(9, 19)
+                            for r in (1, 2, 4, 8, 16, 20)]
+    for m, r, k in specs:
+        spec = DistributionSpec.norm_order_stat(m, r, k)
+        if analytic._divergence_exponent(spec) < 1:
+            continue
+        ref = _order_stat_reference(m, r, k)
+        assert abs(mean_inverse_quadrature(spec) - ref) <= 1e-12 * ref, (m, r, k)
 
 
 def test_alpha_integrates_once(monkeypatch):
     # the first limit is the one the doubling loop would have ended on
     limits = []
+    integrate = analytic._integrate
 
-    def counted(func, a, b, **kwargs):
-        limits.append(b)
-        return quad(func, a, b, **kwargs)
+    def counted(integrand, lower, upper, what):
+        limits.append(upper)
+        return integrate(integrand, lower, upper, what)
 
-    monkeypatch.setattr(analytic, "quad", counted)
+    monkeypatch.setattr(analytic, "_integrate", counted)
     for m, k in _ALPHA_GRID:
         alpha.cache_clear()
         limits.clear()
@@ -407,7 +509,7 @@ def test_alpha_within_the_bounds_its_first_limit_rests_on():
 
 
 def test_alpha_holds_its_tolerance_at_large_k():
-    # G^{K-1} from a G rounded near 1 lost QUADPACK its tolerance from K ~ 1.2e8
+    # G^{K-1} from a G rounded near 1 lost the quadrature its tolerance from K ~ 1.2e8
     for m in (2, 4, 16):
         k = 2 * 10**8
         assert alpha(m, k) < alpha(m, 10**8), m

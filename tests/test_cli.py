@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 import sinrmin.analytic as analytic
 from sinrmin.cli import (
@@ -268,18 +267,32 @@ def test_order_statistics_past_the_float_range(capsys):
 
 
 def test_quadrature_that_loses_its_tolerance_exits_3(capsys, monkeypatch):
-    message = "The occurrence of roundoff error is detected, which prevents \n  the requested tolerance"
-
-    def lost(func, a, b, **kwargs):
-        return (*quad(func, a, b, **kwargs), message)
-
+    # with no tolerance and no roundoff floor no panel passes, so the panels
+    # double until the cap
     analytic.alpha.cache_clear()
     analytic.mean_inverse.cache_clear()
-    monkeypatch.setattr(analytic, "quad", lost)
+    monkeypatch.setattr(analytic, "_QUAD_REL", 0.0)
+    monkeypatch.setattr(analytic, "_ROUNDOFF", 0.0)
     assert main(["analytic", *BASE_FLAGS, "--algorithms", "NUS"]) == 3
     assert capsys.readouterr().err == (
-        "error: quadrature lost its tolerance for alpha(4, 7) on [0, 40]: The occurrence"
-        " of roundoff error is detected, which prevents the requested tolerance\n")
+        "error: quadrature lost its tolerance for alpha(4, 7) on [0, 40] at 1024 panels\n")
+    analytic.alpha.cache_clear()
+
+
+def test_commands_do_not_import_scipy_integrate(tmp_path):
+    # the quadrature is the package's own; pytest's filterwarnings setting
+    # imports scipy.integrate into this process, so a fresh one runs both
+    code = "\n".join((
+        "import sys",
+        "from sinrmin.cli import main",
+        f"assert main(['analytic', *{BASE_FLAGS!r}, '--algorithms', 'NUS,SUS,AUS,RUS']) == 0",
+        f"assert main(['simulate', *{BASE_FLAGS!r}, '--trials', '1', '--out', {str(tmp_path)!r}]) == 0",
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy.integrate')))",
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
+    assert (tmp_path / "results.csv").is_file()
 
 
 def test_simulate_rejects_bad_trials(tmp_path, capsys):
