@@ -12,6 +12,7 @@ Carlo estimation lives in ``experiment``.
 """
 
 import math
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -125,17 +126,18 @@ def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     else:
         t = np.maximum(xs, 0.0)
         g = gammainc(spec.M, t)
-        if spec.kind == "norm_chisq":
-            out = g
-        elif spec.kind == "norm_not_largest":
+        if spec.kind == "norm_not_largest":
             out = (spec.K * g - g**spec.K) / (spec.K - 1)
         else:  # r-th largest of K is <= x iff at least K + 1 - r are: a binomial tail
-            out = betainc(spec.K + 1 - spec.r, spec.r, g)
+            r, K = _rank(spec.kind, spec.r, spec.K)
+            out = betainc(K + 1 - r, r, g)
     return float(out[0]) if scalar else out
 
 
 def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
-    """Probability density, vectorized over x; zero outside the support."""
+    """Probability density, vectorized over x; zero outside the support,
+    and at 0 and +inf for the squared-norm laws, whose log density the
+    quadrature integrates too: their upper tail keeps its digits."""
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs).astype(float)
@@ -150,36 +152,26 @@ def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
             n = spec.K * (spec.M - 1)
             out[inside] = n * t ** (n - 1)
     else:
-        inside = xs > 0.0
-        t = xs[inside]
-        parent = np.exp(-t + (spec.M - 1) * np.log(t) - gammaln(spec.M))
-        if spec.kind == "norm_chisq":
-            out[inside] = parent
-        elif spec.kind == "norm_not_largest":
-            g = gammainc(spec.M, t)
-            out[inside] = spec.K / (spec.K - 1) * (1.0 - g ** (spec.K - 1)) * parent
-        else:
-            r, K = spec.r, spec.K
-            g = gammainc(spec.M, t)
-            coef = r * math.comb(K, r)
-            out[inside] = coef * g ** (K - r) * (1.0 - g) ** (r - 1) * parent
-        if spec.kind == "norm_chisq" and spec.M == 1:
-            out[xs == 0.0] = 1.0
+        inside = (xs > 0.0) & (xs < math.inf)
+        out[inside] = np.exp(_norm_law(spec.kind, spec.M, spec.r, spec.K)[0](xs[inside]))
     return float(out[0]) if scalar else out
+
+
+def _rank(kind: str, r: int, K: int) -> tuple:
+    # (r, K) of a squared-norm law as the r-th largest of K: the chi-square is
+    # the largest of one, and a non-largest of K behaves near zero as one norm
+    return (r, K) if kind == "norm_order_stat" else (1, 1)
 
 
 def _divergence_exponent(spec: DistributionSpec) -> int:
     # density behaves like c * x^s near the lower end of the support;
     # E[1/x] is finite iff s >= 1
-    if spec.kind == "norm_chisq":
-        return spec.M - 1
-    if spec.kind == "norm_order_stat":
-        return spec.M * (spec.K + 1 - spec.r) - 1
-    if spec.kind == "norm_not_largest":
-        return spec.M - 1
     if spec.kind == "sin_sq_angle":
         return spec.M - spec.i - 1
-    return spec.K * (spec.M - 1) - 1
+    if spec.kind == "sin_sq_angle_max":
+        return spec.K * (spec.M - 1) - 1
+    r, K = _rank(spec.kind, spec.r, spec.K)
+    return spec.M * (K + 1 - r) - 1
 
 
 def _describe(spec: DistributionSpec) -> str:
@@ -239,7 +231,7 @@ def _gamma_cdf_logs(M: int, x: np.ndarray) -> tuple:
     # log G and log(1 - G) for G the Gamma(M, 1) CDF, each taken from whichever
     # of G and Q = 1 - G is below 1/2: the other has rounded it away. A value
     # below the normal range counts as the smallest normal; its powers vanish
-    g, q = (np.maximum(f(M, x), _TINY) for f in (gammainc, gammaincc))
+    g, q = np.maximum(gammainc(M, x), _TINY), np.maximum(gammaincc(M, x), _TINY)
     high = g >= 0.5
     log_g, log_q = np.log(g), np.log(q)
     np.log1p(-q, out=log_g, where=high)
@@ -247,45 +239,49 @@ def _gamma_cdf_logs(M: int, x: np.ndarray) -> tuple:
     return log_g, log_q
 
 
-def _order_stat_quadrature(M: int, r: int, K: int) -> tuple:
-    # pdf(t) / t and the tail bound of the r-th largest of K squared norms. The
-    # density r C(K, r) G^{K-r} (1 - G)^{r-1} times the parent's is summed in
-    # logs, so a coefficient past the float range meets the powers that cancel
-    # it. The mass above u is I_Q(r, K+1-r); the ufunc takes K past int64 as a float
-    log_coef = math.log(r * math.comb(K, r)) - gammaln(M)  # math.log takes any int
+def _norm_law(kind: str, M: int, r: int, K: int) -> tuple:
+    # log density and tail bound of the squared-norm law with a spec's kind, M,
+    # r and K, passed apart so alpha builds no spec. The r-th largest of K has
+    # density r C(K, r) G^{K-r} (1 - G)^{r-1} times the parent's, summed in logs
+    # so a coefficient past the float range meets the powers that cancel it; a
+    # non-largest has K/(K-1) (1 - G^{K-1}) times the parent's. As 1/x <= 1/u,
+    # the tail of E[1/x] beyond u is at most the mass above u over u: I_Q(r,
+    # K+1-r), for a non-largest the second largest's. The ufunc takes K past
+    # int64 as a float
+    if kind == "norm_not_largest":
+        r = 2
+        log_coef = math.log(K / (K - 1)) - gammaln(M)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        log_g, log_q = _gamma_cdf_logs(M, t)
-        return np.exp(log_coef + float(K - r) * log_g + (r - 1) * log_q
-                      - t + (M - 1) * np.log(t)) / t
+        def log_density(t: np.ndarray) -> np.ndarray:
+            log_g = _gamma_cdf_logs(M, t)[0]
+            return log_coef + np.log(-np.expm1(float(K - 1) * log_g)) - t + (M - 1) * np.log(t)
+    else:
+        r, K = _rank(kind, r, K)
+        log_coef = math.log(r * math.comb(K, r)) - gammaln(M)  # math.log takes any int
+
+        def log_density(t: np.ndarray) -> np.ndarray:
+            log_g, log_q = _gamma_cdf_logs(M, t)
+            return log_coef + float(K - r) * log_g + (r - 1) * log_q - t + (M - 1) * np.log(t)
 
     def tail(u: float) -> float:
         return float(betainc(float(r), float(K + 1 - r), gammaincc(M, u))) / u
 
-    return integrand, tail
+    return log_density, tail
 
 
 def mean_inverse_quadrature(spec: DistributionSpec) -> float:
     """E[1/x] by adaptive quadrature on the density.
 
-    Supports every kind.  :func:`mean_inverse` falls back to it for order
-    statistics the alpha combination cannot price accurately; the tests
-    use it as the independent reference for every closed form.
+    Supports every kind; the squared-norm laws integrate the log density
+    :func:`pdf` exponentiates.  :func:`mean_inverse` falls back to it for
+    order statistics the alpha combination cannot price accurately; the
+    tests use it as the independent reference for every closed form.
     """
     _check_integrable(spec)
-    if spec.kind == "norm_order_stat":
-        integrand, tail = _order_stat_quadrature(spec.M, spec.r, spec.K)
-    else:
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return pdf(spec, t) / t
-
-        def tail(u: float) -> float:
-            return (1.0 - float(cdf(spec, u))) / u
-
-    # 1/x <= 1/u beyond a cut u, so the discarded tail is bounded by the
-    # probability mass above u over u; the sine laws end at 1
-    upper = 1.0 if spec.kind in ("sin_sq_angle", "sin_sq_angle_max") else 8.0 * spec.M + 8.0
-    return _quad_to_tail(integrand, upper, tail, spec)
+    if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):  # they end at 1: no tail
+        return _quad_to_tail(lambda t: pdf(spec, t) / t, 1.0, lambda u: 0.0, spec)
+    log_density, tail = _norm_law(spec.kind, spec.M, spec.r, spec.K)
+    return _quad_to_tail(lambda t: np.exp(log_density(t)) / t, 8.0 * spec.M + 8.0, tail, spec)
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +332,7 @@ def alpha(M: int, K: int) -> float:
         raise ConfigError(f"need K >= 1, got K={K}")
     if M < 2:
         raise DivergenceError(f"mean inverse of the largest squared norm needs M >= 2, got M={M}")
-    integrand, tail = _order_stat_quadrature(M, 1, K)  # the largest of K
+    log_density, tail = _norm_law("norm_order_stat", M, 1, K)  # the largest of K
     # the largest norm is at least the mean of the K, whose sum is
     # Gamma(KM, 1), so alpha <= K / (KM - 1).  A limit whose tail exceeds
     # that share (1% over, for rounding) fails the tail test whatever the
@@ -344,7 +340,7 @@ def alpha(M: int, K: int) -> float:
     upper, bound = 8.0 * M + 8.0, 1.01 * _TAIL_FRACTION * K / (K * M - 1)
     while tail(upper) > bound and upper <= 1e6:
         upper *= 2.0
-    return _quad_to_tail(integrand, upper, tail, f"alpha({M}, {K})")
+    return _quad_to_tail(lambda t: np.exp(log_density(t)) / t, upper, tail, f"alpha({M}, {K})")
 
 
 def _order_stat_power_coeffs(r: int, K: int) -> dict:
@@ -367,11 +363,15 @@ def _alpha_terms(M: int, r: int, K: int) -> list:
 # per-algorithm average powers (gamma is the linear SINR target)
 
 
-def _check_targets(gamma: float, sigma_sq: float) -> None:
-    if not 0.0 < gamma < math.inf:
-        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
-    if not 0.0 < sigma_sq < math.inf:
-        raise ConfigError(f"sigma_sq must be positive and finite, got {sigma_sq}")
+def _check_targets(gamma: float, sigma_sq: float, **counts: int) -> None:
+    # gamma and sigma_sq real, positive and finite; each count, by its keyword,
+    # an integer and not a bool. Exact types go first: checks on ABCs are slow
+    for name, value in counts.items():
+        if type(value) is not int and not isinstance(value, np.integer):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("gamma", gamma), ("sigma_sq", sigma_sq)):
+        if not isinstance(value, (float, numbers.Real)) or not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _angle_mean_inverse(M: int, d: int) -> float:
@@ -396,7 +396,7 @@ def _sum_terms(name: str, K_s: int, term) -> float:
 
 def _two_user_power(M: int, K: int, gamma: float, sigma_sq: float, first) -> float:
     # gamma sigma^2 (E[1/first] + alpha(M, K) E[1/max sin^2]) for the law first(M, K)
-    _check_targets(gamma, sigma_sq)
+    _check_targets(gamma, sigma_sq, M=M, K=K)
     if M < 3 or K < 2 or (M - 1) * (K - 1) <= 1:
         raise ConfigError(f"need M >= 3, K >= 2 and (M-1)(K-1) > 1, got M={M}, K={K}")
     first_term = mean_inverse(first(M, K))
@@ -414,7 +414,7 @@ def avg_power_nus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     term.  Order-statistic means come from :func:`mean_inverse`, so the
     sum is in closed form wherever the alpha combination is accurate.
     """
-    _check_targets(gamma, sigma_sq)
+    _check_targets(gamma, sigma_sq, M=M, K=K, K_s=K_s)
     if not 1 <= K_s <= K:
         raise ConfigError(f"need 1 <= Ks <= K, got Ks={K_s}, K={K}")
     return gamma * sigma_sq * _sum_terms("NUS", K_s, lambda i: mean_inverse(
@@ -431,7 +431,7 @@ def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     when K_s = M).  Unlike the other averages this one bounds the true
     mean from above, so Monte Carlo validation against it is one-sided.
     """
-    _check_targets(gamma, sigma_sq)
+    _check_targets(gamma, sigma_sq, M=M, K=K, K_s=K_s)
     if not 1 <= K_s <= min(M, K):
         raise ConfigError(f"need 1 <= Ks <= min(M, K), got Ks={K_s}, M={M}, K={K}")
     return gamma * sigma_sq * _sum_terms("SUS", K_s, lambda i: mean_inverse(
@@ -445,7 +445,7 @@ def avg_power_rus(M: int, K_s: int, gamma: float, sigma_sq: float) -> float:
     angle, so the value depends on M and K_s only; the number of users K
     does not appear.  Finite only for K_s <= M - 1.
     """
-    _check_targets(gamma, sigma_sq)
+    _check_targets(gamma, sigma_sq, M=M, K_s=K_s)
     if K_s < 1:
         raise ConfigError(f"need Ks >= 1, got Ks={K_s}")
     norm_term = mean_inverse(DistributionSpec.norm_chisq(M))  # needs M >= 2

@@ -19,7 +19,7 @@ positions one reused generator at the start of each, and `_stream_words`
 computes each stream's first 32-bit words without any generator.
 """
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,11 +54,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
+        if type(self.master_seed) is not int or not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
             )
-        if not isinstance(self.stream_index, int) or self.stream_index < 0:
+        if type(self.stream_index) is not int or self.stream_index < 0:
             raise ConfigError(
                 f"stream_index must be a non-negative integer, got {self.stream_index!r}"
             )
@@ -263,7 +263,8 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
             A sequence of T streams gives a (T, K, M) block whose set t
             is bit-identical to what stream t alone gives.
     """
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (M, K)):
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in (M, K)):
         raise DimensionError(f"need integers M >= 1 and K >= 1, got M={M!r}, K={K!r}")
     seeds = _seed_list(seed)
     z = np.empty((len(seeds), K, M, 2))
@@ -284,6 +285,8 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
 def squared_norm(h: np.ndarray) -> float:
     """Squared Euclidean norm ||h||^2 as a plain float."""
     h = np.asarray(h)
+    if h.dtype.kind not in "iufc":
+        raise DimensionError(f"h must be a numeric array, got dtype {h.dtype}")
     return float(np.real(np.vdot(h, h)))
 
 
@@ -329,6 +332,8 @@ def sin_sq_angle(h: np.ndarray, basis) -> float:
         raise DimensionError(f"h must be a non-empty vector, got shape {h.shape}")
     if not h.any():
         raise DomainError("zero vector has no angle to a subspace")
+    if not isinstance(basis, Iterable):
+        raise DimensionError(f"basis must be a sequence of vectors, got {basis!r}")
     vecs = [np.asarray(b, dtype=np.complex128) for b in basis]
     if len(vecs) >= h.shape[0]:
         raise FullSpaceError(

@@ -215,28 +215,40 @@ _EPS = np.finfo(float).eps
 _ORDER_STATS = [(m, r, k) for m in range(1, 9) for k in range(1, 25) for r in range(1, k + 1)]
 
 
-def test_order_stat_integrand_is_the_density_over_t():
-    # pdf stays the independent check of the array integrand, which sums the
-    # logs of the coefficient, the powers and the parent density: each value
-    # carries about as many roundings as those terms are large, and pdf's own
-    # exponent about as many. Where G >= 1/2, pdf's 1 - G carries an absolute
-    # rounding of G, which Q does not. Subnormal values hold fewer digits
+def test_order_stat_pdf_matches_the_scalar_reference():
+    # pdf against the tests' scalar density on _log_cdfs, which sums the same
+    # logs of the coefficient, the powers and the parent density in another
+    # order: each value carries about as many roundings as those terms are
+    # large. Subnormal values hold fewer digits
     ts = np.logspace(-3, 2, 161)
-    for m, r, k in _ORDER_STATS:
-        integrand, _ = analytic._order_stat_quadrature(m, r, k)
-        got = integrand(ts)
-        ref = pdf(DistributionSpec.norm_order_stat(m, r, k), ts) / ts
-        g, q = gammainc(m, ts), gammaincc(m, ts)
-        log_g, log_q = analytic._gamma_cdf_logs(m, ts)
-        ulps = np.abs(got - ref) / np.where(ref > 0.0, ref, 1.0) / _EPS
-        roundings = (4.0 + math.log(r * math.comb(k, r)) + ts + (m - 1) * np.abs(np.log(ts))
-                     + (k - r) * np.abs(log_g) + (r - 1) * np.abs(log_q))
-        normal = ref >= np.finfo(float).tiny
-        low = (g < 0.5) & normal
-        high = (g >= 0.5) & (q >= 1e-8) & normal
-        assert np.all(ulps[low] <= 4.0 * roundings[low]), (m, r, k)
-        bound = 4.0 * roundings[high] + 2.0 * (1 + (k - r) + (r - 1) / q[high])
-        assert np.all(ulps[high] <= bound), (m, r, k)
+    for m in range(1, 9):
+        log_g, log_q = np.array([_log_cdfs(m, t) for t in ts]).T
+        for _, r, k in (s for s in _ORDER_STATS if s[0] == m):
+            got = pdf(DistributionSpec.norm_order_stat(m, r, k), ts)
+            ref = np.array([_order_stat_density(m, r, k, t) for t in ts])
+            roundings = (4.0 + math.log(r * math.comb(k, r)) + ts + (m - 1) * np.abs(np.log(ts))
+                         + (k - r) * np.abs(log_g) + (r - 1) * np.abs(log_q))
+            normal = ref >= np.finfo(float).tiny
+            ulps = np.abs(got - ref)[normal] / ref[normal] / _EPS
+            assert np.all(ulps <= 4.0 * roundings[normal]), (m, r, k)
+
+
+def test_pdf_upper_tail_keeps_its_digits():
+    # where G rounds to 1, 1 - G from G lost every digit of the first and 4.5%
+    # of the second. The references are mpmath's at 60 digits
+    refs = [(DistributionSpec.norm_order_stat(6, 7, 24), 52.33, 1.4322819197419805e-107),
+            (DistributionSpec.norm_not_largest(4, 10), 45.0, 2.0217589230444981e-30)]
+    for spec, x, ref in refs:
+        assert abs(pdf(spec, x) - ref) <= 1e-12 * ref, spec
+
+
+@pytest.mark.parametrize("spec", [DistributionSpec.norm_chisq(4),
+                                  DistributionSpec.norm_order_stat(4, 2, 10),
+                                  DistributionSpec.norm_not_largest(4, 10)])
+def test_squared_norm_pdf_is_zero_at_the_ends(spec):
+    # -t + (M-1) log t is -inf + inf at +inf; pyproject turns the warning into an error
+    assert pdf(spec, np.inf) == 0.0
+    assert np.array_equal(pdf(spec, [-np.inf, -1.0, 0.0, np.inf]), np.zeros(4))
 
 
 def test_gamma_cdf_logs_take_each_side_from_the_one_below_a_half():
@@ -258,15 +270,23 @@ def test_gamma_cdf_logs_take_each_side_from_the_one_below_a_half():
 
 def test_order_stat_tail_is_the_mass_above_the_limit():
     # I_Q(r, K+1-r) against 1 - I_G(K+1-r, r), which rounds to an absolute
-    # few eps; the bound leaves room for the betainc of the oldest supported SciPy
+    # few eps; the bound leaves room for the betainc of the oldest supported
+    # SciPy. The chi-square's is Q, and a non-largest's at least its own mass
     for m, r, k in _ORDER_STATS:
         spec = DistributionSpec.norm_order_stat(m, r, k)
         if analytic._divergence_exponent(spec) < 1:
             continue
-        _, tail = analytic._order_stat_quadrature(m, r, k)
+        _, tail = analytic._norm_law("norm_order_stat", m, r, k)
         us = np.array([0.25, 1.0, 4.0] + [(8.0 * m + 8.0) * 2**j for j in range(4)])
         got = np.array([tail(u) for u in us])
         assert np.all(np.abs(got - (1.0 - cdf(spec, us)) / us) * us <= 64 * _EPS), (m, r, k)
+        if r == 1:
+            not_largest = DistributionSpec.norm_not_largest(m, k + 1)
+            _, chisq_tail = analytic._norm_law("norm_chisq", m, 0, 0)
+            _, not_largest_tail = analytic._norm_law("norm_not_largest", m, 0, k + 1)
+            for u in us:
+                assert abs(chisq_tail(u) * u - gammaincc(m, u)) <= 64 * _EPS, (m, u)
+                assert not_largest_tail(u) * u >= 1.0 - cdf(not_largest, u) - 64 * _EPS, (m, k, u)
 
 
 def test_mean_inverse_order_stat_at_large_k():
@@ -302,14 +322,14 @@ def test_order_stat_quadrature_integrates_each_piece_once(monkeypatch):
     # doubling integrates only the new piece and adds it to the total
     pieces, nodes = [], []
     integrate = analytic._integrate
-    quadrature = analytic._order_stat_quadrature
+    law = analytic._norm_law
 
-    def counted_quadrature(m, r, k):
-        integrand, tail = quadrature(m, r, k)
+    def counted_law(*args):
+        log_density, tail = law(*args)
 
         def counted(t):
             nodes.append((len(pieces) - 1, t.size, t.min(), t.max()))
-            return integrand(t)
+            return log_density(t)
 
         return counted, tail
 
@@ -317,7 +337,7 @@ def test_order_stat_quadrature_integrates_each_piece_once(monkeypatch):
         pieces.append((lower, upper))
         return integrate(integrand, lower, upper, what)
 
-    monkeypatch.setattr(analytic, "_order_stat_quadrature", counted_quadrature)
+    monkeypatch.setattr(analytic, "_norm_law", counted_law)
     monkeypatch.setattr(analytic, "_integrate", recorded)
     value = mean_inverse_quadrature(DistributionSpec.norm_order_stat(2, 2, 10**18))
     assert pieces == [(0.0, 24.0), (24.0, 48.0), (48.0, 96.0)]
@@ -325,10 +345,10 @@ def test_order_stat_quadrature_integrates_each_piece_once(monkeypatch):
     # takes as many as integrating it alone does
     for piece, _, lo, hi in nodes:
         assert pieces[piece][0] < lo and hi < pieces[piece][1], (piece, lo, hi)
-    integrand, _ = quadrature(2, 2, 10**18)
+    log_density, _ = law("norm_order_stat", 2, 2, 10**18)
     for i, (lower, upper) in enumerate(pieces):
         alone = []
-        integrate(lambda t: alone.append(t.size) or integrand(t), lower, upper, "x")
+        integrate(lambda t: alone.append(t.size) or np.exp(log_density(t)) / t, lower, upper, "x")
         assert sum(alone) == sum(n for piece, n, _, _ in nodes if piece == i), (lower, upper)
     ref = 0.022304443712853929536  # mpmath's at 50 digits
     assert abs(value - ref) <= 1e-12 * ref
@@ -420,6 +440,7 @@ def test_alpha_against_sampled_maximum():
 _ALPHA_GRID = [(m, k) for m in range(2, 17) for k in range(1, 65)]
 
 
+@functools.lru_cache(maxsize=4096)
 def _log_cdfs(m: int, x: float) -> tuple:
     # log G and log(1 - G), each from whichever of G and Q is below 1/2
     g = float(gammainc(m, x))
@@ -449,16 +470,17 @@ def _alpha_reference(m: int, k: int) -> float:
     return _quad_reference(integrand, m, lambda u: k * float(gammaincc(m - 1, u)) / (m - 1))
 
 
+def _order_stat_density(m: int, r: int, k: int, t: float) -> float:
+    # r C(K, r) G^{K-r} (1 - G)^{r-1} times the Gamma(M, 1) density, in logs
+    log_g, log_q = _log_cdfs(m, t)
+    exponent = math.log(r * math.comb(k, r)) - gammaln(m) - t + (m - 1) * math.log(t)
+    exponent += ((k - r) * log_g if k > r else 0.0) + ((r - 1) * log_q if r > 1 else 0.0)
+    return math.exp(exponent)
+
+
 def _order_stat_reference(m: int, r: int, k: int) -> float:
-    log_coef = math.log(r * math.comb(k, r)) - gammaln(m)
-
-    def integrand(t: float) -> float:
-        log_g, log_q = _log_cdfs(m, t)
-        exponent = log_coef - t + (m - 1) * math.log(t)
-        exponent += ((k - r) * log_g if k > r else 0.0) + ((r - 1) * log_q if r > 1 else 0.0)
-        return math.exp(exponent) / t
-
-    return _quad_reference(integrand, m, lambda u: float(betainc(r, k + 1 - r, gammaincc(m, u))) / u)
+    return _quad_reference(lambda t: _order_stat_density(m, r, k, t) / t, m,
+                           lambda u: float(betainc(r, k + 1 - r, gammaincc(m, u))) / u)
 
 
 _ALPHA_LARGE_K = [(m, 10**e) for m in range(2, 17) for e in range(3, 19)]
@@ -705,6 +727,22 @@ def test_avg_power_config_errors():
             avg_power_sus(4, 10, 2, GAMMA, bad)
         with pytest.raises(ConfigError):
             avg_power_rus(4, 2, GAMMA, bad)
+
+
+@pytest.mark.parametrize("func, args", [
+    (avg_power_nus, (4, None, 2, GAMMA, SIGMA_SQ)),
+    (avg_power_nus, (4, 10, True, GAMMA, SIGMA_SQ)),
+    (avg_power_sus, (4, 8, 1.5, GAMMA, SIGMA_SQ)),
+    (avg_power_sus, (4.0, 8, 2, GAMMA, SIGMA_SQ)),
+    (avg_power_rus, (4, "2", GAMMA, SIGMA_SQ)),
+    (avg_power_aus_two, ("x", 8, GAMMA, SIGMA_SQ)),
+    (avg_power_aus_two, (4, False, GAMMA, SIGMA_SQ)),
+    (avg_power_lower_bound_two, (4, 8, "x", SIGMA_SQ)),
+    (avg_power_lower_bound_two, (4, 8, GAMMA, None)),
+])
+def test_avg_power_rejects_non_numbers(func, args):
+    with pytest.raises(ConfigError):
+        func(*args)
 
 
 def test_scaling_in_gamma_and_sigma():

@@ -175,6 +175,25 @@ def test_sample_channel_set_edge_dims():
         sample_channel_set(3, 0, SeedSpec(5, 0))
 
 
+@pytest.mark.parametrize("call, args, error", [
+    (SeedSpec, (True, 0), ConfigError),
+    (SeedSpec, (0, True), ConfigError),
+    (SeedSpec, (True, True), ConfigError),
+    (SeedSpec, (0, "1"), ConfigError),
+    (sample_channel_set, (True, 3, SeedSpec(0)), DimensionError),
+    (sample_channel_set, (3, False, SeedSpec(0)), DimensionError),
+    (sample_channel_set, (3, None, SeedSpec(0)), DimensionError),
+    (sin_sq_angle, (np.array([1.0, 2.0j, 3.0]), 5), DimensionError),
+    (sin_sq_angle, (np.array([1.0, 2.0j, 3.0]), None), DimensionError),
+    (squared_norm, (None,), DimensionError),
+    (squared_norm, ("ab",), DimensionError),
+    (squared_norm, ([object()],), DimensionError),
+])
+def test_channel_entry_points_raise_package_errors(call, args, error):
+    with pytest.raises(error):
+        call(*args)
+
+
 def test_channel_set_validation():
     with pytest.raises(DimensionError):
         ChannelSet(np.zeros(3))
