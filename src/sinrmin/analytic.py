@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
 
-from .errors import ConfigError, DivergenceError
+from .errors import BudgetError, ConfigError, DivergenceError
 
 # quadrature targets: relative tolerance of each integral, and the largest
 # fraction of the running total the discarded upper tail may contribute
@@ -34,6 +33,12 @@ _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _UNIT_NODES, _HALF_WEIGHTS = (x / 2.0 for x in np.polynomial.legendre.leggauss(20))
 _UNIT_NODES += 0.5
 _START_PANELS, _MAX_PANELS, _ROUNDOFF = 8, 1024, 2.0**12 * _EPS
+# the Gamma(M, 1) tails are formed in linear space from about M terms a
+# point up to M = _LINEAR_M: x^M/M! stays a float below x = M, and so does
+# x^(M-1)/(M-1)! up to x = _X_MAX, past which every Q is below the floats.
+# Past it a point takes about 9 sqrt(M) terms, and M = _MAX_M bounds that
+# work; _MAX_TERMS bounds the terms of a binomial tail, as many a point
+_LINEAR_M, _MAX_M, _X_MAX, _MAX_TERMS = 128, 10**5, 1e4, 10**4
 
 _KINDS = (
     "norm_chisq",
@@ -68,10 +73,12 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        for name in ("M", "r", "K", "i"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # exact types go first, as checks on ABCs are slow
+        if not type(self.M) is type(self.r) is type(self.K) is type(self.i) is int:
+            for name in ("M", "r", "K", "i"):
+                value = getattr(self, name)
+                if not isinstance(value, int):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.kind == "norm_order_stat" and not 1 <= self.r <= self.K:
@@ -120,17 +127,18 @@ def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
         t = np.clip(xs, 0.0, 1.0)
         if spec.kind == "sin_sq_angle":
-            out = betainc(spec.M - spec.i, spec.i, t)
+            out = _beta_cdfs(t, 1.0 - t, spec.M - spec.i, spec.i)
         else:
             out = t ** (spec.K * (spec.M - 1))
     else:
-        t = np.maximum(xs, 0.0)
-        g = gammainc(spec.M, t)
+        _check_gamma_m(spec.M)
+        t, low = _gamma_side(spec.M, np.maximum(xs, 0.0))
+        g, q = np.where(low, t, 1.0 - t), np.where(low, 1.0 - t, t)
         if spec.kind == "norm_not_largest":
             out = (spec.K * g - g**spec.K) / (spec.K - 1)
         else:  # r-th largest of K is <= x iff at least K + 1 - r are: a binomial tail
             r, K = _rank(spec.kind, spec.r, spec.K)
-            out = betainc(K + 1 - r, r, g)
+            out = _beta_cdfs(g, q, K + 1 - r, r)
     return float(out[0]) if scalar else out
 
 
@@ -147,7 +155,8 @@ def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
         t = xs[inside]
         if spec.kind == "sin_sq_angle":
             a, b = spec.M - spec.i, spec.i
-            out[inside] = t ** (a - 1) * (1.0 - t) ** (b - 1) / math.exp(betaln(a, b))
+            log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+            out[inside] = t ** (a - 1) * (1.0 - t) ** (b - 1) / math.exp(log_beta)
         else:
             n = spec.K * (spec.M - 1)
             out[inside] = n * t ** (n - 1)
@@ -227,16 +236,166 @@ def _quad_to_tail(integrand, upper: float, tail, what) -> float:
         lower, upper = upper, 2.0 * upper
 
 
+def _check_gamma_m(M: int) -> None:
+    # refuse an M whose Gamma kernel would take more than _MAX_M's work
+    if M > _MAX_M:
+        raise BudgetError(f"the Gamma(M, 1) laws are evaluated for M <= {_MAX_M}, got M={M}")
+
+
+@lru_cache(maxsize=None)
+def _series_terms(M: int) -> int:
+    # terms of P's series sum_j x^j/((M+1)...(M+j)) at x = M, where it
+    # converges slowest, for a term to fall below eps/4 of the sum; Q's head
+    # read down from its last term, sum_j (M-1)...(M-j)/x^j, falls faster
+    terms, term = 0, 1.0
+    while term > _EPS / 4:
+        terms += 1
+        term *= M / (M + terms)
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _gamma_coeffs(M: int) -> tuple:
+    # 1/k! for k = M-1 down to 0, Q's head in Horner order; 1/M! for each
+    # term of P's series after the first; and the divisors M+1, M+2, ... of
+    # those terms
+    terms = _series_terms(M)
+    head = tuple(1 / math.factorial(k) for k in range(M - 1, -1, -1))
+    return head, np.full(terms, 1 / math.factorial(M)), np.arange(M + 1.0, M + terms + 1.0)
+
+
+def _gamma_side(M: int, x: np.ndarray) -> tuple:
+    # (t, low) at points x >= 0: t is P of Gamma(M, 1) where x < M, marked by
+    # low, and Q elsewhere, so t <= 0.64, to a few ulps where it is a normal
+    # float. Q is its head e^-x sum_{k<M} x^k/k!, positive terms summed in
+    # Horner form, with e^-x applied in halves so that it stays normal while
+    # Q does. P is its series e^-x x^M/M! sum_j x^j/((M+1)...(M+j))
+    if M > _LINEAR_M:
+        return _gamma_side_past_linear(M, x)
+    head, inv_m_fact, divisors = _gamma_coeffs(M)
+    xc = np.minimum(x, _X_MAX)
+    t = np.empty_like(xc)
+    t.fill(head[0])
+    for c in head[1:]:
+        t *= xc
+        t += c
+    half = np.exp(-0.5 * xc)
+    t *= half
+    t *= half
+    low = x < M
+    s = x[low]
+    ratios = s[:, None] / divisors
+    series = np.multiply.accumulate(ratios, axis=1, out=ratios) @ inv_m_fact
+    series += inv_m_fact[0]
+    t[low] = np.exp(-s) * s**M * series
+    return t, low
+
+
+def _gamma_side_past_linear(M: int, x: np.ndarray) -> tuple:
+    # _gamma_side for M past _LINEAR_M, whose terms leave the floats. Both
+    # sides are the density d = e^-x x^n/n!, n = M - 1, times a sum, term by
+    # term to _series_terms(M): Q's head read down from its last term, sum_j
+    # n (n-1)...(n-j+1)/x^j, and P's series x/M sum_j x^j/((M+1)...(M+j)).
+    # With x = n (1 + u), log d = n (log1p(u) - u) + log(n^n e^-n/n!), the
+    # constant from Stirling's series, so log d is rounded to about (|x - n| +
+    # |log d|) eps, where n log x - x - log n! would be to (x + n log x) eps
+    n, terms = M - 1, _series_terms(M)
+    stirling = (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+    log_scale = -0.5 * math.log(2.0 * math.pi * n) - stirling
+    u = (np.minimum(x, _X_MAX * M) - n) / n
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 0, where d is 0
+        t = np.exp(n * (np.log1p(u) - u) + log_scale)
+    low = x < M
+    s = x[low]
+    term, series = np.ones_like(s), np.ones_like(s)
+    for k in range(M + 1, M + terms + 1):
+        term *= s / k
+        series += term
+    t[low] *= series * s / M
+    y = x[~low]
+    term, head = np.ones_like(y), np.ones_like(y)
+    for k in range(n, max(n - terms, 0), -1):
+        term *= k / y
+        head += term
+    t[~low] *= head
+    return t, low
+
+
+def _gamma_pq_at(M: int, u: float) -> tuple:
+    # P and Q of Gamma(M, 1) at one float u, each as _gamma_side gives them.
+    # At u >= M, which holds every limit the quadrature tries, Q is its head
+    # in math at scalar speed; below, and past _LINEAR_M, it is _gamma_side's
+    if u < M or M > _LINEAR_M:
+        t, low = _gamma_side(M, np.array([u]))
+        t = float(t[0])
+        return (t, 1.0 - t) if low[0] else (1.0 - t, t)
+    head = _gamma_coeffs(M)[0]
+    u = min(u, _X_MAX)
+    q = head[0]
+    for c in head[1:]:
+        q = q * u + c
+    half = math.exp(-0.5 * u)
+    q = q * half * half
+    return 1.0 - q, q
+
+
 def _gamma_cdf_logs(M: int, x: np.ndarray) -> tuple:
-    # log G and log(1 - G) for G the Gamma(M, 1) CDF, each taken from whichever
-    # of G and Q = 1 - G is below 1/2: the other has rounded it away. A value
-    # below the normal range counts as the smallest normal; its powers vanish
-    g, q = np.maximum(gammainc(M, x), _TINY), np.maximum(gammaincc(M, x), _TINY)
-    high = g >= 0.5
-    log_g, log_q = np.log(g), np.log(q)
-    np.log1p(-q, out=log_g, where=high)
-    np.log1p(-g, out=log_q, where=~high)
-    return log_g, log_q
+    # log G and log(1 - G) for G the Gamma(M, 1) CDF, each taken from the side
+    # _gamma_side gives, which is below 0.64: the other has rounded it away. A
+    # value below the normal range counts as the smallest normal; its powers vanish
+    t, low = _gamma_side(M, x)
+    log_t = np.log(np.maximum(t, _TINY, out=t))
+    log_rest = np.log1p(-t)
+    return np.where(low, log_t, log_rest), np.where(low, log_rest, log_t)
+
+
+@lru_cache(maxsize=16)
+def _log_binomials(n: int, m: int) -> tuple:
+    # log C(n, i) for i < m, each from the exact int
+    logs, c = [0.0], 1
+    for i in range(1, m):
+        c = c * (n - i + 1) // i
+        logs.append(math.log(c))
+    return tuple(logs)
+
+
+def _beta_cdf(x: float, y: float, a: int, b: int) -> float:
+    # I_x(a, b) for integers a, b >= 1, with y = 1 - x given apart: the chance
+    # of at least a successes in n = a + b - 1 trials at x. It sums the b
+    # terms of that tail, C(n, i) y^i x^(n-i) for i < b failures, or takes 1
+    # minus the a terms below it, whichever are fewer, so n may be as large as
+    # an int can be, and refuses more than _MAX_TERMS. Each term is taken in
+    # logs with C(n, i) exact, and from whichever of x and y is below 1/2; 1
+    # minus the first keeps its digits by expm1. Where 1 minus more terms is
+    # below 1/2, a lies past the median, and the tail is summed up from a in
+    # term ratios until they fall below eps/4 of the sum, to keep its digits
+    n = a + b - 1
+    s, f, m, complement = (y, x, b, False) if b <= a else (x, y, a, True)
+    if m > _MAX_TERMS:
+        raise BudgetError(f"I_x({a}, {b}) would sum {m} terms, past {_MAX_TERMS}")
+    if s == 0.0 or f == 0.0:  # only s^0 f^n can be nonzero
+        head = float(s == 0.0)
+        return 1.0 - head if complement else head
+    ls, lf = (math.log(s), math.log1p(-s)) if s < 0.5 else (math.log1p(-f), math.log(f))
+    log_c = _log_binomials(n, m + 1)
+    total = -math.expm1(n * lf) if complement else math.exp(n * lf)
+    sign = -1.0 if complement else 1.0
+    for i in range(1, m):
+        total += sign * math.exp(log_c[i] + i * ls + (n - i) * lf)
+    if complement and m > 1 and total < 0.5:
+        term, total = math.exp(log_c[m] + m * ls + (n - m) * lf), 0.0
+        for i in range(m, n + 1):
+            total += term
+            term *= (n - i) / (i + 1) * (s / f)
+            if term <= _EPS / 4 * total:
+                break
+    return min(max(total, 0.0), 1.0)
+
+
+def _beta_cdfs(x: np.ndarray, y: np.ndarray, a: int, b: int) -> np.ndarray:
+    # _beta_cdf at each x, y
+    values = [_beta_cdf(u, v, a, b) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+    return np.reshape(values, x.shape)
 
 
 def _norm_law(kind: str, M: int, r: int, K: int) -> tuple:
@@ -246,25 +405,26 @@ def _norm_law(kind: str, M: int, r: int, K: int) -> tuple:
     # so a coefficient past the float range meets the powers that cancel it; a
     # non-largest has K/(K-1) (1 - G^{K-1}) times the parent's. As 1/x <= 1/u,
     # the tail of E[1/x] beyond u is at most the mass above u over u: I_Q(r,
-    # K+1-r), for a non-largest the second largest's. The ufunc takes K past
-    # int64 as a float
+    # K+1-r), for a non-largest the second largest's, in math on one float
+    _check_gamma_m(M)
     if kind == "norm_not_largest":
         r = 2
-        log_coef = math.log(K / (K - 1)) - gammaln(M)
+        log_coef = math.log(K / (K - 1)) - math.lgamma(M)
 
         def log_density(t: np.ndarray) -> np.ndarray:
             log_g = _gamma_cdf_logs(M, t)[0]
             return log_coef + np.log(-np.expm1(float(K - 1) * log_g)) - t + (M - 1) * np.log(t)
     else:
         r, K = _rank(kind, r, K)
-        log_coef = math.log(r * math.comb(K, r)) - gammaln(M)  # math.log takes any int
+        log_coef = math.log(r * math.comb(K, r)) - math.lgamma(M)  # math.log takes any int
 
         def log_density(t: np.ndarray) -> np.ndarray:
             log_g, log_q = _gamma_cdf_logs(M, t)
             return log_coef + float(K - r) * log_g + (r - 1) * log_q - t + (M - 1) * np.log(t)
 
     def tail(u: float) -> float:
-        return float(betainc(float(r), float(K + 1 - r), gammaincc(M, u))) / u
+        p, q = _gamma_pq_at(M, u)
+        return _beta_cdf(q, p, r, K + 1 - r) / u
 
     return log_density, tail
 

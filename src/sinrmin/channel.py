@@ -228,7 +228,7 @@ class ChannelSet:
     users: np.ndarray
 
     def __post_init__(self):
-        users = np.asarray(self.users, dtype=np.complex128)
+        users = _as_complex(self.users, "users")
         if users.ndim not in (2, 3):
             raise DimensionError(
                 f"users must be a (K, M) or (T, K, M) array, got shape {users.shape}"
@@ -282,11 +282,21 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
     return ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
 
 
+def _as_complex(value, what: str) -> np.ndarray:
+    """`value` as a complex128 array. Rows of unequal length and entries
+    that are not numbers raise DimensionError naming `what`."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError) as exc:  # how NumPy refuses ragged rows
+        raise DimensionError(f"{what} must be an array of numbers: {exc}") from None
+    if arr.dtype.kind not in "iufc":
+        raise DimensionError(f"{what} must be an array of numbers, got dtype {arr.dtype}")
+    return arr.astype(np.complex128, copy=False)
+
+
 def squared_norm(h: np.ndarray) -> float:
     """Squared Euclidean norm ||h||^2 as a plain float."""
-    h = np.asarray(h)
-    if h.dtype.kind not in "iufc":
-        raise DimensionError(f"h must be a numeric array, got dtype {h.dtype}")
+    h = _as_complex(h, "h")
     return float(np.real(np.vdot(h, h)))
 
 
@@ -327,14 +337,14 @@ def sin_sq_angle(h: np.ndarray, basis) -> float:
     FullSpaceError; numerically dependent basis vectors raise
     RankDeficiencyError.
     """
-    h = np.asarray(h, dtype=np.complex128)
+    h = _as_complex(h, "h")
     if h.ndim != 1 or h.shape[0] < 1:
         raise DimensionError(f"h must be a non-empty vector, got shape {h.shape}")
     if not h.any():
         raise DomainError("zero vector has no angle to a subspace")
     if not isinstance(basis, Iterable):
         raise DimensionError(f"basis must be a sequence of vectors, got {basis!r}")
-    vecs = [np.asarray(b, dtype=np.complex128) for b in basis]
+    vecs = [_as_complex(b, "basis vectors") for b in basis]
     if len(vecs) >= h.shape[0]:
         raise FullSpaceError(
             f"basis of {len(vecs)} vectors leaves no complement in C^{h.shape[0]}"

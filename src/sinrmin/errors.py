@@ -34,4 +34,4 @@ class DivergenceError(ValueError):
 
 
 class BudgetError(ValueError):
-    """Enumeration would exceed the configured evaluation budget."""
+    """Enumeration or evaluation would exceed its budget of work."""

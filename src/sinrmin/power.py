@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, _complement_step, _squared_norms
+from .channel import RANK_TOL, _as_complex, _complement_step, _squared_norms
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleGeometryError
 
 
@@ -93,7 +93,7 @@ def _check_sinr_targets(targets) -> None:
 
 def _as_block(channels) -> tuple[np.ndarray, bool]:
     """(T, n, M) channel rows, and whether the input was one (n, M) set."""
-    h = np.asarray(channels, dtype=np.complex128)
+    h = _as_complex(channels, "channels")
     single = h.ndim in (1, 2)
     if single:
         h = h.reshape((1,) * (3 - h.ndim) + h.shape)

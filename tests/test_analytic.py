@@ -25,7 +25,7 @@ from sinrmin.analytic import (
     pdf,
 )
 from sinrmin.channel import SeedSpec
-from sinrmin.errors import ConfigError, DivergenceError
+from sinrmin.errors import BudgetError, ConfigError, DivergenceError
 
 GAMMA = 10.0  # 10 dB, linear
 SIGMA_SQ = 0.1
@@ -253,25 +253,114 @@ def test_squared_norm_pdf_is_zero_at_the_ends(spec):
 
 def test_gamma_cdf_logs_take_each_side_from_the_one_below_a_half():
     # log G from G and log(1 - G) from 1 - G while G < 1/2; past that both
-    # come from Q, so log G stays nonzero where G has rounded to 1
+    # come from Q, so log G stays nonzero where G has rounded to 1. SciPy's
+    # side below 1/2 is the reference, to a few ulps plus its own rounding:
+    # it forms each side as the exp of a sum of x, (M-1) log x and log (M-1)!
     xs = np.concatenate((np.logspace(-3, 2, 121), [200.0, 700.0, 800.0]))
+    tiny = np.finfo(float).tiny
     for m in (1, 2, 4, 16, 64):
         g, q = gammainc(m, xs), gammaincc(m, xs)
         log_g, log_q = analytic._gamma_cdf_logs(m, xs)
-        low, high = (g < 0.5) & (g > 0.0), (g >= 0.5) & (q > 0.0)
-        assert np.array_equal(log_g[low], np.log(g[low])), m
-        assert np.array_equal(log_q[low], np.log1p(-g[low])), m
-        assert np.array_equal(log_g[high], np.log1p(-q[high])), m
-        assert np.array_equal(log_q[high], np.log(q[high])), m
-        assert np.all(log_g[high] < 0.0), m
+        below = g < 0.5
+        side = np.where(below, g, q)
+        normal = side >= tiny
+        log_side = np.log(side[normal])
+        log_rest = np.log1p(-side[normal])
+        ulps = (4.0 + xs[normal] + (m - 1) * np.abs(np.log(xs[normal])) + math.lgamma(m)
+                + np.abs(log_side))
+        got_side = np.where(below, log_g, log_q)[normal]
+        got_rest = np.where(below, log_q, log_g)[normal]
+        assert np.all(np.abs(got_side - log_side) <= ulps * _EPS), m
+        assert np.all(np.abs(got_rest - log_rest) <= ulps * _EPS * np.abs(log_rest)), m
+        assert np.all(log_g[~below & (q > 0.0)] < 0.0), m
         # a Q below the normal range counts as the smallest normal
-        assert np.all(log_q[q == 0.0] == np.log(np.finfo(float).tiny)), m
+        assert np.all(log_q[q < tiny] == np.log(tiny)), m
+
+
+@pytest.mark.parametrize("m, x, ref", [
+    # P of Gamma(M, 1) below x = M and Q from there, mpmath's gammainc at 50
+    # digits: about M, near where e^-x leaves the normal floats, and past it
+    (1, 0.5, 0.3934693402873665764),
+    (1, 2.0, 0.13533528323661269189),
+    (1, 700.0, 9.8596765437597708567e-305),
+    (4, 1.0, 0.018988156876153809079),
+    (4, 4.0, 0.43347012036670893362),
+    (4, 708.0, 1.9647027903975222871e-300),
+    (64, 50.0, 0.031843441750738075584),
+    (64, 70.0, 0.22090730754116029992),
+    (64, 708.0, 6.527894509745744312e-216),
+    (64, 900.0, 9.6936103096454093104e-293),
+    (128, 100.0, 0.0039946202940355885144),
+    (128, 128.0, 0.48824554909587709949),
+    (128, 140.0, 0.14492251808246528878),
+    (128, 708.0, 1.2035797098698549065e-159),
+    (128, 1000.0, 1.9296633753383650048e-267),
+    # past _LINEAR_M the density is formed in logs and its sum term by term,
+    # which adds about |x - M| + sqrt(M) ulps
+    (200, 186.0, 0.16100729256569677294),
+    (200, 214.0, 0.160796694025947768),
+    (1000, 968.0, 0.15568315249955535728),
+    (1000, 1000.0, 0.4957947558197844915),
+    (1000, 1032.0, 0.1558059888290624762),
+])
+def test_gamma_tails_match_mpmath(m, x, ref):
+    ulps = 8.0 + (abs(x - m) + math.sqrt(m) if m > analytic._LINEAR_M else 0.0)
+    t, low = analytic._gamma_side(m, np.array([x]))
+    assert low[0] == (x < m)
+    assert abs(t[0] - ref) <= ulps * np.spacing(ref)
+    p, q = analytic._gamma_pq_at(m, x)
+    assert abs((p if x < m else q) - ref) <= ulps * np.spacing(ref)
+
+
+@pytest.mark.parametrize("x, r, k, ref", [
+    # P(at least r of K successes at x), mpmath's sum of the r terms below at
+    # 60 digits. SciPy 1.17's betainc(4, 1e8 - 3, 4.734e-8) is 0.6956345537
+    (4.734e-8, 4, 10**8, 0.69563455274717016467),
+    (1e-8, 1, 10**8, 0.63212056066795489962),
+    (3e-8, 8, 10**8, 0.011904502560115510441),
+    (2.5e-18, 2, 10**18, 0.71270250481635425399),
+    (4e-18, 4, 10**18, 0.56652987963329112268),
+    (1.5e-17, 20, 10**18, 0.1247812150325248379),
+    (1e-19, 1, 10**18, 0.0951625819640404246),
+    # below 1/2 the complement would keep only an absolute few eps, so the
+    # tail is summed up from r: mpmath's sum of the terms above at 60 digits
+    (1e-8, 2, 10**6, 0.00004966786433279846881),
+    (1e-9, 3, 10**6, 1.6654121740261295291e-10),
+    (2e-8, 5, 10**8, 0.052653015539240699318),
+    (1e-19, 3, 10**18, 0.00015465307026467164188),
+    (1e-3, 40, 10**4, 7.025288522156329686e-13),
+])
+def test_binomial_tail_matches_mpmath_at_large_k(x, r, k, ref):
+    # I_x(r, K+1-r) sums the r-term complement, or the tail itself where
+    # that is below 1/2; I_{1-x}(K+1-r, r), the same chance from the other
+    # side, sums its r terms directly
+    assert abs(analytic._beta_cdf(x, 1.0 - x, r, k + 1 - r) - ref) <= 1e-12 * ref
+    assert abs(analytic._beta_cdf(1.0 - x, x, k + 1 - r, r) - (1.0 - ref)) <= 1e-12 * (1.0 - ref)
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec.norm_order_stat(4, 500_000, 10**6),
+    DistributionSpec.norm_order_stat(2, 5 * 10**17, 10**18),
+    DistributionSpec.sin_sq_angle(10**6, 500_000),
+])
+def test_binomial_tail_refuses_more_terms_than_its_bound(spec):
+    # both sides of these tails are past _MAX_TERMS terms a point: refused
+    # before the first, where summing them would take minutes or forever
+    with pytest.raises(BudgetError, match=f"past {analytic._MAX_TERMS}"):
+        cdf(spec, 0.5)
+
+
+def test_binomial_tail_ends():
+    # I_0 = 0 and I_1 = 1 exactly, from either side
+    for a, b in ((1, 1), (3, 1), (1, 3), (4, 7)):
+        assert analytic._beta_cdf(0.0, 1.0, a, b) == 0.0
+        assert analytic._beta_cdf(1.0, 0.0, a, b) == 1.0
 
 
 def test_order_stat_tail_is_the_mass_above_the_limit():
     # I_Q(r, K+1-r) against 1 - I_G(K+1-r, r), which rounds to an absolute
-    # few eps; the bound leaves room for the betainc of the oldest supported
-    # SciPy. The chi-square's is Q, and a non-largest's at least its own mass
+    # few eps; the tail takes Q from the scalar head, the CDF from the array
+    # kernel. The chi-square's is Q, and a non-largest's at least its own mass
     for m, r, k in _ORDER_STATS:
         spec = DistributionSpec.norm_order_stat(m, r, k)
         if analytic._divergence_exponent(spec) < 1:
@@ -743,6 +832,64 @@ def test_avg_power_config_errors():
 def test_avg_power_rejects_non_numbers(func, args):
     with pytest.raises(ConfigError):
         func(*args)
+
+
+_GAMMA_KERNEL_CALLS = {
+    "nus": lambda m: avg_power_nus(m, 10, 2, GAMMA, SIGMA_SQ),
+    "sus": lambda m: avg_power_sus(m, 10, 2, GAMMA, SIGMA_SQ),
+    "aus_two": lambda m: avg_power_aus_two(m, 8, GAMMA, SIGMA_SQ),
+    "lower_bound_two": lambda m: avg_power_lower_bound_two(m, 8, GAMMA, SIGMA_SQ),
+    "alpha": lambda m: alpha(m, 4),
+    "cdf": lambda m: cdf(DistributionSpec.norm_chisq(m), float(m)),
+    "pdf": lambda m: pdf(DistributionSpec.norm_order_stat(m, 1, 3), float(m)),
+    "quadrature": lambda m: mean_inverse_quadrature(DistributionSpec.norm_chisq(m)),
+}
+
+
+@pytest.mark.parametrize("m", [analytic._MAX_M + 1, 10**30])
+@pytest.mark.parametrize("call", _GAMMA_KERNEL_CALLS.values(), ids=_GAMMA_KERNEL_CALLS)
+def test_m_past_the_gamma_kernel_bound_is_refused_before_it_runs(monkeypatch, call, m):
+    # the kernel takes about 9 sqrt(M) terms a point, so past _MAX_M it is
+    # refused, with an error the CLI reports rather than a missing closed form
+    def refuse(*args):
+        raise AssertionError("the Gamma kernel ran")
+
+    monkeypatch.setattr(analytic, "_gamma_side", refuse)
+    with pytest.raises(BudgetError, match=f"M <= {analytic._MAX_M}"):
+        call(m)
+
+
+@pytest.mark.parametrize("m", [200, 10**30])
+def test_closed_forms_take_any_m(m):
+    # the chi-square's and the sine laws' reciprocal means need no kernel
+    assert avg_power_rus(m, 2, GAMMA, SIGMA_SQ) == pytest.approx(
+        GAMMA * SIGMA_SQ / (m - 1) * (1.0 + (m - 1) / (m - 2)), rel=1e-12)
+    assert mean_inverse(DistributionSpec.sin_sq_angle(m, 1)) == (m - 1) / (m - 2)
+    assert mean_inverse(DistributionSpec.norm_chisq(m)) == 1.0 / (m - 1)
+
+
+@pytest.mark.parametrize("m", [analytic._LINEAR_M, analytic._LINEAR_M + 1, 200])
+def test_m_about_the_linear_bound_matches_a_quad_reference(m):
+    # at M = _LINEAR_M the head has 128 terms, and past x = 708 e^-x is no
+    # longer a normal float: quadrature limits reach 8M + 8 = 1032. Past it
+    # the kernel forms the density in logs
+    for k in (1, 4, 16):
+        ref = _alpha_reference(m, k)
+        assert abs(alpha(m, k) - ref) <= 1e-12 * ref, k
+    alpha.cache_clear()
+
+
+@pytest.mark.parametrize("call, parent", [
+    # the values of scipy's gammainc, gammaincc and betainc, at the last
+    # commit that evaluated the laws with them
+    (lambda: avg_power_nus(200, 10, 2, GAMMA, SIGMA_SQ), 0.009200743715963503),
+    (lambda: avg_power_sus(200, 10, 2, GAMMA, SIGMA_SQ), 0.009200710099319463),
+    (lambda: avg_power_aus_two(1000, 8, GAMMA, SIGMA_SQ), 0.001964290031026474),
+    (lambda: avg_power_lower_bound_two(1000, 8, GAMMA, SIGMA_SQ), 0.0019309820412947865),
+    (lambda: avg_power_nus(1000, 10, 2, GAMMA, SIGMA_SQ), 0.0019238025003405247),
+])
+def test_averages_past_the_linear_bound_keep_their_values(call, parent):
+    assert call() == pytest.approx(parent, rel=1e-12)
 
 
 def test_scaling_in_gamma_and_sigma():

@@ -188,6 +188,10 @@ def test_sample_channel_set_edge_dims():
     (squared_norm, (None,), DimensionError),
     (squared_norm, ("ab",), DimensionError),
     (squared_norm, ([object()],), DimensionError),
+    # text entries and ragged rows: a package error, not NumPy's ValueError
+    (sin_sq_angle, (np.array([1.0, 2.0j, 3.0]), "ab"), DimensionError),
+    (squared_norm, ([[1, 2], [3]],), DimensionError),
+    (ChannelSet, ([[1, 2], [3]],), DimensionError),
 ])
 def test_channel_entry_points_raise_package_errors(call, args, error):
     with pytest.raises(error):

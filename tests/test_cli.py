@@ -279,15 +279,33 @@ def test_quadrature_that_loses_its_tolerance_exits_3(capsys, monkeypatch):
     analytic.alpha.cache_clear()
 
 
+def test_analytic_past_the_linear_kernel_prints_every_value(capsys):
+    # M = 200 takes the Gamma kernel's log-space density; RUS is a closed form
+    flags = ["--M", "200", "--K", "8", "--Ks", "2", "--gamma-db", "10", "--sigma-sq", "0.1"]
+    assert main(["analytic", *flags, "--algorithms", "NUS,SUS,AUS,RUS"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "none,,NUS,0.009286", "none,,SUS,0.009286", "none,,AUS,0.009639",
+        "none,,RUS,0.010076", "none,,LOWER_BOUND,0.009266"]
+
+
+def test_m_past_the_gamma_kernel_bound_exits_3(capsys):
+    m = analytic._MAX_M + 1
+    flags = ["--M", str(m), "--K", "8", "--Ks", "2", "--gamma-db", "10", "--sigma-sq", "0.1"]
+    assert main(["analytic", *flags, "--algorithms", "NUS"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the Gamma(M, 1) laws are evaluated for M <= {analytic._MAX_M}, got M={m}\n")
+
+
 def test_commands_do_not_import_scipy_integrate(tmp_path):
-    # the quadrature is the package's own; pytest's filterwarnings setting
+    # the quadrature and the special functions are the package's own, so
+    # neither command loads any part of scipy; pytest's filterwarnings setting
     # imports scipy.integrate into this process, so a fresh one runs both
     code = "\n".join((
         "import sys",
         "from sinrmin.cli import main",
         f"assert main(['analytic', *{BASE_FLAGS!r}, '--algorithms', 'NUS,SUS,AUS,RUS']) == 0",
         f"assert main(['simulate', *{BASE_FLAGS!r}, '--trials', '1', '--out', {str(tmp_path)!r}]) == 0",
-        "print(*sorted(m for m in sys.modules if m.startswith('scipy.integrate')))",
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

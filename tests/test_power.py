@@ -254,6 +254,14 @@ def test_evaluate_sinr_accumulates_earlier_beams():
     assert out[1] == pytest.approx(3.0 / (2.0 + 4.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("solver", [exact_min_power, approx_min_power, downlink_dual_solution])
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [["1", "2"], ["3", "4"]], [[object(), 1]]])
+def test_solvers_reject_rows_that_are_not_numbers(solver, rows):
+    # ragged, text and object rows: a package error, not NumPy's ValueError or TypeError
+    with pytest.raises(DimensionError):
+        solver(rows, T10)
+
+
 def test_evaluate_sinr_length_mismatch():
     h = _instance(4, 3, 5)
     bf = h / np.linalg.norm(h, axis=1, keepdims=True)
