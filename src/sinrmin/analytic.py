@@ -76,9 +76,7 @@ class DistributionSpec:
         # exact types go first, as checks on ABCs are slow
         if not type(self.M) is type(self.r) is type(self.K) is type(self.i) is int:
             for name in ("M", "r", "K", "i"):
-                value = getattr(self, name)
-                if not isinstance(value, int):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.kind == "norm_order_stat" and not 1 <= self.r <= self.K:
@@ -116,11 +114,27 @@ class DistributionSpec:
         return cls("sin_sq_angle_max", M, K=K)
 
 
+def _check_spec(spec) -> None:
+    if not isinstance(spec, DistributionSpec):
+        raise ConfigError(f"need a DistributionSpec, got {spec!r}")
+
+
+def _integer(name: str, value) -> int:
+    # an int or a NumPy integer, as an int so that equal counts hash alike;
+    # not a bool. Exact types go first: checks on ABCs are slow
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     """Cumulative distribution function, vectorized over x.
 
     Arguments below the support clamp to 0 and above it to 1.
     """
+    _check_spec(spec)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
@@ -146,6 +160,7 @@ def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     """Probability density, vectorized over x; zero outside the support,
     and at 0 and +inf for the squared-norm laws, whose log density the
     quadrature integrates too: their upper tail keeps its digits."""
+    _check_spec(spec)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs).astype(float)
@@ -162,7 +177,7 @@ def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
             out[inside] = n * t ** (n - 1)
     else:
         inside = (xs > 0.0) & (xs < math.inf)
-        out[inside] = np.exp(_norm_law(spec.kind, spec.M, spec.r, spec.K)[0](xs[inside]))
+        out[inside] = np.exp(_norm_law(spec.kind, spec.M, spec.r, (spec.K,))[0](xs[inside])[0])
     return float(out[0]) if scalar else out
 
 
@@ -197,43 +212,73 @@ def _check_integrable(spec: DistributionSpec) -> None:
             f"E[1/x] diverges for {_describe(spec)}: density ~ x^{s} near the lower end")
 
 
-def _integrate(integrand, lower: float, upper: float, what) -> float:
+def _integrate(integrand, lower: float, upper: float, what):
     # composite Gauss-Legendre on [lower, upper]. Each panel's rule is checked
     # against the sum of the rule on its two halves; the halves are kept when
     # the two agree to the panel's share of the tolerance, or to the rounding
-    # of the integrand values, and each half becomes a panel otherwise
-    def rule(left, width):  # on each panel [left, left + width]
-        return width * (integrand(left[..., None] + width * _UNIT_NODES) @ _HALF_WEIGHTS)
-
+    # of the integrand values, and each half becomes a panel otherwise. An
+    # integrand may give N functions along a leading axis: each level takes
+    # them at once at the union of their live panels' nodes, and each keeps
+    # its own panels, decisions and sum, in the array shapes it has alone, so
+    # it gets the bits it would alone wherever the integrand rounds a node as
+    # it would alone
     width = (upper - lower) / _START_PANELS
     left = lower + width * np.arange(_START_PANELS)
-    whole, kept = rule(left, width), []
-    while len(kept) + left.size <= _MAX_PANELS:
+    values = integrand(left[:, None] + width * _UNIT_NODES)
+    scalar = values.ndim == 2
+    whole = width * (values.reshape(-1, _START_PANELS, _UNIT_NODES.size) @ _HALF_WEIGHTS)
+    n = whole.shape[0]
+    owner = np.arange(n).repeat(_START_PANELS)
+    left, whole = np.concatenate((left,) * n), whole.ravel()
+    kept = [[] for _ in range(n)]
+    while owner.size:
+        sizes = np.bincount(owner, minlength=n).tolist()
+        if any(len(k) + size > _MAX_PANELS for k, size in zip(kept, sizes)):
+            raise ArithmeticError(f"quadrature lost its tolerance for {what} on "
+                                  f"[{lower:g}, {upper:g}] at {_MAX_PANELS} panels")
         width *= 0.5
         left = left[:, None] + np.array([0.0, width])
-        halves = rule(left, width)
+        if n == 1:
+            values = integrand(left[..., None] + width * _UNIT_NODES).reshape(*left.shape, -1)
+        else:  # the functions' panels may coincide: take each node once
+            grid = np.sort(left, axis=None)
+            grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+            values = integrand(grid[:, None] + width * _UNIT_NODES).reshape(n, grid.size, -1)
+            values = values[owner[:, None], np.searchsorted(grid, left)]
+        halves = width * (values @ _HALF_WEIGHTS)
         pair = halves.sum(axis=1)
-        share = _QUAD_REL * (math.fsum(kept) + float(pair.sum())) * 2.0 * width / (upper - lower)
-        done = np.abs(whole - pair) <= np.maximum(share, _ROUNDOFF * np.abs(pair))
-        kept += pair[done].tolist()
-        if done.all():
-            return math.fsum(kept)
-        left, whole = left[~done].ravel(), halves[~done].ravel()
-    raise ArithmeticError(f"quadrature lost its tolerance for {what} on "
-                          f"[{lower:g}, {upper:g}] at {_MAX_PANELS} panels")
+        share, end = np.zeros(n), 0
+        for f, size in enumerate(sizes):
+            if size:
+                total = math.fsum(kept[f]) + float(pair[end:end + size].sum())
+                share[f] = _QUAD_REL * total * 2.0 * width / (upper - lower)
+                end += size
+        done = np.abs(whole - pair) <= np.maximum(share[owner], _ROUNDOFF * np.abs(pair))
+        for f, value in zip(owner[done].tolist(), pair[done].tolist()):
+            kept[f].append(value)
+        split = ~done
+        owner, left, whole = owner[split].repeat(2), left[split].ravel(), halves[split].ravel()
+    sums = [math.fsum(k) for k in kept]
+    return sums[0] if scalar else np.array(sums)
 
 
-def _quad_to_tail(integrand, upper: float, tail, what) -> float:
+def _quad_to_tail(integrand, upper: float, tail, what):
     # integrate over [0, upper], doubling upper and adding the new piece until
-    # the bound tail(upper) on the discarded mass is negligible in the total
-    value, lower = 0.0, 0.0
-    while True:
-        value += _integrate(integrand, lower, upper, what)
-        if tail(upper) <= _TAIL_FRACTION * value:
-            return value
+    # the bound tail(upper) on the discarded mass is negligible in the total.
+    # Functions on a leading axis, with a bound each, double apart: one whose
+    # tail passes leaves the integrals of the later pieces
+    value = _integrate(integrand, 0.0, upper, what)
+    open_ = ~np.less_equal(tail(upper), _TAIL_FRACTION * value)
+    while np.any(open_):
         if upper > 1e6:
             raise ArithmeticError(f"tail criterion unreachable for {what} at upper {upper:g}")
         lower, upper = upper, 2.0 * upper
+        if np.all(open_):
+            value = value + _integrate(integrand, lower, upper, what)
+        else:
+            value[open_] += _integrate(lambda t, rows=open_: integrand(t)[rows], lower, upper, what)
+        open_ &= ~np.less_equal(tail(upper), _TAIL_FRACTION * value)
+    return value
 
 
 def _check_gamma_m(M: int) -> None:
@@ -359,6 +404,12 @@ def _log_binomials(n: int, m: int) -> tuple:
     return tuple(logs)
 
 
+def _check_beta_terms(a: int, b: int) -> None:
+    # I_x(a, b) sums the shorter side, min(a, b) terms a point
+    if min(a, b) > _MAX_TERMS:
+        raise BudgetError(f"I_x({a}, {b}) would sum {min(a, b)} terms, past {_MAX_TERMS}")
+
+
 def _beta_cdf(x: float, y: float, a: int, b: int) -> float:
     # I_x(a, b) for integers a, b >= 1, with y = 1 - x given apart: the chance
     # of at least a successes in n = a + b - 1 trials at x. It sums the b
@@ -370,9 +421,8 @@ def _beta_cdf(x: float, y: float, a: int, b: int) -> float:
     # below 1/2, a lies past the median, and the tail is summed up from a in
     # term ratios until they fall below eps/4 of the sum, to keep its digits
     n = a + b - 1
+    _check_beta_terms(a, b)
     s, f, m, complement = (y, x, b, False) if b <= a else (x, y, a, True)
-    if m > _MAX_TERMS:
-        raise BudgetError(f"I_x({a}, {b}) would sum {m} terms, past {_MAX_TERMS}")
     if s == 0.0 or f == 0.0:  # only s^0 f^n can be nonzero
         head = float(s == 0.0)
         return 1.0 - head if complement else head
@@ -398,33 +448,46 @@ def _beta_cdfs(x: np.ndarray, y: np.ndarray, a: int, b: int) -> np.ndarray:
     return np.reshape(values, x.shape)
 
 
-def _norm_law(kind: str, M: int, r: int, K: int) -> tuple:
-    # log density and tail bound of the squared-norm law with a spec's kind, M,
-    # r and K, passed apart so alpha builds no spec. The r-th largest of K has
-    # density r C(K, r) G^{K-r} (1 - G)^{r-1} times the parent's, summed in logs
-    # so a coefficient past the float range meets the powers that cancel it; a
-    # non-largest has K/(K-1) (1 - G^{K-1}) times the parent's. As 1/x <= 1/u,
-    # the tail of E[1/x] beyond u is at most the mass above u over u: I_Q(r,
-    # K+1-r), for a non-largest the second largest's, in math on one float
+def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
+    # log density and tail bound of the squared-norm laws with a spec's kind, M
+    # and r, one for each K of Ks along a leading axis, passed apart so alpha
+    # builds no spec; they share each point's Gamma(M, 1) CDF. The r-th
+    # largest of K has density r C(K, r) G^{K-r} (1 - G)^{r-1} times the
+    # parent's, summed in logs so a coefficient past the float range meets the
+    # powers that cancel it; a non-largest has K/(K-1) (1 - G^{K-1}) times the
+    # parent's. As 1/x <= 1/u, the tail of E[1/x] beyond u is at most the mass
+    # above u over u: I_Q(r, K+1-r), for a non-largest the second largest's,
+    # in math on one float
     _check_gamma_m(M)
     if kind == "norm_not_largest":
         r = 2
-        log_coef = math.log(K / (K - 1)) - math.lgamma(M)
+        log_coef = np.array([[math.log(K / (K - 1)) - math.lgamma(M)] for K in Ks])
+        powers = np.array([[float(K - 1)] for K in Ks])
 
-        def log_density(t: np.ndarray) -> np.ndarray:
-            log_g = _gamma_cdf_logs(M, t)[0]
-            return log_coef + np.log(-np.expm1(float(K - 1) * log_g)) - t + (M - 1) * np.log(t)
+        def log_body(log_g, log_q):
+            return log_coef + np.log(-np.expm1(powers * log_g))
     else:
-        r, K = _rank(kind, r, K)
-        log_coef = math.log(r * math.comb(K, r)) - math.lgamma(M)  # math.log takes any int
+        ranks = [_rank(kind, r, K) for K in Ks]
+        r, Ks = ranks[0][0], [K for _, K in ranks]
+        for K in Ks:  # before C(K, r), which has as many digits
+            _check_beta_terms(r, K + 1 - r)
+        # math.log takes any int
+        log_coef = np.array([[math.log(r * math.comb(K, r)) - math.lgamma(M)] for K in Ks])
+        powers = np.array([[float(K - r)] for K in Ks])
 
-        def log_density(t: np.ndarray) -> np.ndarray:
-            log_g, log_q = _gamma_cdf_logs(M, t)
-            return log_coef + float(K - r) * log_g + (r - 1) * log_q - t + (M - 1) * np.log(t)
+        def log_body(log_g, log_q):  # (r - 1) log_q is -0.0 at r = 1, log_q being finite
+            body = log_coef + powers * log_g
+            return body + (r - 1) * log_q if r > 1 else body
 
-    def tail(u: float) -> float:
+    def log_density(t: np.ndarray) -> np.ndarray:
+        x = t.reshape(-1)
+        log_t = (M - 1) * np.log(x)
+        return (log_body(*_gamma_cdf_logs(M, x)) - x + log_t).reshape(len(Ks), *t.shape)
+
+    @lru_cache(maxsize=1)  # alpha's first limit is tested twice
+    def tail(u: float) -> np.ndarray:
         p, q = _gamma_pq_at(M, u)
-        return _beta_cdf(q, p, r, K + 1 - r) / u
+        return np.array([_beta_cdf(q, p, r, K + 1 - r) / u for K in Ks])
 
     return log_density, tail
 
@@ -437,14 +500,15 @@ def mean_inverse_quadrature(spec: DistributionSpec) -> float:
     order statistics the alpha combination cannot price accurately; the
     tests use it as the independent reference for every closed form.
     """
+    _check_spec(spec)
     _check_integrable(spec)
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):  # they end at 1: no tail
         return _quad_to_tail(lambda t: pdf(spec, t) / t, 1.0, lambda u: 0.0, spec)
-    log_density, tail = _norm_law(spec.kind, spec.M, spec.r, spec.K)
-    return _quad_to_tail(lambda t: np.exp(log_density(t)) / t, 8.0 * spec.M + 8.0, tail, spec)
+    log_density, tail = _norm_law(spec.kind, spec.M, spec.r, (spec.K,))
+    value = _quad_to_tail(lambda t: np.exp(log_density(t)) / t, 8.0 * spec.M + 8.0, tail, spec)
+    return float(value[0])
 
 
-@lru_cache(maxsize=None)
 def mean_inverse(spec: DistributionSpec) -> float:
     """E[1/x] for the given law.
 
@@ -452,11 +516,20 @@ def mean_inverse(spec: DistributionSpec) -> float:
     M >= 2 is the integer combination of alphas from `_alpha_terms`,
     unless the combination cancels
     so far that its rounding error (sum of |c_n alpha(M, n)| times the
-    machine epsilon) exceeds the quadrature tolerance of the value; then,
-    and for M = 1, it goes through :func:`mean_inverse_quadrature`.  Laws
+    machine epsilon) exceeds the quadrature tolerance of the value, which
+    a bound on r and K shows before any alpha is taken from r = 31 to 37
+    on; then, and for M = 1, it goes through
+    :func:`mean_inverse_quadrature`.  Laws
     whose reciprocal mean does not converge raise DivergenceError naming
-    the offending parameters.
+    the offending parameters.  ``mean_inverse.cache_clear()`` empties its
+    store of values.
     """
+    _check_spec(spec)
+    return _mean_inverse(spec)
+
+
+@lru_cache(maxsize=None)
+def _mean_inverse(spec: DistributionSpec) -> float:
     _check_integrable(spec)
     if spec.kind == "norm_chisq":
         return 1.0 / (spec.M - 1)
@@ -467,7 +540,7 @@ def mean_inverse(spec: DistributionSpec) -> float:
         return n / (n - 1)
     if spec.kind == "norm_not_largest":
         return (spec.K / (spec.M - 1) - alpha(spec.M, spec.K)) / (spec.K - 1)
-    if spec.M >= 2:  # norm_order_stat from here on
+    if spec.M >= 2 and not _combination_cancels(spec.r, spec.K):  # norm_order_stat
         # a coefficient past the float range cancels past any tolerance
         with suppress(OverflowError):
             terms = _alpha_terms(spec.M, spec.r, spec.K)
@@ -477,7 +550,30 @@ def mean_inverse(spec: DistributionSpec) -> float:
     return mean_inverse_quadrature(spec)
 
 
-@lru_cache(maxsize=None)
+mean_inverse.cache_clear = _mean_inverse.cache_clear
+mean_inverse.cache_info = _mean_inverse.cache_info
+
+
+def _combination_cancels(r: int, K: int) -> bool:
+    # whether the alpha combination of the r-th largest of K fails the test
+    # of mean_inverse at every M >= 2, known before it is built. Its term
+    # n = K+1-r+j is at least C(K, r-1) C(r-1, j) / (j+1) alpha(M, K), with
+    # alpha(M, K) >= 1/E[max of K] >= 1/(2 ln K + 2M ln 2); the value is at
+    # most C(K, r-1) alpha(M, K+1-r) <= C(K, r-1)/(M-1), the r-th largest
+    # being below the largest of any K+1-r. So the sum of |terms| is at
+    # least X = C(r-1, j) / (j+1) / (2 ln K + 4 ln 2) times the value, and
+    # the test fails once X eps is twice the tolerance, a margin the alphas'
+    # errors and the sum's rounding cannot make up. X rises with r, so r is
+    # capped where it passes any K; X <= 1 shows no cancellation
+    s = min(r, 1000) - 1
+    j = s // 2
+    ratio = math.comb(s, j) / (j + 1) / (2.0 * math.log(K) + 4.0 * math.log(2.0))
+    return ratio > max(1.0, 2.0 * _QUAD_REL / _EPS)
+
+
+_ALPHA_BLOCK = 8  # alpha(M, n) for n = 8b+1 .. 8b+8 are integrated together
+
+
 def alpha(M: int, K: int) -> float:
     r"""E[1 / max_{k <= K} ||h_k||^2] for i.i.d. h_k in C^M.
 
@@ -485,22 +581,62 @@ def alpha(M: int, K: int) -> float:
     over x > 0, where G is the regularized lower incomplete gamma
     function.  Only M >= 2 is supported: the single-antenna law already
     fails to have a reciprocal mean, and smaller M is refused outright.
+
+    A value not yet stored is integrated with the rest of its block, K in
+    n = 8b+1 .. 8b+8, at shared nodes; each n takes the panels, limits and
+    sums it would take alone, so its value does not depend on the block.
+    The store keeps blocks: ``alpha.cache_clear()`` empties it, and
+    ``alpha.cache_info()`` counts a call whose block is stored as a hit.
     """
-    if not isinstance(M, int) or not isinstance(K, int):
-        raise ConfigError(f"M and K must be integers, got M={M!r}, K={K!r}")
+    M, K = _integer("M", M), _integer("K", K)
     if K < 1:
         raise ConfigError(f"need K >= 1, got K={K}")
     if M < 2:
         raise DivergenceError(f"mean inverse of the largest squared norm needs M >= 2, got M={M}")
-    log_density, tail = _norm_law("norm_order_stat", M, 1, K)  # the largest of K
-    # the largest norm is at least the mean of the K, whose sum is
-    # Gamma(KM, 1), so alpha <= K / (KM - 1).  A limit whose tail exceeds
-    # that share (1% over, for rounding) fails the tail test whatever the
-    # integral comes to: integrate once, from the first limit not ruled out
-    upper, bound = 8.0 * M + 8.0, 1.01 * _TAIL_FRACTION * K / (K * M - 1)
-    while tail(upper) > bound and upper <= 1e6:
-        upper *= 2.0
-    return _quad_to_tail(lambda t: np.exp(log_density(t)) / t, upper, tail, f"alpha({M}, {K})")
+    block, n = divmod(K - 1, _ALPHA_BLOCK)
+    try:
+        return _stored_alpha_block(M, block)[n]
+    except ArithmeticError:  # another n's failure is not K's
+        return _alpha_block(M, (K,), f"alpha({M}, {K})")[0]
+
+
+@lru_cache(maxsize=None)
+def _stored_alpha_block(M: int, block: int) -> list:
+    ns = tuple(range(block * _ALPHA_BLOCK + 1, (block + 1) * _ALPHA_BLOCK + 1))
+    return _alpha_block(M, ns, f"alpha({M}, {ns[0]}..{ns[-1]})")
+
+
+alpha.cache_clear = _stored_alpha_block.cache_clear
+alpha.cache_info = _stored_alpha_block.cache_info
+
+
+def _alpha_block(M: int, ns: tuple, what: str) -> list:
+    # alpha(M, n) for each n of ns. The largest norm is at least the mean of
+    # the n, whose sum is Gamma(nM, 1), so alpha <= n / (nM - 1).  A limit
+    # whose tail exceeds that share (1% over, for rounding) fails the tail
+    # test whatever the integral comes to: each n integrates once, from the
+    # first limit not ruled out, with the n that share it. The Gamma kernel
+    # rounds a node below x = M by a matrix product over the nodes below M
+    # taken with it. All lie in the first of the 8 starting panels, which the
+    # n of a block split alike, as checked for M from 2 to 1,000 and n from 1
+    # to 1e18, so each n meets the rows it meets alone
+    law = _norm_law("norm_order_stat", M, 1, ns)
+    tail = law[1]
+    bounds = np.array([1.01 * _TAIL_FRACTION * n / (n * M - 1) for n in ns])
+    limit, open_, firsts = 8.0 * M + 8.0, np.ones(len(ns), bool), np.full(len(ns), 8.0 * M + 8.0)
+    while True:
+        open_ &= tail(limit) > bounds
+        if limit > 1e6 or not open_.any():
+            break
+        limit *= 2.0
+        firsts[open_] = limit
+    values = {}
+    for upper in dict.fromkeys(firsts.tolist()):
+        group = tuple(n for n, first in zip(ns, firsts.tolist()) if first == upper)
+        log_density, tail = law if group == ns else _norm_law("norm_order_stat", M, 1, group)
+        integrals = _quad_to_tail(lambda t: np.exp(log_density(t)) / t, upper, tail, what)
+        values.update(zip(group, integrals))
+    return [values[n] for n in ns]
 
 
 def _order_stat_power_coeffs(r: int, K: int) -> dict:
@@ -523,15 +659,14 @@ def _alpha_terms(M: int, r: int, K: int) -> list:
 # per-algorithm average powers (gamma is the linear SINR target)
 
 
-def _check_targets(gamma: float, sigma_sq: float, **counts: int) -> None:
+def _check_targets(gamma: float, sigma_sq: float, **counts: int) -> list:
     # gamma and sigma_sq real, positive and finite; each count, by its keyword,
-    # an integer and not a bool. Exact types go first: checks on ABCs are slow
-    for name, value in counts.items():
-        if type(value) is not int and not isinstance(value, np.integer):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    # an integer, returned as an int in keyword order
+    counts = [_integer(name, value) for name, value in counts.items()]
     for name, value in (("gamma", gamma), ("sigma_sq", sigma_sq)):
         if not isinstance(value, (float, numbers.Real)) or not 0.0 < value < math.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return counts
 
 
 def _angle_mean_inverse(M: int, d: int) -> float:
@@ -543,10 +678,10 @@ def _angle_mean_inverse(M: int, d: int) -> float:
     return mean_inverse(DistributionSpec.sin_sq_angle(M, d))
 
 
-def _sum_terms(name: str, K_s: int, term) -> float:
-    # term(i) summed over the positions i = 1..K_s, naming a term that diverges
+def _sum_terms(name: str, positions, term) -> float:
+    # term(i) summed over the positions i, naming a term that diverges
     total = 0.0
-    for idx in range(1, K_s + 1):
+    for idx in positions:
         try:
             total += term(idx)
         except DivergenceError as exc:
@@ -556,7 +691,7 @@ def _sum_terms(name: str, K_s: int, term) -> float:
 
 def _two_user_power(M: int, K: int, gamma: float, sigma_sq: float, first) -> float:
     # gamma sigma^2 (E[1/first] + alpha(M, K) E[1/max sin^2]) for the law first(M, K)
-    _check_targets(gamma, sigma_sq, M=M, K=K)
+    M, K = _check_targets(gamma, sigma_sq, M=M, K=K)
     if M < 3 or K < 2 or (M - 1) * (K - 1) <= 1:
         raise ConfigError(f"need M >= 3, K >= 2 and (M-1)(K-1) > 1, got M={M}, K={K}")
     first_term = mean_inverse(first(M, K))
@@ -574,11 +709,21 @@ def avg_power_nus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     term.  Order-statistic means come from :func:`mean_inverse`, so the
     sum is in closed form wherever the alpha combination is accurate.
     """
-    _check_targets(gamma, sigma_sq, M=M, K=K, K_s=K_s)
+    M, K, K_s = _check_targets(gamma, sigma_sq, M=M, K=K, K_s=K_s)
     if not 1 <= K_s <= K:
         raise ConfigError(f"need 1 <= Ks <= K, got Ks={K_s}, K={K}")
-    return gamma * sigma_sq * _sum_terms("NUS", K_s, lambda i: mean_inverse(
-        DistributionSpec.norm_order_stat(M, K_s + 1 - i, K)) * _angle_mean_inverse(M, i - 1))
+
+    def norm(i: int) -> DistributionSpec:
+        return DistributionSpec.norm_order_stat(M, K_s + 1 - i, K)
+
+    # a norm diverges only at i = 1 (M = 1, K_s = K), an angle from i = M on;
+    # where one can, check both before pricing any term: term 1 takes up to
+    # r = K_s alphas
+    if K_s >= max(M, 2):
+        _sum_terms("NUS", (1, max(M, 2)), lambda i: _check_integrable(
+            norm(i)) or _angle_mean_inverse(M, i - 1))
+    return gamma * sigma_sq * _sum_terms("NUS", range(1, K_s + 1), lambda i: mean_inverse(
+        norm(i)) * _angle_mean_inverse(M, i - 1))
 
 
 def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> float:
@@ -591,10 +736,10 @@ def avg_power_sus(M: int, K: int, K_s: int, gamma: float, sigma_sq: float) -> fl
     when K_s = M).  Unlike the other averages this one bounds the true
     mean from above, so Monte Carlo validation against it is one-sided.
     """
-    _check_targets(gamma, sigma_sq, M=M, K=K, K_s=K_s)
+    M, K, K_s = _check_targets(gamma, sigma_sq, M=M, K=K, K_s=K_s)
     if not 1 <= K_s <= min(M, K):
         raise ConfigError(f"need 1 <= Ks <= min(M, K), got Ks={K_s}, M={M}, K={K}")
-    return gamma * sigma_sq * _sum_terms("SUS", K_s, lambda i: mean_inverse(
+    return gamma * sigma_sq * _sum_terms("SUS", range(1, K_s + 1), lambda i: mean_inverse(
         DistributionSpec.norm_order_stat(M + 1 - i, i, K)))
 
 
@@ -605,12 +750,12 @@ def avg_power_rus(M: int, K_s: int, gamma: float, sigma_sq: float) -> float:
     angle, so the value depends on M and K_s only; the number of users K
     does not appear.  Finite only for K_s <= M - 1.
     """
-    _check_targets(gamma, sigma_sq, M=M, K_s=K_s)
+    M, K_s = _check_targets(gamma, sigma_sq, M=M, K_s=K_s)
     if K_s < 1:
         raise ConfigError(f"need Ks >= 1, got Ks={K_s}")
     norm_term = mean_inverse(DistributionSpec.norm_chisq(M))  # needs M >= 2
     return gamma * sigma_sq * _sum_terms(
-        "RUS", K_s, lambda i: norm_term * _angle_mean_inverse(M, i - 1))
+        "RUS", range(1, K_s + 1), lambda i: norm_term * _angle_mean_inverse(M, i - 1))
 
 
 def avg_power_aus_two(M: int, K: int, gamma: float, sigma_sq: float) -> float:

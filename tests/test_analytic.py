@@ -1,5 +1,6 @@
 """Distribution laws, reciprocal means, and average-power formula tests."""
 
+import collections
 import functools
 import math
 
@@ -52,6 +53,46 @@ def test_spec_validation():
         DistributionSpec.sin_sq_angle(4, 4)
     with pytest.raises(ConfigError):
         DistributionSpec.sin_sq_angle_max(1, 5)
+
+
+def test_counts_take_numpy_integers_as_ints_and_refuse_bools():
+    # one rule for the specs, the averages and alpha: a NumPy integer is
+    # stored as an int, so it shares the stores' keys
+    spec = DistributionSpec.norm_order_stat(np.int64(4), np.int32(2), np.uint8(10))
+    assert spec == DistributionSpec.norm_order_stat(4, 2, 10)
+    assert type(spec.M) is type(spec.r) is type(spec.K) is int
+    assert DistributionSpec.sin_sq_angle(np.int16(4), np.int64(1)).i == 1
+    want = avg_power_nus(4, 10, 2, GAMMA, SIGMA_SQ)
+    assert avg_power_nus(np.int64(4), np.int64(10), np.int8(2), GAMMA, SIGMA_SQ) == want
+    assert avg_power_lower_bound_two(np.int64(4), np.int64(10), GAMMA, SIGMA_SQ) == (
+        avg_power_lower_bound_two(4, 10, GAMMA, SIGMA_SQ))
+    alpha.cache_clear()
+    assert alpha(np.int64(4), np.int16(3)) == alpha(4, 3)
+    assert alpha.cache_info().currsize == 1
+    alpha.cache_clear()
+    for bad in ((True, 1, 1), (4, True, 10), (4, 1, np.True_)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            DistributionSpec.norm_order_stat(*bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: alpha([4], 3),
+    lambda: alpha(np.array(4), 3),
+    lambda: alpha(4, 3.0),
+    lambda: alpha(4, True),
+    lambda: mean_inverse("x"),
+    lambda: mean_inverse(None),
+    lambda: mean_inverse([DistributionSpec.norm_chisq(4)]),
+    lambda: mean_inverse_quadrature("x"),
+    lambda: cdf(None, 1.0),
+    lambda: pdf("x", 1.0),
+], ids=["alpha-list", "alpha-array", "alpha-float", "alpha-bool", "mean_inverse-str",
+        "mean_inverse-none", "mean_inverse-list", "quadrature-str", "cdf-none", "pdf-str"])
+def test_alpha_and_mean_inverse_check_arguments_before_their_stores(call):
+    # a list or an array was unhashable in the stores' keys, and a string
+    # had no kind; cdf, pdf and the quadrature check their spec alike
+    with pytest.raises(ConfigError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +242,39 @@ def test_mean_inverse_order_stat_cancellation_falls_back():
         spec = DistributionSpec.norm_order_stat(m, r, k)
         quad_val = mean_inverse_quadrature(spec)
         assert abs(mean_inverse(spec) - quad_val) <= 1e-9 * quad_val, (m, r, k)
+
+
+def _refuse(*args):
+    raise AssertionError("priced")
+
+
+def test_order_stat_with_both_sides_huge_is_refused_before_any_alpha(monkeypatch):
+    # the combination would take 5e17 alphas, and C(K, r) in the density as
+    # many digits; the tail bound sums the shorter side, 5e17 terms a point
+    monkeypatch.setattr(analytic, "alpha", _refuse)
+    spec = DistributionSpec.norm_order_stat(2, 5 * 10**17, 10**18)
+    for call in (mean_inverse, mean_inverse_quadrature, lambda s: pdf(s, 1.0)):
+        with pytest.raises(BudgetError, match=r"would sum 500000000000000000 terms, past 10000$"):
+            call(spec)
+
+
+def test_combination_is_refused_from_r_and_k_only_where_it_cancels():
+    # the bound behind _combination_cancels: wherever it refuses, the
+    # combination built in full fails mean_inverse's test, at any M
+    refused = 0
+    for k in (31, 40, 64):
+        for r in range(2, k + 1):
+            if not analytic._combination_cancels(r, k):
+                continue
+            refused += 1
+            for m in (2, 3, 4, 8, 16):
+                terms = _alpha_terms(m, r, k)
+                rounding = sum(abs(t) for t in terms) * _EPS
+                assert rounding > analytic._QUAD_REL * float(sum(terms)), (m, r, k)
+    assert refused
+    # the bound rises with r, so no more than 36 alphas are built below it
+    assert not analytic._combination_cancels(2, 10**18)
+    assert analytic._combination_cancels(37, 10**100)
 
 
 def test_mean_inverse_single_dim_order_stat():
@@ -365,17 +439,17 @@ def test_order_stat_tail_is_the_mass_above_the_limit():
         spec = DistributionSpec.norm_order_stat(m, r, k)
         if analytic._divergence_exponent(spec) < 1:
             continue
-        _, tail = analytic._norm_law("norm_order_stat", m, r, k)
+        _, tail = analytic._norm_law("norm_order_stat", m, r, (k,))
         us = np.array([0.25, 1.0, 4.0] + [(8.0 * m + 8.0) * 2**j for j in range(4)])
-        got = np.array([tail(u) for u in us])
+        got = np.array([tail(u)[0] for u in us])
         assert np.all(np.abs(got - (1.0 - cdf(spec, us)) / us) * us <= 64 * _EPS), (m, r, k)
         if r == 1:
             not_largest = DistributionSpec.norm_not_largest(m, k + 1)
-            _, chisq_tail = analytic._norm_law("norm_chisq", m, 0, 0)
-            _, not_largest_tail = analytic._norm_law("norm_not_largest", m, 0, k + 1)
+            _, chisq_tail = analytic._norm_law("norm_chisq", m, 0, (0,))
+            _, not_largest_tail = analytic._norm_law("norm_not_largest", m, 0, (k + 1,))
             for u in us:
-                assert abs(chisq_tail(u) * u - gammaincc(m, u)) <= 64 * _EPS, (m, u)
-                assert not_largest_tail(u) * u >= 1.0 - cdf(not_largest, u) - 64 * _EPS, (m, k, u)
+                assert abs(chisq_tail(u)[0] * u - gammaincc(m, u)) <= 64 * _EPS, (m, u)
+                assert not_largest_tail(u)[0] * u >= 1.0 - cdf(not_largest, u) - 64 * _EPS, (m, k, u)
 
 
 def test_mean_inverse_order_stat_at_large_k():
@@ -434,7 +508,7 @@ def test_order_stat_quadrature_integrates_each_piece_once(monkeypatch):
     # takes as many as integrating it alone does
     for piece, _, lo, hi in nodes:
         assert pieces[piece][0] < lo and hi < pieces[piece][1], (piece, lo, hi)
-    log_density, _ = law("norm_order_stat", 2, 2, 10**18)
+    log_density, _ = law("norm_order_stat", 2, 2, (10**18,))
     for i, (lower, upper) in enumerate(pieces):
         alone = []
         integrate(lambda t: alone.append(t.size) or np.exp(log_density(t)) / t, lower, upper, "x")
@@ -594,22 +668,104 @@ def test_mean_inverse_quadrature_matches_a_quad_reference():
         assert abs(mean_inverse_quadrature(spec) - ref) <= 1e-12 * ref, (m, r, k)
 
 
+def _first_limit(m: int, n: int) -> float:
+    # the limit alpha(m, n) alone doubles to from 8M + 8 before it integrates:
+    # the first whose tail is within 1e-12 of alpha's bound n / (nM - 1)
+    tail = analytic._norm_law("norm_order_stat", m, 1, (n,))[1]
+    upper, bound = 8.0 * m + 8.0, 1.01 * analytic._TAIL_FRACTION * n / (n * m - 1)
+    while tail(upper)[0] > bound and upper <= 1e6:
+        upper *= 2.0
+    return upper
+
+
 def test_alpha_integrates_once(monkeypatch):
-    # the first limit is the one the doubling loop would have ended on
-    limits = []
+    # each n of a block integrates once, on [0, the limit its own doubling
+    # loop ends on], with the n of the block that share that limit
+    calls = []
     integrate = analytic._integrate
 
     def counted(integrand, lower, upper, what):
-        limits.append(upper)
-        return integrate(integrand, lower, upper, what)
+        value = integrate(integrand, lower, upper, what)
+        calls.append((lower, upper, np.size(value)))
+        return value
 
     monkeypatch.setattr(analytic, "_integrate", counted)
-    for m, k in _ALPHA_GRID:
-        alpha.cache_clear()
-        limits.clear()
-        alpha(m, k)
-        assert len(limits) == 1, (m, k, limits)
+    split = 0
+    for m in range(2, 17):
+        for first in range(1, 65, analytic._ALPHA_BLOCK):
+            alpha.cache_clear()
+            calls.clear()
+            alpha(m, first)
+            limits = collections.Counter(
+                _first_limit(m, n) for n in range(first, first + analytic._ALPHA_BLOCK))
+            want = sorted((0.0, u, count) for u, count in limits.items())
+            assert sorted(calls) == want, (m, first)
+            split += len(limits) > 1
+    assert split  # n = 1..8 at M = 3 start from 32 and 64
     alpha.cache_clear()
+
+
+def _lone_alpha(m: int, n: int) -> float:
+    # alpha(m, n) integrated alone, as before blocks
+    log_density, tail = analytic._norm_law("norm_order_stat", m, 1, (n,))
+    upper = _first_limit(m, n)
+    value = analytic._quad_to_tail(lambda t: np.exp(log_density(t)) / t, upper, tail, "x")
+    return float(value[0])
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_block_alphas_equal_lone_integrals_bitwise(m):
+    # a block integrates its n at shared nodes; each keeps the bits of its
+    # lone integral, whichever n asks first and whatever the store holds
+    ks = list(range(1, 65)) + [10**e for e in range(3, 19)]
+    want = [_lone_alpha(m, k).hex() for k in ks]
+    for order in (1, -1, 1):
+        alpha.cache_clear()
+        got = {k: alpha(m, k) for k in ks[::order]}
+        assert [got[k].hex() for k in ks] == want, order
+    alpha.cache_clear()
+
+
+def test_alphas_keep_the_bits_of_one_n_integrals():
+    # alpha's values at the last commit that integrated one n at a time
+    parent = {(2, 1): "0x1.ffffffffffff3p-1", (3, 2): "0x1.4000000000006p-2",
+              (4, 7): "0x1.377e4b3502db9p-3", (8, 64): "0x1.016c71aecf7b5p-4",
+              (200, 5): "0x1.2f0fd66cda60fp-8", (2, 10**9): "0x1.4ec4e6f8b87e9p-5",
+              (16, 10**18): "0x1.9966885c260e7p-7"}
+    alpha.cache_clear()
+    for (m, k), value in parent.items():
+        assert alpha(m, k).hex() == value, (m, k)
+    alpha.cache_clear()
+
+
+def test_alpha_whose_block_fails_is_integrated_alone(monkeypatch):
+    # at M = 10,000 alpha(M, 1) loses the tolerance and alpha(M, 2) does not:
+    # another n's failure must not be K's
+    block = analytic._alpha_block
+
+    def failing(m, ns, what):
+        if len(ns) > 1:
+            raise ArithmeticError("quadrature lost its tolerance")
+        return block(m, ns, what)
+
+    alpha.cache_clear()
+    monkeypatch.setattr(analytic, "_alpha_block", failing)
+    assert alpha(4, 3).hex() == _lone_alpha(4, 3).hex()
+    assert alpha.cache_info().currsize == 0
+    alpha.cache_clear()
+
+
+def test_alpha_cache_info_counts_hits_and_misses():
+    alpha.cache_clear()
+    assert alpha.cache_info()[:2] == (0, 0)
+    alpha(4, 3)  # a miss integrates the block n = 1..8
+    alpha(4, 3)
+    alpha(4, 8)
+    alpha(4, 9)  # n = 9..16
+    info = alpha.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+    alpha.cache_clear()
+    assert alpha.cache_info()[:2] == (0, 0) and alpha.cache_info().currsize == 0
 
 
 def test_alpha_within_the_bounds_its_first_limit_rests_on():
@@ -728,6 +884,19 @@ def test_avg_power_nus_divergences():
         avg_power_nus(4, 10, 4, GAMMA, SIGMA_SQ)
     with pytest.raises(DivergenceError, match="i=2"):
         avg_power_nus(2, 10, 2, GAMMA, SIGMA_SQ)
+
+
+def test_avg_power_nus_names_a_divergent_term_before_pricing_any(monkeypatch):
+    # term 1 is the billionth largest of 1e18 norms, which took a billion
+    # alphas before the angle of term 4 could diverge
+    monkeypatch.setattr(analytic, "alpha", _refuse)
+    monkeypatch.setattr(analytic, "mean_inverse_quadrature", _refuse)
+    with pytest.raises(DivergenceError, match=r"^NUS term i=4 diverges: .* for sin_sq_angle"):
+        avg_power_nus(4, 10**18, 10**9, GAMMA, SIGMA_SQ)
+    with pytest.raises(DivergenceError, match=r"^NUS term i=1 diverges: .* for norm_order_stat"):
+        avg_power_nus(1, 5, 5, GAMMA, SIGMA_SQ)
+    with pytest.raises(DivergenceError, match=r"^NUS term i=2 diverges: .* fills C\^1"):
+        avg_power_nus(1, 5, 4, GAMMA, SIGMA_SQ)
 
 
 def test_avg_power_sus_small_dims():
