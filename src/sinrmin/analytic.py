@@ -37,8 +37,10 @@ _START_PANELS, _MAX_PANELS, _ROUNDOFF = 8, 1024, 2.0**12 * _EPS
 # point up to M = _LINEAR_M: x^M/M! stays a float below x = M, and so does
 # x^(M-1)/(M-1)! up to x = _X_MAX, past which every Q is below the floats.
 # Past it a point takes about 9 sqrt(M) terms, and M = _MAX_M bounds that
-# work; _MAX_TERMS bounds the terms of a binomial tail, as many a point
-_LINEAR_M, _MAX_M, _X_MAX, _MAX_TERMS = 128, 10**5, 1e4, 10**4
+# work; _MAX_TERMS bounds the terms of a binomial tail, as many a point,
+# and _MAX_DIGITS the digits of an order statistic's C(K, r), which take
+# over a minute to form at that bound
+_LINEAR_M, _MAX_M, _X_MAX, _MAX_TERMS, _MAX_DIGITS = 128, 10**5, 1e4, 10**4, 10**6
 
 _KINDS = (
     "norm_chisq",
@@ -217,11 +219,12 @@ def _integrate(integrand, lower: float, upper: float, what):
     # against the sum of the rule on its two halves; the halves are kept when
     # the two agree to the panel's share of the tolerance, or to the rounding
     # of the integrand values, and each half becomes a panel otherwise. An
-    # integrand may give N functions along a leading axis: each level takes
-    # them at once at the union of their live panels' nodes, and each keeps
-    # its own panels, decisions and sum, in the array shapes it has alone, so
-    # it gets the bits it would alone wherever the integrand rounds a node as
-    # it would alone
+    # integrand may give N functions along a leading axis: each keeps its own
+    # panels, decisions and sum, in the array shapes it has alone, and the
+    # functions whose live panels coincide take one evaluation at them. So
+    # each function's values come from the very nodes it takes alone, and it
+    # gets the bits it gets alone wherever the integrand gives each function's
+    # values elementwise from those nodes
     width = (upper - lower) / _START_PANELS
     left = lower + width * np.arange(_START_PANELS)
     values = integrand(left[:, None] + width * _UNIT_NODES)
@@ -238,13 +241,17 @@ def _integrate(integrand, lower: float, upper: float, what):
                                   f"[{lower:g}, {upper:g}] at {_MAX_PANELS} panels")
         width *= 0.5
         left = left[:, None] + np.array([0.0, width])
-        if n == 1:
-            values = integrand(left[..., None] + width * _UNIT_NODES).reshape(*left.shape, -1)
-        else:  # the functions' panels may coincide: take each node once
-            grid = np.sort(left, axis=None)
-            grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-            values = integrand(grid[:, None] + width * _UNIT_NODES).reshape(n, grid.size, -1)
-            values = values[owner[:, None], np.searchsorted(grid, left)]
+        values = np.empty(left.shape + _UNIT_NODES.shape)
+        runs, start = {}, 0  # the functions' runs of left, keyed by their panels
+        for f, size in enumerate(sizes):
+            if size:
+                runs.setdefault(left[start:start + size].tobytes(), []).append((f, start, size))
+                start += size
+        for same in runs.values():
+            _, start, size = same[0]
+            at = integrand(left[start:start + size, :, None] + width * _UNIT_NODES)
+            for f, start, size in same:
+                values[start:start + size] = at if scalar else at[f]
         halves = width * (values @ _HALF_WEIGHTS)
         pair = halves.sum(axis=1)
         share, end = np.zeros(n), 0
@@ -410,6 +417,14 @@ def _check_beta_terms(a: int, b: int) -> None:
         raise BudgetError(f"I_x({a}, {b}) would sum {min(a, b)} terms, past {_MAX_TERMS}")
 
 
+def _check_binomial_digits(K: int, r: int) -> None:
+    # C(K, m) <= (e K/m)^m for m = min(r, K - r), in logs of the ints
+    m = min(r, K - r)
+    digits = m * (1.0 + math.log(K) - math.log(m)) / math.log(10.0) if m else 1.0
+    if digits > _MAX_DIGITS:
+        raise BudgetError(f"C({K}, {r}) would have up to {digits:.3g} digits, past {_MAX_DIGITS}")
+
+
 def _beta_cdf(x: float, y: float, a: int, b: int) -> float:
     # I_x(a, b) for integers a, b >= 1, with y = 1 - x given apart: the chance
     # of at least a successes in n = a + b - 1 trials at x. It sums the b
@@ -469,8 +484,8 @@ def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
     else:
         ranks = [_rank(kind, r, K) for K in Ks]
         r, Ks = ranks[0][0], [K for _, K in ranks]
-        for K in Ks:  # before C(K, r), which has as many digits
-            _check_beta_terms(r, K + 1 - r)
+        for K in Ks:
+            _check_binomial_digits(K, r)
         # math.log takes any int
         log_coef = np.array([[math.log(r * math.comb(K, r)) - math.lgamma(M)] for K in Ks])
         powers = np.array([[float(K - r)] for K in Ks])
@@ -484,7 +499,6 @@ def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
         log_t = (M - 1) * np.log(x)
         return (log_body(*_gamma_cdf_logs(M, x)) - x + log_t).reshape(len(Ks), *t.shape)
 
-    @lru_cache(maxsize=1)  # alpha's first limit is tested twice
     def tail(u: float) -> np.ndarray:
         p, q = _gamma_pq_at(M, u)
         return np.array([_beta_cdf(q, p, r, K + 1 - r) / u for K in Ks])
@@ -504,6 +518,8 @@ def mean_inverse_quadrature(spec: DistributionSpec) -> float:
     _check_integrable(spec)
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):  # they end at 1: no tail
         return _quad_to_tail(lambda t: pdf(spec, t) / t, 1.0, lambda u: 0.0, spec)
+    r, K = _rank(spec.kind, spec.r, spec.K)
+    _check_beta_terms(r, K + 1 - r)  # the tail bound's, before any integral
     log_density, tail = _norm_law(spec.kind, spec.M, spec.r, (spec.K,))
     value = _quad_to_tail(lambda t: np.exp(log_density(t)) / t, 8.0 * spec.M + 8.0, tail, spec)
     return float(value[0])
@@ -583,10 +599,13 @@ def alpha(M: int, K: int) -> float:
     fails to have a reciprocal mean, and smaller M is refused outright.
 
     A value not yet stored is integrated with the rest of its block, K in
-    n = 8b+1 .. 8b+8, at shared nodes; each n takes the panels, limits and
-    sums it would take alone, so its value does not depend on the block.
-    The store keeps blocks: ``alpha.cache_clear()`` empties it, and
-    ``alpha.cache_info()`` counts a call whose block is stored as a hit.
+    n = 8b+1 .. 8b+8, at shared nodes; each n takes the nodes, panels,
+    limits and sums it would take alone, so its value is bit for bit its
+    lone integral's.  If the block's quadrature fails, each n of it is
+    integrated alone when asked for, so another n's failure is never K's.
+    The store keeps blocks and the values of failed blocks:
+    ``alpha.cache_clear()`` empties it, and ``alpha.cache_info()`` counts a
+    call whose block is stored as a hit.
     """
     M, K = _integer("M", M), _integer("K", K)
     if K < 1:
@@ -594,16 +613,21 @@ def alpha(M: int, K: int) -> float:
     if M < 2:
         raise DivergenceError(f"mean inverse of the largest squared norm needs M >= 2, got M={M}")
     block, n = divmod(K - 1, _ALPHA_BLOCK)
-    try:
-        return _stored_alpha_block(M, block)[n]
-    except ArithmeticError:  # another n's failure is not K's
-        return _alpha_block(M, (K,), f"alpha({M}, {K})")[0]
+    values = _stored_alpha_block(M, block)
+    if values[n] is None:
+        values[n] = _alpha_block(M, (K,), f"alpha({M}, {K})")[0]
+    return values[n]
 
 
 @lru_cache(maxsize=None)
 def _stored_alpha_block(M: int, block: int) -> list:
+    # the block's alphas, or if its quadrature fails a None for each, which
+    # alpha fills as it integrates them alone
     ns = tuple(range(block * _ALPHA_BLOCK + 1, (block + 1) * _ALPHA_BLOCK + 1))
-    return _alpha_block(M, ns, f"alpha({M}, {ns[0]}..{ns[-1]})")
+    try:
+        return _alpha_block(M, ns, f"alpha({M}, {ns[0]}..{ns[-1]})")
+    except ArithmeticError:
+        return [None] * _ALPHA_BLOCK
 
 
 alpha.cache_clear = _stored_alpha_block.cache_clear
@@ -615,11 +639,7 @@ def _alpha_block(M: int, ns: tuple, what: str) -> list:
     # the n, whose sum is Gamma(nM, 1), so alpha <= n / (nM - 1).  A limit
     # whose tail exceeds that share (1% over, for rounding) fails the tail
     # test whatever the integral comes to: each n integrates once, from the
-    # first limit not ruled out, with the n that share it. The Gamma kernel
-    # rounds a node below x = M by a matrix product over the nodes below M
-    # taken with it. All lie in the first of the 8 starting panels, which the
-    # n of a block split alike, as checked for M from 2 to 1,000 and n from 1
-    # to 1e18, so each n meets the rows it meets alone
+    # first limit not ruled out, with the n that share it
     law = _norm_law("norm_order_stat", M, 1, ns)
     tail = law[1]
     bounds = np.array([1.01 * _TAIL_FRACTION * n / (n * M - 1) for n in ns])

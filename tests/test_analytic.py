@@ -249,13 +249,28 @@ def _refuse(*args):
 
 
 def test_order_stat_with_both_sides_huge_is_refused_before_any_alpha(monkeypatch):
-    # the combination would take 5e17 alphas, and C(K, r) in the density as
-    # many digits; the tail bound sums the shorter side, 5e17 terms a point
+    # the combination would take 5e17 alphas, and the tail bound of the
+    # quadrature sums the shorter side, 5e17 terms a point; the density's
+    # C(K, r) has about 3e17 digits
     monkeypatch.setattr(analytic, "alpha", _refuse)
     spec = DistributionSpec.norm_order_stat(2, 5 * 10**17, 10**18)
-    for call in (mean_inverse, mean_inverse_quadrature, lambda s: pdf(s, 1.0)):
+    for call in (mean_inverse, mean_inverse_quadrature):
         with pytest.raises(BudgetError, match=r"would sum 500000000000000000 terms, past 10000$"):
             call(spec)
+    with pytest.raises(BudgetError, match=r"would have up to 3.68e\+17 digits, past 1000000$"):
+        pdf(spec, 1.0)
+
+
+def test_pdf_forms_a_binomial_whose_tail_is_past_the_term_bound():
+    # pdf sums no tail: C(40000, 20000), of 12,040 digits, is formed, and
+    # the density is r C(K, r) G^(K-r) (1 - G)^(r-1) times the parent's
+    spec = DistributionSpec.norm_order_stat(4, 20000, 40000)
+    with pytest.raises(BudgetError, match="past 10000"):
+        mean_inverse_quadrature(spec)
+    x = 3.67  # near the Gamma(4, 1) median, where the density peaks
+    log_ref = (math.log(20000 * math.comb(40000, 20000)) + 20000 * math.log(gammainc(4, x))
+               + 19999 * math.log(gammaincc(4, x)) + 3 * math.log(x) - x - math.log(6))
+    assert pdf(spec, x) == pytest.approx(math.exp(log_ref), rel=1e-9)
 
 
 def test_combination_is_refused_from_r_and_k_only_where_it_cancels():
@@ -524,6 +539,27 @@ def test_integrate_is_exact_on_polynomials_of_the_rule_degree():
     assert analytic._integrate(lambda t: 3.0 * t**2, 1.0, 4.0, "x") == pytest.approx(63.0, rel=1e-14)
 
 
+def test_functions_integrated_together_take_the_nodes_they_take_alone():
+    # two peaks split different panels, level by level; each is evaluated at
+    # the very node arrays it takes alone, so no integrand whose rounding
+    # depends on the nodes taken with a node can move its bits
+    peaks = (lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2), lambda t: 1.0 / (1e-4 + (t - 0.7) ** 2))
+
+    def recorded(calls, functions):
+        def integrand(t):
+            calls.append(t.tobytes())
+            return np.stack([f(t) for f in functions])
+        return integrand
+
+    together = []
+    values = analytic._integrate(recorded(together, peaks), 0.0, 1.0, "x")
+    for peak, value in zip(peaks, values):
+        alone = []
+        assert analytic._integrate(recorded(alone, (peak,)), 0.0, 1.0, "x")[0] == value
+        assert set(alone) <= set(together) and len(alone) > 3
+    assert len(together) > len(alone)
+
+
 def test_integrand_that_misses_the_tolerance_raises_at_the_panel_cap():
     # noise of 1e-6 relative never meets the tolerance: the panels double each
     # level until the cap, and no call evaluates more than two halves of each
@@ -751,7 +787,30 @@ def test_alpha_whose_block_fails_is_integrated_alone(monkeypatch):
     alpha.cache_clear()
     monkeypatch.setattr(analytic, "_alpha_block", failing)
     assert alpha(4, 3).hex() == _lone_alpha(4, 3).hex()
-    assert alpha.cache_info().currsize == 0
+    assert alpha.cache_info().currsize == 1
+    alpha.cache_clear()
+
+
+def test_failed_block_is_not_integrated_again(monkeypatch):
+    # the block's failure is stored, and so is each n integrated alone: a
+    # second call integrates nothing, a third n of the block only itself
+    block, calls = analytic._alpha_block, []
+
+    def failing(m, ns, what):
+        calls.append(ns)
+        if len(ns) > 1:
+            raise ArithmeticError("quadrature lost its tolerance")
+        return block(m, ns, what)
+
+    alpha.cache_clear()
+    monkeypatch.setattr(analytic, "_alpha_block", failing)
+    first = alpha(4, 3)
+    assert calls == [tuple(range(1, 9)), (3,)]
+    assert alpha(4, 3) == first and len(calls) == 2
+    alpha(4, 5)
+    assert calls[2:] == [(5,)]
+    info = alpha.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     alpha.cache_clear()
 
 
