@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, DivergenceError
+from .errors import BudgetError, ConfigError, DimensionError, DivergenceError, DomainError
 
 # quadrature targets: relative tolerance of each integral, and the largest
 # fraction of the running total the discarded upper tail may contribute
@@ -131,13 +131,27 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real_points(x) -> np.ndarray:
+    # x as a float array: text, objects and ragged rows raise DimensionError,
+    # complex numbers DomainError
+    try:
+        xs = np.asarray(x)
+    except (ValueError, TypeError) as exc:  # how NumPy refuses ragged rows
+        raise DimensionError(f"x must be an array of real numbers: {exc}") from None
+    if xs.dtype.kind == "c":
+        raise DomainError(f"x must be real, got dtype {xs.dtype}")
+    if xs.dtype.kind not in "biuf":
+        raise DimensionError(f"x must be an array of real numbers, got dtype {xs.dtype}")
+    return xs.astype(float)
+
+
 def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     """Cumulative distribution function, vectorized over x.
 
     Arguments below the support clamp to 0 and above it to 1.
     """
     _check_spec(spec)
-    xs = np.asarray(x, dtype=float)
+    xs = _real_points(x)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
@@ -163,9 +177,9 @@ def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     and at 0 and +inf for the squared-norm laws, whose log density the
     quadrature integrates too: their upper tail keeps its digits."""
     _check_spec(spec)
-    xs = np.asarray(x, dtype=float)
+    xs = _real_points(x)
     scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs).astype(float)
+    xs = np.atleast_1d(xs)
     out = np.zeros_like(xs)
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
         inside = (xs >= 0.0) & (xs <= 1.0)
@@ -425,6 +439,13 @@ def _check_binomial_digits(K: int, r: int) -> None:
         raise BudgetError(f"C({K}, {r}) would have up to {digits:.3g} digits, past {_MAX_DIGITS}")
 
 
+@lru_cache(maxsize=256)
+def _log_rank_coef(K: int, r: int) -> float:
+    # log(r C(K, r)), kept: C(2e5, 1e5) alone takes half a second to form.
+    # math.log takes any int
+    return math.log(r * math.comb(K, r))
+
+
 def _beta_cdf(x: float, y: float, a: int, b: int) -> float:
     # I_x(a, b) for integers a, b >= 1, with y = 1 - x given apart: the chance
     # of at least a successes in n = a + b - 1 trials at x. It sums the b
@@ -486,8 +507,7 @@ def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
         r, Ks = ranks[0][0], [K for _, K in ranks]
         for K in Ks:
             _check_binomial_digits(K, r)
-        # math.log takes any int
-        log_coef = np.array([[math.log(r * math.comb(K, r)) - math.lgamma(M)] for K in Ks])
+        log_coef = np.array([[_log_rank_coef(K, r) - math.lgamma(M)] for K in Ks])
         powers = np.array([[float(K - r)] for K in Ks])
 
         def log_body(log_g, log_q):  # (r - 1) log_q is -0.0 at r = 1, log_q being finite

@@ -15,7 +15,8 @@ step through it.
 Random streams are defined by `SeedSpec.generator()`. Taking the master
 seed's pool from NumPy's SeedSequence and restating the rest of its
 SeedSequence -> PCG64 seeding over many such streams at once, `_streams`
-positions one reused generator at the start of each, and `_stream_words`
+positions one reused generator at the start of each, `_stream_normals`
+draws each stream's first normals through it, and `_stream_words`
 computes each stream's first 32-bit words without any generator.
 """
 
@@ -267,11 +268,7 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
                for n in (M, K)):
         raise DimensionError(f"need integers M >= 1 and K >= 1, got M={M!r}, K={K!r}")
     seeds = _seed_list(seed)
-    z = np.empty((len(seeds), K, M, 2))
-    for z_t, rng in zip(z, _streams(seeds)):
-        rng.standard_normal(out=z_t)
-    users = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    dead = (users.real**2 + users.imag**2).sum(axis=-1) == 0.0
+    users, dead = _users(_stream_normals(seeds, (K, M, 2)), M, K)
     redraw = np.flatnonzero(dead.any(axis=-1))
     for t, rng in zip(redraw, _streams([seeds[t] for t in redraw])):
         rng.standard_normal((K, M, 2))  # the draw users[t] came from
@@ -280,6 +277,24 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
             users[t, rows] = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
             dead[t] = (users[t].real**2 + users[t].imag**2).sum(axis=-1) == 0.0
     return ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
+
+
+def _stream_normals(seeds, shape: tuple) -> np.ndarray:
+    """The first standard normals of each spec's stream, as a (T, *shape)
+    array. NumPy fills them in order, so a shorter draw is a prefix of a
+    longer one."""
+    z = np.empty((len(seeds), *shape))
+    for z_t, rng in zip(z, _streams(seeds)):
+        rng.standard_normal(out=z_t)
+    return z
+
+
+def _users(z: np.ndarray, M: int, K: int):
+    """(T, K, M) channels from the first 2 K M normals of each trial's in
+    `z`, and which of their rows are exactly zero."""
+    z = z.reshape(len(z), -1)[:, : 2 * K * M].reshape(-1, K, M, 2)
+    users = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return users, (users.real**2 + users.imag**2).sum(axis=-1) == 0.0
 
 
 def _as_complex(value, what: str) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 One trial = one channel realization: select users, order them, price the
 selection under the configured power model(s). Trials run in blocks: each
-rule selects once and each solver prices once per block, over (T, K, M)
-arrays. Trial t still draws its channels from stream 2t and its
-random-selection choices from stream 2t+1 of the master seed, and each
-block row gets what that trial alone would, so results are identical no
-matter how trials are split into blocks or scheduled across workers.
+rule selects once and each solver prices once per block and sweep point,
+over (T, K, M) arrays. Trial t still draws its channels from stream 2t
+and its random-selection choices from stream 2t+1 of the master seed, and
+each block row gets what that trial alone would, so results are identical
+no matter how trials are split into blocks or scheduled across workers.
+A block draws those streams once for every point of the sweep: a point
+reads a prefix of the normals the largest point takes, and of the words.
 
 Analytic averages attach to the approx-method rows only: the closed
 forms describe the residual-norm power model, not the exact recursion.
@@ -18,7 +20,7 @@ import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,13 +31,14 @@ from .analytic import (
     avg_power_rus,
     avg_power_sus,
 )
-from .channel import ChannelSet, SeedSpec, sample_channel_set
+from .channel import ChannelSet, SeedSpec, _stream_normals, _users, sample_channel_set
 from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
     _CHUNK_BYTES,
     ALGORITHM_TAGS,
     _dp_trial_bytes,
+    _rus_words,
     select_aus,
     select_exhaustive,
     select_nus,
@@ -57,7 +60,8 @@ _POWER_METHODS = ("exact", "approx")
 _BLOCK_BYTES = 1 << 20
 # A point's per-trial totals, and one trial's largest exhaustive approx DP
 # level (`selection._dp_trial_bytes`); a DP chunk holds more than one trial
-# only within `selection._CHUNK_BYTES`.
+# only within `selection._CHUNK_BYTES`. `run_sweep` samples its points in
+# groups whose totals fit in it together.
 _SAMPLE_BYTES = 1 << 28
 
 
@@ -250,10 +254,10 @@ class ValidationRow:
     passed: bool
 
 
-def _encoding_orders(alg, meth, channels, config, targets, trials):
+def _encoding_orders(alg, meth, channels, config, targets, trials, words=None):
     """(T, K_s) encoding orders one algorithm picks for a block of trials.
 
-    Only EXHAUSTIVE depends on `meth`.
+    Only EXHAUSTIVE depends on `meth`, and only RUS on `words`.
     """
     if alg == "NUS":
         sel = select_nus(channels, config.K_s)
@@ -263,7 +267,7 @@ def _encoding_orders(alg, meth, channels, config, targets, trials):
         sel = select_aus(channels, config.K_s)
     elif alg == "RUS":
         seeds = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
-        sel = select_rus(channels, config.K_s, seeds)
+        sel = select_rus(channels, config.K_s, seeds, _words=words)
     else:
         sel = select_exhaustive(
             channels, config.K_s, targets, power_fn=meth,
@@ -272,15 +276,17 @@ def _encoding_orders(alg, meth, channels, config, targets, trials):
     return sel.encoding_order
 
 
-def _block_totals(config, targets, series, channels, trials, orders=(), totals=(), raises=False):
+def _block_totals(config, targets, series, channels, trials, words=None, orders=(), totals=(),
+                  raises=False):
     """Totals of each series over one block of trials; infeasible cells are NaN.
 
     A rule's orders serve every method of the block, and each method makes
     one solver call on the picked rows of all its series, stacked along the
-    trial axis. A block that raises InfeasibleGeometryError runs again as
-    halves that keep the `orders` and `totals` found, down to one trial,
-    whose series then run alone: only a series that raises alone turns NaN.
-    A second half `raises` unrun when the first ran clean.
+    trial axis. `words` are the block's random-selection words, as
+    `select_rus` takes them. A block that raises InfeasibleGeometryError
+    runs again as halves that keep the `orders` and `totals` found, down to
+    one trial, whose series then run alone: only a series that raises alone
+    turns NaN. A second half `raises` unrun when the first ran clean.
     """
     # looked up per call, so a patched or traced solver takes effect
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
@@ -292,7 +298,8 @@ def _block_totals(config, targets, series, channels, trials, orders=(), totals=(
             key = (alg, meth) if alg == "EXHAUSTIVE" else alg
             if (alg, meth) not in totals:
                 if key not in orders:
-                    orders[key] = _encoding_orders(alg, meth, channels, config, targets, trials)
+                    orders[key] = _encoding_orders(
+                        alg, meth, channels, config, targets, trials, words)
                 picks.setdefault(meth, {})[(alg, meth)] = orders[key]
         for meth, picked in picks.items():
             order = np.stack(list(picked.values()))[..., None]
@@ -308,26 +315,60 @@ def _block_totals(config, targets, series, channels, trials, orders=(), totals=(
                 raises = bool(parts) and not np.isnan(list(parts[0].values())).any()
                 parts.append(_block_totals(
                     config, targets, series, ChannelSet(channels.users[half]), trials[half],
+                    None if words is None else words[half],
                     {k: v[half] for k, v in orders.items()},
                     {k: v[half] for k, v in totals.items()}, raises))
             return {name: np.concatenate([p[name] for p in parts]) for name in series}
         if len(series) == 1:
             return {series[0]: np.full(1, np.nan)}
         for name in series:
-            totals.update(_block_totals(config, targets, [name], channels, trials, orders, totals))
+            totals.update(_block_totals(
+                config, targets, [name], channels, trials, words, orders, totals))
     return {name: totals[name] for name in series}
 
 
+def _runnable(config: ExperimentConfig, k: int) -> tuple[str, ...]:
+    """The algorithms simulated at a point with K = k: all but an EXHAUSTIVE
+    past its budget, where select_exhaustive would raise a BudgetError."""
+    over = math.perm(k, config.K_s) > config.exhaustive_budget
+    return tuple(alg for alg in config.algorithms if not (over and alg == "EXHAUSTIVE"))
+
+
 def _run_chunk(payload):
-    """Totals of every series over one block of trials; infeasible trials are NaN."""
-    config, sweep_value, trials = payload
-    m, k = config.dims_at(sweep_value)
+    """Totals of every series at each point over one block of trials;
+    infeasible trials are NaN.
+
+    The block's streams are drawn once for all points: each trial's
+    normals, as many as the largest point takes, of which a point reads
+    the first 2 K M, and its random-selection words, which serve every K.
+    A trial with a zero row among a point's normals is drawn again at
+    that point by `sample_channel_set`, which redraws the row.
+    """
+    config, points, trials = payload
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
-    series = [(alg, meth) for alg in config.algorithms for meth in config.methods()]
+    dims = [config.dims_at(v) for v in points]
+    series = [[(alg, meth) for alg in _runnable(config, k) for meth in config.methods()]
+              for _, k in dims]
+    if not any(series):
+        return [{} for _ in points]
     seeds = [SeedSpec(config.master_seed, 2 * t) for t in trials]
+    z = _stream_normals(seeds, (max(2 * k * m for (m, k), s in zip(dims, series) if s),))
+    words = None
+    if "RUS" in config.algorithms:
+        words = _rus_words([SeedSpec(config.master_seed, 2 * t + 1) for t in trials], config.K_s)
+    totals = []
     with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
-        channels = sample_channel_set(m, k, seeds)
-        return _block_totals(config, targets, series, channels, trials)
+        for (m, k), point_series in zip(dims, series):
+            if not point_series:
+                totals.append({})
+                continue
+            users, dead = _users(z, m, k)
+            redraw = np.flatnonzero(dead.any(axis=-1))
+            if redraw.size:
+                users[redraw] = sample_channel_set(m, k, [seeds[t] for t in redraw]).users
+            totals.append(_block_totals(
+                config, targets, point_series, ChannelSet(users), trials, words))
+    return totals
 
 
 def _workers(workers: int) -> int:
@@ -338,34 +379,38 @@ def _workers(workers: int) -> int:
 
 
 def _open_pool(config: ExperimentConfig, workers: int):
-    """A process pool for the blocks of any point of `config`, or a null
-    context at one worker. Every point cuts its trials into at least
-    min(w, trials) blocks, so the pool never holds an idle process."""
+    """A process pool for the blocks of `config`, or a null context at one
+    worker. Every sweep cuts its trials into at least min(w, trials)
+    blocks, so the pool never holds an idle process."""
     w = _workers(workers)
     if w == 1:
         return nullcontext()
     return ProcessPoolExecutor(max_workers=min(w, config.trials))
 
 
-def _point_samples(config: ExperimentConfig, sweep_value, workers: int, pool=None):
-    """Per-trial totals keyed by (algorithm, method), in trial order.
+def _sweep_samples(config: ExperimentConfig, points, workers: int, pool=None):
+    """Per-trial totals keyed by (algorithm, method) at each of `points`,
+    in trial order.
 
-    The trials are cut into n contiguous blocks within the byte cap, whose
-    sizes differ by at most one. With w workers (clamped to the CPUs), n is
-    a multiple of w where the cap and the trial count allow, and w > 1
+    The trials are cut into n contiguous blocks within the byte cap of
+    the largest point, whose sizes differ by at most one, and each block
+    serves every point. With w workers (clamped to the CPUs), n is a
+    multiple of w where the cap and the trial count allow, and w > 1
     processes map the same blocks that one runs in process: those of
-    `pool` when given, else of a pool opened for this point alone.
+    `pool` when given, else of a pool opened for these points alone.
     """
-    m, k = config.dims_at(sweep_value)
     w = _workers(workers)
-    cap = max(1, _BLOCK_BYTES // (16 * m * (max(k, m) if "exact" in config.methods() else k)))
+    exact = "exact" in config.methods()
+    widest = max(16 * m * (max(k, m) if exact else k) for m, k in map(config.dims_at, points))
+    cap = max(1, _BLOCK_BYTES // widest)
     trials = config.trials
     n = min(trials, w * -(-trials // (w * cap)))
-    args = [(config, sweep_value, range(trials * i // n, trials * (i + 1) // n))
+    args = [(config, points, range(trials * i // n, trials * (i + 1) // n))
             for i in range(n)]
     with _open_pool(config, w) if pool is None else nullcontext(pool) as pool:
         results = list(map(_run_chunk, args) if pool is None else pool.map(_run_chunk, args))
-    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
+    return [{key: np.concatenate([r[i][key] for r in results]) for key in results[0][i]}
+            for i in range(len(points))]
 
 
 def _analytic_value(alg, m, k, k_s, gamma, sigma_sq):
@@ -395,11 +440,11 @@ def _bound_tags(k_s: int) -> tuple[str, ...]:
     return (LOWER_BOUND_TAG,) if k_s == 2 else ()
 
 
-def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _pool=None):
+def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _samples=None):
     """All result rows for one sweep point; config, point and workers are checked first.
 
-    `_pool` is `run_sweep`'s process pool, shared by all its points; left
-    out, the point opens its own when it needs one.
+    `_samples` are the point's totals from `run_sweep`, which samples its
+    points together; left out, the point is sampled as a sweep of one.
     """
     config.validate(simulatable=True)
     if sweep_value not in config.points():
@@ -407,28 +452,20 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
     workers = _workers(workers)
     m, k = config.dims_at(sweep_value)
     gamma = config.gamma_linear
+    if _samples is None:
+        (_samples,) = _sweep_samples(config, (sweep_value,), workers)
+    runnable = _runnable(config, k)
     rows = []
-
-    runnable = list(config.algorithms)
-    skipped = []
-    if "EXHAUSTIVE" in runnable and math.perm(k, config.K_s) > config.exhaustive_budget:
-        runnable.remove("EXHAUSTIVE")  # select_exhaustive would raise a BudgetError
-        skipped.append("EXHAUSTIVE")
-
-    samples = {}
-    if runnable:
-        trimmed = replace(config, algorithms=tuple(runnable))
-        samples = _point_samples(trimmed, sweep_value, workers, _pool)
 
     for alg in config.algorithms:
         for meth in config.methods():
-            if alg in skipped:
+            if alg not in runnable:
                 rows.append(ResultRow(
                     config.sweep_axis, sweep_value, alg, meth, 0,
                     config.master_seed, None, None, None, 0, "budget_exceeded",
                 ))
                 continue
-            arr = samples[(alg, meth)]
+            arr = _samples[(alg, meth)]
             ok = arr[~np.isnan(arr)]
             infeasible = int(arr.size - ok.size)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -468,13 +505,18 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1):
-    """Rows for every sweep point, in sweep order; the points share one
-    process pool."""
+    """Rows for every sweep point, in sweep order. The points share one
+    process pool, and each block of trials serves every point of a group:
+    as many consecutive points as `_SAMPLE_BYTES` holds the totals of."""
     config.validate(simulatable=True)
-    rows = []
+    points, rows = config.points(), []
+    group = max(1, _SAMPLE_BYTES // (8 * config.trials * len(config.algorithms)
+                                     * len(config.methods())))
     with _open_pool(config, workers) as pool:
-        for sweep_value in config.points():
-            rows.extend(run_point(config, sweep_value, workers, _pool=pool))
+        for i in range(0, len(points), group):
+            part = points[i : i + group]
+            for sweep_value, samples in zip(part, _sweep_samples(config, part, workers, pool)):
+                rows.extend(run_point(config, sweep_value, workers, _samples=samples))
     return rows
 
 

@@ -65,6 +65,8 @@ class SelectionResult:
 
 
 def _check_k_s(channels: ChannelSet, k_s: int) -> None:
+    if not isinstance(channels, ChannelSet):
+        raise ConfigError(f"need a ChannelSet, got {channels!r}")
     limit = min(channels.M, channels.K)
     if isinstance(k_s, bool) or not isinstance(k_s, (int, np.integer)) or not 1 <= k_s <= limit:
         raise ConfigError(
@@ -157,7 +159,15 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
     return _result("AUS", channels, picked, _weakest_first(h, picked))
 
 
-def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
+def _rus_words(seeds, k_s: int):
+    """The first 2 K_s - 1 `channel._stream_words` of each spec, of which
+    the picks at any K take a prefix; None where `select_rus` calls
+    ``choice`` for the whole block: too few specs, or a NumPy that seeds
+    otherwise than restated."""
+    return _stream_words(seeds, 2 * k_s - 1) if _restated(seeds) else None
+
+
+def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> SelectionResult:
     """Uniform random subset from the seed stream, encoded in draw order.
 
     Nothing here looks at the channels, including the encoding order:
@@ -171,6 +181,8 @@ def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     does. Up to K = 10,000 a block of `channel._restated` specs runs its
     steps over the `channel._stream_words` of all trials at once; a trial
     whose Lemire draw rejects a word, and any other block, calls ``choice``.
+    `_words`, when given, are the `_rus_words` of ``seed``, which serve
+    every K: `experiment` takes them once a block for every point.
     """
     _check_k_s(channels, k_s)
     seeds, k = _seed_list(seed), channels.K
@@ -183,7 +195,7 @@ def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
         # which choice rejects when the product's low half is below 2^32 mod (j + 1)
         spans = np.array([*range(k - k_s, k), *range(k_s - 1, 0, -1)], dtype=np.uint64) + 1
         skip = int(k == k_s)  # Floyd's draw in [0, 0] takes no word; 0 gives 0
-        words = _stream_words(seeds, spans.size - skip)
+        words = (_rus_words(seeds, k_s) if _words is None else _words)[:, : spans.size - skip]
         scaled = np.hstack([np.zeros((len(seeds), skip), np.uint32), words]) * spans
         draws = (scaled >> 32).astype(np.intp)
         redo = np.flatnonzero((scaled & _M32 < np.uint64(2**32) % spans).any(axis=1))

@@ -26,7 +26,7 @@ from sinrmin.analytic import (
     pdf,
 )
 from sinrmin.channel import SeedSpec
-from sinrmin.errors import BudgetError, ConfigError, DivergenceError
+from sinrmin.errors import BudgetError, ConfigError, DimensionError, DivergenceError, DomainError
 
 GAMMA = 10.0  # 10 dB, linear
 SIGMA_SQ = 0.1
@@ -93,6 +93,48 @@ def test_alpha_and_mean_inverse_check_arguments_before_their_stores(call):
     # had no kind; cdf, pdf and the quadrature check their spec alike
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("f", [cdf, pdf])
+@pytest.mark.parametrize("x, error", [
+    ("ab", DimensionError), (object(), DimensionError), ([[1, 2], [3]], DimensionError),
+    ([1.0, None], DimensionError), (10**400, DimensionError), (1j, DomainError),
+    (np.array([1.0, 2.0j]), DomainError),
+], ids=["str", "object", "ragged", "none-entry", "huge-int", "complex", "complex-array"])
+def test_cdf_and_pdf_reject_bad_x(f, x, error):
+    # NumPy's conversion raised a bare ValueError or TypeError, or cast
+    # None to nan and dropped the imaginary part
+    for spec in (DistributionSpec.norm_chisq(3), DistributionSpec.sin_sq_angle(4, 1)):
+        with pytest.raises(error, match="^x must be"):
+            f(spec, x)
+
+
+def test_cdf_and_pdf_take_real_arrays_of_any_numeric_dtype():
+    spec = DistributionSpec.norm_order_stat(3, 2, 5)
+    want = cdf(spec, np.array([0.5, 2.0]))
+    for x in ([0.5, 2.0], np.array([0.5, 2.0], np.float32), (0.5, 2.0)):
+        assert np.array_equal(cdf(spec, x), want)
+    assert cdf(spec, np.array([1, 2], np.int8)).tolist() == cdf(spec, [1.0, 2.0]).tolist()
+    assert pdf(spec, 2) == pdf(spec, 2.0)
+
+
+def test_pdf_forms_each_rank_binomial_once(monkeypatch):
+    formed = []
+    comb = math.comb
+
+    def counted(n, k):
+        formed.append((n, k))
+        return comb(n, k)
+
+    analytic._log_rank_coef.cache_clear()
+    monkeypatch.setattr(analytic.math, "comb", counted)
+    spec = DistributionSpec.norm_order_stat(4, 3000, 6000)
+    first = pdf(spec, 3.67)
+    assert pdf(spec, 3.67) == first and pdf(spec, [3.0, 4.0])[0] == pdf(spec, 3.0)
+    assert formed.count((6000, 3000)) == 1
+    monkeypatch.undo()
+    analytic._log_rank_coef.cache_clear()
+    assert pdf(spec, 3.67) == first  # the same bits as formed afresh
 
 
 # ---------------------------------------------------------------------------

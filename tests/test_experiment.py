@@ -7,17 +7,23 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from sinrmin import channel
 from sinrmin.analytic import alpha, avg_power_rus
+from sinrmin.channel import SeedSpec, sample_channel_set
 from sinrmin.cli import parse_config
 from sinrmin.errors import ConfigError, InfeasibleGeometryError
 from sinrmin.experiment import (
     ExperimentConfig,
     ResultRow,
-    _point_samples,
+    _block_totals,
+    _sweep_samples,
     run_point,
     run_sweep,
     validate_rows,
 )
+from sinrmin.power import SinrTargets
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -28,6 +34,12 @@ def _cfg(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _alone(cfg, sweep_value=None, workers=1):
+    """Per-trial totals at one point, sampled as a sweep of that point alone."""
+    (samples,) = _sweep_samples(cfg, (sweep_value,), workers)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +175,11 @@ def test_exact_blocks_hold_each_trials_z_inverse(monkeypatch):
 
     monkeypatch.setattr(exp, "_run_chunk", recording)
     cfg = _cfg(M=8, K=3, trials=10, power_method="both", algorithms=("NUS", "EXHAUSTIVE"))
-    reference = _point_samples(cfg, None, workers=1)
+    reference = _alone(cfg)
     sizes.clear()
     # 3 trials of Z^-1, which is room for 8 trials of channels
     monkeypatch.setattr(exp, "_BLOCK_BYTES", 3 * 16 * 8 * 8)
-    samples = _point_samples(cfg, None, workers=1)
+    samples = _alone(cfg)
     assert max(sizes) == 3
     for key, arr in reference.items():
         assert arr.tobytes() == samples[key].tobytes(), key
@@ -259,7 +271,7 @@ def test_worker_counts_do_not_change_results():
 def test_max_norm_first_pick_rules_agree_at_single_user():
     cfg = _cfg(K_s=1, trials=4000, algorithms=("NUS", "SUS", "AUS"),
                power_method="both", master_seed=31)
-    samples = _point_samples(cfg, None, workers=1)
+    samples = _alone(cfg)
     nus = samples[("NUS", "approx")]
     for alg in ("SUS", "AUS"):
         assert np.array_equal(samples[(alg, "approx")], nus)
@@ -272,7 +284,7 @@ def test_max_norm_first_pick_rules_agree_at_single_user():
 def test_exact_never_exceeds_approx_per_trial():
     cfg = _cfg(trials=500, algorithms=("NUS", "SUS", "AUS", "RUS"),
                power_method="both", master_seed=13)
-    samples = _point_samples(cfg, None, workers=1)
+    samples = _alone(cfg)
     for alg in ("NUS", "SUS", "AUS", "RUS"):
         e = samples[(alg, "exact")]
         a = samples[(alg, "approx")]
@@ -282,7 +294,7 @@ def test_exact_never_exceeds_approx_per_trial():
 def test_exhaustive_floor_per_trial():
     cfg = _cfg(K=6, trials=200, algorithms=("EXHAUSTIVE", "NUS", "SUS", "AUS", "RUS"),
                master_seed=17)
-    samples = _point_samples(cfg, None, workers=1)
+    samples = _alone(cfg)
     floor = samples[("EXHAUSTIVE", "approx")]
     for alg in ("NUS", "SUS", "AUS", "RUS"):
         assert np.all(floor <= samples[(alg, "approx")] * (1 + 1e-9))
@@ -315,18 +327,18 @@ def pool_sizes(monkeypatch):
 def test_pool_size_bounded_by_chunks(monkeypatch, pool_sizes):
     monkeypatch.setattr("os.cpu_count", lambda: 128)
     cfg = _cfg(trials=3, algorithms=("NUS",))
-    samples = _point_samples(cfg, None, workers=64)
+    samples = _alone(cfg, workers=64)
     assert pool_sizes == [3]
     assert np.array_equal(samples[("NUS", "approx")],
-                          _point_samples(cfg, None, workers=1)[("NUS", "approx")])
+                          _alone(cfg)[("NUS", "approx")])
 
 
 def test_pool_size_bounded_by_cpu_count(monkeypatch, pool_sizes):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     cfg = _cfg(trials=50, algorithms=("NUS", "RUS"))
-    samples = _point_samples(cfg, None, workers=5000)
+    samples = _alone(cfg, workers=5000)
     assert pool_sizes == [2]
-    serial = _point_samples(cfg, None, workers=1)
+    serial = _alone(cfg)
     for key in serial:
         assert np.array_equal(samples[key], serial[key])
 
@@ -347,7 +359,7 @@ def test_trials_cut_into_capped_blocks(monkeypatch, pool_sizes, workers, trials)
     monkeypatch.setattr(exp, "_run_chunk", recording)
     monkeypatch.setattr(exp, "_BLOCK_BYTES", 3 * 16 * 6 * 4)  # 3 trials
     cfg = _cfg(K=6, trials=trials, algorithms=("NUS",))
-    samples = _point_samples(cfg, None, workers=workers)
+    samples = _alone(cfg, workers=workers)
     assert [t for block in blocks for t in block] == list(range(trials))
     sizes = [len(block) for block in blocks]
     assert max(sizes) <= 3 and max(sizes) - min(sizes) <= 1
@@ -393,26 +405,93 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("select_nus", "select_rus", "select_exhaustive",
-                 "approx_min_power", "exact_min_power"):
+    for name in ("select_nus", "select_rus", "select_exhaustive", "approx_min_power",
+                 "exact_min_power", "_stream_normals", "_rus_words"):
         monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
-    cfg = _cfg(K=6, trials=5, power_method="both",
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=(5, 6), trials=10, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
-    # the default budget holds all 5 trials in one block; this one, 2 trials
-    for blocks, budget in ((1, exp._BLOCK_BYTES), (3, 2 * 16 * 6 * 4)):
+    # the default budget holds all 10 trials in one block; this one, 5 trials
+    for blocks, budget in ((1, exp._BLOCK_BYTES), (2, 5 * 16 * 6 * 4)):
         calls.clear()
         monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)
-        samples = _point_samples(cfg, None, workers=1)
-        assert all(not np.isnan(arr).any() for arr in samples.values())
+        samples = _sweep_samples(cfg, cfg.points(), workers=1)
+        assert all(not np.isnan(arr).any() for point in samples for arr in point.values())
+        visits = blocks * len(cfg.points())
         assert Counter(calls) == {
-            ("select_nus", None): blocks,
-            ("select_rus", None): blocks,
-            ("select_exhaustive", "exact"): blocks,
-            ("select_exhaustive", "approx"): blocks,
+            # each block draws its streams once, for both points
+            ("_stream_normals", None): blocks,
+            ("_rus_words", None): blocks,
+            ("select_nus", None): visits,
+            ("select_rus", None): visits,
+            ("select_exhaustive", "exact"): visits,
+            ("select_exhaustive", "approx"): visits,
             # one solver call per method: NUS, RUS and EXHAUSTIVE stacked
-            ("exact_min_power", None): blocks,
-            ("approx_min_power", None): blocks,
+            ("exact_min_power", None): visits,
+            ("approx_min_power", None): visits,
         }
+
+
+def _reference(cfg, sweep_value):
+    """Per-trial totals at one point from one block drawn for that point
+    alone: channels by `sample_channel_set` at its K and M, and the
+    random-selection words `select_rus` takes itself."""
+    m, k = cfg.dims_at(sweep_value)
+    trials = range(cfg.trials)
+    seeds = [SeedSpec(cfg.master_seed, 2 * t) for t in trials]
+    series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
+    targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _block_totals(cfg, targets, series, sample_channel_set(m, k, seeds), trials)
+
+
+def _assert_same_totals(got, want):
+    assert got.keys() == want.keys()
+    for key, arr in want.items():
+        assert got[key].tobytes() == arr.tobytes(), key
+
+
+_K_SWEEP = dict(K=None, sweep_axis="K", sweep_values=(3, 6, 8), K_s=3)  # K = K_s included
+_M_SWEEP = dict(M=None, K=6, sweep_axis="M", sweep_values=(3, 5, 4), K_s=3)  # widest in the middle
+
+
+@pytest.mark.parametrize("sweep", (_K_SWEEP, _M_SWEEP), ids=("K", "M"))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
+    import sinrmin.experiment as exp
+
+    cfg = _cfg(**sweep, trials=12, power_method="both",
+               algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
+    alone = {v: _alone(cfg, v) for v in cfg.points()}
+    for v in cfg.points():
+        _assert_same_totals(alone[v], _reference(cfg, v))
+    widest = max(16 * m * max(k, m) for m, k in map(cfg.dims_at, cfg.points()))
+    assert exp._BLOCK_BYTES // widest >= cfg.trials  # one default block
+    # one block, one trial a block, and blocks of 4 that cut the words' 5-trial threshold
+    for budget in (exp._BLOCK_BYTES, widest, 5 * widest):
+        monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)  # the pool forks and sees it
+        for v, samples in zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers)):
+            _assert_same_totals(samples, alone[v])
+    rows = [row for v in cfg.points() for row in run_point(cfg, v)]
+    assert run_sweep(cfg, workers) == rows
+
+
+def test_sweep_groups_keep_the_rows(monkeypatch):
+    import sinrmin.experiment as exp
+
+    cfg = _cfg(**_K_SWEEP, trials=6, algorithms=("NUS", "RUS"))
+    reference = run_sweep(cfg)
+    groups = []
+    run_chunk = exp._run_chunk
+
+    def recording(payload):
+        groups.append(payload[1])
+        return run_chunk(payload)
+
+    monkeypatch.setattr(exp, "_run_chunk", recording)
+    # totals of two points fit, not three: the sweep runs as groups of 2 and 1
+    monkeypatch.setattr(exp, "_SAMPLE_BYTES", 2 * 8 * cfg.trials * 2)
+    assert run_sweep(cfg) == reference
+    assert groups == [(3, 6), (8,)]
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -421,16 +500,93 @@ def test_block_size_does_not_change_samples(monkeypatch, workers):
 
     cfg = _cfg(K=6, trials=40, power_method="both",
                algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
-    reference = _point_samples(cfg, None, workers=1)
+    reference = _alone(cfg)
+    _assert_same_totals(reference, _reference(cfg, None))
     per_trial = 16 * 6 * 4
     assert exp._BLOCK_BYTES // per_trial >= cfg.trials  # one default block
     for budget in (exp._BLOCK_BYTES, per_trial, 7 * per_trial):
         # the pool forks, so its workers see the patched budget
         monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)
-        samples = _point_samples(cfg, None, workers=workers)
-        assert samples.keys() == reference.keys()
-        for key, arr in reference.items():
-            assert arr.tobytes() == samples[key].tobytes(), key
+        _assert_same_totals(_alone(cfg, workers=workers), reference)
+
+
+class _ZeroRun:
+    """A stream whose block draw (into `out`) comes out with normals
+    [lo, hi) zero; other draws, as a redraw makes, are the stream's own."""
+
+    def __init__(self, rng, lo, hi):
+        self.rng, self.lo, self.hi = rng, lo, hi
+
+    def standard_normal(self, *args, out=None):
+        drawn = self.rng.standard_normal(*args, out=out)
+        if out is not None:
+            out.reshape(-1)[self.lo : self.hi] = 0.0
+        return drawn
+
+
+@pytest.mark.parametrize("sweep, row, hit", [
+    # row 1 at M = 3 is normals 6..12, which make no whole row at M = 4 or 5
+    (_M_SWEEP, (6, 12), [(3, 6)]),
+    # row 5 at M = 4 is in the prefix of K = 6 and 8, not of K = 3
+    (dict(_K_SWEEP, M=4), (40, 48), [(4, 6), (4, 8)]),
+], ids=("M", "K"))
+def test_zero_row_is_redrawn_at_its_point_alone(monkeypatch, sweep, row, hit):
+    import sinrmin.experiment as exp
+
+    cfg = _cfg(**sweep, trials=2 * channel._RESTATED_MIN, algorithms=("NUS", "SUS", "RUS"))
+    plain = {v: _reference(cfg, v) for v in cfg.points()}
+    t = 6
+    target = SeedSpec(cfg.master_seed, 2 * t)
+    streams = channel._streams
+
+    def patched(seeds):
+        for spec, rng in zip(seeds, streams(seeds)):
+            yield _ZeroRun(rng, *row) if spec == target else rng
+
+    redraws = []
+    real = exp.sample_channel_set
+
+    def recording(m, k, seeds):
+        redraws.append((m, k, seeds))
+        return real(m, k, seeds)
+
+    monkeypatch.setattr(channel, "_streams", patched)
+    monkeypatch.setattr(exp, "sample_channel_set", recording)
+    forced = {v: _reference(cfg, v) for v in cfg.points()}  # sample_channel_set redraws the row
+    samples = dict(zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers=1)))
+    assert redraws == [(m, k, [target]) for m, k in hit]
+    for v in cfg.points():
+        _assert_same_totals(samples[v], forced[v])
+        m, k = cfg.dims_at(v)
+        # only trial t changed, and only where its point reads the zeros
+        kept = np.arange(cfg.trials) != t if 2 * k * m > row[0] else slice(None)
+        for key in plain[v]:
+            assert np.array_equal(samples[v][key][kept], plain[v][key][kept])
+
+
+def test_rejected_lemire_word_calls_choice_at_every_point(monkeypatch):
+    import sinrmin.experiment as exp
+
+    cfg = _cfg(**_K_SWEEP, trials=2 * channel._RESTATED_MIN, algorithms=("RUS",))
+    plain = {v: _reference(cfg, v) for v in cfg.points()}
+    t = 3
+    words = exp._rus_words
+
+    def rejecting(seeds, k_s):
+        # a zero word is rejected by a Lemire draw whose span is no power of
+        # two: the second word's span is K - 1 at K > K_s, and 3 at K = K_s = 3
+        out = words(seeds, k_s).copy()
+        out[t, 1] = 0
+        return out
+
+    monkeypatch.setattr(exp, "_rus_words", rejecting)
+    with mock.patch.object(SeedSpec, "generator", autospec=True,
+                           side_effect=SeedSpec.generator) as built:
+        samples = _sweep_samples(cfg, cfg.points(), workers=1)
+    assert [c.args[0] for c in built.call_args_list] == \
+        [SeedSpec(cfg.master_seed, 2 * t + 1)] * len(cfg.points())
+    for v, got in zip(cfg.points(), samples):
+        _assert_same_totals(got, plain[v])
 
 
 def test_budget_exceeded_produces_flagged_row():

@@ -57,6 +57,21 @@ def test_k_s_range_enforced():
         select_sus(c2, 4)  # K_s > K
 
 
+@pytest.mark.parametrize("channels", [None, "x", np.eye(3, dtype=complex), [[1, 0], [0, 1]]],
+                         ids=["none", "str", "array", "list"])
+@pytest.mark.parametrize("rule", [
+    lambda c: select_nus(c, 2),
+    lambda c: select_sus(c, 2),
+    lambda c: select_aus(c, 2),
+    lambda c: select_rus(c, 2, SeedSpec(0)),
+    lambda c: select_exhaustive(c, 2, T10),
+], ids=["nus", "sus", "aus", "rus", "exhaustive"])
+def test_rules_reject_non_channel_input(rule, channels):
+    # they raised AttributeError on the missing .M before the check
+    with pytest.raises(ConfigError, match="^need a ChannelSet, got "):
+        rule(channels)
+
+
 _EYE = ChannelSet(np.eye(4, dtype=complex))
 
 
