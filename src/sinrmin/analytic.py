@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, DimensionError, DivergenceError, DomainError
+from .channel import _array
+from .errors import BudgetError, ConfigError, DivergenceError, DomainError
 
 # quadrature targets: relative tolerance of each integral, and the largest
 # fraction of the running total the discarded upper tail may contribute
@@ -73,7 +74,7 @@ class DistributionSpec:
     i: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         # exact types go first, as checks on ABCs are slow
         if not type(self.M) is type(self.r) is type(self.K) is type(self.i) is int:
@@ -131,18 +132,14 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _real_points(x) -> np.ndarray:
-    # x as a float array: text, objects and ragged rows raise DimensionError,
-    # complex numbers DomainError
-    try:
-        xs = np.asarray(x)
-    except (ValueError, TypeError) as exc:  # how NumPy refuses ragged rows
-        raise DimensionError(f"x must be an array of real numbers: {exc}") from None
+def _real_points(x) -> tuple:
+    # x as a float array of at least one dimension, and whether it was one
+    # number: text, objects and ragged rows raise DimensionError, complex
+    # numbers DomainError
+    xs = _array(x, "x must be an array of real numbers", "biufc")
     if xs.dtype.kind == "c":
         raise DomainError(f"x must be real, got dtype {xs.dtype}")
-    if xs.dtype.kind not in "biuf":
-        raise DimensionError(f"x must be an array of real numbers, got dtype {xs.dtype}")
-    return xs.astype(float)
+    return np.atleast_1d(xs.astype(float)), xs.ndim == 0
 
 
 def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
@@ -151,9 +148,7 @@ def cdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     Arguments below the support clamp to 0 and above it to 1.
     """
     _check_spec(spec)
-    xs = _real_points(x)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    xs, scalar = _real_points(x)
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
         t = np.clip(xs, 0.0, 1.0)
         if spec.kind == "sin_sq_angle":
@@ -177,9 +172,7 @@ def pdf(spec: DistributionSpec, x) -> "float | np.ndarray":
     and at 0 and +inf for the squared-norm laws, whose log density the
     quadrature integrates too: their upper tail keeps its digits."""
     _check_spec(spec)
-    xs = _real_points(x)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    xs, scalar = _real_points(x)
     out = np.zeros_like(xs)
     if spec.kind in ("sin_sq_angle", "sin_sq_angle_max"):
         inside = (xs >= 0.0) & (xs <= 1.0)
@@ -322,12 +315,11 @@ def _series_terms(M: int) -> int:
 
 @lru_cache(maxsize=None)
 def _gamma_coeffs(M: int) -> tuple:
-    # 1/k! for k = M-1 down to 0, Q's head in Horner order; 1/M! for each
-    # term of P's series after the first; and the divisors M+1, M+2, ... of
-    # those terms
+    # 1/k! for k = M-1 down to 0, Q's head in Horner order; 1/M!, which
+    # scales P's series; and the divisors M+1, M+2, ... of its terms
     terms = _series_terms(M)
     head = tuple(1 / math.factorial(k) for k in range(M - 1, -1, -1))
-    return head, np.full(terms, 1 / math.factorial(M)), np.arange(M + 1.0, M + terms + 1.0)
+    return head, 1 / math.factorial(M), np.arange(M + 1.0, M + terms + 1.0)
 
 
 def _gamma_side(M: int, x: np.ndarray) -> tuple:
@@ -335,7 +327,8 @@ def _gamma_side(M: int, x: np.ndarray) -> tuple:
     # low, and Q elsewhere, so t <= 0.64, to a few ulps where it is a normal
     # float. Q is its head e^-x sum_{k<M} x^k/k!, positive terms summed in
     # Horner form, with e^-x applied in halves so that it stays normal while
-    # Q does. P is its series e^-x x^M/M! sum_j x^j/((M+1)...(M+j))
+    # Q does. P is its series e^-x x^M/M! sum_j x^j/((M+1)...(M+j)), summed
+    # along each point's own row: no point's P depends on the others
     if M > _LINEAR_M:
         return _gamma_side_past_linear(M, x)
     head, inv_m_fact, divisors = _gamma_coeffs(M)
@@ -351,26 +344,32 @@ def _gamma_side(M: int, x: np.ndarray) -> tuple:
     low = x < M
     s = x[low]
     ratios = s[:, None] / divisors
-    series = np.multiply.accumulate(ratios, axis=1, out=ratios) @ inv_m_fact
-    series += inv_m_fact[0]
+    series = np.multiply.accumulate(ratios, axis=1, out=ratios).sum(axis=1)
+    series += 1.0
+    series *= inv_m_fact
     t[low] = np.exp(-s) * s**M * series
     return t, low
 
 
+def _log_gamma_density(M: int, x: np.ndarray) -> np.ndarray:
+    # log d, d = e^-x x^n/n! the Gamma(M, 1) density, n = M - 1, for M past
+    # _LINEAR_M: with x = n (1 + u), n (log1p(u) - u) + log(n^n e^-n/n!) from
+    # Stirling's series, rounded to about (|x - n| + |log d|) eps, where
+    # n log x - x - log n! would be to (x + n log x) eps
+    n = M - 1
+    stirling = (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+    u = (x - n) / n
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 0, where d is 0
+        return n * (np.log1p(u) - u) + (-0.5 * math.log(2.0 * math.pi * n) - stirling)
+
+
 def _gamma_side_past_linear(M: int, x: np.ndarray) -> tuple:
     # _gamma_side for M past _LINEAR_M, whose terms leave the floats. Both
-    # sides are the density d = e^-x x^n/n!, n = M - 1, times a sum, term by
-    # term to _series_terms(M): Q's head read down from its last term, sum_j
-    # n (n-1)...(n-j+1)/x^j, and P's series x/M sum_j x^j/((M+1)...(M+j)).
-    # With x = n (1 + u), log d = n (log1p(u) - u) + log(n^n e^-n/n!), the
-    # constant from Stirling's series, so log d is rounded to about (|x - n| +
-    # |log d|) eps, where n log x - x - log n! would be to (x + n log x) eps
+    # sides are the density d times a sum, term by term to _series_terms(M):
+    # Q's head read down from its last term, sum_j n (n-1)...(n-j+1)/x^j, and
+    # P's series x/M sum_j x^j/((M+1)...(M+j))
     n, terms = M - 1, _series_terms(M)
-    stirling = (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
-    log_scale = -0.5 * math.log(2.0 * math.pi * n) - stirling
-    u = (np.minimum(x, _X_MAX * M) - n) / n
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 0, where d is 0
-        t = np.exp(n * (np.log1p(u) - u) + log_scale)
+    t = np.exp(_log_gamma_density(M, np.minimum(x, _X_MAX * M)))
     low = x < M
     s = x[low]
     term, series = np.ones_like(s), np.ones_like(s)
@@ -495,9 +494,11 @@ def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
     # above u over u: I_Q(r, K+1-r), for a non-largest the second largest's,
     # in math on one float
     _check_gamma_m(M)
+    # past _LINEAR_M, log 1/(M-1)! is in the centred _log_gamma_density
+    log_fact = 0.0 if M > _LINEAR_M else math.lgamma(M)
     if kind == "norm_not_largest":
         r = 2
-        log_coef = np.array([[math.log(K / (K - 1)) - math.lgamma(M)] for K in Ks])
+        log_coef = np.array([[math.log(K / (K - 1)) - log_fact] for K in Ks])
         powers = np.array([[float(K - 1)] for K in Ks])
 
         def log_body(log_g, log_q):
@@ -507,7 +508,7 @@ def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
         r, Ks = ranks[0][0], [K for _, K in ranks]
         for K in Ks:
             _check_binomial_digits(K, r)
-        log_coef = np.array([[_log_rank_coef(K, r) - math.lgamma(M)] for K in Ks])
+        log_coef = np.array([[_log_rank_coef(K, r) - log_fact] for K in Ks])
         powers = np.array([[float(K - r)] for K in Ks])
 
         def log_body(log_g, log_q):  # (r - 1) log_q is -0.0 at r = 1, log_q being finite
@@ -516,8 +517,9 @@ def _norm_law(kind: str, M: int, r: int, Ks: tuple) -> tuple:
 
     def log_density(t: np.ndarray) -> np.ndarray:
         x = t.reshape(-1)
-        log_t = (M - 1) * np.log(x)
-        return (log_body(*_gamma_cdf_logs(M, x)) - x + log_t).reshape(len(Ks), *t.shape)
+        body = log_body(*_gamma_cdf_logs(M, x))
+        body = body + _log_gamma_density(M, x) if M > _LINEAR_M else body - x + (M - 1) * np.log(x)
+        return body.reshape(len(Ks), *t.shape)
 
     def tail(u: float) -> np.ndarray:
         p, q = _gamma_pq_at(M, u)

@@ -185,30 +185,16 @@ def _restated_seeding_matches() -> bool:
 _RESTATED_SEEDING = _restated_seeding_matches()
 
 
-# Fewer specs than this are cheaper as one generator build each: on a
-# 2-core VM (NumPy 2.4) the restated seeding took 72 us for 1 spec against
-# 19-26 us built, 84-89 against 39-41 us for 2, about even at 4-5, and
-# 137-153 against 169-215 us for 8.
-_RESTATED_MIN = 5
-
-
-def _restated(seeds) -> bool:
-    """Whether a block of specs takes the restated seeding and words:
-    `_RESTATED_MIN` or more, on a NumPy that seeds as restated."""
-    return _RESTATED_SEEDING and len(seeds) >= _RESTATED_MIN
-
-
 def _streams(seeds):
     """One generator per spec of the sequence ``seeds`` in order, each at
     the exact start of that spec's stream, so it draws what
     ``spec.generator()`` would.
 
-    From `_RESTATED_MIN` specs on, the generator is one object
+    Where this NumPy seeds as restated, the generator is one object
     repositioned for every spec: finish with it before taking the next.
-    Fewer specs, or a NumPy that seeds differently from the restatement,
-    get ``spec.generator()`` each.
+    Otherwise each spec gets ``spec.generator()``.
     """
-    if _restated(seeds):
+    if _RESTATED_SEEDING:
         return _restated_streams(seeds)
     return (s.generator() for s in seeds)
 
@@ -216,8 +202,8 @@ def _streams(seeds):
 def _seed_list(seed) -> list:
     """One spec, or a sequence of them, as a list of specs."""
     seeds = list(seed) if isinstance(seed, Sequence) else [seed]
-    if not all(isinstance(s, SeedSpec) for s in seeds):
-        raise ConfigError(f"seed must be a SeedSpec or a sequence of them, got {seed!r}")
+    if not seeds or not all(isinstance(s, SeedSpec) for s in seeds):
+        raise ConfigError(f"seed must be a SeedSpec or a non-empty sequence of them, got {seed!r}")
     return seeds
 
 
@@ -268,6 +254,8 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
                for n in (M, K)):
         raise DimensionError(f"need integers M >= 1 and K >= 1, got M={M!r}, K={K!r}")
     seeds = _seed_list(seed)
+    if 16 * len(seeds) * int(K) * int(M) > np.iinfo(np.intp).max:
+        raise DimensionError(f"{len(seeds)} sets of {K} x {M} channels exceed any array")
     users, dead = _users(_stream_normals(seeds, (K, M, 2)), M, K)
     redraw = np.flatnonzero(dead.any(axis=-1))
     for t, rng in zip(redraw, _streams([seeds[t] for t in redraw])):
@@ -297,16 +285,22 @@ def _users(z: np.ndarray, M: int, K: int):
     return users, (users.real**2 + users.imag**2).sum(axis=-1) == 0.0
 
 
-def _as_complex(value, what: str) -> np.ndarray:
-    """`value` as a complex128 array. Rows of unequal length and entries
-    that are not numbers raise DimensionError naming `what`."""
+def _array(value, what: str, kinds: str, error=DimensionError) -> np.ndarray:
+    """`value` as an array whose dtype kind is one of `kinds`. Rows of unequal
+    length and entries of another kind raise `error`, saying `what` it must be."""
     try:
         arr = np.asarray(value)
-    except (ValueError, TypeError) as exc:  # how NumPy refuses ragged rows
-        raise DimensionError(f"{what} must be an array of numbers: {exc}") from None
-    if arr.dtype.kind not in "iufc":
-        raise DimensionError(f"{what} must be an array of numbers, got dtype {arr.dtype}")
-    return arr.astype(np.complex128, copy=False)
+    except (ValueError, TypeError):  # how NumPy refuses ragged rows
+        arr = np.asarray(None)
+    if arr.dtype.kind not in kinds:
+        raise error(f"{what}, got {value!r}")
+    return arr
+
+
+def _as_complex(value, what: str) -> np.ndarray:
+    """`value` as a complex128 array; see `_array`."""
+    return _array(value, f"{what} must be an array of numbers", "iufc").astype(
+        np.complex128, copy=False)
 
 
 def squared_norm(h: np.ndarray) -> float:

@@ -18,12 +18,14 @@ import inspect
 import math
 import os
 import typing
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import selection
 from .analytic import (
     avg_power_aus_two,
     avg_power_lower_bound_two,
@@ -35,9 +37,11 @@ from .channel import ChannelSet, SeedSpec, _stream_normals, _users, sample_chann
 from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
-    _CHUNK_BYTES,
     ALGORITHM_TAGS,
+    _complex_bytes,
     _dp_trial_bytes,
+    _exact_step_bytes,
+    _per_chunk,
     _rus_words,
     select_aus,
     select_exhaustive,
@@ -53,15 +57,10 @@ NO_CLOSED_FORM = "no_closed_form"
 _SWEEP_AXES = ("none", "M", "K")
 _POWER_METHODS = ("exact", "approx")
 
-# Trials run in blocks of at most this many bytes of complex channel data
-# (16 * K * M bytes a trial; 16 * M * max(K, M) when exact pricing holds an
-# M x M Z^-1 a trial), which bounds every block array and temporary by a
-# small multiple of it, whatever the trial count.
-_BLOCK_BYTES = 1 << 20
-# A point's per-trial totals, and one trial's largest exhaustive approx DP
-# level (`selection._dp_trial_bytes`); a DP chunk holds more than one trial
-# only within `selection._CHUNK_BYTES`. `run_sweep` samples its points in
-# groups whose totals fit in it together.
+# Blocks of trials are cut by `selection._per_chunk`, a trial's unit being its
+# channels or, if larger, its exact Z^-1. A point's totals and one exhaustive
+# approx DP trial must fit in _SAMPLE_BYTES, and `run_sweep` samples its
+# points in groups whose totals fit in it together.
 _SAMPLE_BYTES = 1 << 28
 
 
@@ -187,9 +186,14 @@ class ExperimentConfig:
             )
         if self.exhaustive_budget < 1:
             raise ConfigError("exhaustive_budget must be positive")
-        samples = 8 * self.trials * len(self.algorithms) * len(self.methods())
-        if simulatable and samples > _SAMPLE_BYTES:
-            raise ConfigError(f"a point's samples take {samples} bytes, over {_SAMPLE_BYTES}")
+        exact = "exact" in self.methods()
+
+        def fit(what, size, cap=None):  # the cap `selection._per_chunk` cuts by
+            cap = selection._CHUNK_BYTES if cap is None else cap
+            if simulatable and size > cap:
+                raise ConfigError(f"{what} {size} bytes, over {cap}")
+
+        fit("a point's samples take", _sample_bytes(self), _SAMPLE_BYTES)
         for sweep_value in self.points():
             m, k = self.dims_at(sweep_value)
             if self.K_s > k:
@@ -198,22 +202,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"K_s={self.K_s} exceeds min(M, K)={min(m, k)} at M={m}, K={k}"
                 )
-            if simulatable and 16 * k * m > _BLOCK_BYTES:
-                raise ConfigError(
-                    f"a trial's channels take {16 * k * m} bytes, over {_BLOCK_BYTES}")
-            if simulatable and "exact" in self.methods() and 16 * m * m > _BLOCK_BYTES:
-                raise ConfigError(
-                    f"a trial's exact Z^-1 takes {16 * m * m} bytes, over {_BLOCK_BYTES}")
+            fit("a trial's channels take", _complex_bytes(k, m))
+            if exact:
+                fit("a trial's exact Z^-1 takes", _complex_bytes(m, m))
             searched = (simulatable and "EXHAUSTIVE" in self.algorithms
                         and math.perm(k, self.K_s) <= self.exhaustive_budget)
             if searched and "approx" in self.methods():
-                dp = _dp_trial_bytes(k, m, self.K_s)
-                if dp > _SAMPLE_BYTES:
-                    raise ConfigError(f"the exhaustive DP takes {dp} bytes, over {_SAMPLE_BYTES}")
-            # the exact search steps at least one prefix at a time: 16 K M^2 bytes of Z^-1
-            if searched and "exact" in self.methods() and 16 * k * m * m > _CHUNK_BYTES:
-                raise ConfigError(
-                    f"the exact search's step takes {16 * k * m * m} bytes, over {_CHUNK_BYTES}")
+                fit("the exhaustive DP takes", _dp_trial_bytes(k, m, self.K_s), _SAMPLE_BYTES)
+            if searched and exact:  # the exact search steps at least one prefix at a time
+                fit("the exact search's step takes", _exact_step_bytes(k, m))
 
     def canonical(self) -> str:
         """Stable key=value rendering used for config hashing; it loads back
@@ -225,6 +222,11 @@ class ExperimentConfig:
                 val = ",".join(str(v) for v in val)
             lines.append(f"{f.name}={'' if val is None else val}")
         return "\n".join(lines) + "\n"
+
+
+def _sample_bytes(config: ExperimentConfig) -> int:
+    """Bytes of a point's per-trial totals: 8 a trial and series."""
+    return 8 * config.trials * len(config.algorithms) * len(config.methods())
 
 
 @dataclass(frozen=True)
@@ -401,8 +403,8 @@ def _sweep_samples(config: ExperimentConfig, points, workers: int, pool=None):
     """
     w = _workers(workers)
     exact = "exact" in config.methods()
-    widest = max(16 * m * (max(k, m) if exact else k) for m, k in map(config.dims_at, points))
-    cap = max(1, _BLOCK_BYTES // widest)
+    cap = _per_chunk(max(_complex_bytes(max(k, m) if exact else k, m)
+                         for m, k in map(config.dims_at, points)))
     trials = config.trials
     n = min(trials, w * -(-trials // (w * cap)))
     args = [(config, points, range(trials * i // n, trials * (i + 1) // n))
@@ -440,14 +442,21 @@ def _bound_tags(k_s: int) -> tuple[str, ...]:
     return (LOWER_BOUND_TAG,) if k_s == 2 else ()
 
 
+def _check_config(config) -> None:
+    """Raise ConfigError unless `config` is an ExperimentConfig that can run."""
+    if not isinstance(config, ExperimentConfig):
+        raise ConfigError(f"need an ExperimentConfig, got {config!r}")
+    config.validate(simulatable=True)
+
+
 def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _samples=None):
     """All result rows for one sweep point; config, point and workers are checked first.
 
     `_samples` are the point's totals from `run_sweep`, which samples its
     points together; left out, the point is sampled as a sweep of one.
     """
-    config.validate(simulatable=True)
-    if sweep_value not in config.points():
+    _check_config(config)
+    if isinstance(sweep_value, np.ndarray) or sweep_value not in config.points():
         raise ConfigError(f"sweep value {sweep_value!r} is not a point of {config.points()}")
     workers = _workers(workers)
     m, k = config.dims_at(sweep_value)
@@ -508,10 +517,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1):
     """Rows for every sweep point, in sweep order. The points share one
     process pool, and each block of trials serves every point of a group:
     as many consecutive points as `_SAMPLE_BYTES` holds the totals of."""
-    config.validate(simulatable=True)
+    _check_config(config)
     points, rows = config.points(), []
-    group = max(1, _SAMPLE_BYTES // (8 * config.trials * len(config.algorithms)
-                                     * len(config.methods())))
+    group = _per_chunk(_sample_bytes(config), _SAMPLE_BYTES)
     with _open_pool(config, workers) as pool:
         for i in range(0, len(points), group):
             part = points[i : i + group]
@@ -530,7 +538,9 @@ def validate_rows(rows, rel_tol: float = 0.02, z: float = 3.0):
     for name, value in (("rel_tol", rel_tol), ("z", z)):
         if not _has_type(value, float) or not 0.0 <= value < math.inf:
             raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
-    report = []
+    report, rows = [], list(rows) if isinstance(rows, Iterable) else [None]
+    if not all(isinstance(row, ResultRow) for row in rows):
+        raise ConfigError("rows must be an iterable of ResultRow")
     for row in rows:
         if row.mc_mean is None or row.analytic_value is None:
             continue

@@ -13,19 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, _as_complex, _complement_step, _squared_norms
+from .channel import RANK_TOL, _array, _as_complex, _complement_step, _squared_norms
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleGeometryError
 
 
 def _real(value, what: str) -> np.ndarray:
     """`value` as float64 when it holds only real numbers (no bool, text or None)."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf":
-        raise ConfigError(f"{what} must be real, got {value!r}")
-    return arr.astype(np.float64)
+    return _array(value, f"{what} must be real", "iuf", ConfigError).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -77,11 +71,14 @@ class PowerSolution:
     beamformers: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        s = np.sum(self.per_user_power, axis=-1)
-        if np.any(np.abs(s - self.total_power) > 1e-12 * np.maximum(np.abs(s), 1.0)):
+        s = np.sum(_real(self.per_user_power, "per-user powers"), axis=-1)
+        total = _real(self.total_power, "total power")
+        if np.any(np.abs(s - total) > 1e-12 * np.maximum(np.abs(s), 1.0)):
             raise DomainError("total_power does not match per-user sum")
         if self.beamformers is not None:
-            norms = np.linalg.norm(self.beamformers, axis=-1)
+            # of the moduli, which leave no inf * 0 of an infinite part
+            moduli = np.abs(np.atleast_1d(_as_complex(self.beamformers, "beamformers")))
+            norms = np.linalg.norm(moduli, axis=-1)
             if not np.all(np.abs(norms - 1.0) <= 1e-10):
                 raise DomainError("beamformers must have unit norm")
 
@@ -263,7 +260,7 @@ def evaluate_sinr(channels, beamformers, powers, targets: SinrTargets) -> np.nda
     _check_sinr_targets(targets)
     h = _as_matrix(channels)
     bf = _as_matrix(beamformers)
-    q = np.atleast_1d(np.asarray(powers, dtype=np.float64))
+    q = np.atleast_1d(_real(powers, "powers"))
     if not (h.shape[0] == bf.shape[0] == q.size) or h.shape[1] != bf.shape[1]:
         raise DimensionError(
             f"mismatched shapes: channels {h.shape}, beamformers {bf.shape}, "

@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import channel
 from .channel import (
-    _M32, RANK_TOL, ChannelSet, _complement_step, _restated, _seed_list, _squared_norms,
+    _M32, RANK_TOL, ChannelSet, _array, _complement_step, _seed_list, _squared_norms,
     _stream_words,
 )
 from .errors import BudgetError, ConfigError, InfeasibleGeometryError
@@ -33,7 +34,35 @@ from .power import (  # noqa: F401
 )
 
 ALGORITHM_TAGS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE")
-_CHUNK_BYTES = 1 << 20  # Z^-1 bytes of one exact search step: 16 K M^2 a prefix, of any trial
+# The bytes of any piece work is cut into: a block of trials, a chunk of
+# approx DP trials and its sub-chunks of last-level rows, an exact search
+# step. A unit larger than this is a piece alone
+_CHUNK_BYTES = 1 << 20
+
+
+def _per_chunk(unit_bytes: int, cap: int | None = None) -> int:
+    """The units of `unit_bytes` a piece of `cap` bytes holds, at least one;
+    `cap` is `_CHUNK_BYTES` unless given."""
+    return max(1, (_CHUNK_BYTES if cap is None else cap) // unit_bytes)
+
+
+def _complex_bytes(rows: int, width: int) -> int:
+    """Bytes of `rows` complex rows of `width`: a trial's K x M channels, its
+    exact M x M Z^-1, the K users of an approx DP set."""
+    return 16 * rows * width
+
+
+def _exact_step_bytes(k: int, m: int) -> int:
+    """Bytes of an exact search prefix row: the Z^-1 of each of K users."""
+    return k * _complex_bytes(m, m)
+
+
+def _dp_trial_bytes(k: int, m: int, k_s: int) -> int:
+    """Bytes a trial of an approx DP chunk holds: the largest of its levels
+    stepped in full, j < K_s - 1 (the root at K_s = 1), C(K, j) sets of K
+    users' M - j + 1 parent coordinates, and 8 values a last-level set."""
+    full = max(_complex_bytes(math.comb(k, j) * k, m - j + 1) for j in range(max(k_s - 1, 1)))
+    return max(full, 64 * math.comb(k, k_s - 1))
 
 
 @dataclass(frozen=True)
@@ -49,12 +78,16 @@ class SelectionResult:
     encoding_order: tuple[int, ...] | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.algorithm_tag not in ALGORITHM_TAGS:
+        if not isinstance(self.algorithm_tag, str) or self.algorithm_tag not in ALGORITHM_TAGS:
             raise ConfigError(f"unknown algorithm tag {self.algorithm_tag!r}")
-        picked = np.sort(self.selection_order, axis=-1)
+        picked, encoded = (_array(o, "orders must be user indices", "iu", ConfigError)
+                           for o in (self.selection_order, self.encoding_order))
+        if not picked.ndim or not encoded.ndim:
+            raise ConfigError("orders must be sequences of user indices")
+        picked = np.sort(picked, axis=-1)
         if np.any(picked[..., 1:] == picked[..., :-1]):
             raise ConfigError("selected indices must be distinct")
-        if not np.array_equal(np.sort(self.encoding_order, axis=-1), picked):
+        if not np.array_equal(np.sort(encoded, axis=-1), picked):
             raise ConfigError("encoding order must permute the selection")
 
     def __eq__(self, other):  # block orders are arrays, which == compares per entry
@@ -162,9 +195,9 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
 def _rus_words(seeds, k_s: int):
     """The first 2 K_s - 1 `channel._stream_words` of each spec, of which
     the picks at any K take a prefix; None where `select_rus` calls
-    ``choice`` for the whole block: too few specs, or a NumPy that seeds
-    otherwise than restated."""
-    return _stream_words(seeds, 2 * k_s - 1) if _restated(seeds) else None
+    ``choice`` for the whole block: on a NumPy that seeds otherwise than
+    restated."""
+    return _stream_words(seeds, 2 * k_s - 1) if channel._RESTATED_SEEDING else None
 
 
 def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> SelectionResult:
@@ -178,9 +211,9 @@ def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> Selectio
     per trial.
 
     Each trial picks what ``spec.generator().choice(K, k_s, replace=False)``
-    does. Up to K = 10,000 a block of `channel._restated` specs runs its
-    steps over the `channel._stream_words` of all trials at once; a trial
-    whose Lemire draw rejects a word, and any other block, calls ``choice``.
+    does. Up to K = 10,000, on a NumPy that seeds as restated, a block runs
+    its steps over the `channel._stream_words` of all trials at once; a
+    trial whose Lemire draw rejects a word, and any other block, calls ``choice``.
     `_words`, when given, are the `_rus_words` of ``seed``, which serve
     every K: `experiment` takes them once a block for every point.
     """
@@ -189,7 +222,7 @@ def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> Selectio
     if len(seeds) != len(_block(channels)):
         raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
     redo, picked = range(len(seeds)), np.empty((len(seeds), k_s), dtype=np.intp)
-    if _restated(seeds) and k <= 10_000:  # beyond, choice may shuffle a tail instead
+    if channel._RESTATED_SEEDING and k <= 10_000:  # beyond, choice may shuffle a tail instead
         # Floyd's sampling (Bentley & Floyd 1987), then a Fisher-Yates shuffle;
         # a draw in [0, j] is one word's 32-bit Lemire draw (Lemire 2019),
         # which choice rejects when the product's low half is below 2^32 mod (j + 1)
@@ -233,7 +266,7 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     if (live.sum(axis=1) < k_s).any():
         return None
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
-    rows = max(1, _CHUNK_BYTES // (16 * k * m * m))  # prefixes one step takes
+    rows = _per_chunk(_exact_step_bytes(k, m))  # prefixes one step takes
 
     def expand(trial, order, zinv, p, limit, first=False):
         """Children of (N, j) prefixes within their trial's `limit`, in (row, user)
@@ -278,12 +311,6 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
             i = i[total[i] < best[trial[i]]]
             best[trial[i]], best_order[trial[i]] = total[i], order[i]
     return best_order if (best < math.inf).all() else None
-
-
-def _dp_trial_bytes(k: int, m: int, k_s: int) -> int:
-    """Bytes of one trial's largest DP level: C(K, j) sets x K users x the
-    M - j + 1 coordinates gathered from their parents, at level j < K_s."""
-    return 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(k_s))
 
 
 @lru_cache(maxsize=16)
@@ -367,8 +394,9 @@ def _best_approx_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
         dive = nexts[j][dive, user]
         if j + 1 < last:
             coords = step(coords, res2, (slice(None), drop[:, -1]), elem[:, -1])
-    # the last level as flat (trial, set) rows: every trial's root when K_s = 1
-    t, s, rows = trials, np.zeros(n, np.intp), coords[:, 0]
+    # the last level as flat (trial, set) rows, every trial's root when K_s = 1,
+    # stepped and priced a sub-chunk at a time
+    t, s = trials, np.zeros(n, np.intp)
     if last:
         parent, top = drops[last - 1][:, -1], elems[last - 1][:, -1]
         _, tail = price(step(coords, res2, (trials, parent[dive]), top[dive]), last,
@@ -381,11 +409,16 @@ def _best_approx_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
         with np.errstate(divide="ignore"):  # no residual left bounds by +inf
             bound = enc + scale[last] / reach
         t, s = np.nonzero(bound <= incumbent[:, None] * (1.0 + 1e-9))
-        rows = step(coords, res2, (t, parent[s]), top[s])
-    _, tail = price(rows, last, members[last][s], floor[t, 0])
-    shape = (n, len(members[last]))  # per last-level set: its least cost, its row in tail
-    least, row = np.full(shape, np.inf), np.zeros(shape, np.intp)
-    least[t, s], row[t, s] = tail.min(axis=1), np.arange(len(t))
+    # per last-level set, kept by (trial, rank): its cheapest encoding, the top
+    # two residuals and their bound above, and its least cost and best last user
+    shape = (n, len(members[last]))
+    least, best = np.full(shape, np.inf), np.zeros(shape, np.intp)
+    rows = _per_chunk(_complex_bytes(k, m - last + 1))
+    for lo in range(0, len(t), rows):
+        ts, ss = t[lo : lo + rows], s[lo : lo + rows]
+        sub = step(coords, res2, (ts, parent[ss]), top[ss]) if last else coords[ts, 0]
+        _, tail = price(sub, last, members[last][ss], floor[ts, 0])
+        least[ts, ss], best[ts, ss] = tail.min(axis=1), tail.argmin(axis=1)
     for j in reversed(range(last)):
         costs[j] += least[:, nexts[j]]
         least = costs[j].min(axis=2)
@@ -396,7 +429,7 @@ def _best_approx_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     for j in range(last):
         order[:, j] = np.argmin(costs[j][trials, s], axis=1)
         s = nexts[j][s, order[:, j]]
-    order[:, last] = np.argmin(tail[row[trials, s]], axis=1)
+    order[:, last] = best[trials, s]
     return order
 
 
@@ -413,21 +446,22 @@ def select_exhaustive(
     on-average rule. Ties resolve to the lexicographically smallest index
     sequence. An approx cost depends only on the set encoded before it,
     so that route is a DP over sum_{j<K_s} C(K, j) predecessor sets
-    (1,351 at K=20, K_s=4), run over chunks of trials whose levels fit in
-    `_CHUNK_BYTES`, or one trial where a trial alone is larger. Of the
-    last level's sets it steps only those whose cheapest encoding plus a
-    bound on the last user's cost is within a greedy dive's total (about
-    90 of 1,140 a trial at K=20, K_s=4). Exact powers depend on the
-    predecessors' order, so the exact route is one branch and bound over
-    the encoding prefixes of a whole block: each prefix row carries its
-    set's index and pruning limit, one step prices a chunk of rows (at
-    most `_CHUNK_BYTES` of Z^-1) against every user, and only the kept
+    (1,351 at K=20, K_s=4), run over chunks of trials, as many as
+    `_per_chunk` fits by `_dp_trial_bytes`. Of the last level's sets it
+    steps only those whose cheapest encoding plus a bound on the last
+    user's cost is within a greedy dive's total (about 90 of 1,140 a trial
+    at K=20, K_s=4), in sub-chunks of rows that `_per_chunk` fits. Exact
+    powers depend on the predecessors' order, so the exact route is one
+    branch and bound over the encoding prefixes of a whole block: each
+    prefix row carries its set's index and pruning limit, one step prices
+    a chunk of rows (`_per_chunk` of `_exact_step_bytes`) against every
+    user, and only the kept
     children below the leaf level get their own Z^-1. The worst case is
     still every ordering, so `budget` bounds the ordering count
     C(K, K_s) * K_s! before any work happens.
     """
     _check_k_s(channels, k_s)
-    if power_fn not in ("exact", "approx"):
+    if not isinstance(power_fn, str) or power_fn not in ("exact", "approx"):
         raise ConfigError(f"power_fn must be 'exact' or 'approx', got {power_fn!r}")
     _check_sinr_targets(targets)
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
@@ -437,8 +471,8 @@ def select_exhaustive(
     h = _block(channels)
     if power_fn == "exact":
         orders = _best_exact_orders(h, k_s, targets)
-    else:  # a chunk holds the trials whose DP levels fit in _CHUNK_BYTES, at least one
-        rows = max(1, _CHUNK_BYTES // _dp_trial_bytes(channels.K, channels.M, k_s))
+    else:
+        rows = _per_chunk(_dp_trial_bytes(channels.K, channels.M, k_s))
         orders = [_best_approx_orders(h[lo : lo + rows], k_s, targets)
                   for lo in range(0, len(h), rows)]
         orders = None if any(o is None for o in orders) else np.concatenate(orders)

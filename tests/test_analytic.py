@@ -805,10 +805,13 @@ def test_block_alphas_equal_lone_integrals_bitwise(m):
 
 
 def test_alphas_keep_the_bits_of_one_n_integrals():
-    # alpha's values at the last commit that integrated one n at a time
-    parent = {(2, 1): "0x1.ffffffffffff3p-1", (3, 2): "0x1.4000000000006p-2",
+    # alpha's values at the last commit that integrated one n at a time, but
+    # (3, 2), 1 ulp nearer 5/16 now that P's series is summed along each
+    # point's row, and (200, 5), within 2e-16 of mpmath (3e-14 before) now
+    # that the density past _LINEAR_M is centred
+    parent = {(2, 1): "0x1.ffffffffffff3p-1", (3, 2): "0x1.4000000000005p-2",
               (4, 7): "0x1.377e4b3502db9p-3", (8, 64): "0x1.016c71aecf7b5p-4",
-              (200, 5): "0x1.2f0fd66cda60fp-8", (2, 10**9): "0x1.4ec4e6f8b87e9p-5",
+              (200, 5): "0x1.2f0fd66cda56fp-8", (2, 10**9): "0x1.4ec4e6f8b87e9p-5",
               (16, 10**18): "0x1.9966885c260e7p-7"}
     alpha.cache_clear()
     for (m, k), value in parent.items():
@@ -817,8 +820,9 @@ def test_alphas_keep_the_bits_of_one_n_integrals():
 
 
 def test_alpha_whose_block_fails_is_integrated_alone(monkeypatch):
-    # at M = 10,000 alpha(M, 1) loses the tolerance and alpha(M, 2) does not:
-    # another n's failure must not be K's
+    # a block may lose the tolerance where one of its n alone holds it (at
+    # M = 10,000 alpha(M, 1) did, before the density past _LINEAR_M was
+    # centred): another n's failure must not be K's
     block = analytic._alpha_block
 
     def failing(m, ns, what):
@@ -1160,6 +1164,39 @@ def test_m_about_the_linear_bound_matches_a_quad_reference(m):
 ])
 def test_averages_past_the_linear_bound_keep_their_values(call, parent):
     assert call() == pytest.approx(parent, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec.norm_chisq(m) for m in (2, 3, 4, 5, 8, 16, 64)] + [
+    DistributionSpec.norm_order_stat(4, 2, 9), DistributionSpec.norm_not_largest(8, 12)])
+def test_array_cdf_and_pdf_equal_their_pointwise_values(spec):
+    # P's series below x = M is summed along each point's own row: no point's
+    # value depends on what else its array holds, whatever the array's length
+    xs = np.random.default_rng(spec.M).uniform(0.0, 2.0 * spec.M, 203)
+    for f in (cdf, pdf):
+        lone = np.array([f(spec, x) for x in xs])
+        for cut in (203, 64, 7, 1):
+            got = np.concatenate([f(spec, xs[i : i + cut]) for i in range(0, 203, cut)])
+            assert got.tobytes() == lone.tobytes(), (f.__name__, cut)
+
+
+def test_alpha_keeps_its_digits_at_ten_thousand_antennas():
+    # past _LINEAR_M the density is centred at its mode; formed as
+    # (M-1) log x - x - lgamma(M), its rounding failed the quadrature at 1,024
+    # panels here. The reference is mpmath's
+    alpha.cache_clear()
+    assert alpha(10_000, 10) == pytest.approx(9.848239974902801e-05, rel=1e-12)
+    alpha.cache_clear()
+
+
+def test_kernel_averages_are_finite_at_the_largest_m():
+    m = analytic._MAX_M
+    for value in (avg_power_nus(m, 10, 2, GAMMA, SIGMA_SQ),
+                  avg_power_sus(m, 10, 2, GAMMA, SIGMA_SQ),
+                  avg_power_aus_two(m, 10, GAMMA, SIGMA_SQ),
+                  avg_power_lower_bound_two(m, 10, GAMMA, SIGMA_SQ)):
+        assert 0.0 < value < math.inf
+    alpha.cache_clear()
 
 
 def test_scaling_in_gamma_and_sigma():

@@ -57,9 +57,7 @@ _INDEX_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
-    # block sizes on both sides of the restated path's threshold
-    st.lists(st.integers(0, 2**70) | st.sampled_from(_INDEX_EDGES),
-             min_size=1, max_size=2 * channel._RESTATED_MIN),
+    st.lists(st.integers(0, 2**70) | st.sampled_from(_INDEX_EDGES), min_size=1, max_size=10),
     st.integers(1, 12),
 )
 def test_streams_match_seed_spec_generators(master, indices, k):
@@ -75,21 +73,8 @@ def test_streams_match_seed_spec_generators(master, indices, k):
             assert np.array_equal(pick, spec.generator().choice(k, size=min(k, 3), replace=False))
 
 
-def test_small_blocks_build_generators(monkeypatch):
-    built, restated = [], channel._restated_streams
-
-    def recording(seeds):
-        built.append(len(seeds))
-        return restated(seeds)
-
-    monkeypatch.setattr(channel, "_restated_streams", recording)
-    for n in range(1, 2 * channel._RESTATED_MIN):
-        sample_channel_set(2, 3, [SeedSpec(4, i) for i in range(n)])
-    assert built == list(range(channel._RESTATED_MIN, 2 * channel._RESTATED_MIN))
-
-
 def test_streams_fall_back_to_seed_spec_generators(monkeypatch):
-    specs = [SeedSpec(3, i) for i in (0, 5, 2**32 + 2, *range(6, 6 + channel._RESTATED_MIN))]
+    specs = [SeedSpec(3, i) for i in (0, 5, 2**32 + 2, *range(6, 11))]
     block = sample_channel_set(4, 6, specs).users
     assert channel._restated_seeding_matches()
     # a NumPy that seeded PCG64 differently would fail the import-time check
@@ -134,7 +119,7 @@ def test_sample_channel_set_moments():
 
 
 def test_zero_row_is_redrawn_from_its_trial_stream(monkeypatch):
-    specs = [SeedSpec(8, i) for i in range(2 * channel._RESTATED_MIN)]
+    specs = [SeedSpec(8, i) for i in range(10)]
     M, K, t, row = 3, 4, 5, 2
     reference = sample_channel_set(M, K, specs).users
     streams = channel._streams

@@ -9,7 +9,7 @@ import pytest
 
 from unittest import mock
 
-from sinrmin import channel
+from sinrmin import channel, selection
 from sinrmin.analytic import alpha, avg_power_rus
 from sinrmin.channel import SeedSpec, sample_channel_set
 from sinrmin.cli import parse_config
@@ -178,7 +178,7 @@ def test_exact_blocks_hold_each_trials_z_inverse(monkeypatch):
     reference = _alone(cfg)
     sizes.clear()
     # 3 trials of Z^-1, which is room for 8 trials of channels
-    monkeypatch.setattr(exp, "_BLOCK_BYTES", 3 * 16 * 8 * 8)
+    monkeypatch.setattr(selection, "_CHUNK_BYTES", 3 * 16 * 8 * 8)
     samples = _alone(cfg)
     assert max(sizes) == 3
     for key, arr in reference.items():
@@ -198,19 +198,36 @@ def test_float_fields_accept_ints():
 
 
 def test_exhaustive_dp_memory_is_bounded_before_any_work():
-    # 999,000 orderings are within the budget, and one trial's channels take
-    # 1,040,000 bytes, but the DP's largest level would take 1.04 GB
-    big = dict(M=65, K=1000, K_s=2, trials=1, algorithms=("EXHAUSTIVE",))
+    # 997,002,000 orderings are within the budget, and one trial's channels
+    # take 1,040,000 bytes, but the DP's level of pairs would take 1.04 GB
+    big = dict(M=65, K=1000, K_s=3, trials=1, algorithms=("EXHAUSTIVE",),
+               exhaustive_budget=10**9)
     for method in ("approx", "both"):
-        with pytest.raises(ConfigError, match="1040000000 bytes"):
+        with pytest.raises(ConfigError, match="DP takes 1040000000 bytes"):
             _cfg(**big, power_method=method).validate()
     with pytest.raises(ConfigError, match="exact search's step takes 67600000 bytes"):
         _cfg(**big, power_method="exact").validate()  # its own bound, not the DP's
-    _cfg(**big, exhaustive_budget=998_999).validate()  # skipped, never run
+    _cfg(**dict(big, exhaustive_budget=997_001_999)).validate()  # skipped, never run
     _cfg(**big).validate(simulatable=False)
+    # at K_s = 2 only the root is stepped in full: the last level's rows are
+    # stepped in sub-chunks, so a trial holds 1,056,000 bytes at once
+    _cfg(**dict(big, K_s=2, exhaustive_budget=999_000)).validate()
     ref = resources.files("sinrmin").joinpath("configs/fig4.cfg")
     with resources.as_file(ref) as path:
-        assert "EXHAUSTIVE" in parse_config(path).algorithms  # largest level 729,600 bytes
+        assert "EXHAUSTIVE" in parse_config(path).algorithms  # 182,400 bytes a trial
+
+
+def test_the_dp_unit_is_at_most_the_largest_level():
+    # what a DP trial holds is at most its largest level, which the DP once
+    # took whole, so no config that bound accepted is refused: at M = 64,
+    # K = 60, K_s = 3 that level took 107,028,480 bytes, the unit 3,686,400
+    assert selection._dp_trial_bytes(60, 64, 3) == 3_686_400
+    _cfg(M=64, K=60, K_s=3, trials=1, algorithms=("EXHAUSTIVE",)).validate()
+    for k in range(2, 41):
+        for k_s in range(1, min(k, 9) + 1):
+            for m in range(k_s, k_s + 12):
+                largest = 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(k_s))
+                assert selection._dp_trial_bytes(k, m, k_s) <= largest, (k, m, k_s)
 
 
 def test_exact_search_memory_is_bounded_before_any_work():
@@ -357,7 +374,7 @@ def test_trials_cut_into_capped_blocks(monkeypatch, pool_sizes, workers, trials)
 
     monkeypatch.setattr("os.cpu_count", lambda: 128)
     monkeypatch.setattr(exp, "_run_chunk", recording)
-    monkeypatch.setattr(exp, "_BLOCK_BYTES", 3 * 16 * 6 * 4)  # 3 trials
+    monkeypatch.setattr(selection, "_CHUNK_BYTES", 3 * 16 * 6 * 4)  # 3 trials
     cfg = _cfg(K=6, trials=trials, algorithms=("NUS",))
     samples = _alone(cfg, workers=workers)
     assert [t for block in blocks for t in block] == list(range(trials))
@@ -411,9 +428,9 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(5, 6), trials=10, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
     # the default budget holds all 10 trials in one block; this one, 5 trials
-    for blocks, budget in ((1, exp._BLOCK_BYTES), (2, 5 * 16 * 6 * 4)):
+    for blocks, budget in ((1, selection._CHUNK_BYTES), (2, 5 * 16 * 6 * 4)):
         calls.clear()
-        monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)
         samples = _sweep_samples(cfg, cfg.points(), workers=1)
         assert all(not np.isnan(arr).any() for point in samples for arr in point.values())
         visits = blocks * len(cfg.points())
@@ -465,10 +482,10 @@ def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
     for v in cfg.points():
         _assert_same_totals(alone[v], _reference(cfg, v))
     widest = max(16 * m * max(k, m) for m, k in map(cfg.dims_at, cfg.points()))
-    assert exp._BLOCK_BYTES // widest >= cfg.trials  # one default block
-    # one block, one trial a block, and blocks of 4 that cut the words' 5-trial threshold
-    for budget in (exp._BLOCK_BYTES, widest, 5 * widest):
-        monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)  # the pool forks and sees it
+    assert selection._CHUNK_BYTES // widest >= cfg.trials  # one default block
+    # one block, one trial a block, and blocks of 5
+    for budget in (selection._CHUNK_BYTES, widest, 5 * widest):
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)  # the pool forks and sees it
         for v, samples in zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers)):
             _assert_same_totals(samples, alone[v])
     rows = [row for v in cfg.points() for row in run_point(cfg, v)]
@@ -503,10 +520,10 @@ def test_block_size_does_not_change_samples(monkeypatch, workers):
     reference = _alone(cfg)
     _assert_same_totals(reference, _reference(cfg, None))
     per_trial = 16 * 6 * 4
-    assert exp._BLOCK_BYTES // per_trial >= cfg.trials  # one default block
-    for budget in (exp._BLOCK_BYTES, per_trial, 7 * per_trial):
+    assert selection._CHUNK_BYTES // per_trial >= cfg.trials  # one default block
+    for budget in (selection._CHUNK_BYTES, per_trial, 7 * per_trial):
         # the pool forks, so its workers see the patched budget
-        monkeypatch.setattr(exp, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)
         _assert_same_totals(_alone(cfg, workers=workers), reference)
 
 
@@ -533,7 +550,7 @@ class _ZeroRun:
 def test_zero_row_is_redrawn_at_its_point_alone(monkeypatch, sweep, row, hit):
     import sinrmin.experiment as exp
 
-    cfg = _cfg(**sweep, trials=2 * channel._RESTATED_MIN, algorithms=("NUS", "SUS", "RUS"))
+    cfg = _cfg(**sweep, trials=10, algorithms=("NUS", "SUS", "RUS"))
     plain = {v: _reference(cfg, v) for v in cfg.points()}
     t = 6
     target = SeedSpec(cfg.master_seed, 2 * t)
@@ -567,7 +584,7 @@ def test_zero_row_is_redrawn_at_its_point_alone(monkeypatch, sweep, row, hit):
 def test_rejected_lemire_word_calls_choice_at_every_point(monkeypatch):
     import sinrmin.experiment as exp
 
-    cfg = _cfg(**_K_SWEEP, trials=2 * channel._RESTATED_MIN, algorithms=("RUS",))
+    cfg = _cfg(**_K_SWEEP, trials=10, algorithms=("RUS",))
     plain = {v: _reference(cfg, v) for v in cfg.points()}
     t = 3
     words = exp._rus_words

@@ -267,7 +267,7 @@ def _assert_picks_equal_choice(specs, k, k_s):
 @given(
     st.integers(0, 2**64 - 1),
     st.lists(st.integers(0, 2**70) | st.sampled_from([2**32, 2**64 - 1, 2**64]),
-             min_size=1, max_size=3 * channel._RESTATED_MIN),
+             min_size=1, max_size=15),
     st.integers(1, 30) | st.sampled_from([10_000, 10_001, 20_000]),
     st.data(),
 )
@@ -275,9 +275,9 @@ def test_rus_picks_equal_generator_choice(master, indices, k, data):
     k_s = data.draw(st.integers(1, min(k, 6)), label="k_s")
     specs = [SeedSpec(master, i) for i in indices]
     built = _assert_picks_equal_choice(specs, k, k_s)
-    # blocks below the restated threshold and K beyond Floyd's range build
-    # every generator; the rest only those whose Lemire draw rejects a word
-    if len(specs) < channel._RESTATED_MIN or k > 10_000:
+    # K beyond Floyd's range builds every generator; any other K only those
+    # whose Lemire draw rejects a word
+    if k > 10_000:
         assert built == specs
     else:
         assert built == [s for s in specs if _rejects(s, k, k_s)]
@@ -292,7 +292,7 @@ def test_rus_rejected_lemire_draw_calls_choice():
 
 
 def test_rus_without_restated_seeding_calls_choice(monkeypatch):
-    specs = [SeedSpec(9, i) for i in range(2 * channel._RESTATED_MIN)]
+    specs = [SeedSpec(9, i) for i in range(10)]
     monkeypatch.setattr(channel, "_RESTATED_SEEDING", False)
     # words from the restatement would now be wrong; none may be used
     monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
@@ -616,6 +616,33 @@ def test_exhaustive_dp_block_equals_its_rows(monkeypatch, k_s, trials_a_chunk):
         monkeypatch.undo()
         assert 3 not in rows[7]
         assert [tuple(o) for o in block.tolist()] == rows
+
+
+def test_exhaustive_dp_orders_do_not_depend_on_sub_chunks(monkeypatch):
+    # a cap of one last-level row's bytes steps the kept sets one row at a
+    # time, one trial a chunk. Orthonormal users tie every ordering, so
+    # pruning keeps all C(6, 3) last-level sets, and the first order wins
+    eye = np.eye(6, dtype=complex)
+    h = sample_channel_set(6, 6, [SeedSpec(23, t) for t in range(12)]).users.copy()
+    h[3], h[8] = eye, 1j * eye[::-1]
+    h[5, 4] = h[5, 1]  # a copy of a user ties orderings
+    rows, step = [], selection._complement_step
+
+    def recording(coords, x, x_sq):
+        rows.append(coords.shape[:-2])
+        return step(coords, x, x_sq)
+
+    for targets in (T10, SinrTargets(np.array([3.0, 0.5, 8.0, 2.0]), 0.1)):
+        orders = select_exhaustive(ChannelSet(h), 4, targets).encoding_order
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", selection._complex_bytes(6, 4))
+        monkeypatch.setattr(selection, "_complement_step", recording)
+        assert np.array_equal(select_exhaustive(ChannelSet(h), 4, targets).encoding_order, orders)
+        rows.clear()
+        assert select_exhaustive(ChannelSet(eye), 4, targets).encoding_order == (0, 1, 2, 3)
+        monkeypatch.undo()
+        # the dive's step and one per last-level set, each of one row
+        assert rows.count((1,)) == 1 + math.comb(6, 3)
+        assert tuple(orders[3]) == (0, 1, 2, 3) and tuple(orders[8]) == (0, 1, 2, 3)
 
 
 def test_exhaustive_dp_does_not_enumerate(monkeypatch):
