@@ -702,11 +702,12 @@ def _alpha_terms(M: int, r: int, K: int) -> list:
 
 
 def _check_targets(gamma: float, sigma_sq: float, **counts: int) -> list:
-    # gamma and sigma_sq real, positive and finite; each count, by its keyword,
-    # an integer, returned as an int in keyword order
+    # gamma and sigma_sq real (not bool), positive and finite; each count, by
+    # its keyword, an integer, returned as an int in keyword order
     counts = [_integer(name, value) for name, value in counts.items()]
     for name, value in (("gamma", gamma), ("sigma_sq", sigma_sq)):
-        if not isinstance(value, (float, numbers.Real)) or not 0.0 < value < math.inf:
+        if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (float, numbers.Real))
+                or not 0.0 < value < math.inf):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return counts
 

@@ -33,7 +33,8 @@ from .analytic import (
     avg_power_rus,
     avg_power_sus,
 )
-from .channel import ChannelSet, SeedSpec, _stream_normals, _users, sample_channel_set
+from .channel import (ChannelSet, SeedSpec, _stream_normals, _stream_words, _users,
+                      sample_channel_set)
 from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
@@ -42,7 +43,6 @@ from .selection import (
     _dp_trial_bytes,
     _exact_step_bytes,
     _per_chunk,
-    _rus_words,
     select_aus,
     select_exhaustive,
     select_nus,
@@ -256,10 +256,11 @@ class ValidationRow:
     passed: bool
 
 
-def _encoding_orders(alg, meth, channels, config, targets, trials, words=None):
+def _encoding_orders(alg, meth, channels, config, targets, rus, words=None):
     """(T, K_s) encoding orders one algorithm picks for a block of trials.
 
-    Only EXHAUSTIVE depends on `meth`, and only RUS on `words`.
+    Only EXHAUSTIVE depends on `meth`, and only RUS on `rus`, the trials'
+    random-selection specs, and `words`, as `select_rus` takes them.
     """
     if alg == "NUS":
         sel = select_nus(channels, config.K_s)
@@ -268,8 +269,7 @@ def _encoding_orders(alg, meth, channels, config, targets, trials, words=None):
     elif alg == "AUS":
         sel = select_aus(channels, config.K_s)
     elif alg == "RUS":
-        seeds = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
-        sel = select_rus(channels, config.K_s, seeds, _words=words)
+        sel = select_rus(channels, config.K_s, rus, _words=words)
     else:
         sel = select_exhaustive(
             channels, config.K_s, targets, power_fn=meth,
@@ -278,17 +278,18 @@ def _encoding_orders(alg, meth, channels, config, targets, trials, words=None):
     return sel.encoding_order
 
 
-def _block_totals(config, targets, series, channels, trials, words=None, orders=(), totals=(),
+def _block_totals(config, targets, series, channels, rus=(), words=None, orders=(), totals=(),
                   raises=False):
     """Totals of each series over one block of trials; infeasible cells are NaN.
 
     A rule's orders serve every method of the block, and each method makes
     one solver call on the picked rows of all its series, stacked along the
-    trial axis. `words` are the block's random-selection words, as
-    `select_rus` takes them. A block that raises InfeasibleGeometryError
-    runs again as halves that keep the `orders` and `totals` found, down to
-    one trial, whose series then run alone: only a series that raises alone
-    turns NaN. A second half `raises` unrun when the first ran clean.
+    trial axis. `rus` are the trials' random-selection specs and `words`
+    their words, as `select_rus` takes them. A block that raises
+    InfeasibleGeometryError runs again as halves that keep the `orders` and
+    `totals` found, down to one trial, whose series then run alone: only a
+    series that raises alone turns NaN. A second half `raises` unrun when
+    the first ran clean.
     """
     # looked up per call, so a patched or traced solver takes effect
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
@@ -301,7 +302,7 @@ def _block_totals(config, targets, series, channels, trials, words=None, orders=
             if (alg, meth) not in totals:
                 if key not in orders:
                     orders[key] = _encoding_orders(
-                        alg, meth, channels, config, targets, trials, words)
+                        alg, meth, channels, config, targets, rus, words)
                 picks.setdefault(meth, {})[(alg, meth)] = orders[key]
         for meth, picked in picks.items():
             order = np.stack(list(picked.values()))[..., None]
@@ -310,13 +311,13 @@ def _block_totals(config, targets, series, channels, trials, words=None, orders=
             total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
             totals.update(zip(picked, np.split(total, len(picked))))
     except InfeasibleGeometryError:
-        if len(trials) > 1:
-            cut, parts = len(trials) // 2, []
+        if len(channels.users) > 1:
+            cut, parts = len(channels.users) // 2, []
             for half in (slice(cut), slice(cut, None)):
                 # a raising block has a half that raises: the second, if the first ran clean
                 raises = bool(parts) and not np.isnan(list(parts[0].values())).any()
                 parts.append(_block_totals(
-                    config, targets, series, ChannelSet(channels.users[half]), trials[half],
+                    config, targets, series, ChannelSet(channels.users[half]), rus[half],
                     None if words is None else words[half],
                     {k: v[half] for k, v in orders.items()},
                     {k: v[half] for k, v in totals.items()}, raises))
@@ -325,7 +326,7 @@ def _block_totals(config, targets, series, channels, trials, words=None, orders=
             return {series[0]: np.full(1, np.nan)}
         for name in series:
             totals.update(_block_totals(
-                config, targets, [name], channels, trials, words, orders, totals))
+                config, targets, [name], channels, rus, words, orders, totals))
     return {name: totals[name] for name in series}
 
 
@@ -342,7 +343,8 @@ def _run_chunk(payload):
 
     The block's streams are drawn once for all points: each trial's
     normals, as many as the largest point takes, of which a point reads
-    the first 2 K M, and its random-selection words, which serve every K.
+    the first 2 K M, and its random-selection specs and words, which
+    serve every K.
     A trial with a zero row among a point's normals is drawn again at
     that point by `sample_channel_set`, which redraws the row.
     """
@@ -355,9 +357,10 @@ def _run_chunk(payload):
         return [{} for _ in points]
     seeds = [SeedSpec(config.master_seed, 2 * t) for t in trials]
     z = _stream_normals(seeds, (max(2 * k * m for (m, k), s in zip(dims, series) if s),))
-    words = None
+    rus, words = (), None
     if "RUS" in config.algorithms:
-        words = _rus_words([SeedSpec(config.master_seed, 2 * t + 1) for t in trials], config.K_s)
+        rus = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
+        words = _stream_words(rus, 2 * config.K_s - 1)
     totals = []
     with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
         for (m, k), point_series in zip(dims, series):
@@ -369,7 +372,7 @@ def _run_chunk(payload):
             if redraw.size:
                 users[redraw] = sample_channel_set(m, k, [seeds[t] for t in redraw]).users
             totals.append(_block_totals(
-                config, targets, point_series, ChannelSet(users), trials, words))
+                config, targets, point_series, ChannelSet(users), rus, words))
     return totals
 
 
@@ -453,9 +456,11 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
     """All result rows for one sweep point; config, point and workers are checked first.
 
     `_samples` are the point's totals from `run_sweep`, which samples its
-    points together; left out, the point is sampled as a sweep of one.
+    points together and has checked the config; left out, the point is
+    sampled as a sweep of one.
     """
-    _check_config(config)
+    if _samples is None:
+        _check_config(config)
     if isinstance(sweep_value, np.ndarray) or sweep_value not in config.points():
         raise ConfigError(f"sweep value {sweep_value!r} is not a point of {config.points()}")
     workers = _workers(workers)

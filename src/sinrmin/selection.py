@@ -17,10 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import channel
 from .channel import (
     _M32, RANK_TOL, ChannelSet, _array, _complement_step, _seed_list, _squared_norms,
-    _stream_words,
+    _stream_words, _streams,
 )
 from .errors import BudgetError, ConfigError, InfeasibleGeometryError
 # approx_min_power and exact_min_power stay bound here: perfbench/tracing.py hooks them
@@ -192,14 +191,6 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
     return _result("AUS", channels, picked, _weakest_first(h, picked))
 
 
-def _rus_words(seeds, k_s: int):
-    """The first 2 K_s - 1 `channel._stream_words` of each spec, of which
-    the picks at any K take a prefix; None where `select_rus` calls
-    ``choice`` for the whole block: on a NumPy that seeds otherwise than
-    restated."""
-    return _stream_words(seeds, 2 * k_s - 1) if channel._RESTATED_SEEDING else None
-
-
 def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> SelectionResult:
     """Uniform random subset from the seed stream, encoded in draw order.
 
@@ -211,25 +202,27 @@ def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> Selectio
     per trial.
 
     Each trial picks what ``spec.generator().choice(K, k_s, replace=False)``
-    does. Up to K = 10,000, on a NumPy that seeds as restated, a block runs
-    its steps over the `channel._stream_words` of all trials at once; a
-    trial whose Lemire draw rejects a word, and any other block, calls ``choice``.
-    `_words`, when given, are the `_rus_words` of ``seed``, which serve
-    every K: `experiment` takes them once a block for every point.
+    does. Up to K = 10,000 a block runs its steps over the first
+    2 K_s - 1 `channel._stream_words` of all trials at once; a trial whose
+    Lemire draw rejects a word, and any trial past that K, calls ``choice``
+    on its `channel._streams` generator. `_words`, when given, are those
+    words of ``seed``, which serve every K: `experiment` takes them once a
+    block for every point.
     """
     _check_k_s(channels, k_s)
     seeds, k = _seed_list(seed), channels.K
     if len(seeds) != len(_block(channels)):
         raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
     redo, picked = range(len(seeds)), np.empty((len(seeds), k_s), dtype=np.intp)
-    if channel._RESTATED_SEEDING and k <= 10_000:  # beyond, choice may shuffle a tail instead
+    if k <= 10_000:  # beyond, choice may shuffle a tail instead
         # Floyd's sampling (Bentley & Floyd 1987), then a Fisher-Yates shuffle;
         # a draw in [0, j] is one word's 32-bit Lemire draw (Lemire 2019),
         # which choice rejects when the product's low half is below 2^32 mod (j + 1)
         spans = np.array([*range(k - k_s, k), *range(k_s - 1, 0, -1)], dtype=np.uint64) + 1
         skip = int(k == k_s)  # Floyd's draw in [0, 0] takes no word; 0 gives 0
-        words = (_rus_words(seeds, k_s) if _words is None else _words)[:, : spans.size - skip]
-        scaled = np.hstack([np.zeros((len(seeds), skip), np.uint32), words]) * spans
+        words = _stream_words(seeds, 2 * k_s - 1) if _words is None else _words
+        scaled = np.hstack([np.zeros((len(seeds), skip), np.uint32),
+                            words[:, : spans.size - skip]]) * spans
         draws = (scaled >> 32).astype(np.intp)
         redo = np.flatnonzero((scaled & _M32 < np.uint64(2**32) % spans).any(axis=1))
         picked = draws[:, :k_s]  # a Floyd draw already picked takes j instead
@@ -238,8 +231,8 @@ def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> Selectio
         rows = np.arange(len(seeds))
         for i, j in zip(range(k_s - 1, 0, -1), draws[:, k_s:].T):
             picked[rows, i], picked[rows, j] = picked[rows, j], picked[rows, i]
-    for t in redo:
-        picked[t] = seeds[t].generator().choice(k, size=k_s, replace=False)
+    for t, rng in zip(redo, _streams([seeds[t] for t in redo])):
+        picked[t] = rng.choice(k, size=k_s, replace=False)
     return _result("RUS", channels, picked, picked)
 
 

@@ -75,6 +75,21 @@ def test_counts_take_numpy_integers_as_ints_and_refuse_bools():
             DistributionSpec.norm_order_stat(*bad)
 
 
+@pytest.mark.parametrize("average, counts", [
+    (avg_power_nus, (4, 10, 2)),
+    (avg_power_sus, (4, 10, 2)),
+    (avg_power_rus, (4, 2)),
+    (avg_power_aus_two, (4, 10)),
+    (avg_power_lower_bound_two, (4, 10)),
+], ids=["nus", "sus", "rus", "aus_two", "lower_bound_two"])
+@pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "np.bool_"])
+def test_averages_refuse_a_bool_target(average, counts, bad):
+    # True once passed as a gamma or sigma_sq of 1
+    for targets in ((bad, SIGMA_SQ), (GAMMA, bad)):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            average(*counts, *targets)
+
+
 @pytest.mark.parametrize("call", [
     lambda: alpha([4], 3),
     lambda: alpha(np.array(4), 3),

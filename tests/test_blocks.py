@@ -112,7 +112,7 @@ def test_infeasible_trial_is_the_only_nan(t, data):
     _copy_strongest_user(h, bad)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h))
 
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [i in bad for i in range(t)]
     for key in series:
@@ -139,7 +139,7 @@ def test_exhaustive_infeasible_trial_in_a_block():
     for _, meth in series:
         with pytest.raises(InfeasibleGeometryError):
             select_exhaustive(ChannelSet(h), 3, targets, meth)
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h))
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
     for key in series:
         assert np.isnan(totals[key]).tolist() == [i in bad for i in range(t)]
@@ -174,7 +174,8 @@ def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
     monkeypatch.setattr(experiment, "select_exhaustive", searched)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, "approx") for alg in cfg.algorithms]
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(t))
+    rus = [SeedSpec(5, 2 * i + 1) for i in range(t)]
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), rus)
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [i == bad for i in range(t)]
     for key in series:
         assert not np.isnan(np.delete(totals[key], bad)).any()
@@ -200,7 +201,7 @@ def test_a_clean_first_half_leaves_the_raise_to_the_second(monkeypatch):
     monkeypatch.setattr(experiment, "approx_min_power", counted)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, "approx") for alg in cfg.algorithms]
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), range(4))
+    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h))
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [False, False, False, True]
     assert not np.isnan(totals[("SUS", "approx")]).any()
     assert calls == [8, 4, 2, 1, 1]
@@ -221,7 +222,7 @@ def test_an_overflowed_total_is_infinite_not_infeasible():
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.take_along_axis(block.users, order, axis=1)
         assert np.isnan(exact_min_power(rows, targets).total_power).all()
-        totals = experiment._block_totals(cfg, targets, series, block, range(3))
+        totals = experiment._block_totals(cfg, targets, series, block)
     assert np.isposinf(totals[("NUS", "exact")]).all()
 
 
@@ -235,10 +236,11 @@ def test_stacked_pricing_equals_each_series_alone(t):
     block = sample_channel_set(4, 6, [SeedSpec(11, 2 * i) for i in range(t)])
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
-    totals = experiment._block_totals(cfg, targets, series, block, range(t))
+    rus = [SeedSpec(11, 2 * i + 1) for i in range(t)]
+    totals = experiment._block_totals(cfg, targets, series, block, rus)
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
     for alg, meth in series:
-        order = experiment._encoding_orders(alg, meth, block, cfg, targets, range(t))
+        order = experiment._encoding_orders(alg, meth, block, cfg, targets, rus)
         rows = np.take_along_axis(block.users, order[..., None], axis=1)
         want = solvers[meth](rows, targets).total_power
         assert totals[(alg, meth)].tobytes() == want.tobytes()

@@ -51,6 +51,19 @@ def test_seed_spec_validation():
         SeedSpec(3, -1)
 
 
+def test_seed_spec_takes_numpy_integers():
+    spec = SeedSpec(np.uint64(2**64 - 1), np.int64(3))
+    assert spec == SeedSpec(2**64 - 1, 3) and hash(spec) == hash(SeedSpec(2**64 - 1, 3))
+    assert type(spec.master_seed) is int and type(spec.stream_index) is int
+    assert np.array_equal(sample_channel_set(3, 4, spec).users,
+                          sample_channel_set(3, 4, SeedSpec(2**64 - 1, 3)).users)
+    for bad in (True, np.True_, np.int64(-1), np.float64(5.0)):
+        with pytest.raises(ConfigError):
+            SeedSpec(bad)
+        with pytest.raises(ConfigError):
+            SeedSpec(0, bad)
+
+
 _INDEX_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]
 
 
@@ -86,13 +99,6 @@ def test_streams_fall_back_to_seed_spec_generators(monkeypatch):
     for rng, spec in zip(rngs, specs):
         assert rng.bit_generator.state == spec.generator().bit_generator.state
     assert np.array_equal(sample_channel_set(4, 6, specs).users, block)
-
-
-def test_seeding_check_compares_output_words(monkeypatch):
-    # a NumPy whose PCG64 output differed from the restated XSL-RR would fail it
-    words = channel._stream_words
-    monkeypatch.setattr(channel, "_stream_words", lambda seeds, n: words(seeds, n) ^ np.uint32(1))
-    assert not channel._restated_seeding_matches()
 
 
 # ---------------------------------------------------------------------------

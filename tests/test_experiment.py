@@ -1,5 +1,6 @@
 """Monte Carlo harness tests: determinism, oracles, flags, validation."""
 
+import dataclasses
 import math
 from collections import Counter
 from importlib import resources
@@ -423,7 +424,7 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
         return wrapper
 
     for name in ("select_nus", "select_rus", "select_exhaustive", "approx_min_power",
-                 "exact_min_power", "_stream_normals", "_rus_words"):
+                 "exact_min_power", "_stream_normals", "_stream_words"):
         monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(5, 6), trials=10, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
@@ -437,7 +438,7 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
         assert Counter(calls) == {
             # each block draws its streams once, for both points
             ("_stream_normals", None): blocks,
-            ("_rus_words", None): blocks,
+            ("_stream_words", None): blocks,
             ("select_nus", None): visits,
             ("select_rus", None): visits,
             ("select_exhaustive", "exact"): visits,
@@ -453,12 +454,12 @@ def _reference(cfg, sweep_value):
     alone: channels by `sample_channel_set` at its K and M, and the
     random-selection words `select_rus` takes itself."""
     m, k = cfg.dims_at(sweep_value)
-    trials = range(cfg.trials)
-    seeds = [SeedSpec(cfg.master_seed, 2 * t) for t in trials]
+    seeds = [SeedSpec(cfg.master_seed, 2 * t) for t in range(cfg.trials)]
+    rus = [SeedSpec(cfg.master_seed, 2 * t + 1) for t in range(cfg.trials)]
     series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _block_totals(cfg, targets, series, sample_channel_set(m, k, seeds), trials)
+        return _block_totals(cfg, targets, series, sample_channel_set(m, k, seeds), rus)
 
 
 def _assert_same_totals(got, want):
@@ -587,23 +588,43 @@ def test_rejected_lemire_word_calls_choice_at_every_point(monkeypatch):
     cfg = _cfg(**_K_SWEEP, trials=10, algorithms=("RUS",))
     plain = {v: _reference(cfg, v) for v in cfg.points()}
     t = 3
-    words = exp._rus_words
+    words = exp._stream_words
 
-    def rejecting(seeds, k_s):
+    def rejecting(seeds, n):
         # a zero word is rejected by a Lemire draw whose span is no power of
         # two: the second word's span is K - 1 at K > K_s, and 3 at K = K_s = 3
-        out = words(seeds, k_s).copy()
+        out = words(seeds, n).copy()
         out[t, 1] = 0
         return out
 
-    monkeypatch.setattr(exp, "_rus_words", rejecting)
-    with mock.patch.object(SeedSpec, "generator", autospec=True,
-                           side_effect=SeedSpec.generator) as built:
+    monkeypatch.setattr(exp, "_stream_words", rejecting)
+    # select_rus calls choice on the streams it hands to channel._streams
+    with mock.patch.object(selection, "_streams", side_effect=channel._streams) as chosen:
         samples = _sweep_samples(cfg, cfg.points(), workers=1)
-    assert [c.args[0] for c in built.call_args_list] == \
-        [SeedSpec(cfg.master_seed, 2 * t + 1)] * len(cfg.points())
+    assert [list(c.args[0]) for c in chosen.call_args_list] == \
+        [[SeedSpec(cfg.master_seed, 2 * t + 1)]] * len(cfg.points())
     for v, got in zip(cfg.points(), samples):
         _assert_same_totals(got, plain[v])
+
+
+def test_a_sweep_builds_each_spec_once():
+    # a block builds its channel and random-selection specs once, for every point
+    cfg = _cfg(**_K_SWEEP, trials=9, algorithms=("NUS", "RUS"))
+    with mock.patch.object(SeedSpec, "__post_init__", autospec=True,
+                           side_effect=SeedSpec.__post_init__) as built:
+        run_sweep(cfg)
+    assert built.call_count == 2 * cfg.trials
+
+
+def test_a_sweep_validates_its_config_once():
+    ref = resources.files("sinrmin").joinpath("configs/fig2.cfg")
+    with resources.as_file(ref) as path:
+        cfg = dataclasses.replace(parse_config(path), trials=20)
+    with mock.patch.object(ExperimentConfig, "validate", autospec=True,
+                           side_effect=ExperimentConfig.validate) as checked:
+        rows = run_sweep(cfg)
+    assert checked.call_count == 1
+    assert {row.sweep_value for row in rows} == set(cfg.sweep_values)
 
 
 def test_budget_exceeded_produces_flagged_row():

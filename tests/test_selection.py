@@ -253,14 +253,19 @@ def _rejects(spec, k, k_s) -> bool:
 
 def _assert_picks_equal_choice(specs, k, k_s):
     """select_rus on a block of ``specs`` picks what each spec's generator
-    chooses; returns the specs whose generators select_rus built."""
+    chooses; returns the specs on whose streams select_rus called choice."""
     block = ChannelSet(np.zeros((len(specs), k, k_s), dtype=complex))
-    with mock.patch.object(SeedSpec, "generator", autospec=True,
-                           side_effect=SeedSpec.generator) as built:
+    with mock.patch.object(selection, "_streams", side_effect=channel._streams) as chosen, \
+            mock.patch.object(SeedSpec, "generator", autospec=True,
+                              side_effect=SeedSpec.generator) as built:
         picked = select_rus(block, k_s, specs).selection_order
+    # every stream is positioned by channel._streams, which builds a
+    # generator of its own only on a NumPy that seeds otherwise
+    assert not built.called or not channel._RESTATED_SEEDING
     for row, spec in zip(picked, specs, strict=True):
         assert np.array_equal(row, spec.generator().choice(k, size=k_s, replace=False))
-    return [c.args[0] for c in built.call_args_list]
+    (call,) = chosen.call_args_list
+    return list(call.args[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -292,11 +297,16 @@ def test_rus_rejected_lemire_draw_calls_choice():
 
 
 def test_rus_without_restated_seeding_calls_choice(monkeypatch):
-    specs = [SeedSpec(9, i) for i in range(10)]
     monkeypatch.setattr(channel, "_RESTATED_SEEDING", False)
-    # words from the restatement would now be wrong; none may be used
+    # the restated seeding would now be wrong; no stream may take it
     monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
-    assert _assert_picks_equal_choice(specs, 12, 3) == specs
+    # the words come from each spec's own generator, and choice runs only
+    # where a Lemire draw rejects one
+    specs = [SeedSpec(9, i) for i in range(10)]
+    assert not any(_rejects(s, 12, 3) for s in specs)
+    assert _assert_picks_equal_choice(specs, 12, 3) == []
+    specs = [SeedSpec(20261018, i) for i in range(70385, 70390)]
+    assert _assert_picks_equal_choice(specs, 8839, 4) == [specs[2]]
 
 
 # ---------------------------------------------------------------------------
