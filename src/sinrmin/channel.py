@@ -10,7 +10,8 @@ one more direction by a complex Householder reflection, dropping an
 axis. A squared residual is then the plain sum of squares of a row's
 remaining coordinates. The greedy selection rules, the exhaustive
 search, `power.approx_min_power` and the public `sin_sq_angle` all
-step through it.
+step through it, and `power._uplink_step` is its closed form on the
+exact recursion's whitened coordinates, whose squared norm is h^H Z^-1 h.
 
 Random streams are defined by `SeedSpec.generator()`. Taking the master
 seed's pool from NumPy's SeedSequence and restating the rest of its

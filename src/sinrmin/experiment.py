@@ -41,7 +41,6 @@ from .selection import (
     ALGORITHM_TAGS,
     _complex_bytes,
     _dp_trial_bytes,
-    _exact_step_bytes,
     _per_chunk,
     select_aus,
     select_exhaustive,
@@ -58,9 +57,9 @@ _SWEEP_AXES = ("none", "M", "K")
 _POWER_METHODS = ("exact", "approx")
 
 # Blocks of trials are cut by `selection._per_chunk`, a trial's unit being its
-# channels or, if larger, its exact Z^-1. A point's totals and one exhaustive
-# approx DP trial must fit in _SAMPLE_BYTES, and `run_sweep` samples its
-# points in groups whose totals fit in it together.
+# K x M channels, which exact pricing holds again as whitened coordinates. A
+# point's totals and one exhaustive approx DP trial must fit in _SAMPLE_BYTES,
+# and `run_sweep` samples its points in groups whose totals fit in it together.
 _SAMPLE_BYTES = 1 << 28
 
 
@@ -186,7 +185,6 @@ class ExperimentConfig:
             )
         if self.exhaustive_budget < 1:
             raise ConfigError("exhaustive_budget must be positive")
-        exact = "exact" in self.methods()
 
         def fit(what, size, cap=None):  # the cap `selection._per_chunk` cuts by
             cap = selection._CHUNK_BYTES if cap is None else cap
@@ -203,14 +201,10 @@ class ExperimentConfig:
                     f"K_s={self.K_s} exceeds min(M, K)={min(m, k)} at M={m}, K={k}"
                 )
             fit("a trial's channels take", _complex_bytes(k, m))
-            if exact:
-                fit("a trial's exact Z^-1 takes", _complex_bytes(m, m))
             searched = (simulatable and "EXHAUSTIVE" in self.algorithms
                         and math.perm(k, self.K_s) <= self.exhaustive_budget)
             if searched and "approx" in self.methods():
                 fit("the exhaustive DP takes", _dp_trial_bytes(k, m, self.K_s), _SAMPLE_BYTES)
-            if searched and exact:  # the exact search steps at least one prefix at a time
-                fit("the exact search's step takes", _exact_step_bytes(k, m))
 
     def canonical(self) -> str:
         """Stable key=value rendering used for config hashing; it loads back
@@ -405,9 +399,7 @@ def _sweep_samples(config: ExperimentConfig, points, workers: int, pool=None):
     `pool` when given, else of a pool opened for these points alone.
     """
     w = _workers(workers)
-    exact = "exact" in config.methods()
-    cap = _per_chunk(max(_complex_bytes(max(k, m) if exact else k, m)
-                         for m, k in map(config.dims_at, points)))
+    cap = _per_chunk(max(_complex_bytes(k, m) for m, k in map(config.dims_at, points)))
     trials = config.trials
     n = min(trials, w * -(-trials // (w * cap)))
     args = [(config, points, range(trials * i // n, trials * (i + 1) // n))

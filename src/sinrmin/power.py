@@ -2,7 +2,8 @@
 
 Three solvers share one convention: row i of the channel matrix is the
 user at encoding position i, and position 0 faces no interference.
-`exact_min_power` runs the sequential dual-uplink recursion,
+`exact_min_power` runs the sequential dual-uplink recursion on the
+users' whitened coordinates, M values a user, stepped by `_uplink_step`;
 `approx_min_power` replaces the effective channel gain with the squared
 residual against the predecessors' span, and `downlink_dual_solution`
 converts the exact solution into downlink beamformers and powers whose
@@ -126,41 +127,34 @@ def _solution(per_user, achieved, method_tag, single) -> PowerSolution:
     return PowerSolution(per_user, total, achieved, method_tag)
 
 
-def _uplink_gain(zinv: np.ndarray, h_i: np.ndarray, gamma_i):
-    """One position of the dual uplink against the predecessors' Z^-1.
+def _uplink_step(c: np.ndarray, x: np.ndarray, d, p):
+    """Users' whitened coordinates c = L^-1 h (..., K, M), where Z = L L^H and
+    ||c||^2 = h^H Z^-1 h, once the user at `x`, of gain d = ||x||^2, joins Z
+    at unit-noise power p.
 
-    Returns the direction Z^-1 h_i, the gain h_i^H Z^-1 h_i and the
-    unit-noise power gamma_i / gain. Leading axes of `zinv` (..., M, M)
-    and `h_i` (..., M) are trials, each stepped on its own.
+    Each row takes c - g (c . conj x) x, g = p / (s (s + 1)), s = sqrt(1 + p d):
+    `channel._complement_step`'s reflection by (1, sqrt(p) x) on the rows
+    (0, c), in closed form. A row orthogonal to x keeps its bits.
     """
-    zh = (zinv @ h_i[..., None])[..., 0]
-    d = (h_i.conj() * zh).sum(axis=-1).real
-    return zh, d, gamma_i / d
-
-
-def _uplink_update(zinv: np.ndarray, zh: np.ndarray, d: np.ndarray, p: np.ndarray):
-    """Z^-1 once the user of `_uplink_gain`'s (zh, d, p) is added, by a rank-one update."""
-    w = p / (1.0 + p * d)
-    return zinv - w[..., None, None] * (zh[..., :, None] * zh.conj()[..., None, :])
+    s = np.sqrt(1.0 + p * d)
+    g = (p / (s * (s + 1.0)))[..., None, None]
+    return c - (g * (c @ x.conj()[..., :, None])) * x[..., None, :]
 
 
 def _dual_uplink(h: np.ndarray, gam: np.ndarray):
-    """Unit-noise powers, gains h_i^H Z_i^-1 h_i and directions Z_i^-1 h_i
-    of (..., n, M) rows.
+    """Unit-noise powers and gains h_i^H Z_i^-1 h_i of (..., n, M) rows.
 
-    Z_i accumulates the already-encoded users.
+    Z_i accumulates the already-encoded users; the later rows are held in
+    whitened coordinates, stepped by `_uplink_step` at each position.
     """
-    n, m = h.shape[-2:]
-    zinv = np.broadcast_to(np.eye(m, dtype=np.complex128), h.shape[:-2] + (m, m))
-    p_unit = np.empty(h.shape[:-1])
-    gains = np.empty(h.shape[:-1])
-    dirs = np.empty_like(h)
-    for i in range(n):
-        step = _uplink_gain(zinv, h[..., i, :], gam[i])
-        dirs[..., i, :], gains[..., i], p_unit[..., i] = step
-        if i + 1 < n:
-            zinv = _uplink_update(zinv, *step)
-    return p_unit, gains, dirs
+    p_unit, gains, c = np.empty(h.shape[:-1]), np.empty(h.shape[:-1]), h
+    for i in range(h.shape[-2]):
+        x = c[..., 0, :]
+        gains[..., i] = d = _squared_norms(x)
+        p_unit[..., i] = p = gam[i] / d
+        if i + 1 < h.shape[-2]:
+            c = _uplink_step(c[..., 1:, :], x, d, p)
+    return p_unit, gains
 
 
 def exact_min_power(channels, targets: SinrTargets) -> PowerSolution:
@@ -175,7 +169,7 @@ def exact_min_power(channels, targets: SinrTargets) -> PowerSolution:
     _check_sinr_targets(targets)
     h, single = _as_block(channels)
     _row_norms_checked(h)
-    p_unit, gains, _ = _dual_uplink(h, targets.gamma_vector(h.shape[1]))
+    p_unit, gains = _dual_uplink(h, targets.gamma_vector(h.shape[1]))
     return _solution(targets.sigma_sq * p_unit, p_unit * gains, "exact_dual_ul", single)
 
 
@@ -213,13 +207,14 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
 def downlink_dual_solution(channels, targets: SinrTargets) -> PowerSolution:
     """Downlink beamformers and powers dual to `exact_min_power`.
 
-    Beamformer i points along Z_i^-1 h_i from the exact recursion. In the
-    downlink realization the encoding chain runs from the back: position
-    n-1 is pre-cancelled for nobody and faces no interference, while
-    position i hears only beams j > i. Powers therefore solve the target
-    equations from the last position backward, and the resulting total
-    matches the exact recursion to machine precision. `achieved_sinr` is
-    recomputed from the returned beamformers and powers, not assumed.
+    Beamformer i points along Z_i^-1 h_i, solved on the predecessors' Gram
+    matrix with the exact recursion's powers. In the downlink realization
+    the encoding chain runs from the back: position n-1 is pre-cancelled
+    for nobody and faces no interference, while position i hears only
+    beams j > i. Powers therefore solve the target equations from the last
+    position backward, and the resulting total matches the exact recursion
+    to machine precision. `achieved_sinr` is recomputed from the returned
+    beamformers and powers, not assumed.
     """
     _check_sinr_targets(targets)
     h = _as_matrix(channels)
@@ -228,7 +223,12 @@ def downlink_dual_solution(channels, targets: SinrTargets) -> PowerSolution:
     gam = targets.gamma_vector(n)
     s2 = targets.sigma_sq
 
-    _, _, dirs = _dual_uplink(h, gam)
+    # Z_i^-1 h_i = h_i - sum_{j<i} a_j h_j, where (I + P G) a = P G e_i for the
+    # predecessors' powers P and Gram matrix G (Woodbury)
+    p_unit, dirs = _dual_uplink(h, gam)[0], h.copy()
+    for i in range(1, n):
+        pg = p_unit[:i, None] * (h[:i].conj() @ h[: i + 1].T)
+        dirs[i] -= np.linalg.solve(np.eye(i) + pg[:, :i], pg[:, i]) @ h[:i]
     bf = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
     # cross gains g2[k, j] = |h_k^H v_j|^2

@@ -26,8 +26,7 @@ from .errors import BudgetError, ConfigError, InfeasibleGeometryError
 from .power import (  # noqa: F401
     SinrTargets,
     _check_sinr_targets,
-    _uplink_gain,
-    _uplink_update,
+    _uplink_step,
     approx_min_power,
     exact_min_power,
 )
@@ -46,14 +45,10 @@ def _per_chunk(unit_bytes: int, cap: int | None = None) -> int:
 
 
 def _complex_bytes(rows: int, width: int) -> int:
-    """Bytes of `rows` complex rows of `width`: a trial's K x M channels, its
-    exact M x M Z^-1, the K users of an approx DP set."""
+    """Bytes of `rows` complex rows of `width`: a trial's K x M channels, or
+    their whitened coordinates in an exact search prefix, the K users of an
+    approx DP set."""
     return 16 * rows * width
-
-
-def _exact_step_bytes(k: int, m: int) -> int:
-    """Bytes of an exact search prefix row: the Z^-1 of each of K users."""
-    return k * _complex_bytes(m, m)
 
 
 def _dp_trial_bytes(k: int, m: int, k_s: int) -> int:
@@ -246,7 +241,9 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     """Branch and bound over the encoding prefixes of a (T, K, M) block, a
     level at a time; (T, K_s) orders, or None when a trial has none feasible.
 
-    A step prices a chunk of prefix rows, of any trials, against every user.
+    A step prices a chunk of prefix rows, of any trials, against every user:
+    each prefix holds its trial's users in whitened coordinates of its Z,
+    stepped from its parent's by `_uplink_step` only when its chunk is popped.
     A child's bound adds the later targets over its parent's largest free
     gain, as Z only grows. A dive down each trial's first lowest bounds gives
     its incumbent; then chunks go depth first in (trial, prefix) order, and
@@ -259,14 +256,19 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     if (live.sum(axis=1) < k_s).any():
         return None
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
-    rows = _per_chunk(_exact_step_bytes(k, m))  # prefixes one step takes
+    rows = _per_chunk(_complex_bytes(k, m))  # prefixes one step takes
 
-    def expand(trial, order, zinv, p, limit, first=False):
-        """Children of (N, j) prefixes within their trial's `limit`, in (row, user)
-        order, or only each trial's `first` lowest bound; Z^-1 below the leaf level."""
+    def expand(src, trial, order, p, parent, gain, limit, first=False):
+        """(N, j) prefixes' coordinates, their parents' rows of `src` stepped by
+        the last user (at the root, the rows), and their children within their
+        trial's `limit` in (row, user) order, or only each trial's `first`
+        lowest bound, as (trial, order, powers, parent row, last gain)."""
         j = order.shape[1]
-        with np.errstate(all="ignore"):  # taken users are stepped too; their rows drop out
-            zh, d, p_u = _uplink_gain(zinv[:, None], h[trial], gam[j])
+        c = _uplink_step(src[parent], src[parent, order[:, -1]], gain, p[:, -1]) \
+            if j else src[parent]
+        with np.errstate(all="ignore"):  # taken users are priced too; their rows drop out
+            d = _squared_norms(c)
+            p_u = gam[j] / d
             free = live[trial] & (order[:, :, None] != np.arange(k)).all(axis=1)
             reach = np.where(free, d, 0.0).max(axis=1, keepdims=True)
             bound = s2 * (p.sum(axis=1, keepdims=True) + p_u + gam[j + 1 :].sum() / reach)
@@ -276,28 +278,27 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
             if first:
                 i = _firsts(trial[parent], bound[kept])
                 kept = parent, user = parent[i], user[i]
-            zinv_u = _uplink_update(zinv[parent], zh[kept], d[kept], p_u[kept]) \
-                if j + 1 < k_s else None
-        return (trial[parent], np.column_stack([order[parent], user]), zinv_u,
-                np.column_stack([p[parent], p_u[kept]]), bound[kept])
+        return c, (trial[parent], np.column_stack([order[parent], user]),
+                   np.column_stack([p[parent], p_u[kept]]), parent, d[kept])
 
     best, best_order = np.full(n, math.inf), np.empty((n, k_s), np.intp)
-    root = (np.arange(n), np.zeros((n, 0), np.intp),
-            np.broadcast_to(np.eye(m, dtype=np.complex128), (n, m, m)), np.zeros((n, 0)))
-    dive, stack = np.empty(n), [root]
+    root = (np.arange(n), np.zeros((n, 0), np.intp), np.zeros((n, 0)), np.arange(n), np.ones(n))
+    dive = np.empty(n)
     for lo in range(0, n, rows):  # the dive, each trial's first lowest bound a level; best is inf
-        kids = expand(*(a[lo : lo + rows] for a in root), best, first=True)
-        for _ in range(k_s - 1):
-            kids = expand(*kids[:4], best, first=True)
-        dive[lo : lo + rows] = (s2 * kids[3]).sum(axis=1)
+        src, kids = h, tuple(a[lo : lo + rows] for a in root)
+        for _ in range(k_s):
+            src, kids = expand(src, *kids, best, first=True)
+        dive[lo : lo + rows] = (s2 * kids[2]).sum(axis=1)
+    stack = [(h, root)]
     while stack:
-        chunk = stack.pop()
-        if len(chunk[0]) > rows:  # the rest waits until this chunk's subtree is done
-            stack.append(tuple(a[rows:] for a in chunk))
+        src, kids = stack.pop()
+        if len(kids[0]) > rows:  # the rest waits until this chunk's subtree is done
+            stack.append((src, tuple(a[rows:] for a in kids)))
         limit = np.fmin(dive, best) * (1.0 + 1e-9)  # a margin for rounding; fmin skips NaN
-        trial, order, zinv, p, _ = expand(*(a[:rows] for a in chunk), limit)
+        c, kids = expand(src, *(a[:rows] for a in kids), limit)
+        trial, order, p = kids[:3]
         if len(order) and order.shape[1] < k_s:
-            stack.append((trial, order, zinv, p))
+            stack.append((c, kids))
         elif len(order):
             total = (s2 * p).sum(axis=1)
             i = _firsts(trial, np.where(np.isnan(total), math.inf, total))  # first of ties
@@ -446,12 +447,12 @@ def select_exhaustive(
     at K=20, K_s=4), in sub-chunks of rows that `_per_chunk` fits. Exact
     powers depend on the predecessors' order, so the exact route is one
     branch and bound over the encoding prefixes of a whole block: each
-    prefix row carries its set's index and pruning limit, one step prices
-    a chunk of rows (`_per_chunk` of `_exact_step_bytes`) against every
-    user, and only the kept
-    children below the leaf level get their own Z^-1. The worst case is
-    still every ordering, so `budget` bounds the ordering count
-    C(K, K_s) * K_s! before any work happens.
+    prefix row carries its trial's index and its users' whitened
+    coordinates, and one step prices a chunk of rows (`_per_chunk` of a
+    trial's channel bytes) against every user; a kept child is stepped
+    only when its chunk is popped. The worst case is still every ordering,
+    so `budget` bounds the ordering count C(K, K_s) * K_s! before any work
+    happens.
     """
     _check_k_s(channels, k_s)
     if not isinstance(power_fn, str) or power_fn not in ("exact", "approx"):

@@ -153,18 +153,23 @@ def test_run_point_checks_its_sweep_value(monkeypatch, overrides, sweep_value):
 
 
 def test_validate_bounds_the_exact_z_inverse():
-    # one trial's channels fit in the block bytes, but its M x M Z^-1 would take 4 GiB
-    big = dict(K_s=2, algorithms=("NUS",), M=16384, K=4)
+    # exact pricing holds Z^-1 as a trial's K x M whitened coordinates, so a
+    # trial's channel bytes bound it at any M: an M x M Z^-1 would take 4 GiB
+    # at M = 16384, and these configs were once refused for it
     for method in ("exact", "both"):
-        with pytest.raises(ConfigError, match=f"Z\\^-1 takes {16 * 16384**2} bytes"):
-            _cfg(power_method=method, **big).validate()
-    _cfg(power_method="approx", **big).validate()
-    _cfg(power_method="exact", M=256, K=4).validate()  # exactly the block bytes
-    with pytest.raises(ConfigError, match="Z\\^-1 takes"):
-        _cfg(power_method="exact", M=None, K=4, sweep_axis="M", sweep_values=(4, 257)).validate()
+        _cfg(power_method=method, K_s=2, algorithms=("NUS",), M=16384, K=4).validate()
+    _cfg(power_method="exact", M=256, K=256).validate()  # exactly the block bytes
+    with pytest.raises(ConfigError, match=f"channels take {16 * 256 * 257} bytes, over 1048576"):
+        _cfg(power_method="exact", M=257, K=256).validate()
+    _cfg(power_method="exact", M=None, K=4, sweep_axis="M", sweep_values=(4, 257)).validate()
+    with pytest.raises(ConfigError, match=f"channels take {16 * 4 * 65536} bytes"):
+        _cfg(power_method="exact", M=None, K=4, sweep_axis="M",
+             sweep_values=(4, 65536)).validate()
 
 
 def test_exact_blocks_hold_each_trials_z_inverse(monkeypatch):
+    # a trial's Z^-1, held as its whitened coordinates, takes its channels'
+    # bytes, so exact blocks are cut as approx blocks are, with the same tables
     import sinrmin.experiment as exp
 
     sizes = []
@@ -175,13 +180,54 @@ def test_exact_blocks_hold_each_trials_z_inverse(monkeypatch):
         return run_chunk(payload)
 
     monkeypatch.setattr(exp, "_run_chunk", recording)
-    cfg = _cfg(M=8, K=3, trials=10, power_method="both", algorithms=("NUS", "EXHAUSTIVE"))
+    cfgs = [_cfg(M=8, K=3, trials=10, power_method=method, algorithms=("NUS", "EXHAUSTIVE"))
+            for method in ("approx", "exact", "both")]
+    reference = _alone(cfgs[2])
+    monkeypatch.setattr(selection, "_CHUNK_BYTES", 3 * 16 * 8 * 8)  # 8 trials of channels
+    cuts = []
+    for cfg in cfgs:
+        sizes.clear()
+        samples = _alone(cfg)
+        cuts.append(list(sizes))
+    assert cuts == [[5, 5]] * 3
+    for key, arr in reference.items():
+        assert arr.tobytes() == samples[key].tobytes(), key
+
+
+def test_exact_search_memory_is_bounded_before_any_work(monkeypatch):
+    # a search step holds as many prefixes' K x M coordinates as the block
+    # bytes fit in, so only a trial's channels bound it: 256 MiB a step at
+    # M = K = 256 under the old 16 K M^2 bytes a prefix, now one trial's bytes
+    big = dict(M=256, K=256, K_s=2, trials=1, algorithms=("NUS", "EXHAUSTIVE"))
+    for method in ("exact", "both"):
+        _cfg(**big, power_method=method).validate()
+    _cfg(M=16, K=257, K_s=2, algorithms=("EXHAUSTIVE",), power_method="exact").validate()
+    _cfg(M=65, K=1000, K_s=3, trials=1, algorithms=("EXHAUSTIVE",), exhaustive_budget=10**9,
+         power_method="exact").validate()  # no DP, and a step holds one trial's channels
+    totals = _alone(_cfg(**big, power_method="exact"))
+    assert 0.0 < totals["EXHAUSTIVE", "exact"][0] <= totals["NUS", "exact"][0] < math.inf
+    # a search whose trial's channels overflow is refused before any sampling
+    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    with pytest.raises(ConfigError, match=f"channels take {16 * 4097 * 16} bytes"):
+        run_point(_cfg(M=16, K=4097, K_s=2, algorithms=("EXHAUSTIVE",),
+                       exhaustive_budget=10**8, power_method="exact"))
+    monkeypatch.undo()
+    # and no step prices more coordinate bytes than the block bytes
+    import sinrmin.power as power_mod
+    stepped = []
+    step = power_mod._uplink_step
+
+    def recording(c, *args):
+        stepped.append(c.nbytes)
+        return step(c, *args)
+
+    cfg = _cfg(M=6, K=8, K_s=3, trials=6, algorithms=("EXHAUSTIVE",), power_method="exact")
     reference = _alone(cfg)
-    sizes.clear()
-    # 3 trials of Z^-1, which is room for 8 trials of channels
-    monkeypatch.setattr(selection, "_CHUNK_BYTES", 3 * 16 * 8 * 8)
+    cap = 3 * 16 * 8 * 6  # three prefixes of one trial's coordinates
+    monkeypatch.setattr(selection, "_CHUNK_BYTES", cap)
+    monkeypatch.setattr(selection, "_uplink_step", recording)
     samples = _alone(cfg)
-    assert max(sizes) == 3
+    assert stepped and max(stepped) <= cap
     for key, arr in reference.items():
         assert arr.tobytes() == samples[key].tobytes(), key
 
@@ -206,8 +252,7 @@ def test_exhaustive_dp_memory_is_bounded_before_any_work():
     for method in ("approx", "both"):
         with pytest.raises(ConfigError, match="DP takes 1040000000 bytes"):
             _cfg(**big, power_method=method).validate()
-    with pytest.raises(ConfigError, match="exact search's step takes 67600000 bytes"):
-        _cfg(**big, power_method="exact").validate()  # its own bound, not the DP's
+    _cfg(**big, power_method="exact").validate()  # no DP is run
     _cfg(**dict(big, exhaustive_budget=997_001_999)).validate()  # skipped, never run
     _cfg(**big).validate(simulatable=False)
     # at K_s = 2 only the root is stepped in full: the last level's rows are
@@ -229,20 +274,6 @@ def test_the_dp_unit_is_at_most_the_largest_level():
             for m in range(k_s, k_s + 12):
                 largest = 16 * k * max(math.comb(k, j) * (m - j + 1) for j in range(k_s))
                 assert selection._dp_trial_bytes(k, m, k_s) <= largest, (k, m, k_s)
-
-
-def test_exact_search_memory_is_bounded_before_any_work():
-    # 65,280 orderings are within the budget, and one trial's channels and
-    # Z^-1 fit in the block bytes, but one prefix's step takes 16 K M^2 bytes
-    big = dict(M=256, K=256, K_s=2, trials=1, algorithms=("NUS", "EXHAUSTIVE"))
-    for method in ("exact", "both"):
-        with pytest.raises(ConfigError, match=f"step takes {16 * 256**3} bytes, over 1048576"):
-            _cfg(**big, power_method=method).validate()
-    _cfg(**big, exhaustive_budget=65_279, power_method="exact").validate()  # skipped
-    _cfg(**dict(big, algorithms=("NUS",)), power_method="exact").validate()
-    _cfg(M=16, K=256, K_s=2, algorithms=("EXHAUSTIVE",), power_method="exact").validate()
-    with pytest.raises(ConfigError, match=f"step takes {16 * 257 * 256} bytes"):
-        _cfg(M=16, K=257, K_s=2, algorithms=("EXHAUSTIVE",), power_method="exact").validate()
 
 
 def test_canonical_is_stable_and_complete():

@@ -1,5 +1,7 @@
 """Power recursion, residual-norm bound, and duality tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sinrmin.errors import (
 from sinrmin.power import (
     PowerSolution,
     SinrTargets,
+    _dual_uplink,
     approx_min_power,
     downlink_dual_solution,
     evaluate_sinr,
@@ -136,6 +139,41 @@ def test_encoding_order_matters():
     rev = exact_min_power(h[::-1], T10).total_power
     assert fwd == pytest.approx(115.0 / 6.0, rel=1e-12)
     assert rev == pytest.approx(140.0 / 6.0, rel=1e-12)
+
+
+def test_orthonormal_users_cost_their_targets_in_every_order():
+    # a row orthogonal to the added user keeps its bits, so every gain is 1
+    eye = np.eye(4)[:3]
+    for order in itertools.permutations(range(3)):
+        assert exact_min_power(eye[list(order)], SinrTargets(1.0, 1.0)).total_power == 3.0
+
+
+def _solved_gains(h, gam):
+    """h_i^H Z_i^-1 h_i by np.linalg.solve, Z_i = I + sum_{j<i} p_j h_j h_j^H."""
+    z, gains = np.eye(h.shape[1], dtype=complex), []
+    for h_i, g in zip(h, gam):
+        gains.append(np.vdot(h_i, np.linalg.solve(z, h_i)).real)
+        z = z + (g / gains[-1]) * np.outer(h_i, h_i.conj())
+    return np.array(gains)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    trial=st.integers(0, 10_000),
+    m=st.integers(1, 6),
+    extra=st.integers(-5, 3),
+    near=st.floats(1e-4, 1.0),
+    gamma=st.floats(0.1, 30.0),
+)
+def test_exact_gains_equal_a_solve_reference(trial, m, extra, near, gamma):
+    # up to 3 users past M, and a last user near the first one's direction
+    n = max(1, m + extra)
+    h = sample_channel_set(m, n, SeedSpec(0xD1A, trial)).users.copy()
+    if n > 1:
+        h[-1] = h[0] + near * h[-1]
+    gam = np.full(n, gamma)
+    _, gains = _dual_uplink(h, gam)
+    np.testing.assert_allclose(gains, _solved_gains(h, gam), rtol=1e-12, atol=0)
 
 
 def test_per_user_targets_respected():

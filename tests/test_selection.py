@@ -549,32 +549,34 @@ def test_exhaustive_exact_block_equals_its_rows(monkeypatch, chunk):
 
 
 def test_exhaustive_exact_does_not_enumerate(monkeypatch):
-    # a gain is one (prefix, user) pair priced; an update is the Z^-1 of one
-    # kept child, whose p * d is the target of the position it was stepped at
-    gains, updates = [], []
-    gain, update = selection._uplink_gain, selection._uplink_update
+    # a priced pair is one (prefix, user) gain, a squared norm of the prefix's
+    # coordinates; a stepped child takes `_uplink_step`, whose p * d is the
+    # target of the position it was stepped at
+    priced, stepped = [], []
+    norms, step = selection._squared_norms, selection._uplink_step
 
-    def counted_gain(zinv, h_i, gamma_i):
-        out = gain(zinv, h_i, gamma_i)
-        gains.append(out[1].size)
+    def counted_norms(rows):
+        out = norms(rows)
+        priced.append(out.size)
         return out
 
-    def counted_update(zinv, zh, d, p):
-        updates.append(p * d)
-        return update(zinv, zh, d, p)
+    def counted_step(c, x, d, p):
+        stepped.append(p * d)
+        return step(c, x, d, p)
 
-    monkeypatch.setattr(selection, "_uplink_gain", counted_gain)
-    monkeypatch.setattr(selection, "_uplink_update", counted_update)
+    monkeypatch.setattr(selection, "_squared_norms", counted_norms)
+    monkeypatch.setattr(selection, "_uplink_step", counted_step)
     targets = SinrTargets(np.array([10.0, 10.5, 11.0]), 1.0)
     for seed in range(3):
-        gains.clear()
-        updates.clear()
+        priced.clear()
+        stepped.clear()
         c = sample_channel_set(4, 8, SeedSpec(16, seed))
         got = select_exhaustive(c, 3, targets, "exact").encoding_order
         assert got == _brute_force_exact(c.users, 3, targets)[1]
-        assert sum(gains) <= 320  # enumerating the 336 orderings steps 520 rows
-        # only children at the first two positions: a leaf's Z^-1 is never used
-        stepped_at = np.concatenate(updates)
+        # the first count is the live check's norms of the 8 channels
+        assert priced[0] == 8 and sum(priced[1:]) <= 320  # every ordering prices 520
+        # only children at the first two positions: a leaf is never stepped
+        stepped_at = np.concatenate(stepped)
         assert np.isin(np.round(stepped_at, 6), [10.0, 10.5]).all()
         assert stepped_at.size <= 40  # every first- and second-position child makes 64
 
