@@ -12,6 +12,8 @@ remaining coordinates. The greedy selection rules, the exhaustive
 search, `power.approx_min_power` and the public `sin_sq_angle` all
 step through it, and `power._uplink_step` is its closed form on the
 exact recursion's whitened coordinates, whose squared norm is h^H Z^-1 h.
+A `ChannelSet` keeps the squared norms its finiteness check takes: the
+selection rules, the exhaustive search and the zero-row redraw read them.
 
 Random streams are defined by `SeedSpec.generator()`. Taking the master
 seed's pool from NumPy's SeedSequence and restating the rest of its
@@ -84,6 +86,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_RESTATED_RNG = np.random.Generator(np.random.PCG64(0))  # `_restated_streams` sets its state
 
 
 def _hashmix(value, const, mult: int = _MULT_A):
@@ -161,16 +164,14 @@ def _stream_words(seeds, n: int):
 
 
 def _restated_streams(seeds):
-    seeds = list(seeds)
-    rng = np.random.Generator(np.random.PCG64(0))  # every stream's state is set below
-    for state, inc in _stream_states(seeds):
-        rng.bit_generator.state = {
+    for state, inc in _stream_states(list(seeds)):
+        _RESTATED_RNG.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        yield rng
+        yield _RESTATED_RNG
 
 
 def _restated_seeding_matches() -> bool:
@@ -189,9 +190,10 @@ def _streams(seeds):
     the exact start of that spec's stream, so it draws what
     ``spec.generator()`` would.
 
-    Where this NumPy seeds as restated, the generator is one object
-    repositioned for every spec: finish with it before taking the next.
-    Otherwise each spec gets ``spec.generator()``.
+    Where this NumPy seeds as restated, the generator is one object, built
+    at import and shared by every call, repositioned for every spec: finish
+    with it before taking the next spec from any call. Otherwise each spec
+    gets ``spec.generator()``.
     """
     if _RESTATED_SEEDING:
         return _restated_streams(seeds)
@@ -209,21 +211,26 @@ def _seed_list(seed) -> list:
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
     """K user channels stacked as rows of a (K, M) complex array, or a
-    block of T such sets as a (T, K, M) array, one per trial."""
+    block of T such sets as a (T, K, M) array, one per trial. `users` is a
+    read-only view; `_norms` keeps the squared norms the set checks, (T, K)
+    or (1, K) for one set, which selection and the zero-row redraw read."""
 
     users: np.ndarray
 
     def __post_init__(self):
-        users = _as_complex(self.users, "users")
+        users = _as_complex(self.users, "users").view()
         if users.ndim not in (2, 3):
             raise DimensionError(
                 f"users must be a (K, M) or (T, K, M) array, got shape {users.shape}"
             )
         if min(users.shape) < 1:
             raise DimensionError(f"need T, K, M >= 1, got shape {users.shape}")
-        if not np.isfinite(_squared_norms(users)).all():  # finite entries too
+        norms = _squared_norms(users).reshape(-1, users.shape[-2])
+        if not np.isfinite(norms).all():  # finite entries too
             raise DomainError("channel squared norms must be finite")
-        object.__setattr__(self, "users", users)
+        for name, value in (("users", users), ("_norms", norms)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def K(self) -> int:
@@ -255,15 +262,16 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
     seeds = _seed_list(seed)
     if 16 * len(seeds) * int(K) * int(M) > np.iinfo(np.intp).max:
         raise DimensionError(f"{len(seeds)} sets of {K} x {M} channels exceed any array")
-    users, dead = _users(_stream_normals(seeds, (K, M, 2)), M, K)
-    redraw = np.flatnonzero(dead.any(axis=-1))
+    users = _users(_stream_normals(seeds, (K, M, 2)), M, K)
+    channels = ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
+    redraw = np.flatnonzero((channels._norms == 0.0).any(axis=-1))
     for t, rng in zip(redraw, _streams([seeds[t] for t in redraw])):
         rng.standard_normal((K, M, 2))  # the draw users[t] came from
-        while (rows := np.flatnonzero(dead[t])).size:
+        while (rows := np.flatnonzero(_squared_norms(users[t]) == 0.0)).size:
             z = rng.standard_normal((rows.size, M, 2))
             users[t, rows] = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-            dead[t] = (users[t].real**2 + users[t].imag**2).sum(axis=-1) == 0.0
-    return ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
+    # a redrawn row was written through `users`, so the set checks anew
+    return ChannelSet(channels.users) if redraw.size else channels
 
 
 def _stream_normals(seeds, shape: tuple) -> np.ndarray:
@@ -276,12 +284,10 @@ def _stream_normals(seeds, shape: tuple) -> np.ndarray:
     return z
 
 
-def _users(z: np.ndarray, M: int, K: int):
-    """(T, K, M) channels from the first 2 K M normals of each trial's in
-    `z`, and which of their rows are exactly zero."""
+def _users(z: np.ndarray, M: int, K: int) -> np.ndarray:
+    """(T, K, M) channels from the first 2 K M normals of each trial's in `z`."""
     z = z.reshape(len(z), -1)[:, : 2 * K * M].reshape(-1, K, M, 2)
-    users = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    return users, (users.real**2 + users.imag**2).sum(axis=-1) == 0.0
+    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
 def _array(value, what: str, kinds: str, error=DimensionError) -> np.ndarray:

@@ -361,12 +361,12 @@ def _run_chunk(payload):
             if not point_series:
                 totals.append({})
                 continue
-            users, dead = _users(z, m, k)
-            redraw = np.flatnonzero(dead.any(axis=-1))
+            channels = ChannelSet(users := _users(z, m, k))
+            redraw = np.flatnonzero((channels._norms == 0.0).any(axis=-1))
             if redraw.size:
                 users[redraw] = sample_channel_set(m, k, [seeds[t] for t in redraw]).users
-            totals.append(_block_totals(
-                config, targets, point_series, ChannelSet(users), rus, words))
+                channels = ChannelSet(users)
+            totals.append(_block_totals(config, targets, point_series, channels, rus, words))
     return totals
 
 

@@ -89,8 +89,8 @@ def _check_sinr_targets(targets) -> None:
         raise ConfigError(f"targets must be SinrTargets, got {targets!r}")
 
 
-def _as_block(channels) -> tuple[np.ndarray, bool]:
-    """(T, n, M) channel rows, and whether the input was one (n, M) set."""
+def _as_block(channels) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(T, n, M) channel rows and squared norms, and whether the input was one (n, M) set."""
     h = _as_complex(channels, "channels")
     single = h.ndim in (1, 2)
     if single:
@@ -99,24 +99,23 @@ def _as_block(channels) -> tuple[np.ndarray, bool]:
         raise DimensionError(
             f"expected (n, M) or (T, n, M) channel rows, got shape {np.shape(channels)}"
         )
-    if not np.isfinite(_squared_norms(h)).all():  # finite entries too
+    norms = _squared_norms(h)
+    if not np.isfinite(norms).all():  # finite entries too
         raise DomainError("channel squared norms must be finite")
-    return h, single
+    return h, norms, single
 
 
-def _as_matrix(channels) -> np.ndarray:
-    h, single = _as_block(channels)
+def _as_matrix(channels) -> tuple[np.ndarray, np.ndarray]:
+    h, norms, single = _as_block(channels)
     if not single:
         raise DimensionError(f"expected (n, M) channel rows, got shape {h.shape}")
-    return h[0]
+    return h[0], norms[0]
 
 
-def _row_norms_checked(h: np.ndarray) -> np.ndarray:
-    norms = _squared_norms(h)
+def _row_norms_checked(norms: np.ndarray) -> None:
     bad = norms <= 0.0
     if bad.any():  # argwhere only to name the channel
         raise DomainError(f"channel {np.argwhere(bad)[0, -1]} has zero norm")
-    return norms
 
 
 def _solution(per_user, achieved, method_tag, single) -> PowerSolution:
@@ -167,8 +166,8 @@ def exact_min_power(channels, targets: SinrTargets) -> PowerSolution:
     what it would alone.
     """
     _check_sinr_targets(targets)
-    h, single = _as_block(channels)
-    _row_norms_checked(h)
+    h, norms, single = _as_block(channels)
+    _row_norms_checked(norms)
     p_unit, gains = _dual_uplink(h, targets.gamma_vector(h.shape[1]))
     return _solution(targets.sigma_sq * p_unit, p_unit * gains, "exact_dual_ul", single)
 
@@ -184,14 +183,14 @@ def approx_min_power(channels, targets: SinrTargets) -> PowerSolution:
     it would alone, and one infeasible set fails the block.
     """
     _check_sinr_targets(targets)
-    h, single = _as_block(channels)
-    norms = _row_norms_checked(h)
+    h, norms, single = _as_block(channels)
+    _row_norms_checked(norms)
     gam = targets.gamma_vector(h.shape[1])
     # row i's coordinates against the predecessors' span lead `coords`;
     # past the M-th row no axis is left and the residual stays zero
     coords, res2 = h, np.zeros(h.shape[:-1])
     for i in range(min(h.shape[1:])):
-        res2[:, i] = _squared_norms(coords[:, 0])
+        res2[:, i] = _squared_norms(coords[:, 0]) if i else norms[:, 0]
         if i + 1 < h.shape[1]:
             coords = _complement_step(coords[:, 1:], coords[:, 0], res2[:, i])
     dead = res2 <= RANK_TOL**2 * norms
@@ -217,8 +216,8 @@ def downlink_dual_solution(channels, targets: SinrTargets) -> PowerSolution:
     beamformers and powers, not assumed.
     """
     _check_sinr_targets(targets)
-    h = _as_matrix(channels)
-    _row_norms_checked(h)
+    h, norms = _as_matrix(channels)
+    _row_norms_checked(norms)
     n = h.shape[0]
     gam = targets.gamma_vector(n)
     s2 = targets.sigma_sq
@@ -258,8 +257,7 @@ def evaluate_sinr(channels, beamformers, powers, targets: SinrTargets) -> np.nda
     used here.
     """
     _check_sinr_targets(targets)
-    h = _as_matrix(channels)
-    bf = _as_matrix(beamformers)
+    h, bf = _as_matrix(channels)[0], _as_matrix(beamformers)[0]
     q = np.atleast_1d(_real(powers, "powers"))
     if not (h.shape[0] == bf.shape[0] == q.size) or h.shape[1] != bf.shape[1]:
         raise DimensionError(

@@ -113,37 +113,35 @@ def _result(tag: str, channels: ChannelSet, picked, encoded) -> SelectionResult:
     return SelectionResult(tag, picked, encoded)
 
 
-def _weakest_first(h: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """Each row of `picked` ascending by norm, ties to the lower index."""
-    norms = np.take_along_axis(_squared_norms(h), picked, axis=-1)
+def _weakest_first(norms: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Each row of `picked` ascending by its users' `norms`, ties to the lower index."""
+    norms = np.take_along_axis(norms, picked, axis=-1)
     return np.take_along_axis(picked, np.lexsort((picked, norms), axis=-1), axis=-1)
 
 
 def select_nus(channels: ChannelSet, k_s: int) -> SelectionResult:
     """Pick the K_s strongest norms; encode weakest of those first."""
     _check_k_s(channels, k_s)
-    h = _block(channels)
-    picked = np.argsort(-_squared_norms(h), axis=-1, kind="stable")[:, :k_s]
-    return _result("NUS", channels, picked, _weakest_first(h, picked))
+    picked = np.argsort(-channels._norms, axis=-1, kind="stable")[:, :k_s]
+    return _result("NUS", channels, picked, _weakest_first(channels._norms, picked))
 
 
-def _greedy_residual(h: np.ndarray, k_s: int, by_angle: bool) -> np.ndarray:
+def _greedy_residual(h: np.ndarray, norms: np.ndarray, k_s: int, by_angle: bool) -> np.ndarray:
     """(T, K_s) pick orders of the greedy residual rules over a (T, K, M) block.
 
-    Every step scores each user by its squared residual against the
-    picked span, divided by its squared norm after the first step when
-    `by_angle`. Residuals at or below the rank floor count as exactly
-    zero, so dependent users tie and the lowest index wins. The users are
-    held in coordinates of the picked span's complement, stepped by each
-    trial's pick with `channel._complement_step`.
+    Every step scores each user by its squared residual against the picked
+    span, `norms` (T, K) at the first step, divided by its squared norm after
+    the first step when `by_angle`. Residuals at or below the rank floor count
+    as exactly zero, so dependent users tie and the lowest index wins. The
+    users are held in coordinates of the picked span's complement, stepped by
+    each trial's pick with `channel._complement_step`.
     """
     trials = np.arange(len(h))
-    norms = _squared_norms(h)
     floor = RANK_TOL**2 * norms
     coords = h  # each user's coordinates against the picked span
     picked = np.empty((len(h), k_s), dtype=np.intp)
     for step in range(k_s):
-        res2 = _squared_norms(coords)
+        res2 = _squared_norms(coords) if step else norms.copy()
         res2[res2 <= floor] = 0.0
         if by_angle and step:  # a zero-norm user scores 0, not 0/0
             scores = np.divide(res2, norms, out=np.zeros_like(res2), where=norms > 0.0)
@@ -168,7 +166,7 @@ def select_sus(channels: ChannelSet, k_s: int) -> SelectionResult:
     the rule is pure greedy.
     """
     _check_k_s(channels, k_s)
-    order = _greedy_residual(_block(channels), k_s, by_angle=False)
+    order = _greedy_residual(_block(channels), channels._norms, k_s, by_angle=False)
     return _result("SUS", channels, order, order)
 
 
@@ -181,9 +179,8 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
     what rejects such geometry.
     """
     _check_k_s(channels, k_s)
-    h = _block(channels)
-    picked = _greedy_residual(h, k_s, by_angle=True)
-    return _result("AUS", channels, picked, _weakest_first(h, picked))
+    picked = _greedy_residual(_block(channels), channels._norms, k_s, by_angle=True)
+    return _result("AUS", channels, picked, _weakest_first(channels._norms, picked))
 
 
 def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> SelectionResult:
@@ -237,7 +234,7 @@ def _firsts(trial: np.ndarray, key: np.ndarray) -> np.ndarray:
     return i[np.diff(trial[i], prepend=-1) != 0]
 
 
-def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
+def _best_exact_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: SinrTargets):
     """Branch and bound over the encoding prefixes of a (T, K, M) block, a
     level at a time; (T, K_s) orders, or None when a trial has none feasible.
 
@@ -251,8 +248,7 @@ def _best_exact_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     chunk replaces a trial's best, so ties keep the lexicographically first.
     """
     n, k, m = h.shape
-    # a zero-norm user makes exact_min_power raise for every ordering it is in
-    live = _squared_norms(h) > 0.0
+    live = norms > 0.0  # a zero-norm user makes exact_min_power raise in every ordering
     if (live.sum(axis=1) < k_s).any():
         return None
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
@@ -340,7 +336,7 @@ def _set_tables(k: int, k_s: int):
     return members, nexts, drops, elems
 
 
-def _best_approx_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
+def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: SinrTargets):
     """Backward DP over the predecessor sets of a (T, K, M) chunk of trials;
     (T, K_s) orders, or None when a trial has no feasible ordering.
 
@@ -362,7 +358,7 @@ def _best_approx_orders(h: np.ndarray, k_s: int, targets: SinrTargets):
     """
     n, k, m = h.shape
     scale = targets.sigma_sq * targets.gamma_vector(k_s)
-    floor = RANK_TOL**2 * _squared_norms(h)[:, None]
+    floor = RANK_TOL**2 * norms[:, None]  # of the chunk's (T, K) squared norms
     members, nexts, drops, elems = _set_tables(k, k_s)
     trials, last = np.arange(n), k_s - 1
 
@@ -462,12 +458,12 @@ def select_exhaustive(
         raise ConfigError(f"budget must be an int >= 1, got {budget!r}")
     if (count := math.perm(channels.K, k_s)) > budget:
         raise BudgetError(f"{count} orderings exceed the budget of {budget}; reduce K or K_s")
-    h = _block(channels)
+    h, norms = _block(channels), channels._norms
     if power_fn == "exact":
-        orders = _best_exact_orders(h, k_s, targets)
+        orders = _best_exact_orders(h, norms, k_s, targets)
     else:
         rows = _per_chunk(_dp_trial_bytes(channels.K, channels.M, k_s))
-        orders = [_best_approx_orders(h[lo : lo + rows], k_s, targets)
+        orders = [_best_approx_orders(h[lo : lo + rows], norms[lo : lo + rows], k_s, targets)
                   for lo in range(0, len(h), rows)]
         orders = None if any(o is None for o in orders) else np.concatenate(orders)
     if orders is None:

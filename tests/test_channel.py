@@ -25,6 +25,7 @@ from sinrmin.errors import (
     FullSpaceError,
     RankDeficiencyError,
 )
+from sinrmin.selection import select_rus
 
 # ---------------------------------------------------------------------------
 # seeding
@@ -99,6 +100,27 @@ def test_streams_fall_back_to_seed_spec_generators(monkeypatch):
     for rng, spec in zip(rngs, specs):
         assert rng.bit_generator.state == spec.generator().bit_generator.state
     assert np.array_equal(sample_channel_set(4, 6, specs).users, block)
+
+
+def test_streams_build_no_generator_after_import(monkeypatch):
+    # _streams repositions one generator built at import, on every call
+    assert channel._RESTATED_SEEDING
+    built, pcg64 = [], np.random.PCG64
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return pcg64(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    specs = [SeedSpec(7, i) for i in range(5)]
+    channel._stream_normals(specs, (3, 4, 2))
+    channel._stream_words(specs, 7)
+    # the third stream's Lemire draw rejects a word (see test_selection.py),
+    # and past K = 10,000 every trial calls choice
+    rejecting = [SeedSpec(20261018, i) for i in range(70385, 70390)]
+    for k, seeds in ((12, specs), (8839, rejecting), (10_001, specs)):
+        select_rus(ChannelSet(np.ones((len(seeds), k, 4), dtype=complex)), 4, seeds)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +225,50 @@ def test_channel_set_rejects_non_finite(bad):
     users[2, 1] = bad
     with pytest.raises(DomainError):
         ChannelSet(users)
+
+
+def test_channel_set_users_are_read_only_and_keep_their_norms():
+    h = sample_channel_set(3, 5, [SeedSpec(1, i) for i in range(4)]).users.copy()
+    for users in (h, h[1]):
+        cs = ChannelSet(users)
+        with pytest.raises(ValueError):
+            cs.users[0, 0] = 1
+        with pytest.raises(ValueError):
+            cs._norms[0, 0] = 1.0
+        assert users.flags.writeable and np.shares_memory(cs.users, users)
+        # a block's norms are (T, K), one set's (1, K)
+        norms = _squared_norms(cs.users).reshape(-1, 5)
+        assert cs._norms.shape == norms.shape == (len(h) if users.ndim == 3 else 1, 5)
+        assert cs._norms.tobytes() == norms.tobytes()
+
+
+@st.composite
+def _layouts(draw):
+    """A (T, n, M) complex block of entries over many scales, laid out as
+    drawn, strided as selection and the stacked pricing rows are, or in
+    Fortran order."""
+    t, n, m = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((t, n, m, 2)) * 2.0 ** rng.integers(-40, 40, (t, n, m, 2))
+    h = z[..., 0] + 1j * z[..., 1]
+    layout = draw(st.sampled_from(["C", "reversed", "taken", "F"]))
+    if layout == "reversed":
+        return h[:, ::-1]
+    if layout == "taken":
+        order = rng.permuted(np.tile(np.arange(n), (t, 1)), axis=1)[..., None]
+        return np.take_along_axis(h[None], order[None], axis=2)[0, :, : max(1, n - 1)]
+    return np.asfortranarray(h) if layout == "F" else h
+
+
+@settings(max_examples=100, deadline=None)
+@given(_layouts())
+def test_row_norms_equal_each_rows_own_bit_for_bit(h):
+    # a block's kept norms serve every slice of it: the DP's chunks, the
+    # first residual of a pricing call and its picked rows
+    norms = _squared_norms(h)
+    for i in range(h.shape[1]):
+        assert norms[..., i].tobytes() == _squared_norms(h[..., i, :]).tobytes()
+    assert norms[1:].tobytes() == _squared_norms(h[1:]).tobytes()
 
 
 def test_squared_norm_values():

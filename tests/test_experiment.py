@@ -480,6 +480,43 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
         }
 
 
+def test_a_block_takes_its_channels_norms_once(monkeypatch):
+    # the channel set keeps the squared norms its check takes: the rules
+    # read them, and a stacked approx call takes its rows' norms once and
+    # reads its first residual from them
+    import sinrmin.experiment as exp
+    from sinrmin import power
+
+    cfg = _cfg(K=6, trials=12, algorithms=("NUS", "SUS", "AUS", "RUS"))
+    payload = (cfg, cfg.points(), range(cfg.trials))
+    reference = exp._run_chunk(payload)
+    shapes, pricing = [], []
+    norms, approx = channel._squared_norms, exp.approx_min_power
+
+    def counted(rows):
+        shapes.append(rows.shape)
+        return norms(rows)
+
+    def priced(rows, targets):
+        start = len(shapes)
+        out = approx(rows, targets)
+        pricing.append((rows.shape, shapes[start:]))
+        return out
+
+    for module in (channel, selection, power):
+        monkeypatch.setattr(module, "_squared_norms", counted)
+    monkeypatch.setattr(exp, "approx_min_power", priced)
+    (totals,) = exp._run_chunk(payload)
+    for key, arr in reference[0].items():
+        assert arr.tobytes() == totals[key].tobytes(), key
+    # once, by the channel set's check, where each rule took its own (8 in all)
+    assert shapes.count((cfg.trials, cfg.K, cfg.M)) == 1
+    # one call stacks the four rules' picked rows; its second residual is
+    # of the rows stepped by their first, and no other pass is made
+    rows = (4 * cfg.trials, cfg.K_s, cfg.M)
+    assert pricing == [(rows, [rows, (rows[0], cfg.M - 1)])]
+
+
 def _reference(cfg, sweep_value):
     """Per-trial totals at one point from one block drawn for that point
     alone: channels by `sample_channel_set` at its K and M, and the

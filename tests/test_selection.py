@@ -573,8 +573,9 @@ def test_exhaustive_exact_does_not_enumerate(monkeypatch):
         c = sample_channel_set(4, 8, SeedSpec(16, seed))
         got = select_exhaustive(c, 3, targets, "exact").encoding_order
         assert got == _brute_force_exact(c.users, 3, targets)[1]
-        # the first count is the live check's norms of the 8 channels
-        assert priced[0] == 8 and sum(priced[1:]) <= 320  # every ordering prices 520
+        # the live check reads the set's kept norms, so the first count is
+        # the dive's root pricing its 8 users
+        assert priced[0] == 8 and sum(priced) <= 320  # every ordering prices 520
         # only children at the first two positions: a leaf is never stepped
         stepped_at = np.concatenate(stepped)
         assert np.isin(np.round(stepped_at, 6), [10.0, 10.5]).all()
