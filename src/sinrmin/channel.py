@@ -12,8 +12,8 @@ remaining coordinates. The greedy selection rules, the exhaustive
 search, `power.approx_min_power` and the public `sin_sq_angle` all
 step through it, and `power._uplink_step` is its closed form on the
 exact recursion's whitened coordinates, whose squared norm is h^H Z^-1 h.
-A `ChannelSet` keeps the squared norms its finiteness check takes: the
-selection rules, the exhaustive search and the zero-row redraw read them.
+A `ChannelSet` keeps the squared norms its finiteness check takes, by the
+package's one formula, `_squared_norms`; selection and the search read them.
 
 Random streams are defined by `SeedSpec.generator()`. Taking the master
 seed's pool from NumPy's SeedSequence and restating the rest of its
@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BudgetError,
     ConfigError,
     DimensionError,
     DomainError,
@@ -42,6 +43,8 @@ from .errors import (
 RANK_TOL = 1e-12
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+_SAMPLE_BYTES = 1 << 28  # the cap of a draw's normals and channels, 32 bytes an entry
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,8 @@ class ChannelSet:
     """K user channels stacked as rows of a (K, M) complex array, or a
     block of T such sets as a (T, K, M) array, one per trial. `users` is a
     read-only view; `_norms` keeps the squared norms the set checks, (T, K)
-    or (1, K) for one set, which selection and the zero-row redraw read."""
+    or (1, K) for one set, which selection reads. A row of zeros is kept:
+    the rules score it 0, and pricing raises DomainError."""
 
     users: np.ndarray
 
@@ -232,6 +236,9 @@ class ChannelSet:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through the checks
+        return ChannelSet, (self.users,)
+
     @property
     def K(self) -> int:
         return self.users.shape[-2]
@@ -242,12 +249,10 @@ class ChannelSet:
 
 
 def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
-    r"""Draw K channels with i.i.d. CN(0, 1) entries.
+    r"""Draw K channels with i.i.d. CN(0, 1) entries, kept as drawn.
 
-    Each entry is (a + jb) / sqrt(2) with a, b ~ N(0, 1).  An exact zero
-    vector (probability zero, but representable in floats) would break
-    the norm-based selection rules, so such rows are redrawn from the
-    same stream.
+    Each entry is (a + jb) / sqrt(2) with a, b ~ N(0, 1). A draw past
+    `_SAMPLE_BYTES` raises BudgetError before anything is allocated.
 
     Args:
         M: number of transmit antennas (entries per vector).
@@ -260,18 +265,11 @@ def sample_channel_set(M: int, K: int, seed) -> ChannelSet:
                for n in (M, K)):
         raise DimensionError(f"need integers M >= 1 and K >= 1, got M={M!r}, K={K!r}")
     seeds = _seed_list(seed)
-    if 16 * len(seeds) * int(K) * int(M) > np.iinfo(np.intp).max:
-        raise DimensionError(f"{len(seeds)} sets of {K} x {M} channels exceed any array")
+    if (size := 32 * len(seeds) * int(K) * int(M)) > _SAMPLE_BYTES:
+        raise BudgetError(f"{len(seeds)} sets of {K} x {M} channels take {size} bytes to "
+                          f"draw, over {_SAMPLE_BYTES}")
     users = _users(_stream_normals(seeds, (K, M, 2)), M, K)
-    channels = ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
-    redraw = np.flatnonzero((channels._norms == 0.0).any(axis=-1))
-    for t, rng in zip(redraw, _streams([seeds[t] for t in redraw])):
-        rng.standard_normal((K, M, 2))  # the draw users[t] came from
-        while (rows := np.flatnonzero(_squared_norms(users[t]) == 0.0)).size:
-            z = rng.standard_normal((rows.size, M, 2))
-            users[t, rows] = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    # a redrawn row was written through `users`, so the set checks anew
-    return ChannelSet(channels.users) if redraw.size else channels
+    return ChannelSet(users[0] if isinstance(seed, SeedSpec) else users)
 
 
 def _stream_normals(seeds, shape: tuple) -> np.ndarray:
@@ -310,13 +308,17 @@ def _as_complex(value, what: str) -> np.ndarray:
 
 def squared_norm(h: np.ndarray) -> float:
     """Squared Euclidean norm ||h||^2 as a plain float."""
-    h = _as_complex(h, "h")
-    return float(np.real(np.vdot(h, h)))
+    return float(_squared_norms(_as_complex(h, "h").ravel()))
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of every row along the last axis."""
-    return np.einsum("...i,...i->...", rows.conj(), rows).real
+    """Squared norm of every row along the last axis: the einsum of the
+    rows' float64 view with itself, which rounds a row alike in any layout.
+    Only a last axis that is not contiguous is copied."""
+    if rows.strides[-1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    flat = rows.view(np.float64)
+    return np.einsum("...i,...i->...", flat, flat)
 
 
 def _complement_step(coords: np.ndarray, x: np.ndarray, x_sq) -> np.ndarray:

@@ -33,8 +33,9 @@ from .analytic import (
     avg_power_rus,
     avg_power_sus,
 )
-from .channel import (ChannelSet, SeedSpec, _stream_normals, _stream_words, _users,
-                      sample_channel_set)
+# sample_channel_set stays bound here: perfbench/tracing.py hooks it
+from .channel import (_SAMPLE_BYTES, ChannelSet, SeedSpec, _stream_normals,  # noqa: F401
+                      _stream_words, _users, sample_channel_set)
 from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
@@ -59,8 +60,8 @@ _POWER_METHODS = ("exact", "approx")
 # Blocks of trials are cut by `selection._per_chunk`, a trial's unit being its
 # K x M channels, which exact pricing holds again as whitened coordinates. A
 # point's totals and one exhaustive approx DP trial must fit in _SAMPLE_BYTES,
-# and `run_sweep` samples its points in groups whose totals fit in it together.
-_SAMPLE_BYTES = 1 << 28
+# the cap of a channel draw, and `run_sweep` samples its points in groups
+# whose totals fit in it together.
 
 
 def _parse_cell(kind, raw: str):
@@ -201,8 +202,7 @@ class ExperimentConfig:
                     f"K_s={self.K_s} exceeds min(M, K)={min(m, k)} at M={m}, K={k}"
                 )
             fit("a trial's channels take", _complex_bytes(k, m))
-            searched = (simulatable and "EXHAUSTIVE" in self.algorithms
-                        and math.perm(k, self.K_s) <= self.exhaustive_budget)
+            searched = simulatable and "EXHAUSTIVE" in _runnable(self, k)
             if searched and "approx" in self.methods():
                 fit("the exhaustive DP takes", _dp_trial_bytes(k, m, self.K_s), _SAMPLE_BYTES)
 
@@ -338,9 +338,7 @@ def _run_chunk(payload):
     The block's streams are drawn once for all points: each trial's
     normals, as many as the largest point takes, of which a point reads
     the first 2 K M, and its random-selection specs and words, which
-    serve every K.
-    A trial with a zero row among a point's normals is drawn again at
-    that point by `sample_channel_set`, which redraws the row.
+    serve every K. Each point's channels are kept as drawn.
     """
     config, points, trials = payload
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
@@ -361,11 +359,7 @@ def _run_chunk(payload):
             if not point_series:
                 totals.append({})
                 continue
-            channels = ChannelSet(users := _users(z, m, k))
-            redraw = np.flatnonzero((channels._norms == 0.0).any(axis=-1))
-            if redraw.size:
-                users[redraw] = sample_channel_set(m, k, [seeds[t] for t in redraw]).users
-                channels = ChannelSet(users)
+            channels = ChannelSet(_users(z, m, k))
             totals.append(_block_totals(config, targets, point_series, channels, rus, words))
     return totals
 

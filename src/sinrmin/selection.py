@@ -363,8 +363,7 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
     trials, last = np.arange(n), k_s - 1
 
     def price(coords, j, member, floor):
-        flat = coords.view(np.float64)
-        res2 = np.einsum("...ki,...ki->...k", flat, flat)
+        res2 = _squared_norms(coords)
         ok = ~member & (res2 > floor)
         return res2, np.divide(scale[j], res2, out=np.full(res2.shape, np.inf), where=ok)
 

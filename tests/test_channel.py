@@ -1,5 +1,8 @@
 """Geometry and sampling tests: frozen values first, then distributional checks."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +22,14 @@ from sinrmin.channel import (
     squared_norm,
 )
 from sinrmin.errors import (
+    BudgetError,
     ConfigError,
     DimensionError,
     DomainError,
     FullSpaceError,
     RankDeficiencyError,
 )
+from sinrmin.power import SinrTargets, approx_min_power
 from sinrmin.selection import select_rus
 
 # ---------------------------------------------------------------------------
@@ -146,36 +151,45 @@ def test_sample_channel_set_moments():
     assert abs((cs.users.real**2).sum(axis=1).mean() - 2.0) < 0.05
 
 
-def test_zero_row_is_redrawn_from_its_trial_stream(monkeypatch):
+def test_a_zero_row_is_kept_as_drawn_and_pricing_refuses_it(monkeypatch):
     specs = [SeedSpec(8, i) for i in range(10)]
     M, K, t, row = 3, 4, 5, 2
     reference = sample_channel_set(M, K, specs).users
     streams = channel._streams
 
-    class ZeroRow:  # trial t's block draw comes out with one all-zero row
+    class ZeroRow:  # trial t's draw comes out with one all-zero row
         def __init__(self, rng):
             self.rng = rng
 
-        def standard_normal(self, *args, out):
-            self.rng.standard_normal(*args, out=out)
-            out[row] = 0.0
+        def standard_normal(self, *args, out=None):
+            drawn = self.rng.standard_normal(*args, out=out)
+            if out is not None:  # the set's draw, not a later one
+                out[row] = 0.0
+            return drawn
 
     def patched(seeds):
-        block = len(seeds) == len(specs)  # the block draw, not the redraw
         for spec, rng in zip(seeds, streams(seeds)):
-            yield ZeroRow(rng) if block and spec == specs[t] else rng
+            yield ZeroRow(rng) if spec == specs[t] else rng
 
     monkeypatch.setattr(channel, "_streams", patched)
-    users = sample_channel_set(M, K, specs).users
-    others = np.arange(len(specs)) != t
-    assert np.array_equal(users[others], reference[others])
-    rng = specs[t].generator()
-    rng.standard_normal((K, M, 2))  # the draw users[t] came from
-    z = rng.standard_normal((1, M, 2))
-    assert np.array_equal(users[t, row], ((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))[0])
-    assert squared_norm(users[t, row]) > 0.0
-    kept = np.arange(K) != row
-    assert np.array_equal(users[t, kept], reference[t, kept])
+    cs = sample_channel_set(M, K, specs)
+    drawn = np.ones(cs._norms.shape, dtype=bool)
+    drawn[t, row] = False
+    assert np.array_equal(cs.users[drawn], reference[drawn])
+    assert not cs.users[t, row].any() and cs._norms[t, row] == 0.0
+    with pytest.raises(DomainError, match=f"channel {row} has zero norm"):
+        approx_min_power(cs.users[t], SinrTargets(10.0, 0.1))
+
+
+def test_sample_channel_set_checks_its_bytes_before_drawing(monkeypatch):
+    # 32 TiB of normals and channels: refused before the allocator is asked
+    with pytest.raises(BudgetError, match="bytes to draw, over 268435456$"):
+        sample_channel_set(2**20, 2**20, SeedSpec(0))
+    # 32 bytes an entry, its two normals and its complex value
+    monkeypatch.setattr(channel, "_SAMPLE_BYTES", 32 * 2 * 3 * 4)
+    assert sample_channel_set(4, 3, [SeedSpec(0, i) for i in range(2)]).users.shape == (2, 3, 4)
+    with pytest.raises(BudgetError):
+        sample_channel_set(4, 3, [SeedSpec(0, i) for i in range(3)])
 
 
 def test_sample_channel_set_edge_dims():
@@ -242,6 +256,16 @@ def test_channel_set_users_are_read_only_and_keep_their_norms():
         assert cs._norms.tobytes() == norms.tobytes()
 
 
+def test_channel_set_pickles_and_copies_through_its_checks():
+    cs = sample_channel_set(3, 5, [SeedSpec(1, i) for i in range(4)])
+    for back in (pickle.loads(pickle.dumps(cs)), copy.deepcopy(cs)):
+        with pytest.raises(ValueError):
+            back.users[0, 0, 0] = 1
+        assert not back._norms.flags.writeable
+        assert back.users.tobytes() == cs.users.tobytes()
+        assert back._norms.tobytes() == cs._norms.tobytes()
+
+
 @st.composite
 def _layouts(draw):
     """A (T, n, M) complex block of entries over many scales, laid out as
@@ -266,9 +290,12 @@ def test_row_norms_equal_each_rows_own_bit_for_bit(h):
     # a block's kept norms serve every slice of it: the DP's chunks, the
     # first residual of a pricing call and its picked rows
     norms = _squared_norms(h)
+    flat = np.ascontiguousarray(h).view(np.float64)  # the one formula
+    assert norms.tobytes() == np.einsum("...i,...i->...", flat, flat).tobytes()
     for i in range(h.shape[1]):
         assert norms[..., i].tobytes() == _squared_norms(h[..., i, :]).tobytes()
     assert norms[1:].tobytes() == _squared_norms(h[1:]).tobytes()
+    assert squared_norm(h) == float(_squared_norms(h.ravel()))
 
 
 def test_squared_norm_values():

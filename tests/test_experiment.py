@@ -596,60 +596,6 @@ def test_block_size_does_not_change_samples(monkeypatch, workers):
         _assert_same_totals(_alone(cfg, workers=workers), reference)
 
 
-class _ZeroRun:
-    """A stream whose block draw (into `out`) comes out with normals
-    [lo, hi) zero; other draws, as a redraw makes, are the stream's own."""
-
-    def __init__(self, rng, lo, hi):
-        self.rng, self.lo, self.hi = rng, lo, hi
-
-    def standard_normal(self, *args, out=None):
-        drawn = self.rng.standard_normal(*args, out=out)
-        if out is not None:
-            out.reshape(-1)[self.lo : self.hi] = 0.0
-        return drawn
-
-
-@pytest.mark.parametrize("sweep, row, hit", [
-    # row 1 at M = 3 is normals 6..12, which make no whole row at M = 4 or 5
-    (_M_SWEEP, (6, 12), [(3, 6)]),
-    # row 5 at M = 4 is in the prefix of K = 6 and 8, not of K = 3
-    (dict(_K_SWEEP, M=4), (40, 48), [(4, 6), (4, 8)]),
-], ids=("M", "K"))
-def test_zero_row_is_redrawn_at_its_point_alone(monkeypatch, sweep, row, hit):
-    import sinrmin.experiment as exp
-
-    cfg = _cfg(**sweep, trials=10, algorithms=("NUS", "SUS", "RUS"))
-    plain = {v: _reference(cfg, v) for v in cfg.points()}
-    t = 6
-    target = SeedSpec(cfg.master_seed, 2 * t)
-    streams = channel._streams
-
-    def patched(seeds):
-        for spec, rng in zip(seeds, streams(seeds)):
-            yield _ZeroRun(rng, *row) if spec == target else rng
-
-    redraws = []
-    real = exp.sample_channel_set
-
-    def recording(m, k, seeds):
-        redraws.append((m, k, seeds))
-        return real(m, k, seeds)
-
-    monkeypatch.setattr(channel, "_streams", patched)
-    monkeypatch.setattr(exp, "sample_channel_set", recording)
-    forced = {v: _reference(cfg, v) for v in cfg.points()}  # sample_channel_set redraws the row
-    samples = dict(zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers=1)))
-    assert redraws == [(m, k, [target]) for m, k in hit]
-    for v in cfg.points():
-        _assert_same_totals(samples[v], forced[v])
-        m, k = cfg.dims_at(v)
-        # only trial t changed, and only where its point reads the zeros
-        kept = np.arange(cfg.trials) != t if 2 * k * m > row[0] else slice(None)
-        for key in plain[v]:
-            assert np.array_equal(samples[v][key][kept], plain[v][key][kept])
-
-
 def test_rejected_lemire_word_calls_choice_at_every_point(monkeypatch):
     import sinrmin.experiment as exp
 
