@@ -40,6 +40,7 @@ from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
 from .selection import (
     ALGORITHM_TAGS,
+    _best_approx_orders,
     _complex_bytes,
     _dp_trial_bytes,
     _per_chunk,
@@ -55,6 +56,7 @@ LOWER_BOUND_TAG = "LOWER_BOUND"
 NO_CLOSED_FORM = "no_closed_form"
 
 _SWEEP_AXES = ("none", "M", "K")
+_DP = ("EXHAUSTIVE", "approx")  # the series the approx DP's orders serve
 _POWER_METHODS = ("exact", "approx")
 
 # Blocks of trials are cut by `selection._per_chunk`, a trial's unit being its
@@ -338,7 +340,9 @@ def _run_chunk(payload):
     The block's streams are drawn once for all points: each trial's
     normals, as many as the largest point takes, of which a point reads
     the first 2 K M, and its random-selection specs and words, which
-    serve every K. Each point's channels are kept as drawn.
+    serve every K. Each point's channels are kept as drawn. At each M, one
+    approx DP at the widest K that searches gives every such K its orders;
+    a K where a trial has none feasible searches again in `_block_totals`.
     """
     config, points, trials = payload
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
@@ -353,14 +357,20 @@ def _run_chunk(payload):
     if "RUS" in config.algorithms:
         rus = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
         words = _stream_words(rus, 2 * config.K_s - 1)
-    totals = []
+    totals, orders = [], {}
     with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
+        for m in dict.fromkeys(m for (m, _), s in zip(dims, series) if _DP in s):
+            ks = [k for (m_k, k), s in zip(dims, series) if m_k == m and _DP in s]
+            wide = ChannelSet(_users(z, m, max(ks)))  # one approx DP serves each K at this M
+            dp = _best_approx_orders(wide.users, wide._norms, config.K_s, targets, ks)
+            orders.update(((m, k), {_DP: o}) for k, o in zip(ks, dp) if o is not None)
         for (m, k), point_series in zip(dims, series):
             if not point_series:
                 totals.append({})
                 continue
             channels = ChannelSet(_users(z, m, k))
-            totals.append(_block_totals(config, targets, point_series, channels, rus, words))
+            totals.append(_block_totals(config, targets, point_series, channels, rus, words,
+                                        orders.get((m, k), ())))
     return totals
 
 

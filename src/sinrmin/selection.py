@@ -307,14 +307,16 @@ def _best_exact_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sinr
 def _set_tables(k: int, k_s: int):
     """The DP's set structure, which depends only on (K, K_s).
 
-    Per size j < K_s, the j-sets of users in lexicographic order as a
-    (C(K, j), K) membership mask; per j < K_s - 1, the rank of S+u among
-    the (j+1)-sets (0 where u is in S) and, per (j+1)-set T, its members
-    in ascending order with the rank of T less each of them. T's parent
-    is the set less its largest, last member. The arrays are read-only:
-    every call shares them.
+    Per size j < K_s, the j-sets of users in colex order (by reversed
+    tuple) as a (C(K, j), K) membership mask; per j < K_s - 1, the rank
+    of S+u among the (j+1)-sets (0 where u is in S) and, per (j+1)-set T,
+    its members in ascending order with the rank of T less each of them.
+    T's parent is the set less its largest, last member. For K' <= K the
+    prefixes [:C(K', j), :K'] are the tables at K'. The arrays are
+    read-only: every call shares them.
     """
-    sets = [list(itertools.combinations(range(k), j)) for j in range(k_s)]
+    sets = [sorted(itertools.combinations(range(k), j), key=lambda s: s[::-1])
+            for j in range(k_s)]
     rank = [{s: i for i, s in enumerate(level)} for level in sets]
     members, nexts, drops, elems = [], [], [], []
     for j, level in enumerate(sets):
@@ -336,18 +338,23 @@ def _set_tables(k: int, k_s: int):
     return members, nexts, drops, elems
 
 
-def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: SinrTargets):
-    """Backward DP over the predecessor sets of a (T, K, M) chunk of trials;
-    (T, K_s) orders, or None when a trial has no feasible ordering.
+def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: SinrTargets, ks):
+    """Backward DP over the predecessor sets of a (T, K, M) block of trials;
+    per K' of `ks`, the (T, K_s) orders over the first K' users, or None
+    when a trial has no feasible ordering among them. A block of more
+    trials than `_per_chunk` fits by `_dp_trial_bytes` runs as chunks.
 
     g(S) = min over u outside S of sigma^2 gamma_|S| / res^2(u|S) + g(S+u),
-    with g = 0 on K_s-sets. For every j-set S, in lexicographic order, each
+    with g = 0 on K_s-sets. For every j-set S, in colex order, each
     user is held as its M - j coordinates in an orthonormal basis of the
     orthogonal complement of span(S), so res^2(u|S) is a plain sum of
     squares. A set's coordinates are its parent's (the set minus its
     largest member t) after `channel._complement_step` by t. Coordinates
     of t that are exactly zero put t in span(S), so S+t spans only j
-    dimensions and the step drops an axis as it is.
+    dimensions and the step drops an axis as it is. The levels below the
+    last and their cheapest encodings are priced and stepped once, at K:
+    a user's coordinates and cost against a set do not depend on the
+    other users, so K' reads them as the prefix [:, :C(K', j), :K'].
 
     A last-level set T is stepped only if F(T) + sigma^2 gamma_last / r is
     within its trial's incumbent, F(T) being the cheapest encoding of T and
@@ -356,10 +363,14 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
     the levels. Every other last-level set costs +inf, which no optimal
     ordering, tied ones included, goes through.
     """
-    n, k, m = h.shape
+    n, wide, m = h.shape
+    if n > (rows := _per_chunk(_dp_trial_bytes(wide, m, k_s))):
+        parts = [_best_approx_orders(h[lo : lo + rows], norms[lo : lo + rows], k_s, targets, ks)
+                 for lo in range(0, n, rows)]
+        return [None if any(p is None for p in ps) else np.concatenate(ps) for ps in zip(*parts)]
     scale = targets.sigma_sq * targets.gamma_vector(k_s)
     floor = RANK_TOL**2 * norms[:, None]  # of the chunk's (T, K) squared norms
-    members, nexts, drops, elems = _set_tables(k, k_s)
+    members, nexts, drops, elems = _set_tables(wide, k_s)
     trials, last = np.arange(n), k_s - 1
 
     def price(coords, j, member, floor):
@@ -372,54 +383,59 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
 
     coords = np.ascontiguousarray(h, dtype=np.complex128)[:, None]
     costs, enc = [], np.zeros((n, 1))  # enc: each set's cheapest encoding, F
-    dive, spent = np.zeros(n, np.intp), np.zeros(n)  # the greedy dive's set and its cost
     for j in range(last):
         res2, cost = price(coords, j, members[j], floor)
         costs.append(cost)
         drop, elem = drops[j], elems[j]
         enc = (enc[:, drop] + cost[:, drop, elem]).min(axis=2)
-        user = np.argmin(cost[trials, dive], axis=1)
-        spent += cost[trials, dive, user]
-        dive = nexts[j][dive, user]
         if j + 1 < last:
             coords = step(coords, res2, (slice(None), drop[:, -1]), elem[:, -1])
-    # the last level as flat (trial, set) rows, every trial's root when K_s = 1,
-    # stepped and priced a sub-chunk at a time
-    t, s = trials, np.zeros(n, np.intp)
-    if last:
-        parent, top = drops[last - 1][:, -1], elems[last - 1][:, -1]
-        _, tail = price(step(coords, res2, (trials, parent[dive]), top[dive]), last,
-                        members[last][dive], floor[:, 0])
-        incumbent = spent + tail.min(axis=1)
-        # the largest residual the parent leaves outside the set: its top two
-        # bound it, the parent's own members' (zero up to rounding) included
-        two = np.sort(res2, axis=2)[:, parent, -2:]
-        reach = np.where(res2[:, parent, top] < two[..., 1], two[..., 1], two[..., 0])
-        with np.errstate(divide="ignore"):  # no residual left bounds by +inf
-            bound = enc + scale[last] / reach
-        t, s = np.nonzero(bound <= incumbent[:, None] * (1.0 + 1e-9))
-    # per last-level set, kept by (trial, rank): its cheapest encoding, the top
-    # two residuals and their bound above, and its least cost and best last user
-    shape = (n, len(members[last]))
-    least, best = np.full(shape, np.inf), np.zeros(shape, np.intp)
-    rows = _per_chunk(_complex_bytes(k, m - last + 1))
-    for lo in range(0, len(t), rows):
-        ts, ss = t[lo : lo + rows], s[lo : lo + rows]
-        sub = step(coords, res2, (ts, parent[ss]), top[ss]) if last else coords[ts, 0]
-        _, tail = price(sub, last, members[last][ss], floor[ts, 0])
-        least[ts, ss], best[ts, ss] = tail.min(axis=1), tail.argmin(axis=1)
-    for j in reversed(range(last)):
-        costs[j] += least[:, nexts[j]]
-        least = costs[j].min(axis=2)
-    if not np.isfinite(least).all():
-        return None
-    # argmin takes the first minimum, so ties go to the smallest user
-    order, s = np.empty((n, k_s), np.intp), np.zeros(n, np.intp)
-    for j in range(last):
-        order[:, j] = np.argmin(costs[j][trials, s], axis=1)
-        s = nexts[j][s, order[:, j]]
-    order[:, last] = best[trials, s]
-    return order
+    found = []
+    for k in ks:
+        size = [math.comb(k, j) for j in range(k_s)]
+        cost, nxt = ([a[..., : size[j], :k] for j, a in enumerate(x)] for x in (costs, nexts))
+        member, fl = members[last][: size[last], :k], floor[..., :k]
+        dive, spent = np.zeros(n, np.intp), np.zeros(n)  # the greedy dive's set and its cost
+        for j in range(last):
+            user = np.argmin(cost[j][trials, dive], axis=1)
+            spent += cost[j][trials, dive, user]
+            dive = nxt[j][dive, user]
+        # the last level as flat (trial, set) rows, every trial's root when K_s = 1,
+        # stepped and priced a sub-chunk at a time
+        t, s, c = trials, np.zeros(n, np.intp), coords[:, :, :k]
+        if last:
+            r2 = res2[:, : size[last - 1], :k]
+            parent, top = drops[last - 1][: size[last], -1], elems[last - 1][: size[last], -1]
+            _, tail = price(step(c, r2, (trials, parent[dive]), top[dive]), last,
+                            member[dive], fl[:, 0])
+            incumbent = spent + tail.min(axis=1)
+            # the largest residual the parent leaves outside the set: its top two
+            # bound it, the parent's own members' (zero up to rounding) included
+            two = np.sort(r2, axis=2)[:, parent, -2:]
+            reach = np.where(r2[:, parent, top] < two[..., 1], two[..., 1], two[..., 0])
+            with np.errstate(divide="ignore"):  # no residual left bounds by +inf
+                bound = enc[:, : size[last]] + scale[last] / reach
+            t, s = np.nonzero(bound <= incumbent[:, None] * (1.0 + 1e-9))
+        # per last-level set, kept by (trial, rank): its cheapest encoding, the top
+        # two residuals and their bound above, and its least cost and best last user
+        least, best = np.full((n, size[last]), np.inf), np.zeros((n, size[last]), np.intp)
+        rows = _per_chunk(_complex_bytes(k, m - last + 1))
+        for lo in range(0, len(t), rows):
+            ts, ss = t[lo : lo + rows], s[lo : lo + rows]
+            sub = step(c, r2, (ts, parent[ss]), top[ss]) if last else c[ts, 0]
+            _, tail = price(sub, last, member[ss], fl[ts, 0])
+            least[ts, ss], best[ts, ss] = tail.min(axis=1), tail.argmin(axis=1)
+        for j in reversed(range(last)):
+            cost[j] = cost[j] + least[:, nxt[j]]
+            least = cost[j].min(axis=2)
+        # argmin takes the first minimum, so ties go to the smallest user
+        order, s = np.empty((n, k_s), np.intp), np.zeros(n, np.intp)
+        for j in range(last):
+            order[:, j] = np.argmin(cost[j][trials, s], axis=1)
+            s = nxt[j][s, order[:, j]]
+        order[:, last] = best[trials, s]
+        found.append(order if np.isfinite(least).all() else None)
+    return found
 
 
 def select_exhaustive(
@@ -435,8 +451,8 @@ def select_exhaustive(
     on-average rule. Ties resolve to the lexicographically smallest index
     sequence. An approx cost depends only on the set encoded before it,
     so that route is a DP over sum_{j<K_s} C(K, j) predecessor sets
-    (1,351 at K=20, K_s=4), run over chunks of trials, as many as
-    `_per_chunk` fits by `_dp_trial_bytes`. Of the last level's sets it
+    (1,351 at K=20, K_s=4) in colex order, run over chunks of trials, as
+    many as `_per_chunk` fits by `_dp_trial_bytes`. Of the last level's sets it
     steps only those whose cheapest encoding plus a bound on the last
     user's cost is within a greedy dive's total (about 90 of 1,140 a trial
     at K=20, K_s=4), in sub-chunks of rows that `_per_chunk` fits. Exact
@@ -461,10 +477,7 @@ def select_exhaustive(
     if power_fn == "exact":
         orders = _best_exact_orders(h, norms, k_s, targets)
     else:
-        rows = _per_chunk(_dp_trial_bytes(channels.K, channels.M, k_s))
-        orders = [_best_approx_orders(h[lo : lo + rows], norms[lo : lo + rows], k_s, targets)
-                  for lo in range(0, len(h), rows)]
-        orders = None if any(o is None for o in orders) else np.concatenate(orders)
+        (orders,) = _best_approx_orders(h, norms, k_s, targets, (channels.K,))
     if orders is None:
         raise InfeasibleGeometryError("every ordering is infeasible")
     return _result("EXHAUSTIVE", channels, orders, orders)

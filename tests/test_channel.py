@@ -467,17 +467,21 @@ def test_complement_step_subnormal_first_coordinate():
 
 def test_complement_step_broadcasts_over_leading_axes():
     # one (m,) row x per leading index, any number of rows: each leading
-    # index gets what it would alone
+    # index gets what it would alone, and each row what it would beside
+    # fewer rows, as the approx DP's K prefixes read them. A lone row is
+    # a dot product, which may round otherwise; the DP steps K >= K_s >= 2
     rng = SeedSpec(9, 0).generator()
-    for k in (0, 1, 4):
+    for k in (0, 1, 4, 21):
         coords = _randn(rng, (5, 3, k, 4))
         x = _randn(rng, (5, 3, 4))
         out = _complement_step(coords, x, _squared_norms(x))
         assert out.shape == (5, 3, k, 3)
         for t in range(5):
             for u in range(3):
-                alone = _complement_step(coords[t, u], x[t, u], _squared_norms(x[t, u]))
-                assert np.array_equal(out[t, u], alone)
+                for rows in {k, *range(2, k)}:
+                    alone = _complement_step(coords[t, u, :rows], x[t, u],
+                                             _squared_norms(x[t, u]))
+                    assert np.array_equal(out[t, u, :rows], alone)
 
 
 def test_complement_step_rows_beyond_the_axes():

@@ -19,6 +19,7 @@ from sinrmin.experiment import (
     ExperimentConfig,
     ResultRow,
     _block_totals,
+    _runnable,
     _sweep_samples,
     run_point,
     run_sweep,
@@ -454,8 +455,8 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("select_nus", "select_rus", "select_exhaustive", "approx_min_power",
-                 "exact_min_power", "_stream_normals", "_stream_words"):
+    for name in ("select_nus", "select_rus", "select_exhaustive", "_best_approx_orders",
+                 "approx_min_power", "exact_min_power", "_stream_normals", "_stream_words"):
         monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(5, 6), trials=10, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
@@ -473,7 +474,8 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
             ("select_nus", None): visits,
             ("select_rus", None): visits,
             ("select_exhaustive", "exact"): visits,
-            ("select_exhaustive", "approx"): visits,
+            # one approx DP a block serves both points
+            ("_best_approx_orders", None): blocks,
             # one solver call per method: NUS, RUS and EXHAUSTIVE stacked
             ("exact_min_power", None): visits,
             ("approx_min_power", None): visits,
@@ -518,13 +520,13 @@ def test_a_block_takes_its_channels_norms_once(monkeypatch):
 
 
 def _reference(cfg, sweep_value):
-    """Per-trial totals at one point from one block drawn for that point
-    alone: channels by `sample_channel_set` at its K and M, and the
-    random-selection words `select_rus` takes itself."""
+    """Per-trial totals of the series run at one point, from one block drawn
+    for that point alone: channels by `sample_channel_set` at its K and M,
+    and the random-selection words `select_rus` takes itself."""
     m, k = cfg.dims_at(sweep_value)
     seeds = [SeedSpec(cfg.master_seed, 2 * t) for t in range(cfg.trials)]
     rus = [SeedSpec(cfg.master_seed, 2 * t + 1) for t in range(cfg.trials)]
-    series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
+    series = [(alg, meth) for alg in _runnable(cfg, k) for meth in cfg.methods()]
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     with np.errstate(over="ignore", invalid="ignore"):
         return _block_totals(cfg, targets, series, sample_channel_set(m, k, seeds), rus)
@@ -538,9 +540,18 @@ def _assert_same_totals(got, want):
 
 _K_SWEEP = dict(K=None, sweep_axis="K", sweep_values=(3, 6, 8), K_s=3)  # K = K_s included
 _M_SWEEP = dict(M=None, K=6, sweep_axis="M", sweep_values=(3, 5, 4), K_s=3)  # widest in the middle
+# a block's one approx DP at the widest K that searches serves every K: widest
+# first, K_s = 1 with K = K_s, and a budget that leaves K = 8 unsearched
+_DP_SWEEPS = {
+    "K-down": dict(K=None, sweep_axis="K", sweep_values=(8, 3, 6), K_s=3),
+    "Ks1": dict(K=None, sweep_axis="K", sweep_values=(4, 1, 3), K_s=1),
+    "K-budget": dict(K=None, sweep_axis="K", sweep_values=(8, 3, 6), K_s=3,
+                     exhaustive_budget=math.perm(6, 3)),
+}
 
 
-@pytest.mark.parametrize("sweep", (_K_SWEEP, _M_SWEEP), ids=("K", "M"))
+@pytest.mark.parametrize("sweep", (_K_SWEEP, _M_SWEEP, *_DP_SWEEPS.values()),
+                         ids=("K", "M", *_DP_SWEEPS))
 @pytest.mark.parametrize("workers", (1, 2))
 def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
     import sinrmin.experiment as exp
@@ -559,6 +570,30 @@ def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
             _assert_same_totals(samples, alone[v])
     rows = [row for v in cfg.points() for row in run_point(cfg, v)]
     assert run_sweep(cfg, workers) == rows
+
+
+def test_a_trial_infeasible_at_one_k_only(monkeypatch):
+    # trial 5's third user copies its first, so at K = K_s = 3 every ordering
+    # is infeasible and the block halves there, while K = 4 and 6 search it
+    import sinrmin.experiment as exp
+
+    draw = exp._stream_normals
+
+    def copied(seeds, shape):
+        z = draw(seeds, shape)
+        for t, spec in enumerate(seeds):
+            if spec.stream_index == 2 * 5:
+                z[t, 16:24] = z[t, :8]  # M = 4: a user is 8 normals
+        return z
+
+    monkeypatch.setattr(exp, "_stream_normals", copied)
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=(6, 3, 4), K_s=3, trials=8,
+               algorithms=("NUS", "EXHAUSTIVE"))
+    samples = _sweep_samples(cfg, cfg.points(), 1)
+    for v, got in zip(cfg.points(), samples):
+        _assert_same_totals(got, _alone(cfg, v))
+        assert np.isnan(got[("EXHAUSTIVE", "approx")][5]) == (v == 3)
+    assert not np.isnan(samples[1][("EXHAUSTIVE", "approx")][:5]).any()
 
 
 def test_sweep_groups_keep_the_rows(monkeypatch):

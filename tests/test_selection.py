@@ -603,6 +603,17 @@ def test_set_tables_structure():
                     assert all(u not in sets[j][d] for d, u in zip(drop, elem))
             for a in members + nexts + drops + elems:
                 assert not a.flags.writeable
+            # colex order: for every K' <= K the j-sets inside range(K') come
+            # first, and the tables' prefixes stay inside them
+            for k_p in range(k + 1):
+                size = [math.comb(k_p, j) for j in range(k_s + 1)]
+                for j, level in enumerate(sets):
+                    assert level[: size[j]] == [s for s in level if s <= set(range(k_p))]
+                for j in range(k_s - 1):
+                    free = ~members[j][: size[j], :k_p]  # S+u for u outside S
+                    assert (nexts[j][: size[j], :k_p][free] < size[j + 1]).all(), (k, k_s, j, k_p)
+                    assert (drops[j][: size[j + 1]] < size[j]).all()
+                    assert (elems[j][: size[j + 1]] < k_p).all()
 
 
 @pytest.mark.parametrize("trials_a_chunk", [None, 1, 3])
@@ -656,6 +667,56 @@ def test_exhaustive_dp_orders_do_not_depend_on_sub_chunks(monkeypatch):
         # the dive's step and one per last-level set, each of one row
         assert rows.count((1,)) == 1 + math.comb(6, 3)
         assert tuple(orders[3]) == (0, 1, 2, 3) and tuple(orders[8]) == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("k_s", [1, 2, 4])
+def test_exhaustive_dp_serves_every_k_prefix(monkeypatch, k_s):
+    # one DP over K = 7 users answers for the first K' users as a DP over
+    # those alone would, copies that tie orderings and infeasible K' included
+    h = sample_channel_set(4, 7, [SeedSpec(24, t) for t in range(30)]).users.copy()
+    h[::3, 5] = h[::3, 0]
+    h[1::3, 4] = 1j * h[1::3, 2]
+    h[2, 1] = h[2, 0]  # infeasible at K' = K_s = 2 only
+    h[4, :3] = 0.0  # three zero users: nothing is feasible before K' = K_s + 3
+    ks = range(k_s, 8)
+    for targets in (T10, SinrTargets(np.array([3.0, 0.5, 8.0, 2.0])[:k_s], 0.1)):
+        for trials_a_chunk in (None, 4):
+            if trials_a_chunk:
+                monkeypatch.setattr(selection, "_CHUNK_BYTES",
+                                    trials_a_chunk * selection._dp_trial_bytes(7, 4, k_s))
+            c = ChannelSet(h)
+            shared = selection._best_approx_orders(c.users, c._norms, k_s, targets, ks)
+            monkeypatch.undo()
+            for k, got in zip(ks, shared):
+                try:
+                    want = select_exhaustive(ChannelSet(h[:, :k]), k_s, targets).encoding_order
+                except InfeasibleGeometryError:
+                    want = None
+                assert (got is None) == (want is None) and np.array_equal(got, want), k
+    assert any(o is None for o in shared) and shared[-1] is not None
+
+
+def test_exhaustive_dp_steps_lower_levels_once_a_chunk_for_a_k_sweep(monkeypatch):
+    # figure 4's shape, M = K_s = 4 over a K sweep: levels 1 and 2 are
+    # stepped in full, as (trial, set, user, coordinate) arrays, once a DP
+    # chunk at the widest K, not once a point
+    from sinrmin import experiment
+
+    cfg = experiment.ExperimentConfig(
+        K_s=4, gamma_db=10.0, sigma_sq=0.1, algorithms=("NUS", "EXHAUSTIVE"), trials=40,
+        master_seed=4, M=4, sweep_axis="K", sweep_values=(5, 14, 8, 11))
+    full, step = [], selection._complement_step
+
+    def recording(coords, x, x_sq):
+        if coords.ndim == 4:
+            full.append(coords.shape[1:3])
+        return step(coords, x, x_sq)
+
+    monkeypatch.setattr(selection, "_complement_step", recording)
+    experiment._run_chunk((cfg, cfg.points(), range(cfg.trials)))
+    chunks = -(-cfg.trials // selection._per_chunk(selection._dp_trial_bytes(14, 4, 4)))
+    assert chunks == 3
+    assert full == [(14, 14), (math.comb(14, 2), 14)] * chunks
 
 
 def test_exhaustive_dp_does_not_enumerate(monkeypatch):
