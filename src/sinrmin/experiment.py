@@ -1,14 +1,17 @@
 """Seeded Monte Carlo over coherence blocks.
 
 One trial = one channel realization: select users, order them, price the
-selection under the configured power model(s). Trials run in blocks: each
-rule selects once and each solver prices once per block and sweep point,
-over (T, K, M) arrays. Trial t still draws its channels from stream 2t
-and its random-selection choices from stream 2t+1 of the master seed, and
-each block row gets what that trial alone would, so results are identical
-no matter how trials are split into blocks or scheduled across workers.
-A block draws those streams once for every point of the sweep: a point
-reads a prefix of the normals the largest point takes, and of the words.
+selection under the configured power model(s). Trials run in blocks, and
+a block's points at one M run in pieces of consecutive points: each rule
+selects once and each solver prices once per piece, over the T trials of
+every point of the piece stacked as rows of its widest channels, a row
+holding its point's first K users. Trial t still draws its channels from
+stream 2t and its random-selection choices from stream 2t+1 of the master
+seed, and each row gets what that trial alone would at its point, so
+results are identical no matter how trials are split into blocks and
+pieces or scheduled across workers. A block draws those streams once for
+every point of the sweep: a point reads a prefix of the normals the
+largest point takes, and of the words.
 
 Analytic averages attach to the approx-method rows only: the closed
 forms describe the residual-norm power model, not the exact recursion.
@@ -38,12 +41,15 @@ from .channel import (_SAMPLE_BYTES, ChannelSet, SeedSpec, _stream_normals,  # n
                       _stream_words, _users, sample_channel_set)
 from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
-from .selection import (
+# select_nus, select_sus, select_aus and select_rus stay bound here:
+# perfbench/tracing.py hooks them
+from .selection import (  # noqa: F401
     ALGORITHM_TAGS,
     _best_approx_orders,
     _complex_bytes,
     _dp_trial_bytes,
     _per_chunk,
+    _rule_orders,
     select_aus,
     select_exhaustive,
     select_nus,
@@ -60,7 +66,9 @@ _DP = ("EXHAUSTIVE", "approx")  # the series the approx DP's orders serve
 _POWER_METHODS = ("exact", "approx")
 
 # Blocks of trials are cut by `selection._per_chunk`, a trial's unit being its
-# K x M channels, which exact pricing holds again as whitened coordinates. A
+# K x M channels, which exact pricing holds again as whitened coordinates, and
+# so are a block's pieces of points, a unit being a trial at one point: the
+# piece's widest channels, or its series' picked rows if those are more. A
 # point's totals and one exhaustive approx DP trial must fit in _SAMPLE_BYTES,
 # the cap of a channel draw, and `run_sweep` samples its points in groups
 # whose totals fit in it together.
@@ -252,33 +260,31 @@ class ValidationRow:
     passed: bool
 
 
-def _encoding_orders(alg, meth, channels, config, targets, rus, words=None):
-    """(T, K_s) encoding orders one algorithm picks for a block of trials.
+def _encoding_orders(meth, channels, config, targets):
+    """(T, K_s) EXHAUSTIVE encoding orders for a block of trials under `meth`."""
+    return select_exhaustive(channels, config.K_s, targets, power_fn=meth,
+                             budget=config.exhaustive_budget).encoding_order
 
-    Only EXHAUSTIVE depends on `meth`, and only RUS on `rus`, the trials'
-    random-selection specs, and `words`, as `select_rus` takes them.
-    """
-    if alg == "NUS":
-        sel = select_nus(channels, config.K_s)
-    elif alg == "SUS":
-        sel = select_sus(channels, config.K_s)
-    elif alg == "AUS":
-        sel = select_aus(channels, config.K_s)
-    elif alg == "RUS":
-        sel = select_rus(channels, config.K_s, rus, _words=words)
-    else:
-        sel = select_exhaustive(
-            channels, config.K_s, targets, power_fn=meth,
-            budget=config.exhaustive_budget,
-        )
-    return sel.encoding_order
+
+def _priced(meth, h, cells, targets):
+    """Totals of each of `cells`, (rows of `h`, (N, K_s) orders of their
+    users), from one solver call on all their picked rows under `meth`."""
+    # looked up per call, so a patched or traced solver takes effect
+    solver = {"exact": exact_min_power, "approx": approx_min_power}[meth]
+    rows = np.concatenate([row for row, _ in cells])[:, None]
+    total = solver(h[rows, np.concatenate([order for _, order in cells])], targets).total_power
+    total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
+    return np.split(total, len(cells))
 
 
 def _block_totals(config, targets, series, channels, rus=(), words=None, orders=(), totals=(),
                   raises=False):
-    """Totals of each series over one block of trials; infeasible cells are NaN.
+    """Totals of each series over one block of trials at one point;
+    infeasible cells are NaN. A piece whose stacked call raises runs each
+    of its points here, with the orders it found.
 
-    A rule's orders serve every method of the block, and each method makes
+    The rules not in `orders` select in one `selection._rule_orders` call,
+    and a rule's orders serve every method of the block. Each method makes
     one solver call on the picked rows of all its series, stacked along the
     trial axis. `rus` are the trials' random-selection specs and `words`
     their words, as `select_rus` takes them. A block that raises
@@ -287,25 +293,24 @@ def _block_totals(config, targets, series, channels, rus=(), words=None, orders=
     series that raises alone turns NaN. A second half `raises` unrun when
     the first ran clean.
     """
-    # looked up per call, so a patched or traced solver takes effect
-    solvers = {"exact": exact_min_power, "approx": approx_min_power}
     orders, totals, picks = dict(orders), dict(totals), {}
     try:
         if raises:
             raise InfeasibleGeometryError("the block's other half ran clean")
-        for alg, meth in series:
+        todo = [(alg, meth) for alg, meth in series if (alg, meth) not in totals]
+        if rules := {alg for alg, _ in todo if alg != "EXHAUSTIVE"} - orders.keys():
+            found = _rule_orders(rules, channels.users, channels._norms, config.K_s,
+                                 seeds=rus, words=words)
+            orders.update((rule, encoded) for rule, (_, encoded) in found.items())
+        for alg, meth in todo:
             key = (alg, meth) if alg == "EXHAUSTIVE" else alg
-            if (alg, meth) not in totals:
-                if key not in orders:
-                    orders[key] = _encoding_orders(
-                        alg, meth, channels, config, targets, rus, words)
-                picks.setdefault(meth, {})[(alg, meth)] = orders[key]
+            if key not in orders:
+                orders[key] = _encoding_orders(meth, channels, config, targets)
+            picks.setdefault(meth, {})[(alg, meth)] = orders[key]
+        trials = np.arange(len(channels.users))
         for meth, picked in picks.items():
-            order = np.stack(list(picked.values()))[..., None]
-            rows = np.take_along_axis(channels.users[None], order, axis=2)
-            total = solvers[meth](rows.reshape(-1, *rows.shape[2:]), targets).total_power
-            total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
-            totals.update(zip(picked, np.split(total, len(picked))))
+            cells = [(trials, order) for order in picked.values()]
+            totals.update(zip(picked, _priced(meth, channels.users, cells, targets)))
     except InfeasibleGeometryError:
         if len(channels.users) > 1:
             cut, parts = len(channels.users) // 2, []
@@ -326,6 +331,58 @@ def _block_totals(config, targets, series, channels, rus=(), words=None, orders=
     return {name: totals[name] for name in series}
 
 
+def _piece_totals(config, targets, wide, points, rus, words):
+    """Totals of every series at each point of a piece, over one block of
+    trials; infeasible cells are NaN.
+
+    `points` are (K, series, orders) of consecutive points at the M of
+    `wide`, the block's channels at that M's widest K; `orders` holds a
+    point's approx EXHAUSTIVE orders when the block's DP found them. A
+    piece of P points is the piece's widest channels repeated once per
+    point, P T rows whose row for point p holds its first K_p users: the
+    rules select once over them, and each method prices every point's
+    series in one solver call. One point is `wide`'s first K users as
+    they are. If a point has no approx EXHAUSTIVE orders or the piece
+    raises InfeasibleGeometryError, each point runs through
+    `_block_totals` with the orders found, so NaN cells are those each
+    point gives alone.
+    """
+    t, ks = len(wide.users), np.array([k for k, _, _ in points])
+    k_w, n = ks.max(), len(points)
+    h, norms = wide.users[:, :k_w], wide._norms[:, :k_w]
+    if n > 1:
+        h, norms = np.tile(h, (n, 1, 1)), np.tile(norms, (n, 1))
+    rules = {alg for _, series, _ in points for alg, _ in series if alg != "EXHAUSTIVE"}
+    found = _rule_orders(rules, h, norms, config.K_s, None if n == 1 else np.repeat(ks, t),
+                         list(rus) * n, None if words is None else np.tile(words, (n, 1)))
+    orders = [{**{rule: encoded[p * t : (p + 1) * t] for rule, (_, encoded) in found.items()},
+               **given} for p, (_, _, given) in enumerate(points)]
+
+    def at(k):  # the point's own channel set
+        return wide if k == wide.K else ChannelSet(wide.users[:, :k])
+
+    try:
+        cells = {meth: [] for meth in config.methods()}
+        for p, (k, series, _) in enumerate(points):
+            for alg, meth in series:
+                key = (alg, meth) if alg == "EXHAUSTIVE" else alg
+                if key not in orders[p]:
+                    if meth == "approx":  # the block's DP searched this K and found none
+                        raise InfeasibleGeometryError("a trial has no feasible ordering")
+                    orders[p][key] = _encoding_orders(meth, at(k), config, targets)
+                cells[meth].append((p, (alg, meth), orders[p][key]))
+        totals = [dict.fromkeys(series) for _, series, _ in points]
+        for meth, cell in cells.items():
+            if cell:
+                parts = _priced(meth, h, [(p * t + np.arange(t), o) for p, _, o in cell], targets)
+                for (p, name, _), part in zip(cell, parts):
+                    totals[p][name] = part
+        return totals
+    except InfeasibleGeometryError:
+        return [_block_totals(config, targets, series, at(k), rus, words, point_orders)
+                for (k, series, _), point_orders in zip(points, orders)]
+
+
 def _runnable(config: ExperimentConfig, k: int) -> tuple[str, ...]:
     """The algorithms simulated at a point with K = k: all but an EXHAUSTIVE
     past its budget, where select_exhaustive would raise a BudgetError."""
@@ -340,37 +397,50 @@ def _run_chunk(payload):
     The block's streams are drawn once for all points: each trial's
     normals, as many as the largest point takes, of which a point reads
     the first 2 K M, and its random-selection specs and words, which
-    serve every K. Each point's channels are kept as drawn. At each M, one
-    approx DP at the widest K that searches gives every such K its orders;
-    a K where a trial has none feasible searches again in `_block_totals`.
+    serve every K. At each M the channels are kept as drawn at the widest
+    K there, and a point's are their first K users. One approx DP at the
+    widest K that searches gives every such K its orders. The points at
+    each M then run as pieces, runs of consecutive points whose P T
+    trials of the widest K's channels, or of their series' picked rows,
+    fit `selection._CHUNK_BYTES`; a piece holds at least one point.
     """
     config, points, trials = payload
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
     dims = [config.dims_at(v) for v in points]
     series = [[(alg, meth) for alg in _runnable(config, k) for meth in config.methods()]
               for _, k in dims]
+    totals = [{} for _ in points]
     if not any(series):
-        return [{} for _ in points]
+        return totals
     seeds = [SeedSpec(config.master_seed, 2 * t) for t in trials]
     z = _stream_normals(seeds, (max(2 * k * m for (m, k), s in zip(dims, series) if s),))
     rus, words = (), None
     if "RUS" in config.algorithms:
         rus = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
         words = _stream_words(rus, 2 * config.K_s - 1)
-    totals, orders = [], {}
     with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
-        for m in dict.fromkeys(m for (m, _), s in zip(dims, series) if _DP in s):
-            ks = [k for (m_k, k), s in zip(dims, series) if m_k == m and _DP in s]
-            wide = ChannelSet(_users(z, m, max(ks)))  # one approx DP serves each K at this M
-            dp = _best_approx_orders(wide.users, wide._norms, config.K_s, targets, ks)
-            orders.update(((m, k), {_DP: o}) for k, o in zip(ks, dp) if o is not None)
-        for (m, k), point_series in zip(dims, series):
-            if not point_series:
-                totals.append({})
-                continue
-            channels = ChannelSet(_users(z, m, k))
-            totals.append(_block_totals(config, targets, point_series, channels, rus, words,
-                                        orders.get((m, k), ())))
+        for m in dict.fromkeys(m for (m, _), s in zip(dims, series) if s):
+            here = [i for i, ((m_i, _), s) in enumerate(zip(dims, series)) if m_i == m and s]
+            wide = ChannelSet(_users(z, m, max(dims[i][1] for i in here)))
+            orders = {i: {} for i in here}
+            if searched := [i for i in here if _DP in series[i]]:
+                ks = [dims[i][1] for i in searched]
+                dp = _best_approx_orders(wide.users[:, : max(ks)], wide._norms[:, : max(ks)],
+                                         config.K_s, targets, ks)
+                orders.update((i, {_DP: o}) for i, o in zip(searched, dp) if o is not None)
+            rows = len(config.algorithms) * config.K_s  # a trial's picked rows, at most
+            pieces = [[here[0]]]
+            for i in here[1:]:
+                run = pieces[-1] + [i]
+                width = max(rows, *(dims[j][1] for j in run))
+                if len(run) * len(trials) <= _per_chunk(_complex_bytes(width, m)):
+                    pieces[-1] = run
+                else:
+                    pieces.append([i])
+            for piece in pieces:
+                parts = [(dims[j][1], series[j], orders[j]) for j in piece]
+                for j, got in zip(piece, _piece_totals(config, targets, wide, parts, rus, words)):
+                    totals[j] = got
     return totals
 
 

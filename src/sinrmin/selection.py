@@ -32,9 +32,9 @@ from .power import (  # noqa: F401
 )
 
 ALGORITHM_TAGS = ("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE")
-# The bytes of any piece work is cut into: a block of trials, a chunk of
-# approx DP trials and its sub-chunks of last-level rows, an exact search
-# step. A unit larger than this is a piece alone
+# The bytes of any piece work is cut into: a block of trials, a block's
+# piece of sweep points, a chunk of approx DP trials and its sub-chunks of
+# last-level rows, an exact search step. A unit larger than this is a piece alone
 _CHUNK_BYTES = 1 << 20
 
 
@@ -119,42 +119,97 @@ def _weakest_first(norms: np.ndarray, picked: np.ndarray) -> np.ndarray:
     return np.take_along_axis(picked, np.lexsort((picked, norms), axis=-1), axis=-1)
 
 
+def _rule_orders(rules, h: np.ndarray, norms: np.ndarray, k_s: int, live=None, seeds=(),
+                 words=None) -> dict:
+    """Each of `rules` (NUS, SUS, AUS, RUS) on a (N, K, M) block with squared
+    norms `norms`, as (picked, encoded) (N, K_s) arrays keyed by rule.
+
+    `live` (N,), when given, is the user count K' of each row: its users
+    past K' are never scored or drawn, so a row gets what its first K'
+    users alone give (NUS sorts them last, the greedy rules score them
+    -inf, RUS draws over K'). Left out, every row holds all K. When SUS and
+    AUS both run, one greedy call gives both their picks. RUS takes one
+    spec per row in `seeds`, and their words in `words` when given.
+    """
+    past = None if live is None else np.arange(h.shape[1]) >= live[:, None]
+    found = {}
+    if "NUS" in rules:
+        key = -norms if past is None else np.where(past, np.inf, -norms)
+        picked = np.argsort(key, axis=-1, kind="stable")[:, :k_s]
+        found["NUS"] = picked, _weakest_first(norms, picked)
+    if angles := [rule == "AUS" for rule in ("SUS", "AUS") if rule in rules]:
+        for by_angle, picked in zip(angles, _greedy_residual(h, norms, k_s, angles, past)):
+            found["AUS" if by_angle else "SUS"] = \
+                picked, _weakest_first(norms, picked) if by_angle else picked
+    if "RUS" in rules:
+        picked = _rus_picks(seeds, k_s, np.full(len(h), h.shape[1]) if live is None else live,
+                            words)
+        found["RUS"] = picked, picked
+    return found
+
+
+def _select(rule: str, channels: ChannelSet, k_s: int, **rus) -> SelectionResult:
+    """One rule of `_rule_orders` on every row of `channels`, at its K."""
+    _check_k_s(channels, k_s)
+    found = _rule_orders((rule,), _block(channels), channels._norms, k_s, **rus)
+    return _result(rule, channels, *found[rule])
+
+
 def select_nus(channels: ChannelSet, k_s: int) -> SelectionResult:
     """Pick the K_s strongest norms; encode weakest of those first."""
-    _check_k_s(channels, k_s)
-    picked = np.argsort(-channels._norms, axis=-1, kind="stable")[:, :k_s]
-    return _result("NUS", channels, picked, _weakest_first(channels._norms, picked))
+    return _select("NUS", channels, k_s)
 
 
-def _greedy_residual(h: np.ndarray, norms: np.ndarray, k_s: int, by_angle: bool) -> np.ndarray:
-    """(T, K_s) pick orders of the greedy residual rules over a (T, K, M) block.
+def _greedy_residual(h: np.ndarray, norms: np.ndarray, k_s: int, angles, past=None) -> list:
+    """(T, K_s) pick orders of the greedy residual rules over a (T, K, M)
+    block, one per flag of `angles`: True for AUS, False for SUS.
 
     Every step scores each user by its squared residual against the picked
     span, `norms` (T, K) at the first step, divided by its squared norm after
-    the first step when `by_angle`. Residuals at or below the rank floor count
-    as exactly zero, so dependent users tie and the lowest index wins. The
-    users are held in coordinates of the picked span's complement, stepped by
-    each trial's pick with `channel._complement_step`.
+    the first step for AUS. Residuals at or below the rank floor count as
+    exactly zero, so dependent users tie and the lowest index wins; users
+    `past` (T, K) marks score -inf. The users are held in coordinates of
+    the picked span's complement, stepped by each trial's pick with
+    `channel._complement_step`. The first pick, the largest norm, and the
+    residuals against it are the same for every rule and taken once, so at
+    K_s = 2 a second rule takes no step of its own.
     """
-    trials = np.arange(len(h))
-    floor = RANK_TOL**2 * norms
-    coords = h  # each user's coordinates against the picked span
-    picked = np.empty((len(h), k_s), dtype=np.intp)
-    for step in range(k_s):
-        res2 = _squared_norms(coords) if step else norms.copy()
-        res2[res2 <= floor] = 0.0
+    trials, floor = np.arange(len(h)), RANK_TOL**2 * norms
+
+    def pick(res2, picked, step, by_angle):
         if by_angle and step:  # a zero-norm user scores 0, not 0/0
             scores = np.divide(res2, norms, out=np.zeros_like(res2), where=norms > 0.0)
         else:
-            scores = res2
+            scores = res2.copy()
+        if past is not None:
+            scores[past] = -np.inf
         scores[trials[:, None], picked[:, :step]] = -np.inf
         picked[:, step] = choice = np.argmax(scores, axis=-1)
-        if step + 1 < k_s:
-            # a dependent pick drops an axis as it is; that changes no later
-            # pick: its score was the largest and zero, so every other user
-            # was already at or below the floor, and projection only shrinks
-            coords = _complement_step(coords, coords[trials, choice], res2[trials, choice])
-    return picked
+        return choice
+
+    def stepped(coords, res2, choice):
+        # a dependent pick drops an axis as it is; that changes no later
+        # pick: its score was the largest and zero, so every other user
+        # was already at or below the floor, and projection only shrinks
+        coords = _complement_step(coords, coords[trials, choice], res2[trials, choice])
+        res2 = _squared_norms(coords)
+        res2[res2 <= floor] = 0.0
+        return coords, res2
+
+    res2 = norms.copy()
+    res2[res2 <= floor] = 0.0
+    first = np.empty((len(h), k_s), dtype=np.intp)
+    choice = pick(res2, first, 0, False)
+    shared = stepped(h, res2, choice) if k_s > 1 else (h, res2)
+    orders = []
+    for by_angle in angles:
+        picked, (coords, res2) = first.copy(), shared
+        for step in range(1, k_s):
+            choice = pick(res2, picked, step, by_angle)
+            if step + 1 < k_s:
+                coords, res2 = stepped(coords, res2, choice)
+        orders.append(picked)
+    return orders
 
 
 def select_sus(channels: ChannelSet, k_s: int) -> SelectionResult:
@@ -165,9 +220,7 @@ def select_sus(channels: ChannelSet, k_s: int) -> SelectionResult:
     the largest residual. No semi-orthogonality threshold is applied;
     the rule is pure greedy.
     """
-    _check_k_s(channels, k_s)
-    order = _greedy_residual(_block(channels), channels._norms, k_s, by_angle=False)
-    return _result("SUS", channels, order, order)
+    return _select("SUS", channels, k_s)
 
 
 def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
@@ -178,9 +231,38 @@ def select_aus(channels: ChannelSet, k_s: int) -> SelectionResult:
     still be picked (lowest index wins); the downstream power call is
     what rejects such geometry.
     """
-    _check_k_s(channels, k_s)
-    picked = _greedy_residual(_block(channels), channels._norms, k_s, by_angle=True)
-    return _result("AUS", channels, picked, _weakest_first(channels._norms, picked))
+    return _select("AUS", channels, k_s)
+
+
+def _rus_picks(seeds, k_s: int, ks: np.ndarray, words=None) -> np.ndarray:
+    """(T, K_s) picks of `select_rus` over T streams, trial t choosing among
+    ks[t] users, with one `_streams` call for each K of `ks`."""
+    k = ks[:, None]
+    # Floyd's sampling (Bentley & Floyd 1987), then a Fisher-Yates shuffle;
+    # a draw in [0, j] is one word's 32-bit Lemire draw (Lemire 2019),
+    # which choice rejects when the product's low half is below 2^32 mod (j + 1)
+    spans = np.hstack([k - k_s + 1 + np.arange(k_s),
+                       np.broadcast_to(np.arange(k_s, 1, -1), (len(k), k_s - 1))])
+    spans = spans.astype(np.uint64)
+    words = _stream_words(seeds, 2 * k_s - 1) if words is None else words
+    # Floyd's draw in [0, 0], at K = K_s, takes no word; 0 gives 0
+    shifted = np.hstack([np.zeros((len(k), 1), np.uint32), words[:, :-1]])
+    scaled = np.where(k == k_s, shifted, words) * spans
+    draws = (scaled >> 32).astype(np.intp)
+    rejected = (scaled & _M32 < np.uint64(2**32) % spans).any(axis=1)
+    picked = draws[:, :k_s]  # a Floyd draw already picked takes j instead
+    for c in range(1, k_s):
+        taken = (picked[:, :c] == picked[:, c:c + 1]).any(axis=1)
+        picked[taken, c] = ks[taken] - k_s + c
+    rows = np.arange(len(k))
+    for i, j in zip(range(k_s - 1, 0, -1), draws[:, k_s:].T):
+        picked[rows, i], picked[rows, j] = picked[rows, j], picked[rows, i]
+    redo = rejected | (ks > 10_000)  # beyond, choice may shuffle a tail instead
+    for kk in sorted(set(ks.tolist())):  # np.unique would import numpy.ma
+        again = np.flatnonzero(redo & (ks == kk))
+        for t, rng in zip(again, _streams([seeds[t] for t in again])):
+            picked[t] = rng.choice(kk, size=k_s, replace=False)
+    return picked
 
 
 def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> SelectionResult:
@@ -202,30 +284,10 @@ def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> Selectio
     block for every point.
     """
     _check_k_s(channels, k_s)
-    seeds, k = _seed_list(seed), channels.K
+    seeds = _seed_list(seed)
     if len(seeds) != len(_block(channels)):
         raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
-    redo, picked = range(len(seeds)), np.empty((len(seeds), k_s), dtype=np.intp)
-    if k <= 10_000:  # beyond, choice may shuffle a tail instead
-        # Floyd's sampling (Bentley & Floyd 1987), then a Fisher-Yates shuffle;
-        # a draw in [0, j] is one word's 32-bit Lemire draw (Lemire 2019),
-        # which choice rejects when the product's low half is below 2^32 mod (j + 1)
-        spans = np.array([*range(k - k_s, k), *range(k_s - 1, 0, -1)], dtype=np.uint64) + 1
-        skip = int(k == k_s)  # Floyd's draw in [0, 0] takes no word; 0 gives 0
-        words = _stream_words(seeds, 2 * k_s - 1) if _words is None else _words
-        scaled = np.hstack([np.zeros((len(seeds), skip), np.uint32),
-                            words[:, : spans.size - skip]]) * spans
-        draws = (scaled >> 32).astype(np.intp)
-        redo = np.flatnonzero((scaled & _M32 < np.uint64(2**32) % spans).any(axis=1))
-        picked = draws[:, :k_s]  # a Floyd draw already picked takes j instead
-        for c in range(1, k_s):
-            picked[(picked[:, :c] == picked[:, c:c + 1]).any(axis=1), c] = k - k_s + c
-        rows = np.arange(len(seeds))
-        for i, j in zip(range(k_s - 1, 0, -1), draws[:, k_s:].T):
-            picked[rows, i], picked[rows, j] = picked[rows, j], picked[rows, i]
-    for t, rng in zip(redo, _streams([seeds[t] for t in redo])):
-        picked[t] = rng.choice(k, size=k_s, replace=False)
-    return _result("RUS", channels, picked, picked)
+    return _select("RUS", channels, k_s, seeds=seeds, words=_words)
 
 
 def _firsts(trial: np.ndarray, key: np.ndarray) -> np.ndarray:

@@ -239,8 +239,13 @@ def test_stacked_pricing_equals_each_series_alone(t):
     rus = [SeedSpec(11, 2 * i + 1) for i in range(t)]
     totals = experiment._block_totals(cfg, targets, series, block, rus)
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
+    rules = {"NUS": select_nus, "SUS": select_sus, "AUS": select_aus,
+             "RUS": lambda c, k_s: select_rus(c, k_s, rus)}
     for alg, meth in series:
-        order = experiment._encoding_orders(alg, meth, block, cfg, targets, rus)
+        if alg == "EXHAUSTIVE":
+            order = experiment._encoding_orders(meth, block, cfg, targets)
+        else:
+            order = rules[alg](block, cfg.K_s).encoding_order
         rows = np.take_along_axis(block.users, order[..., None], axis=1)
         want = solvers[meth](rows, targets).total_power
         assert totals[(alg, meth)].tobytes() == want.tobytes()

@@ -26,6 +26,7 @@ from sinrmin.experiment import (
     validate_rows,
 )
 from sinrmin.power import SinrTargets
+from sinrmin.selection import select_aus, select_nus, select_rus, select_sus
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -456,12 +457,17 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
         return wrapper
 
     for name in ("select_nus", "select_rus", "select_exhaustive", "_best_approx_orders",
-                 "approx_min_power", "exact_min_power", "_stream_normals", "_stream_words"):
+                 "_rule_orders", "approx_min_power", "exact_min_power", "_stream_normals",
+                 "_stream_words"):
         monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(5, 6), trials=10, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
-    # the default budget holds all 10 trials in one block; this one, 5 trials
-    for blocks, budget in ((1, selection._CHUNK_BYTES), (2, 5 * 16 * 6 * 4)):
+    # a trial's unit at K = 6: its channels, or its three series' two picked rows.
+    # The default cap holds all 10 trials in one block and both points in one
+    # piece; 10 units, one block and a piece a point; 5 units, blocks of 5
+    unit = 16 * 6 * 4
+    for blocks, pieces, budget in ((1, 1, selection._CHUNK_BYTES), (1, 2, 10 * unit),
+                                   (2, 4, 5 * unit)):
         calls.clear()
         monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)
         samples = _sweep_samples(cfg, cfg.points(), workers=1)
@@ -471,27 +477,32 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
             # each block draws its streams once, for both points
             ("_stream_normals", None): blocks,
             ("_stream_words", None): blocks,
-            ("select_nus", None): visits,
-            ("select_rus", None): visits,
+            # the rules select once a piece, over its points' stacked rows
+            ("_rule_orders", None): pieces,
             ("select_exhaustive", "exact"): visits,
             # one approx DP a block serves both points
             ("_best_approx_orders", None): blocks,
-            # one solver call per method: NUS, RUS and EXHAUSTIVE stacked
-            ("exact_min_power", None): visits,
-            ("approx_min_power", None): visits,
+            # one solver call per method and piece: each point's NUS, RUS and
+            # EXHAUSTIVE stacked
+            ("exact_min_power", None): pieces,
+            ("approx_min_power", None): pieces,
         }
 
 
 def test_a_block_takes_its_channels_norms_once(monkeypatch):
     # the channel set keeps the squared norms its check takes: the rules
     # read them, and a stacked approx call takes its rows' norms once and
-    # reads its first residual from them
+    # reads its first residual from them. A piece of points, K = 4 and 6,
+    # repeats the block's channels and norms at its widest K, and takes no
+    # norms of its own
     import sinrmin.experiment as exp
     from sinrmin import power
 
-    cfg = _cfg(K=6, trials=12, algorithms=("NUS", "SUS", "AUS", "RUS"))
-    payload = (cfg, cfg.points(), range(cfg.trials))
-    reference = exp._run_chunk(payload)
+    configs = [_cfg(K=6, trials=12, algorithms=("NUS", "SUS", "AUS", "RUS")),
+               _cfg(K=None, sweep_axis="K", sweep_values=(4, 6), trials=12,
+                    algorithms=("NUS", "SUS", "AUS", "RUS"))]
+    payloads = [(cfg, cfg.points(), range(cfg.trials)) for cfg in configs]
+    references = [exp._run_chunk(payload) for payload in payloads]
     shapes, pricing = [], []
     norms, approx = channel._squared_norms, exp.approx_min_power
 
@@ -508,15 +519,21 @@ def test_a_block_takes_its_channels_norms_once(monkeypatch):
     for module in (channel, selection, power):
         monkeypatch.setattr(module, "_squared_norms", counted)
     monkeypatch.setattr(exp, "approx_min_power", priced)
-    (totals,) = exp._run_chunk(payload)
-    for key, arr in reference[0].items():
-        assert arr.tobytes() == totals[key].tobytes(), key
-    # once, by the channel set's check, where each rule took its own (8 in all)
-    assert shapes.count((cfg.trials, cfg.K, cfg.M)) == 1
-    # one call stacks the four rules' picked rows; its second residual is
-    # of the rows stepped by their first, and no other pass is made
-    rows = (4 * cfg.trials, cfg.K_s, cfg.M)
-    assert pricing == [(rows, [rows, (rows[0], cfg.M - 1)])]
+    for cfg, payload, reference in zip(configs, payloads, references):
+        shapes.clear()
+        pricing.clear()
+        totals = exp._run_chunk(payload)
+        for want, got in zip(reference, totals, strict=True):
+            for key, arr in want.items():
+                assert arr.tobytes() == got[key].tobytes(), key
+        # once, by the channel set's check, where each rule took its own (8
+        # in all), and no other pass over whole channels, (T', K', M) with K' > K_s
+        assert [s for s in shapes if len(s) == 3 and s[1] > cfg.K_s and s[2] == cfg.M] == \
+            [(cfg.trials, 6, cfg.M)]
+        # one call stacks the four rules' picked rows at every point; its second
+        # residual is of the rows stepped by their first, and no other pass is made
+        rows = (4 * len(cfg.points()) * cfg.trials, cfg.K_s, cfg.M)
+        assert pricing == [(rows, [rows, (rows[0], cfg.M - 1)])]
 
 
 def _reference(cfg, sweep_value):
@@ -547,6 +564,9 @@ _DP_SWEEPS = {
     "Ks1": dict(K=None, sweep_axis="K", sweep_values=(4, 1, 3), K_s=1),
     "K-budget": dict(K=None, sweep_axis="K", sweep_values=(8, 3, 6), K_s=3,
                      exhaustive_budget=math.perm(6, 3)),
+    # wider than the five series' picked rows, so a piece's widest K sets
+    # its unit: pieces of (12, 4), (14) and (6, 9) at the split budget
+    "K-pieces": dict(K=None, sweep_axis="K", sweep_values=(12, 4, 14, 6, 9), K_s=2),
 }
 
 
@@ -561,10 +581,14 @@ def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
     alone = {v: _alone(cfg, v) for v in cfg.points()}
     for v in cfg.points():
         _assert_same_totals(alone[v], _reference(cfg, v))
-    widest = max(16 * m * max(k, m) for m, k in map(cfg.dims_at, cfg.points()))
+    dims = list(map(cfg.dims_at, cfg.points()))
+    widest = max(16 * m * max(k, m) for m, k in dims)
     assert selection._CHUNK_BYTES // widest >= cfg.trials  # one default block
-    # one block, one trial a block, and blocks of 5
-    for budget in (selection._CHUNK_BYTES, widest, 5 * widest):
+    # a piece's unit at the sweep's widest K: its channels, or its five series' picked rows
+    unit = max(16 * m * max(k, 5 * cfg.K_s) for m, k in dims)
+    # one block, one trial a block, blocks of 5, and one block in pieces of
+    # two points or more where the widest K allows
+    for budget in (selection._CHUNK_BYTES, widest, 5 * widest, 2 * cfg.trials * unit):
         monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)  # the pool forks and sees it
         for v, samples in zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers)):
             _assert_same_totals(samples, alone[v])
@@ -594,6 +618,158 @@ def test_a_trial_infeasible_at_one_k_only(monkeypatch):
         _assert_same_totals(got, _alone(cfg, v))
         assert np.isnan(got[("EXHAUSTIVE", "approx")][5]) == (v == 3)
     assert not np.isnan(samples[1][("EXHAUSTIVE", "approx")][:5]).any()
+
+
+def _spied(monkeypatch, name, record):
+    """Patch `experiment.<name>` to call `record(args, kwargs, result)` after each call."""
+    import sinrmin.experiment as exp
+
+    real = getattr(exp, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        record(args, kwargs, out)
+        return out
+
+    monkeypatch.setattr(exp, name, spy)
+
+
+_PIECE_SWEEPS = {
+    "Ks-floor": ((2, 5, 3), 2),  # K' = K_s at the first point
+    "Ks1": ((1, 4, 3), 1),
+    "zero-row": ((3, 6, 5), 2),
+    "lemire": ((4, 6, 8), 2),
+    "split": ((3, 8, 5, 6, 4), 2),
+}
+
+
+@pytest.mark.parametrize("case", _PIECE_SWEEPS)
+def test_piece_orders_equal_each_point_alone(monkeypatch, case):
+    # a point's rule orders from its piece are the public rules' on its own
+    # channel set, bit for bit
+    import sinrmin.experiment as exp
+
+    ks, k_s = _PIECE_SWEEPS[case]
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=ks, K_s=k_s, trials=12,
+               algorithms=("NUS", "SUS", "AUS", "RUS"))
+    draw, words = channel._stream_normals, exp._stream_words
+    if case == "zero-row":  # user 1 of trial 2 is zero at every point
+
+        def zeroed(seeds, shape):
+            z = draw(seeds, shape)
+            for row, spec in zip(z.reshape(len(seeds), -1), seeds):
+                if spec.stream_index == 2 * 2:
+                    row[2 * cfg.M : 4 * cfg.M] = 0.0
+            return z
+
+        monkeypatch.setattr(channel, "_stream_normals", zeroed)  # sample_channel_set's draw
+        monkeypatch.setattr(exp, "_stream_normals", zeroed)
+    if case == "lemire":
+        # trial 3's second word is 0, which a Lemire draw over K users
+        # rejects unless K is a power of two: at K = 6 only
+
+        def rejecting(seeds, n):
+            out = words(seeds, n).copy()
+            out[3, 1] = 0
+            return out
+
+        monkeypatch.setattr(exp, "_stream_words", rejecting)
+    # only the orders are checked, and a zero row may not be priced
+    monkeypatch.setattr(exp, "approx_min_power",
+                        lambda rows, targets: mock.Mock(total_power=np.zeros(len(rows))))
+    calls = []
+    _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: calls.append((args, out)))
+    # one piece; then pieces of two, two and one point, and a point a piece
+    budgets = {selection._CHUNK_BYTES: [len(ks)]}
+    if case == "split":  # K = 8 sets every unit: 512 bytes, its channels
+        budgets.update({2 * cfg.trials * 512: [2, 2, 1], cfg.trials * 512: [1] * 5})
+    for budget, sizes in budgets.items():
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)
+        calls.clear()
+        with mock.patch.object(selection, "_streams", side_effect=channel._streams) as chosen:
+            exp._run_chunk((cfg, cfg.points(), range(cfg.trials)))
+        if case == "lemire":  # one choice call for each K of the piece
+            assert [list(c.args[0]) for c in chosen.call_args_list] == \
+                [[], [SeedSpec(cfg.master_seed, 2 * 3 + 1)], []]
+        assert [len(set(args[4].tolist())) if args[4] is not None else 1
+                for args, _ in calls] == sizes
+        for (_, h, _, _, live, seeds, piece_words), found in calls:
+            live = np.full(len(h), h.shape[1]) if live is None else live
+            for k in dict.fromkeys(live.tolist()):
+                rows = np.flatnonzero(live == k)
+                rus = [seeds[r] for r in rows]
+                point = sample_channel_set(
+                    cfg.M, k, [SeedSpec(cfg.master_seed, s.stream_index - 1) for s in rus])
+                want = {"NUS": select_nus(point, k_s), "SUS": select_sus(point, k_s),
+                        "AUS": select_aus(point, k_s),
+                        "RUS": select_rus(point, k_s, rus, _words=piece_words[rows])}
+                assert found.keys() == want.keys()
+                for rule, (picked, encoded) in found.items():
+                    assert np.array_equal(picked[rows], want[rule].selection_order), (rule, k)
+                    assert np.array_equal(encoded[rows], want[rule].encoding_order), (rule, k)
+
+
+def test_stacked_calls_fit_the_cap_unless_a_piece_is_one_point(monkeypatch):
+    # a piece's selection call and solver calls each take at most
+    # _CHUNK_BYTES of channel rows; only a piece of one point may take more,
+    # as a lone point's block always could
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=(12, 4, 14, 6, 9), K_s=2, trials=12,
+               power_method="both", algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
+    calls = []
+    _spied(monkeypatch, "_rule_orders",
+           lambda args, kwargs, out: calls.append(("select", args[1].nbytes, args[4] is None)))
+    for solver in ("approx_min_power", "exact_min_power"):
+        _spied(monkeypatch, solver, lambda args, kwargs, out: calls.append(("price", args[0].nbytes)))
+    pieces = []
+    # K = 14's channels, 896 bytes a trial, cut the blocks: one block in one
+    # piece; one block in pieces of (12, 4), (14, 6) and (9), at the cap; one
+    # block, a point a piece; blocks of 4
+    trial = 16 * 4 * 14
+    for budget in (selection._CHUNK_BYTES, 2 * 12 * trial, 12 * trial, 4 * trial):
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)
+        calls.clear()
+        _sweep_samples(cfg, cfg.points(), workers=1)
+        for call in calls:
+            if call[0] == "select":
+                lone = call[2]
+                pieces.append(lone)
+            assert lone or call[1] <= budget, call
+    assert False in pieces and True in pieces
+
+
+def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
+    # trial 5's user 2 copies its user 0, the strongest of the first three,
+    # so at K = 3 NUS picks that dependent pair and its approx pricing
+    # raises; at K = 6 and 8 user 3, stronger still, goes first. The piece
+    # then runs each point through _block_totals: only K = 3's NUS approx
+    # cell of trial 5 turns NaN, and each point equals its lone totals
+    import sinrmin.experiment as exp
+
+    draw = exp._stream_normals
+
+    def copied(seeds, shape):
+        z = draw(seeds, shape)
+        for t, spec in enumerate(seeds):
+            if spec.stream_index == 2 * 5:  # M = 4: a user is 8 normals
+                z[t, :8] *= 30.0
+                z[t, 16:24] = z[t, :8]
+                z[t, 24:32] *= 60.0
+        return z
+
+    monkeypatch.setattr(exp, "_stream_normals", copied)
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=(3, 6, 8), K_s=2, trials=8,
+               power_method="both", algorithms=("NUS", "SUS", "AUS", "EXHAUSTIVE"))
+    alone = {v: _alone(cfg, v) for v in cfg.points()}
+    pieces, points = [], []
+    _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: pieces.append(args[4]))
+    _spied(monkeypatch, "_block_totals", lambda args, kwargs, out: points.append(args[3].K))
+    samples = _sweep_samples(cfg, cfg.points(), 1)
+    assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
+    assert set(points) == {3, 6, 8}
+    for v, got in zip(cfg.points(), samples):
+        _assert_same_totals(got, alone[v])
+        nan = {(name, t) for name, arr in got.items() for t in np.flatnonzero(np.isnan(arr))}
+        assert nan == ({(("NUS", "approx"), 5)} if v == 3 else set()), v
 
 
 def test_sweep_groups_keep_the_rows(monkeypatch):

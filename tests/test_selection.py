@@ -201,6 +201,52 @@ def test_aus_single_pick_equals_nus():
     assert select_aus(c, 1).encoding_order == select_nus(c, 1).encoding_order
 
 
+@pytest.mark.parametrize("k_s", [1, 2, 3, 4])
+def test_sus_and_aus_share_their_first_pick_and_step(monkeypatch, k_s):
+    # one greedy call gives both rules' picks: the first pick and its
+    # complement step are taken once, so at K_s = 2 AUS takes no step of its own
+    c = sample_channel_set(4, 7, [SeedSpec(3, 2 * t) for t in range(5)])
+    steps, step = [], selection._complement_step
+    monkeypatch.setattr(selection, "_complement_step",
+                        lambda *args: steps.append(1) or step(*args))
+    found = selection._rule_orders({"SUS", "AUS"}, c.users, c._norms, k_s)
+    assert len(steps) == max(0, 2 * k_s - 3)
+    for rule, select in (("SUS", select_sus), ("AUS", select_aus)):
+        steps.clear()
+        want = select(c, k_s)
+        assert len(steps) == k_s - 1
+        assert np.array_equal(found[rule][0], want.selection_order)
+        assert np.array_equal(found[rule][1], want.encoding_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1),
+    st.sampled_from(["", "dependent", "zero"]), st.data(),
+)
+def test_rule_orders_over_row_prefixes_equal_each_row_alone(m, k, t, seed, craft, data):
+    # a row that holds only its first K' users gets what those users alone
+    # give, under every rule, beside rows of other K' in one call
+    k_s = data.draw(st.integers(1, min(m, k)), label="k_s")
+    live = np.array(data.draw(st.lists(st.integers(k_s, k), min_size=t, max_size=t)))
+    h = sample_channel_set(m, k, [SeedSpec(seed, 2 * i) for i in range(t)]).users.copy()
+    if craft == "dependent" and k > 1:  # user 1 a multiple of user 0: the floor's tie
+        h[:, 1] = (1.5 - 0.5j) * h[:, 0]
+    if craft == "zero":
+        h[0, min(1, k - 1)] = 0.0
+    specs = [SeedSpec(seed, 2 * i + 1) for i in range(t)]
+    block = ChannelSet(h)
+    found = selection._rule_orders({"NUS", "SUS", "AUS", "RUS"}, block.users, block._norms,
+                                   k_s, live, specs)
+    for i, k_i in enumerate(live):
+        one = ChannelSet(h[i, :k_i])
+        want = {"NUS": select_nus(one, k_s), "SUS": select_sus(one, k_s),
+                "AUS": select_aus(one, k_s), "RUS": select_rus(one, k_s, specs[i])}
+        for rule, (picked, encoded) in found.items():
+            assert tuple(picked[i].tolist()) == want[rule].selection_order, rule
+            assert tuple(encoded[i].tolist()) == want[rule].encoding_order, rule
+
+
 # ---------------------------------------------------------------------------
 # RUS
 
