@@ -11,7 +11,8 @@ seed, and each row gets what that trial alone would at its point, so
 results are identical no matter how trials are split into blocks and
 pieces or scheduled across workers. A block draws those streams once for
 every point of the sweep: a point reads a prefix of the normals the
-largest point takes, and of the words.
+largest point takes, and of the words. A piece with an infeasible trial
+runs again as halves, so only that trial's infeasible cells turn NaN.
 
 Analytic averages attach to the approx-method rows only: the closed
 forms describe the residual-norm power model, not the exact recursion.
@@ -41,11 +42,12 @@ from .channel import (_SAMPLE_BYTES, ChannelSet, SeedSpec, _stream_normals,  # n
                       _stream_words, _users, sample_channel_set)
 from .errors import ConfigError, DivergenceError, InfeasibleGeometryError
 from .power import SinrTargets, approx_min_power, exact_min_power
-# select_nus, select_sus, select_aus and select_rus stay bound here:
-# perfbench/tracing.py hooks them
+# select_nus, select_sus, select_aus, select_rus and select_exhaustive stay
+# bound here: perfbench/tracing.py hooks them
 from .selection import (  # noqa: F401
     ALGORITHM_TAGS,
     _best_approx_orders,
+    _best_exact_orders,
     _complex_bytes,
     _dp_trial_bytes,
     _per_chunk,
@@ -63,6 +65,7 @@ NO_CLOSED_FORM = "no_closed_form"
 
 _SWEEP_AXES = ("none", "M", "K")
 _DP = ("EXHAUSTIVE", "approx")  # the series the approx DP's orders serve
+_EXACT = ("EXHAUSTIVE", "exact")  # and the exact search's
 _POWER_METHODS = ("exact", "approx")
 
 # Blocks of trials are cut by `selection._per_chunk`, a trial's unit being its
@@ -260,127 +263,90 @@ class ValidationRow:
     passed: bool
 
 
-def _encoding_orders(meth, channels, config, targets):
-    """(T, K_s) EXHAUSTIVE encoding orders for a block of trials under `meth`."""
-    return select_exhaustive(channels, config.K_s, targets, power_fn=meth,
-                             budget=config.exhaustive_budget).encoding_order
-
-
-def _priced(meth, h, cells, targets):
-    """Totals of each of `cells`, (rows of `h`, (N, K_s) orders of their
-    users), from one solver call on all their picked rows under `meth`."""
-    # looked up per call, so a patched or traced solver takes effect
-    solver = {"exact": exact_min_power, "approx": approx_min_power}[meth]
-    rows = np.concatenate([row for row, _ in cells])[:, None]
-    total = solver(h[rows, np.concatenate([order for _, order in cells])], targets).total_power
-    total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
-    return np.split(total, len(cells))
-
-
-def _block_totals(config, targets, series, channels, rus=(), words=None, orders=(), totals=(),
-                  raises=False):
-    """Totals of each series over one block of trials at one point;
-    infeasible cells are NaN. A piece whose stacked call raises runs each
-    of its points here, with the orders it found.
-
-    The rules not in `orders` select in one `selection._rule_orders` call,
-    and a rule's orders serve every method of the block. Each method makes
-    one solver call on the picked rows of all its series, stacked along the
-    trial axis. `rus` are the trials' random-selection specs and `words`
-    their words, as `select_rus` takes them. A block that raises
-    InfeasibleGeometryError runs again as halves that keep the `orders` and
-    `totals` found, down to one trial, whose series then run alone: only a
-    series that raises alone turns NaN. A second half `raises` unrun when
-    the first ran clean.
-    """
-    orders, totals, picks = dict(orders), dict(totals), {}
-    try:
-        if raises:
-            raise InfeasibleGeometryError("the block's other half ran clean")
-        todo = [(alg, meth) for alg, meth in series if (alg, meth) not in totals]
-        if rules := {alg for alg, _ in todo if alg != "EXHAUSTIVE"} - orders.keys():
-            found = _rule_orders(rules, channels.users, channels._norms, config.K_s,
-                                 seeds=rus, words=words)
-            orders.update((rule, encoded) for rule, (_, encoded) in found.items())
-        for alg, meth in todo:
-            key = (alg, meth) if alg == "EXHAUSTIVE" else alg
-            if key not in orders:
-                orders[key] = _encoding_orders(meth, channels, config, targets)
-            picks.setdefault(meth, {})[(alg, meth)] = orders[key]
-        trials = np.arange(len(channels.users))
-        for meth, picked in picks.items():
-            cells = [(trials, order) for order in picked.values()]
-            totals.update(zip(picked, _priced(meth, channels.users, cells, targets)))
-    except InfeasibleGeometryError:
-        if len(channels.users) > 1:
-            cut, parts = len(channels.users) // 2, []
-            for half in (slice(cut), slice(cut, None)):
-                # a raising block has a half that raises: the second, if the first ran clean
-                raises = bool(parts) and not np.isnan(list(parts[0].values())).any()
-                parts.append(_block_totals(
-                    config, targets, series, ChannelSet(channels.users[half]), rus[half],
-                    None if words is None else words[half],
-                    {k: v[half] for k, v in orders.items()},
-                    {k: v[half] for k, v in totals.items()}, raises))
-            return {name: np.concatenate([p[name] for p in parts]) for name in series}
-        if len(series) == 1:
-            return {series[0]: np.full(1, np.nan)}
-        for name in series:
-            totals.update(_block_totals(
-                config, targets, [name], channels, rus, words, orders, totals))
-    return {name: totals[name] for name in series}
-
-
-def _piece_totals(config, targets, wide, points, rus, words):
+def _piece_totals(config, targets, wide, points, rus=(), words=None, totals=None, raises=False):
     """Totals of every series at each point of a piece, over one block of
     trials; infeasible cells are NaN.
 
     `points` are (K, series, orders) of consecutive points at the M of
-    `wide`, the block's channels at that M's widest K; `orders` holds a
-    point's approx EXHAUSTIVE orders when the block's DP found them. A
-    piece of P points is the piece's widest channels repeated once per
-    point, P T rows whose row for point p holds its first K_p users: the
-    rules select once over them, and each method prices every point's
-    series in one solver call. One point is `wide`'s first K users as
-    they are. If a point has no approx EXHAUSTIVE orders or the piece
-    raises InfeasibleGeometryError, each point runs through
-    `_block_totals` with the orders found, so NaN cells are those each
-    point gives alone.
+    `wide`, the block's channels at that M's widest K; `orders` are those
+    a point has found, keyed by rule or EXHAUSTIVE series, None where a
+    search found none. A piece of P points is its widest channels repeated
+    once per point, P T rows whose row for point p holds its first K_p
+    users: the rules not in `orders` select once over them, one approx DP
+    for every K and an exact search a point find the EXHAUSTIVE orders not
+    in them, and each method prices every point's series not in `totals`
+    in one solver call. One point is `wide`'s first K users as they are.
+    `rus` are the trials' random-selection specs and `words` their words.
+
+    A piece whose search finds none or whose pricing raises
+    InfeasibleGeometryError runs again as halves that keep the orders and
+    totals found, down to one trial, whose (point, series) cells then run
+    alone: only a cell that raises alone turns NaN. A second half `raises`
+    unrun when the first ran clean.
     """
-    t, ks = len(wide.users), np.array([k for k, _, _ in points])
-    k_w, n = ks.max(), len(points)
-    h, norms = wide.users[:, :k_w], wide._norms[:, :k_w]
-    if n > 1:
-        h, norms = np.tile(h, (n, 1, 1)), np.tile(norms, (n, 1))
-    rules = {alg for _, series, _ in points for alg, _ in series if alg != "EXHAUSTIVE"}
-    found = _rule_orders(rules, h, norms, config.K_s, None if n == 1 else np.repeat(ks, t),
-                         list(rus) * n, None if words is None else np.tile(words, (n, 1)))
-    orders = [{**{rule: encoded[p * t : (p + 1) * t] for rule, (_, encoded) in found.items()},
-               **given} for p, (_, _, given) in enumerate(points)]
-
-    def at(k):  # the point's own channel set
-        return wide if k == wide.K else ChannelSet(wide.users[:, :k])
-
+    t, n, ks = len(wide.users), len(points), [k for k, _, _ in points]
+    orders = [dict(given) for _, _, given in points]
+    totals = [dict(done) for done in totals or [{}] * n]
+    todo = [[name for name in series if name not in done]
+            for (_, series, _), done in zip(points, totals)]
     try:
+        if raises:
+            raise InfeasibleGeometryError("the piece's other half ran clean")
+        h, norms = wide.users[:, : max(ks)], wide._norms[:, : max(ks)]
+        if n > 1:
+            h, norms = np.tile(h, (n, 1, 1)), np.tile(norms, (n, 1))
+        if rules := {alg for names, given in zip(todo, orders) for alg, _ in names
+                     if alg != "EXHAUSTIVE" and alg not in given}:
+            found = _rule_orders(rules, h, norms, config.K_s, None if n == 1 else np.repeat(ks, t),
+                                 list(rus) * n, None if words is None else np.tile(words, (n, 1)))
+            orders = [{**{rule: got[p * t : (p + 1) * t] for rule, (_, got) in found.items()},
+                       **given} for p, given in enumerate(orders)]
+        for k, names, given in zip(ks, todo, orders):
+            if _EXACT in names and _EXACT not in given:
+                given[_EXACT] = _best_exact_orders(wide.users[:, :k], wide._norms[:, :k],
+                                                   config.K_s, targets)
+        if searched := [p for p, names in enumerate(todo) if _DP in names and _DP not in orders[p]]:
+            k_dp = max(ks[p] for p in searched)
+            dp = _best_approx_orders(wide.users[:, :k_dp], wide._norms[:, :k_dp], config.K_s,
+                                     targets, [ks[p] for p in searched])
+            for p, got in zip(searched, dp):
+                orders[p][_DP] = got
         cells = {meth: [] for meth in config.methods()}
-        for p, (k, series, _) in enumerate(points):
-            for alg, meth in series:
-                key = (alg, meth) if alg == "EXHAUSTIVE" else alg
-                if key not in orders[p]:
-                    if meth == "approx":  # the block's DP searched this K and found none
-                        raise InfeasibleGeometryError("a trial has no feasible ordering")
-                    orders[p][key] = _encoding_orders(meth, at(k), config, targets)
-                cells[meth].append((p, (alg, meth), orders[p][key]))
-        totals = [dict.fromkeys(series) for _, series, _ in points]
+        for p, names in enumerate(todo):
+            for alg, meth in names:
+                if (order := orders[p][(alg, meth) if alg == "EXHAUSTIVE" else alg]) is None:
+                    raise InfeasibleGeometryError("a trial has no feasible ordering")
+                cells[meth].append((p, (alg, meth), order))
         for meth, cell in cells.items():
-            if cell:
-                parts = _priced(meth, h, [(p * t + np.arange(t), o) for p, _, o in cell], targets)
-                for (p, name, _), part in zip(cell, parts):
+            if cell:  # the solver is looked up per call, so a patched or traced one takes effect
+                solver = {"exact": exact_min_power, "approx": approx_min_power}[meth]
+                rows = np.concatenate([p * t + np.arange(t) for p, _, _ in cell])[:, None]
+                total = solver(h[rows, np.concatenate([c[2] for c in cell])], targets).total_power
+                total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
+                for (p, name, _), part in zip(cell, np.split(total, len(cell))):
                     totals[p][name] = part
-        return totals
     except InfeasibleGeometryError:
-        return [_block_totals(config, targets, series, at(k), rus, words, point_orders)
-                for (k, series, _), point_orders in zip(points, orders)]
+        if t > 1:
+            cut, parts = t // 2, []
+            for half in (slice(cut), slice(cut, None)):
+                # a raising piece has a half that raises: the second, if the first ran clean
+                raises = bool(parts) and not any(np.isnan(a).any() for d in parts[0]
+                                                 for a in d.values())
+                parts.append(_piece_totals(
+                    config, targets, ChannelSet(wide.users[half]),
+                    [(k, series, {key: o[half] for key, o in given.items() if o is not None})
+                     for (k, series, _), given in zip(points, orders)],
+                    rus[half], None if words is None else words[half],
+                    [{name: v[half] for name, v in done.items()} for done in totals], raises))
+            return [{name: np.concatenate([a[name], b[name]]) for name in series}
+                    for (_, series, _), a, b in zip(points, *parts)]
+        if n == 1 and len(points[0][1]) == 1:
+            return [{points[0][1][0]: np.full(1, np.nan)}]
+        for (k, series, _), given, done in zip(points, orders, totals):
+            for name in series:
+                done.update(_piece_totals(config, targets, wide, [(k, [name], given)], rus, words,
+                                          [done])[0])
+    return [{name: done[name] for name in series} for (_, series, _), done in zip(points, totals)]
 
 
 def _runnable(config: ExperimentConfig, k: int) -> tuple[str, ...]:
@@ -399,7 +365,8 @@ def _run_chunk(payload):
     the first 2 K M, and its random-selection specs and words, which
     serve every K. At each M the channels are kept as drawn at the widest
     K there, and a point's are their first K users. One approx DP at the
-    widest K that searches gives every such K its orders. The points at
+    widest K that searches gives every such K its orders, or None where a
+    trial has none, which `_piece_totals` halves to find. The points at
     each M then run as pieces, runs of consecutive points whose P T
     trials of the widest K's channels, or of their series' picked rows,
     fit `selection._CHUNK_BYTES`; a piece holds at least one point.
@@ -418,7 +385,7 @@ def _run_chunk(payload):
     if "RUS" in config.algorithms:
         rus = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
         words = _stream_words(rus, 2 * config.K_s - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _block_totals
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf: see _piece_totals
         for m in dict.fromkeys(m for (m, _), s in zip(dims, series) if s):
             here = [i for i, ((m_i, _), s) in enumerate(zip(dims, series)) if m_i == m and s]
             wide = ChannelSet(_users(z, m, max(dims[i][1] for i in here)))
@@ -427,7 +394,7 @@ def _run_chunk(payload):
                 ks = [dims[i][1] for i in searched]
                 dp = _best_approx_orders(wide.users[:, : max(ks)], wide._norms[:, : max(ks)],
                                          config.K_s, targets, ks)
-                orders.update((i, {_DP: o}) for i, o in zip(searched, dp) if o is not None)
+                orders.update((i, {_DP: o}) for i, o in zip(searched, dp))
             rows = len(config.algorithms) * config.K_s  # a trial's picked rows, at most
             pieces = [[here[0]]]
             for i in here[1:]:

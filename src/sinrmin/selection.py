@@ -265,7 +265,7 @@ def _rus_picks(seeds, k_s: int, ks: np.ndarray, words=None) -> np.ndarray:
     return picked
 
 
-def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> SelectionResult:
+def select_rus(channels: ChannelSet, k_s: int, seed) -> SelectionResult:
     """Uniform random subset from the seed stream, encoded in draw order.
 
     Nothing here looks at the channels, including the encoding order:
@@ -279,15 +279,13 @@ def select_rus(channels: ChannelSet, k_s: int, seed, *, _words=None) -> Selectio
     does. Up to K = 10,000 a block runs its steps over the first
     2 K_s - 1 `channel._stream_words` of all trials at once; a trial whose
     Lemire draw rejects a word, and any trial past that K, calls ``choice``
-    on its `channel._streams` generator. `_words`, when given, are those
-    words of ``seed``, which serve every K: `experiment` takes them once a
-    block for every point.
+    on its `channel._streams` generator.
     """
     _check_k_s(channels, k_s)
     seeds = _seed_list(seed)
     if len(seeds) != len(_block(channels)):
         raise ConfigError(f"{len(seeds)} streams for {len(_block(channels))} trials")
-    return _select("RUS", channels, k_s, seeds=seeds, words=_words)
+    return _select("RUS", channels, k_s, seeds=seeds)
 
 
 def _firsts(trial: np.ndarray, key: np.ndarray) -> np.ndarray:

@@ -90,6 +90,12 @@ def test_block_rows_equal_one_set_calls(instance):
         assert tuple(rus.encoding_order[t]) == select_rus(ChannelSet(h[t]), k_s, s).encoding_order
 
 
+def _totals(cfg, targets, series, block, rus=()):
+    """Totals of `series` over `block`, priced as a piece of one point at its K."""
+    (totals,) = experiment._piece_totals(cfg, targets, block, [(block.K, series, {})], rus)
+    return totals
+
+
 def _copy_strongest_user(h, trials):
     """A copy of each trial's strongest user: NUS picks both, and the second
     lies in the first's span, so only those trials' approx prices are infeasible."""
@@ -112,7 +118,7 @@ def test_infeasible_trial_is_the_only_nan(t, data):
     _copy_strongest_user(h, bad)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h))
+    totals = _totals(cfg, targets, series, ChannelSet(h))
 
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [i in bad for i in range(t)]
     for key in series:
@@ -139,7 +145,7 @@ def test_exhaustive_infeasible_trial_in_a_block():
     for _, meth in series:
         with pytest.raises(InfeasibleGeometryError):
             select_exhaustive(ChannelSet(h), 3, targets, meth)
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h))
+    totals = _totals(cfg, targets, series, ChannelSet(h))
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
     for key in series:
         assert np.isnan(totals[key]).tolist() == [i in bad for i in range(t)]
@@ -167,15 +173,15 @@ def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
 
     def searched(*args, **kwargs):
         searches.append(1)
-        return select_exhaustive(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    searches = []
+    searches, search = [], experiment._best_approx_orders
     monkeypatch.setattr(experiment, "approx_min_power", counted)
-    monkeypatch.setattr(experiment, "select_exhaustive", searched)
+    monkeypatch.setattr(experiment, "_best_approx_orders", searched)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, "approx") for alg in cfg.algorithms]
     rus = [SeedSpec(5, 2 * i + 1) for i in range(t)]
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h), rus)
+    totals = _totals(cfg, targets, series, ChannelSet(h), rus)
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [i == bad for i in range(t)]
     for key in series:
         assert not np.isnan(np.delete(totals[key], bad)).any()
@@ -201,7 +207,7 @@ def test_a_clean_first_half_leaves_the_raise_to_the_second(monkeypatch):
     monkeypatch.setattr(experiment, "approx_min_power", counted)
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, "approx") for alg in cfg.algorithms]
-    totals = experiment._block_totals(cfg, targets, series, ChannelSet(h))
+    totals = _totals(cfg, targets, series, ChannelSet(h))
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [False, False, False, True]
     assert not np.isnan(totals[("SUS", "approx")]).any()
     assert calls == [8, 4, 2, 1, 1]
@@ -222,7 +228,7 @@ def test_an_overflowed_total_is_infinite_not_infeasible():
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.take_along_axis(block.users, order, axis=1)
         assert np.isnan(exact_min_power(rows, targets).total_power).all()
-        totals = experiment._block_totals(cfg, targets, series, block)
+        totals = _totals(cfg, targets, series, block)
     assert np.isposinf(totals[("NUS", "exact")]).all()
 
 
@@ -237,13 +243,13 @@ def test_stacked_pricing_equals_each_series_alone(t):
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, meth) for alg in cfg.algorithms for meth in cfg.methods()]
     rus = [SeedSpec(11, 2 * i + 1) for i in range(t)]
-    totals = experiment._block_totals(cfg, targets, series, block, rus)
+    totals = _totals(cfg, targets, series, block, rus)
     solvers = {"exact": exact_min_power, "approx": approx_min_power}
     rules = {"NUS": select_nus, "SUS": select_sus, "AUS": select_aus,
              "RUS": lambda c, k_s: select_rus(c, k_s, rus)}
     for alg, meth in series:
         if alg == "EXHAUSTIVE":
-            order = experiment._encoding_orders(meth, block, cfg, targets)
+            order = select_exhaustive(block, cfg.K_s, targets, meth).encoding_order
         else:
             order = rules[alg](block, cfg.K_s).encoding_order
         rows = np.take_along_axis(block.users, order[..., None], axis=1)

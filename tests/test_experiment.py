@@ -18,7 +18,7 @@ from sinrmin.errors import ConfigError, InfeasibleGeometryError
 from sinrmin.experiment import (
     ExperimentConfig,
     ResultRow,
-    _block_totals,
+    _piece_totals,
     _runnable,
     _sweep_samples,
     run_point,
@@ -26,7 +26,7 @@ from sinrmin.experiment import (
     validate_rows,
 )
 from sinrmin.power import SinrTargets
-from sinrmin.selection import select_aus, select_nus, select_rus, select_sus
+from sinrmin.selection import select_aus, select_nus, select_sus
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -457,8 +457,8 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
         return wrapper
 
     for name in ("select_nus", "select_rus", "select_exhaustive", "_best_approx_orders",
-                 "_rule_orders", "approx_min_power", "exact_min_power", "_stream_normals",
-                 "_stream_words"):
+                 "_best_exact_orders", "_rule_orders", "approx_min_power", "exact_min_power",
+                 "_stream_normals", "_stream_words"):
         monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(5, 6), trials=10, power_method="both",
                algorithms=("NUS", "RUS", "EXHAUSTIVE"))
@@ -479,7 +479,7 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
             ("_stream_words", None): blocks,
             # the rules select once a piece, over its points' stacked rows
             ("_rule_orders", None): pieces,
-            ("select_exhaustive", "exact"): visits,
+            ("_best_exact_orders", None): visits,
             # one approx DP a block serves both points
             ("_best_approx_orders", None): blocks,
             # one solver call per method and piece: each point's NUS, RUS and
@@ -539,14 +539,16 @@ def test_a_block_takes_its_channels_norms_once(monkeypatch):
 def _reference(cfg, sweep_value):
     """Per-trial totals of the series run at one point, from one block drawn
     for that point alone: channels by `sample_channel_set` at its K and M,
-    and the random-selection words `select_rus` takes itself."""
+    and the random-selection words the rule draws itself."""
     m, k = cfg.dims_at(sweep_value)
     seeds = [SeedSpec(cfg.master_seed, 2 * t) for t in range(cfg.trials)]
     rus = [SeedSpec(cfg.master_seed, 2 * t + 1) for t in range(cfg.trials)]
     series = [(alg, meth) for alg in _runnable(cfg, k) for meth in cfg.methods()]
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _block_totals(cfg, targets, series, sample_channel_set(m, k, seeds), rus)
+        (totals,) = _piece_totals(cfg, targets, sample_channel_set(m, k, seeds),
+                                  [(k, series, {})], rus)
+    return totals
 
 
 def _assert_same_totals(got, want):
@@ -700,13 +702,16 @@ def test_piece_orders_equal_each_point_alone(monkeypatch, case):
                 rus = [seeds[r] for r in rows]
                 point = sample_channel_set(
                     cfg.M, k, [SeedSpec(cfg.master_seed, s.stream_index - 1) for s in rus])
-                want = {"NUS": select_nus(point, k_s), "SUS": select_sus(point, k_s),
-                        "AUS": select_aus(point, k_s),
-                        "RUS": select_rus(point, k_s, rus, _words=piece_words[rows])}
+                want = {rule: (got.selection_order, got.encoding_order) for rule, got in
+                        (("NUS", select_nus(point, k_s)), ("SUS", select_sus(point, k_s)),
+                         ("AUS", select_aus(point, k_s)))}
+                # RUS picks in draw order from the piece's words, rejected ones included
+                picks = selection._rus_picks(rus, k_s, np.full(len(rows), k), piece_words[rows])
+                want["RUS"] = picks, picks
                 assert found.keys() == want.keys()
                 for rule, (picked, encoded) in found.items():
-                    assert np.array_equal(picked[rows], want[rule].selection_order), (rule, k)
-                    assert np.array_equal(encoded[rows], want[rule].encoding_order), (rule, k)
+                    assert np.array_equal(picked[rows], want[rule][0]), (rule, k)
+                    assert np.array_equal(encoded[rows], want[rule][1]), (rule, k)
 
 
 def test_stacked_calls_fit_the_cap_unless_a_piece_is_one_point(monkeypatch):
@@ -741,8 +746,9 @@ def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
     # trial 5's user 2 copies its user 0, the strongest of the first three,
     # so at K = 3 NUS picks that dependent pair and its approx pricing
     # raises; at K = 6 and 8 user 3, stronger still, goes first. The piece
-    # then runs each point through _block_totals: only K = 3's NUS approx
-    # cell of trial 5 turns NaN, and each point equals its lone totals
+    # then runs again as halves of its trials, each holding every point:
+    # only K = 3's NUS approx cell of trial 5 turns NaN, and each point
+    # equals its lone totals
     import sinrmin.experiment as exp
 
     draw = exp._stream_normals
@@ -762,14 +768,60 @@ def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
     alone = {v: _alone(cfg, v) for v in cfg.points()}
     pieces, points = [], []
     _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: pieces.append(args[4]))
-    _spied(monkeypatch, "_block_totals", lambda args, kwargs, out: points.append(args[3].K))
+    _spied(monkeypatch, "_piece_totals", lambda args, kwargs, out:
+           points.append((len(args[2].users), [k for k, _, _ in args[3]])))
     samples = _sweep_samples(cfg, cfg.points(), 1)
     assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
-    assert set(points) == {3, 6, 8}
+    halves = [ks for t, ks in points if 1 < t < cfg.trials]
+    assert halves and all(ks == [3, 6, 8] for ks in halves)
     for v, got in zip(cfg.points(), samples):
         _assert_same_totals(got, alone[v])
         nan = {(name, t) for name, arr in got.items() for t in np.flatnonzero(np.isnan(arr))}
         assert nan == ({(("NUS", "approx"), 5)} if v == 3 else set()), v
+
+
+@pytest.mark.parametrize("trials", (8, 64))
+def test_a_piece_whose_searches_find_nothing_at_one_k(monkeypatch, trials):
+    # trial 5's first three users are multiples of one weak user, and its
+    # users 3 and up are drawn as usual: at K = 3 every pick is a dependent
+    # pair, so each approx cell of trial 5 raises and the block's DP finds
+    # no orders there, while K = 6 and 8 pick and search around them
+    import sinrmin.experiment as exp
+
+    draw, bad = exp._stream_normals, 5
+
+    def dependent(seeds, shape):
+        z = draw(seeds, shape)
+        for t, spec in enumerate(seeds):
+            if spec.stream_index == 2 * bad:  # M = 4: a user is 8 normals
+                z[t, :8] *= 0.1
+                z[t, 8:16], z[t, 16:24] = 0.5 * z[t, :8], -0.25 * z[t, :8]
+        return z
+
+    monkeypatch.setattr(exp, "_stream_normals", dependent)
+    cfg = _cfg(K=None, sweep_axis="K", sweep_values=(3, 6, 8), K_s=2, trials=trials,
+               power_method="both", algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
+    alone = {v: _alone(cfg, v) for v in cfg.points()}
+    pieces, dp, exact = [], [], []
+    _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: pieces.append(args[4]))
+    _spied(monkeypatch, "_best_approx_orders",
+           lambda args, kwargs, out: dp.append((len(args[0]), list(args[4]), out)))
+    _spied(monkeypatch, "_best_exact_orders", lambda args, kwargs, out: exact.append(out))
+    samples = _sweep_samples(cfg, cfg.points(), 1)
+    assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
+    # the block's DP finds none at K = 3 only; the halves search K = 3 alone
+    (t, ks, found), *halves = dp
+    assert t == trials and [o is None for o in found] == [k == 3 for k in ks]
+    assert halves and all(t < trials and ks == [3] for t, ks, _ in halves)
+    assert all(o is not None for o in exact)
+    for v, got in zip(cfg.points(), samples):
+        _assert_same_totals(got, alone[v])
+        nan = {(name, t) for name, arr in got.items() for t in np.flatnonzero(np.isnan(arr))}
+        want = {((alg, "approx"), bad) for alg in cfg.algorithms}
+        assert nan == (want if v == 3 else set()), v
+    # one exact search a point, and a DP for the block, for at most two
+    # halves a level and for the bad trial alone
+    assert len(dp) + len(exact) <= 2 * math.ceil(math.log2(trials)) + len(cfg.points()) + 2
 
 
 def test_sweep_groups_keep_the_rows(monkeypatch):
