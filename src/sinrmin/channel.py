@@ -328,7 +328,8 @@ def _complement_step(coords: np.ndarray, x: np.ndarray, x_sq) -> np.ndarray:
     ``x`` is one (..., m) row per leading index and ``x_sq`` its squared
     norm. One complex Householder reflection (Householder 1958) takes x
     onto the first axis, is applied to every row, and that axis is
-    dropped. An x of exactly zero drops the first axis as it is.
+    dropped. An x of exactly zero drops the first axis as it is. The
+    rank-one update is subtracted a column at a time, each call along K.
     """
     # v = x + e^{i arg x_1} |x| e_1 reflects x to a multiple of e_1 and,
     # adding like phases, never cancels; v^H v = 2 |x| (|x| + |x_1|). A
@@ -341,7 +342,10 @@ def _complement_step(coords: np.ndarray, x: np.ndarray, x_sq) -> np.ndarray:
     half = (norm * (norm + head))[..., None, None]
     w = np.divide(coords @ v.conj()[..., :, None], half,
                   out=np.zeros(coords.shape[:-1] + (1,), complex), where=half > 0)
-    return coords[..., 1:] - w * v[..., None, 1:]
+    out = np.empty(w.shape[:-1] + (x.shape[-1] - 1,), complex)
+    for j in range(1, x.shape[-1]):
+        np.subtract(coords[..., j], w[..., 0] * v[..., j, None], out=out[..., j - 1])
+    return out
 
 
 def sin_sq_angle(h: np.ndarray, basis) -> float:

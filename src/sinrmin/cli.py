@@ -16,7 +16,7 @@ import functools
 import hashlib
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from importlib import resources
@@ -119,17 +119,20 @@ def _flag_overrides(args) -> dict:
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):  # most cells; a bool is no float
+        return format(value, ".9g")
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):  # ValidationRow.passed, the status column
         return "pass" if value else "fail"
-    if isinstance(value, float):
-        return format(value, ".9g")
     return str(value)
 
 
-def _cells(row) -> list:
-    return [_cell(getattr(row, f.name)) for f in fields(row)]
+def _cells(rows, kind):
+    names = [f.name for f in fields(kind)]  # the dataclass's columns, read once a table
+    return ([_cell(getattr(row, name)) for name in names] for row in rows)
 
 
 def _write_atomically(path: Path, write) -> None:
@@ -140,8 +143,9 @@ def _write_atomically(path: Path, write) -> None:
         with open(tmp, "w", newline="") as fh:
             write(fh)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_table(path: Path, header, rows) -> None:
@@ -154,11 +158,11 @@ def _write_table(path: Path, header, rows) -> None:
 
 
 def write_results(rows, path: Path) -> None:
-    _write_table(path, _RESULT_COLUMNS, map(_cells, rows))
+    _write_table(path, _RESULT_COLUMNS, _cells(rows, ResultRow))
 
 
 def write_validation(report, path: Path) -> None:
-    _write_table(path, _VALIDATION_COLUMNS, map(_cells, report))
+    _write_table(path, _VALIDATION_COLUMNS, _cells(report, ValidationRow))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -407,7 +411,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, MemoryError, OSError, BrokenProcessPool) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError, BrokenExecutor) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -23,7 +23,6 @@ import math
 import os
 import typing
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
@@ -425,12 +424,13 @@ def _open_pool(config: ExperimentConfig, workers: int):
     w = _workers(workers)
     if w == 1:
         return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor  # its import takes start-up time
     return ProcessPoolExecutor(max_workers=min(w, config.trials))
 
 
 def _sweep_samples(config: ExperimentConfig, points, workers: int, pool=None):
-    """Per-trial totals keyed by (algorithm, method) at each of `points`,
-    in trial order.
+    """A (series, trials) stack of per-trial totals, and per point of
+    `points` its rows, keyed by (algorithm, method), in trial order.
 
     The trials are cut into n contiguous blocks within the byte cap of
     the largest point, whose sizes differ by at most one, and each block
@@ -447,8 +447,26 @@ def _sweep_samples(config: ExperimentConfig, points, workers: int, pool=None):
             for i in range(n)]
     with _open_pool(config, w) if pool is None else nullcontext(pool) as pool:
         results = list(map(_run_chunk, args) if pool is None else pool.map(_run_chunk, args))
-    return [{key: np.concatenate([r[i][key] for r in results]) for key in results[0][i]}
-            for i in range(len(points))]
+    rows = iter(stack := np.empty((sum(map(len, results[0])), trials)))
+    return stack, [{key: np.concatenate([r[i][key] for r in results], out=next(rows))
+                    for key in point} for i, point in enumerate(results[0])]
+
+
+def _summaries(stack, samples) -> list:
+    """Per point of `samples`, each series' (infeasible count, mean, stderr)
+    over the trials of its `stack` row that are not NaN, the mean None where
+    all are. A row with NaN is summarised alone; the rest as one stack."""
+    n, t = stack.shape
+    nans = np.isnan(stack).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = stack.mean(axis=1).tolist()
+        stderrs = (stack.std(axis=1, ddof=1) / math.sqrt(t)).tolist() if t > 1 else [0.0] * n
+        for i in np.flatnonzero(nans):
+            ok = stack[i][~np.isnan(stack[i])]
+            means[i] = float(ok.mean()) if ok.size else None
+            stderrs[i] = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+    stats = iter(zip(nans.tolist(), means, stderrs))
+    return [{key: next(stats) for key in point} for point in samples]
 
 
 def _analytic_value(alg, m, k, k_s, gamma, sigma_sq):
@@ -485,22 +503,21 @@ def _check_config(config) -> None:
     config.validate(simulatable=True)
 
 
-def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _samples=None):
+def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _stats=None):
     """All result rows for one sweep point; config, point and workers are checked first.
 
-    `_samples` are the point's totals from `run_sweep`, which samples its
-    points together and has checked the config; left out, the point is
-    sampled as a sweep of one.
+    `_stats` are the point's `_summaries`, from `run_sweep`, which has
+    checked the config and summarised its points together; left out, the
+    point is sampled and summarised as a sweep of one.
     """
-    if _samples is None:
+    if _stats is None:
         _check_config(config)
     if isinstance(sweep_value, np.ndarray) or sweep_value not in config.points():
         raise ConfigError(f"sweep value {sweep_value!r} is not a point of {config.points()}")
-    workers = _workers(workers)
     m, k = config.dims_at(sweep_value)
     gamma = config.gamma_linear
-    if _samples is None:
-        (_samples,) = _sweep_samples(config, (sweep_value,), workers)
+    if _stats is None:
+        (_stats,) = _summaries(*_sweep_samples(config, (sweep_value,), workers))
     runnable = _runnable(config, k)
     rows = []
 
@@ -512,21 +529,14 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
                     config.master_seed, None, None, None, 0, "budget_exceeded",
                 ))
                 continue
-            arr = _samples[(alg, meth)]
-            ok = arr[~np.isnan(arr)]
-            infeasible = int(arr.size - ok.size)
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = float(ok.mean()) if ok.size else None
-                stderr = (
-                    float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-                )
+            infeasible, mean, stderr = _stats[(alg, meth)]
             if not math.isfinite(stderr) or not math.isfinite(mean or 0.0):
                 raise ArithmeticError(
                     f"{alg} {meth} at M={m}, K={k}: Monte Carlo mean {mean} "
                     f"and stderr {stderr} must be finite"
                 )
             notes = []
-            if infeasible > 0.0001 * arr.size:
+            if infeasible > 0.0001 * config.trials:
                 notes.append("infeasible_rate_exceeded")
             analytic = None
             if meth == "approx":
@@ -536,7 +546,7 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
                 if analytic is None:
                     notes.append(marker)
             rows.append(ResultRow(
-                config.sweep_axis, sweep_value, alg, meth, int(arr.size),
+                config.sweep_axis, sweep_value, alg, meth, config.trials,
                 config.master_seed, mean, stderr, analytic, infeasible,
                 ";".join(notes),
             ))
@@ -561,8 +571,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1):
     with _open_pool(config, workers) as pool:
         for i in range(0, len(points), group):
             part = points[i : i + group]
-            for sweep_value, samples in zip(part, _sweep_samples(config, part, workers, pool)):
-                rows.extend(run_point(config, sweep_value, workers, _samples=samples))
+            for value, stats in zip(part, _summaries(*_sweep_samples(config, part, workers, pool))):
+                rows.extend(run_point(config, value, workers, _stats=stats))
     return rows
 
 

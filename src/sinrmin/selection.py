@@ -13,7 +13,7 @@ probability zero.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -415,6 +415,7 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
     last and their cheapest encodings are priced and stepped once, at K:
     a user's coordinates and cost against a set do not depend on the
     other users, so K' reads them as the prefix [:, :C(K', j), :K'].
+    F(T) is a running minimum over u in T of F(T - u) plus u's cost, each call along the sets.
 
     A last-level set T is stepped only if F(T) + sigma^2 gamma_last / r is
     within its trial's incumbent, F(T) being the cheapest encoding of T and
@@ -446,10 +447,9 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
     for j in range(last):
         res2, cost = price(coords, j, members[j], floor)
         costs.append(cost)
-        drop, elem = drops[j], elems[j]
-        enc = (enc[:, drop] + cost[:, drop, elem]).min(axis=2)
+        enc = reduce(np.minimum, (enc[:, d] + cost[:, d, e] for d, e in zip(drops[j].T, elems[j].T)))
         if j + 1 < last:
-            coords = step(coords, res2, (slice(None), drop[:, -1]), elem[:, -1])
+            coords = step(coords, res2, (slice(None), drops[j][:, -1]), elems[j][:, -1])
     found = []
     for k in ks:
         size = [math.comb(k, j) for j in range(k_s)]

@@ -496,6 +496,38 @@ def test_complement_step_rows_beyond_the_axes():
             assert res2[i][t] == pytest.approx(_lstsq_res2(rows[t, i], rows[t, :i]), rel=1e-12)
 
 
+def _broadcast_step(coords, x, x_sq):
+    """`_complement_step` with its rank-one update as one broadcast
+    subtraction, the reference for its column form."""
+    v = x.copy()
+    norm, head = np.sqrt(x_sq), np.abs(v[..., 0])
+    phase = np.divide(v[..., 0], head, out=np.ones_like(v[..., 0]), where=head >= channel._TINY)
+    v[..., 0] += norm * phase
+    half = (norm * (norm + head))[..., None, None]
+    w = np.divide(coords @ v.conj()[..., :, None], half,
+                  out=np.zeros(coords.shape[:-1] + (1,), complex), where=half > 0)
+    return coords[..., 1:] - w * v[..., None, 1:]
+
+
+@pytest.mark.parametrize("lead", ((), (5,), (2, 3)))
+@pytest.mark.parametrize("m", (2, 3, 4, 8))
+def test_column_update_equals_the_broadcast_one(m, lead):
+    # the update is subtracted a column at a time; each element must round
+    # as in one broadcast, at K below, at and above m - 1, for an x of
+    # exactly zero (w = 0) and a subnormal x_1 (phase 1) too
+    rng = SeedSpec(12, m).generator()
+    for k in (1, m - 1, m, 2 * m + 3):
+        coords = _randn(rng, lead + (k, m))
+        x = _randn(rng, lead + (m,))
+        subnormal = x.copy()
+        subnormal[..., 0] = 3e-310 - 1e-311j
+        for x in (x, np.zeros_like(x), subnormal):
+            got = _complement_step(coords, x, _squared_norms(x))
+            want = _broadcast_step(coords, x, _squared_norms(x))
+            assert got.shape == want.shape == lead + (k, m - 1)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 def test_residuals_empty_basis_broadcasts_like_one_row():
     # no basis rows: the rows come back as they are, broadcast to the
     # shape one basis row would give

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 from collections import Counter
 from importlib import resources
 
@@ -20,6 +21,7 @@ from sinrmin.experiment import (
     ResultRow,
     _piece_totals,
     _runnable,
+    _summaries,
     _sweep_samples,
     run_point,
     run_sweep,
@@ -41,7 +43,7 @@ def _cfg(**overrides) -> ExperimentConfig:
 
 def _alone(cfg, sweep_value=None, workers=1):
     """Per-trial totals at one point, sampled as a sweep of that point alone."""
-    (samples,) = _sweep_samples(cfg, (sweep_value,), workers)
+    _, (samples,) = _sweep_samples(cfg, (sweep_value,), workers)
     return samples
 
 
@@ -354,8 +356,6 @@ def test_exhaustive_floor_per_trial():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the process pool with an in-process one; yields its sizes."""
-    import sinrmin.experiment as exp
-
     sizes = []
 
     class SerialPool:
@@ -371,7 +371,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", SerialPool)
+    # experiment._open_pool imports the pool class when it opens one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -470,7 +471,7 @@ def test_one_pricing_call_per_method_and_block(monkeypatch):
                                    (2, 4, 5 * unit)):
         calls.clear()
         monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)
-        samples = _sweep_samples(cfg, cfg.points(), workers=1)
+        _, samples = _sweep_samples(cfg, cfg.points(), workers=1)
         assert all(not np.isnan(arr).any() for point in samples for arr in point.values())
         visits = blocks * len(cfg.points())
         assert Counter(calls) == {
@@ -592,7 +593,7 @@ def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
     # two points or more where the widest K allows
     for budget in (selection._CHUNK_BYTES, widest, 5 * widest, 2 * cfg.trials * unit):
         monkeypatch.setattr(selection, "_CHUNK_BYTES", budget)  # the pool forks and sees it
-        for v, samples in zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers)):
+        for v, samples in zip(cfg.points(), _sweep_samples(cfg, cfg.points(), workers)[1]):
             _assert_same_totals(samples, alone[v])
     rows = [row for v in cfg.points() for row in run_point(cfg, v)]
     assert run_sweep(cfg, workers) == rows
@@ -615,7 +616,7 @@ def test_a_trial_infeasible_at_one_k_only(monkeypatch):
     monkeypatch.setattr(exp, "_stream_normals", copied)
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(6, 3, 4), K_s=3, trials=8,
                algorithms=("NUS", "EXHAUSTIVE"))
-    samples = _sweep_samples(cfg, cfg.points(), 1)
+    _, samples = _sweep_samples(cfg, cfg.points(), 1)
     for v, got in zip(cfg.points(), samples):
         _assert_same_totals(got, _alone(cfg, v))
         assert np.isnan(got[("EXHAUSTIVE", "approx")][5]) == (v == 3)
@@ -770,7 +771,7 @@ def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
     _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: pieces.append(args[4]))
     _spied(monkeypatch, "_piece_totals", lambda args, kwargs, out:
            points.append((len(args[2].users), [k for k, _, _ in args[3]])))
-    samples = _sweep_samples(cfg, cfg.points(), 1)
+    _, samples = _sweep_samples(cfg, cfg.points(), 1)
     assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
     halves = [ks for t, ks in points if 1 < t < cfg.trials]
     assert halves and all(ks == [3, 6, 8] for ks in halves)
@@ -807,7 +808,7 @@ def test_a_piece_whose_searches_find_nothing_at_one_k(monkeypatch, trials):
     _spied(monkeypatch, "_best_approx_orders",
            lambda args, kwargs, out: dp.append((len(args[0]), list(args[4]), out)))
     _spied(monkeypatch, "_best_exact_orders", lambda args, kwargs, out: exact.append(out))
-    samples = _sweep_samples(cfg, cfg.points(), 1)
+    _, samples = _sweep_samples(cfg, cfg.points(), 1)
     assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
     # the block's DP finds none at K = 3 only; the halves search K = 3 alone
     (t, ks, found), *halves = dp
@@ -877,7 +878,7 @@ def test_rejected_lemire_word_calls_choice_at_every_point(monkeypatch):
     monkeypatch.setattr(exp, "_stream_words", rejecting)
     # select_rus calls choice on the streams it hands to channel._streams
     with mock.patch.object(selection, "_streams", side_effect=channel._streams) as chosen:
-        samples = _sweep_samples(cfg, cfg.points(), workers=1)
+        _, samples = _sweep_samples(cfg, cfg.points(), workers=1)
     assert [list(c.args[0]) for c in chosen.call_args_list] == \
         [[SeedSpec(cfg.master_seed, 2 * t + 1)]] * len(cfg.points())
     for v, got in zip(cfg.points(), samples):
@@ -960,6 +961,48 @@ def test_exact_rows_carry_no_analytic():
     by_method = {r.power_method: r for r in rows if r.algorithm == "NUS"}
     assert by_method["exact"].analytic_value is None
     assert by_method["approx"].analytic_value is not None
+
+
+def _summary_alone(arr):
+    """A series' (infeasible count, mean, stderr) by the per-series formula,
+    the reference for `_summaries`."""
+    ok = arr[~np.isnan(arr)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(ok.mean()) if ok.size else None
+        stderr = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+    return int(arr.size - ok.size), mean, stderr
+
+
+@pytest.mark.parametrize("t", (1, 2, 7, 129, 2000))
+def test_stacked_summaries_equal_each_series_alone(t):
+    # rows at three scales, one with every third trial infeasible, one all
+    # infeasible, and one with an overflowed (inf) total
+    rng = np.random.default_rng(t)
+    stack = rng.exponential(size=(6, t)) * np.array([[1e-3], [1.0], [1e3], [1.0], [1.0], [1.0]])
+    stack[3, ::3] = np.nan
+    stack[4] = np.nan
+    stack[5, -1] = np.inf
+    (got,) = _summaries(stack, [dict(enumerate(stack))])
+    got = list(got.values())
+    assert got[4] == (t, None, 0.0)
+    # repr writes each float exactly, NaN alike, and a NumPy scalar apart
+    assert repr(got) == repr([_summary_alone(row) for row in stack])
+
+
+@pytest.mark.parametrize("trials", (1, 7))
+def test_an_infinite_total_raises_in_run_point(monkeypatch, trials):
+    import sinrmin.experiment as exp
+
+    real = exp.approx_min_power
+
+    def overflowed(rows, targets):
+        total = real(rows, targets).total_power.copy()
+        total[-1] = np.inf
+        return types.SimpleNamespace(total_power=total)
+
+    monkeypatch.setattr(exp, "approx_min_power", overflowed)
+    with pytest.raises(ArithmeticError, match=r"^NUS approx at M=4, K=10: Monte Carlo mean inf "):
+        run_point(_cfg(trials=trials, algorithms=("NUS",)))
 
 
 # ---------------------------------------------------------------------------
