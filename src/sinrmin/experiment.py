@@ -11,8 +11,9 @@ seed, and each row gets what that trial alone would at its point, so
 results are identical no matter how trials are split into blocks and
 pieces or scheduled across workers. A block draws those streams once for
 every point of the sweep: a point reads a prefix of the normals the
-largest point takes, and of the words. A piece with an infeasible trial
-runs again as halves, so only that trial's infeasible cells turn NaN.
+largest point takes, and of the words. A search marks a trial with no
+feasible ordering by a row of -1, and a solver call that raises prices
+its rows alone, so only the cells that are infeasible alone turn NaN.
 
 Analytic averages attach to the approx-method rows only: the closed
 forms describe the residual-norm power model, not the exact recursion.
@@ -262,90 +263,72 @@ class ValidationRow:
     passed: bool
 
 
-def _piece_totals(config, targets, wide, points, rus=(), words=None, totals=None, raises=False):
+def _priced_rows(solver, h, targets):
+    """Total powers of the picked rows `h` by `solver`; a NaN total
+    overflowed and is +inf. A block on which the solver raises
+    InfeasibleGeometryError is priced a row at a time, and a row that
+    raises alone is NaN."""
+    try:
+        total = solver(h, targets).total_power
+    except InfeasibleGeometryError:
+        return np.concatenate([_priced_rows(solver, row, targets) if len(h) > 1 else [np.nan]
+                               for row in np.split(h, len(h))])
+    return np.where(np.isnan(total), np.inf, total)
+
+
+def _piece_totals(config, targets, wide, points, rus=(), words=None):
     """Totals of every series at each point of a piece, over one block of
     trials; infeasible cells are NaN.
 
     `points` are (K, series, orders) of consecutive points at the M of
-    `wide`, the block's channels at that M's widest K; `orders` are those
-    a point has found, keyed by rule or EXHAUSTIVE series, None where a
-    search found none. A piece of P points is its widest channels repeated
+    `wide`, the block's channels at that M's widest K; `orders` are the
+    point's EXHAUSTIVE orders by series, -1 in the row of a trial with
+    none feasible. A piece of P points is its widest channels repeated
     once per point, P T rows whose row for point p holds its first K_p
-    users: the rules not in `orders` select once over them, one approx DP
-    for every K and an exact search a point find the EXHAUSTIVE orders not
-    in them, and each method prices every point's series not in `totals`
-    in one solver call. One point is `wide`'s first K users as they are.
-    `rus` are the trials' random-selection specs and `words` their words.
-
-    A piece whose search finds none or whose pricing raises
-    InfeasibleGeometryError runs again as halves that keep the orders and
-    totals found, down to one trial, whose (point, series) cells then run
-    alone: only a cell that raises alone turns NaN. A second half `raises`
-    unrun when the first ran clean.
+    users: the rules select once over them, and each method prices every
+    point's series in one `_priced_rows` call, all but the rows of -1, which
+    are NaN. `rus` are the trials' random-selection specs and `words`
+    their words.
     """
     t, n, ks = len(wide.users), len(points), [k for k, _, _ in points]
+    h, norms = wide.users[:, : max(ks)], wide._norms[:, : max(ks)]
+    if n > 1:
+        h, norms = np.tile(h, (n, 1, 1)), np.tile(norms, (n, 1))
     orders = [dict(given) for _, _, given in points]
-    totals = [dict(done) for done in totals or [{}] * n]
-    todo = [[name for name in series if name not in done]
-            for (_, series, _), done in zip(points, totals)]
-    try:
-        if raises:
-            raise InfeasibleGeometryError("the piece's other half ran clean")
-        h, norms = wide.users[:, : max(ks)], wide._norms[:, : max(ks)]
-        if n > 1:
-            h, norms = np.tile(h, (n, 1, 1)), np.tile(norms, (n, 1))
-        if rules := {alg for names, given in zip(todo, orders) for alg, _ in names
-                     if alg != "EXHAUSTIVE" and alg not in given}:
-            found = _rule_orders(rules, h, norms, config.K_s, None if n == 1 else np.repeat(ks, t),
-                                 list(rus) * n, None if words is None else np.tile(words, (n, 1)))
-            orders = [{**{rule: got[p * t : (p + 1) * t] for rule, (_, got) in found.items()},
-                       **given} for p, given in enumerate(orders)]
-        for k, names, given in zip(ks, todo, orders):
-            if _EXACT in names and _EXACT not in given:
-                given[_EXACT] = _best_exact_orders(wide.users[:, :k], wide._norms[:, :k],
-                                                   config.K_s, targets)
-        if searched := [p for p, names in enumerate(todo) if _DP in names and _DP not in orders[p]]:
-            k_dp = max(ks[p] for p in searched)
-            dp = _best_approx_orders(wide.users[:, :k_dp], wide._norms[:, :k_dp], config.K_s,
-                                     targets, [ks[p] for p in searched])
-            for p, got in zip(searched, dp):
-                orders[p][_DP] = got
-        cells = {meth: [] for meth in config.methods()}
-        for p, names in enumerate(todo):
-            for alg, meth in names:
-                if (order := orders[p][(alg, meth) if alg == "EXHAUSTIVE" else alg]) is None:
-                    raise InfeasibleGeometryError("a trial has no feasible ordering")
-                cells[meth].append((p, (alg, meth), order))
-        for meth, cell in cells.items():
-            if cell:  # the solver is looked up per call, so a patched or traced one takes effect
-                solver = {"exact": exact_min_power, "approx": approx_min_power}[meth]
-                rows = np.concatenate([p * t + np.arange(t) for p, _, _ in cell])[:, None]
-                total = solver(h[rows, np.concatenate([c[2] for c in cell])], targets).total_power
-                total = np.where(np.isnan(total), np.inf, total)  # overflowed, not infeasible
-                for (p, name, _), part in zip(cell, np.split(total, len(cell))):
-                    totals[p][name] = part
-    except InfeasibleGeometryError:
-        if t > 1:
-            cut, parts = t // 2, []
-            for half in (slice(cut), slice(cut, None)):
-                # a raising piece has a half that raises: the second, if the first ran clean
-                raises = bool(parts) and not any(np.isnan(a).any() for d in parts[0]
-                                                 for a in d.values())
-                parts.append(_piece_totals(
-                    config, targets, ChannelSet(wide.users[half]),
-                    [(k, series, {key: o[half] for key, o in given.items() if o is not None})
-                     for (k, series, _), given in zip(points, orders)],
-                    rus[half], None if words is None else words[half],
-                    [{name: v[half] for name, v in done.items()} for done in totals], raises))
-            return [{name: np.concatenate([a[name], b[name]]) for name in series}
-                    for (_, series, _), a, b in zip(points, *parts)]
-        if n == 1 and len(points[0][1]) == 1:
-            return [{points[0][1][0]: np.full(1, np.nan)}]
-        for (k, series, _), given, done in zip(points, orders, totals):
-            for name in series:
-                done.update(_piece_totals(config, targets, wide, [(k, [name], given)], rus, words,
-                                          [done])[0])
-    return [{name: done[name] for name in series} for (_, series, _), done in zip(points, totals)]
+    if rules := {alg for _, series, _ in points for alg, _ in series if alg != "EXHAUSTIVE"}:
+        found = _rule_orders(rules, h, norms, config.K_s, np.repeat(ks, t), list(rus) * n,
+                             None if words is None else np.tile(words, (n, 1)))
+        for p, given in enumerate(orders):
+            given.update((rule, got[p * t : (p + 1) * t]) for rule, (_, got) in found.items())
+    totals = [{} for _ in points]
+    for meth in config.methods():
+        cells = [(p, name, given[name if name[0] == "EXHAUSTIVE" else name[0]])
+                 for p, ((_, series, _), given) in enumerate(zip(points, orders))
+                 for name in series if name[1] == meth]
+        rows = np.concatenate([p * t + np.arange(t) for p, _, _ in cells])
+        order = np.concatenate([o for _, _, o in cells])
+        ok, out = order[:, 0] >= 0, np.full(len(rows), np.nan)
+        # the solver is looked up per call, so a patched or traced one takes effect
+        solver = {"exact": exact_min_power, "approx": approx_min_power}[meth]
+        out[ok] = _priced_rows(solver, h[rows[ok, None], order[ok]], targets)
+        for (p, name, _), part in zip(cells, np.split(out, len(cells))):
+            totals[p][name] = part
+    return totals
+
+
+def _searches(config, targets, wide, points):
+    """EXHAUSTIVE orders by series for each (K, series) of `points`, over
+    the first K users of `wide`: one approx DP serves every K, and each K
+    takes one exact search. A row of -1 is a trial with none feasible."""
+    h, norms = wide.users, wide._norms
+    ks = [k for k, series in points if _DP in series]
+    dp = iter(_best_approx_orders(h[:, : max(ks)], norms[:, : max(ks)], config.K_s, targets, ks)
+              if ks else ())
+    orders = [{_DP: next(dp)} if _DP in series else {} for _, series in points]
+    for (k, series), given in zip(points, orders):
+        if _EXACT in series:
+            given[_EXACT] = _best_exact_orders(h[:, :k], norms[:, :k], config.K_s, targets)
+    return orders
 
 
 def _runnable(config: ExperimentConfig, k: int) -> tuple[str, ...]:
@@ -363,12 +346,11 @@ def _run_chunk(payload):
     normals, as many as the largest point takes, of which a point reads
     the first 2 K M, and its random-selection specs and words, which
     serve every K. At each M the channels are kept as drawn at the widest
-    K there, and a point's are their first K users. One approx DP at the
-    widest K that searches gives every such K its orders, or None where a
-    trial has none, which `_piece_totals` halves to find. The points at
-    each M then run as pieces, runs of consecutive points whose P T
-    trials of the widest K's channels, or of their series' picked rows,
-    fit `selection._CHUNK_BYTES`; a piece holds at least one point.
+    K there, and a point's are their first K users; `_searches` finds
+    their EXHAUSTIVE orders. The points at each M then run as pieces, runs
+    of consecutive points whose P T trials of the widest K's channels, or
+    of their series' picked rows, fit `selection._CHUNK_BYTES`; a piece
+    holds at least one point.
     """
     config, points, trials = payload
     targets = SinrTargets(config.gamma_linear, config.sigma_sq)
@@ -384,16 +366,12 @@ def _run_chunk(payload):
     if "RUS" in config.algorithms:
         rus = [SeedSpec(config.master_seed, 2 * t + 1) for t in trials]
         words = _stream_words(rus, 2 * config.K_s - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf: see _piece_totals
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf: see _priced_rows
         for m in dict.fromkeys(m for (m, _), s in zip(dims, series) if s):
             here = [i for i, ((m_i, _), s) in enumerate(zip(dims, series)) if m_i == m and s]
             wide = ChannelSet(_users(z, m, max(dims[i][1] for i in here)))
-            orders = {i: {} for i in here}
-            if searched := [i for i in here if _DP in series[i]]:
-                ks = [dims[i][1] for i in searched]
-                dp = _best_approx_orders(wide.users[:, : max(ks)], wide._norms[:, : max(ks)],
-                                         config.K_s, targets, ks)
-                orders.update((i, {_DP: o}) for i, o in zip(searched, dp))
+            orders = dict(zip(here, _searches(config, targets, wide,
+                                              [(dims[i][1], series[i]) for i in here])))
             rows = len(config.algorithms) * config.K_s  # a trial's picked rows, at most
             pieces = [[here[0]]]
             for i in here[1:]:
@@ -512,7 +490,7 @@ def run_point(config: ExperimentConfig, sweep_value=None, workers: int = 1, *, _
     """
     if _stats is None:
         _check_config(config)
-    if isinstance(sweep_value, np.ndarray) or sweep_value not in config.points():
+    if not _has_type(sweep_value, int | None) or sweep_value not in config.points():
         raise ConfigError(f"sweep value {sweep_value!r} is not a point of {config.points()}")
     m, k = config.dims_at(sweep_value)
     gamma = config.gamma_linear

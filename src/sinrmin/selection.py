@@ -119,31 +119,29 @@ def _weakest_first(norms: np.ndarray, picked: np.ndarray) -> np.ndarray:
     return np.take_along_axis(picked, np.lexsort((picked, norms), axis=-1), axis=-1)
 
 
-def _rule_orders(rules, h: np.ndarray, norms: np.ndarray, k_s: int, live=None, seeds=(),
-                 words=None) -> dict:
+def _rule_orders(rules, h: np.ndarray, norms: np.ndarray, k_s: int, live: np.ndarray,
+                 seeds=(), words=None) -> dict:
     """Each of `rules` (NUS, SUS, AUS, RUS) on a (N, K, M) block with squared
     norms `norms`, as (picked, encoded) (N, K_s) arrays keyed by rule.
 
-    `live` (N,), when given, is the user count K' of each row: its users
-    past K' are never scored or drawn, so a row gets what its first K'
-    users alone give (NUS sorts them last, the greedy rules score them
-    -inf, RUS draws over K'). Left out, every row holds all K. When SUS and
-    AUS both run, one greedy call gives both their picks. RUS takes one
-    spec per row in `seeds`, and their words in `words` when given.
+    `live` (N,) is the user count K' of each row: its users past K' are
+    never scored or drawn, so a row gets what its first K' users alone give
+    (NUS sorts them last, the greedy rules score them -inf, RUS draws over
+    K'). When SUS and AUS both run, one greedy call gives both their picks.
+    RUS takes one spec per row in `seeds`, and their words in `words` when
+    given.
     """
-    past = None if live is None else np.arange(h.shape[1]) >= live[:, None]
+    past = np.arange(h.shape[1]) >= live[:, None]
     found = {}
     if "NUS" in rules:
-        key = -norms if past is None else np.where(past, np.inf, -norms)
-        picked = np.argsort(key, axis=-1, kind="stable")[:, :k_s]
+        picked = np.argsort(np.where(past, np.inf, -norms), axis=-1, kind="stable")[:, :k_s]
         found["NUS"] = picked, _weakest_first(norms, picked)
     if angles := [rule == "AUS" for rule in ("SUS", "AUS") if rule in rules]:
         for by_angle, picked in zip(angles, _greedy_residual(h, norms, k_s, angles, past)):
             found["AUS" if by_angle else "SUS"] = \
                 picked, _weakest_first(norms, picked) if by_angle else picked
     if "RUS" in rules:
-        picked = _rus_picks(seeds, k_s, np.full(len(h), h.shape[1]) if live is None else live,
-                            words)
+        picked = _rus_picks(seeds, k_s, live, words)
         found["RUS"] = picked, picked
     return found
 
@@ -151,7 +149,8 @@ def _rule_orders(rules, h: np.ndarray, norms: np.ndarray, k_s: int, live=None, s
 def _select(rule: str, channels: ChannelSet, k_s: int, **rus) -> SelectionResult:
     """One rule of `_rule_orders` on every row of `channels`, at its K."""
     _check_k_s(channels, k_s)
-    found = _rule_orders((rule,), _block(channels), channels._norms, k_s, **rus)
+    h = _block(channels)
+    found = _rule_orders((rule,), h, channels._norms, k_s, np.full(len(h), channels.K), **rus)
     return _result(rule, channels, *found[rule])
 
 
@@ -160,7 +159,7 @@ def select_nus(channels: ChannelSet, k_s: int) -> SelectionResult:
     return _select("NUS", channels, k_s)
 
 
-def _greedy_residual(h: np.ndarray, norms: np.ndarray, k_s: int, angles, past=None) -> list:
+def _greedy_residual(h: np.ndarray, norms: np.ndarray, k_s: int, angles, past) -> list:
     """(T, K_s) pick orders of the greedy residual rules over a (T, K, M)
     block, one per flag of `angles`: True for AUS, False for SUS.
 
@@ -181,8 +180,7 @@ def _greedy_residual(h: np.ndarray, norms: np.ndarray, k_s: int, angles, past=No
             scores = np.divide(res2, norms, out=np.zeros_like(res2), where=norms > 0.0)
         else:
             scores = res2.copy()
-        if past is not None:
-            scores[past] = -np.inf
+        scores[past] = -np.inf
         scores[trials[:, None], picked[:, :step]] = -np.inf
         picked[:, step] = choice = np.argmax(scores, axis=-1)
         return choice
@@ -296,7 +294,8 @@ def _firsts(trial: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 def _best_exact_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: SinrTargets):
     """Branch and bound over the encoding prefixes of a (T, K, M) block, a
-    level at a time; (T, K_s) orders, or None when a trial has none feasible.
+    level at a time; (T, K_s) orders, -1 in the row of a trial with none
+    feasible: fewer than K_s nonzero users, or no finite total.
 
     A step prices a chunk of prefix rows, of any trials, against every user:
     each prefix holds its trial's users in whitened coordinates of its Z,
@@ -309,8 +308,6 @@ def _best_exact_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sinr
     """
     n, k, m = h.shape
     live = norms > 0.0  # a zero-norm user makes exact_min_power raise in every ordering
-    if (live.sum(axis=1) < k_s).any():
-        return None
     s2, gam = targets.sigma_sq, targets.gamma_vector(k_s)
     rows = _per_chunk(_complex_bytes(k, m))  # prefixes one step takes
 
@@ -337,14 +334,14 @@ def _best_exact_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sinr
         return c, (trial[parent], np.column_stack([order[parent], user]),
                    np.column_stack([p[parent], p_u[kept]]), parent, d[kept])
 
-    best, best_order = np.full(n, math.inf), np.empty((n, k_s), np.intp)
+    best, best_order = np.full(n, math.inf), np.full((n, k_s), -1, np.intp)
     root = (np.arange(n), np.zeros((n, 0), np.intp), np.zeros((n, 0)), np.arange(n), np.ones(n))
-    dive = np.empty(n)
+    dive = np.full(n, math.inf)
     for lo in range(0, n, rows):  # the dive, each trial's first lowest bound a level; best is inf
         src, kids = h, tuple(a[lo : lo + rows] for a in root)
         for _ in range(k_s):
             src, kids = expand(src, *kids, best, first=True)
-        dive[lo : lo + rows] = (s2 * kids[2]).sum(axis=1)
+        dive[kids[0]] = (s2 * kids[2]).sum(axis=1)  # a trial short of K_s live users ends early
     stack = [(h, root)]
     while stack:
         src, kids = stack.pop()
@@ -360,7 +357,7 @@ def _best_exact_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sinr
             i = _firsts(trial, np.where(np.isnan(total), math.inf, total))  # first of ties
             i = i[total[i] < best[trial[i]]]
             best[trial[i]], best_order[trial[i]] = total[i], order[i]
-    return best_order if (best < math.inf).all() else None
+    return best_order
 
 
 @lru_cache(maxsize=16)
@@ -400,8 +397,8 @@ def _set_tables(k: int, k_s: int):
 
 def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: SinrTargets, ks):
     """Backward DP over the predecessor sets of a (T, K, M) block of trials;
-    per K' of `ks`, the (T, K_s) orders over the first K' users, or None
-    when a trial has no feasible ordering among them. A block of more
+    per K' of `ks`, the (T, K_s) orders over the first K' users, -1 in the
+    row of a trial with no feasible ordering among them. A block of more
     trials than `_per_chunk` fits by `_dp_trial_bytes` runs as chunks.
 
     g(S) = min over u outside S of sigma^2 gamma_|S| / res^2(u|S) + g(S+u),
@@ -426,9 +423,9 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
     """
     n, wide, m = h.shape
     if n > (rows := _per_chunk(_dp_trial_bytes(wide, m, k_s))):
-        parts = [_best_approx_orders(h[lo : lo + rows], norms[lo : lo + rows], k_s, targets, ks)
-                 for lo in range(0, n, rows)]
-        return [None if any(p is None for p in ps) else np.concatenate(ps) for ps in zip(*parts)]
+        return [np.concatenate(ps) for ps in zip(*(
+            _best_approx_orders(h[lo : lo + rows], norms[lo : lo + rows], k_s, targets, ks)
+            for lo in range(0, n, rows)))]
     scale = targets.sigma_sq * targets.gamma_vector(k_s)
     floor = RANK_TOL**2 * norms[:, None]  # of the chunk's (T, K) squared norms
     members, nexts, drops, elems = _set_tables(wide, k_s)
@@ -494,7 +491,8 @@ def _best_approx_orders(h: np.ndarray, norms: np.ndarray, k_s: int, targets: Sin
             order[:, j] = np.argmin(cost[j][trials, s], axis=1)
             s = nxt[j][s, order[:, j]]
         order[:, last] = best[trials, s]
-        found.append(order if np.isfinite(least).all() else None)
+        order[~np.isfinite(least[:, 0])] = -1
+        found.append(order)
     return found
 
 
@@ -521,9 +519,10 @@ def select_exhaustive(
     prefix row carries its trial's index and its users' whitened
     coordinates, and one step prices a chunk of rows (`_per_chunk` of a
     trial's channel bytes) against every user; a kept child is stepped
-    only when its chunk is popped. The worst case is still every ordering,
-    so `budget` bounds the ordering count C(K, K_s) * K_s! before any work
-    happens.
+    only when its chunk is popped. A trial with no feasible ordering, a
+    search's row of -1, makes the block raise InfeasibleGeometryError. The
+    worst case is still every ordering, so `budget` bounds the ordering
+    count C(K, K_s) * K_s! before any work happens.
     """
     _check_k_s(channels, k_s)
     if not isinstance(power_fn, str) or power_fn not in ("exact", "approx"):
@@ -538,6 +537,6 @@ def select_exhaustive(
         orders = _best_exact_orders(h, norms, k_s, targets)
     else:
         (orders,) = _best_approx_orders(h, norms, k_s, targets, (channels.K,))
-    if orders is None:
-        raise InfeasibleGeometryError("every ordering is infeasible")
+    if (orders < 0).any():
+        raise InfeasibleGeometryError("every ordering of a trial is infeasible")
     return _result("EXHAUSTIVE", channels, orders, orders)

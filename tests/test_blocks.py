@@ -7,8 +7,6 @@ gives alone, on near-dependent users, at K_s = M and with per-position
 targets, and that an infeasible trial turns only its own totals NaN.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,8 +89,10 @@ def test_block_rows_equal_one_set_calls(instance):
 
 
 def _totals(cfg, targets, series, block, rus=()):
-    """Totals of `series` over `block`, priced as a piece of one point at its K."""
-    (totals,) = experiment._piece_totals(cfg, targets, block, [(block.K, series, {})], rus)
+    """Totals of `series` over `block`, priced as a piece of one point at its
+    K, with the EXHAUSTIVE orders `_run_chunk` searches it for."""
+    (found,) = experiment._searches(cfg, targets, block, [(block.K, series)])
+    (totals,) = experiment._piece_totals(cfg, targets, block, [(block.K, series, found)], rus)
     return totals
 
 
@@ -154,10 +154,9 @@ def test_exhaustive_infeasible_trial_in_a_block():
             assert totals[key][i] == solvers[key[1]](h[i][order], targets).total_power
 
 
-def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
-    # the block that raises is priced again as halves that keep its orders,
-    # so one bad trial costs at most two calls a level and one a series at
-    # the last, and each rule selects once
+def test_an_infeasible_cell_reprices_the_rows_alone(monkeypatch):
+    # the piece's one approx call raises on the bad trial's NUS pick, so it
+    # prices each of its rows alone, and the DP searches once
     t, bad = 64, 37
     cfg = experiment.ExperimentConfig(
         M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1,
@@ -165,19 +164,12 @@ def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
     )
     h = sample_channel_set(4, 6, [SeedSpec(5, 2 * i) for i in range(t)]).users.copy()
     _copy_strongest_user(h, [bad])
-    calls = []
-
-    def counted(rows, targets):
-        calls.append(len(rows))
-        return approx_min_power(rows, targets)
-
-    def searched(*args, **kwargs):
-        searches.append(1)
-        return search(*args, **kwargs)
-
-    searches, search = [], experiment._best_approx_orders
-    monkeypatch.setattr(experiment, "approx_min_power", counted)
-    monkeypatch.setattr(experiment, "_best_approx_orders", searched)
+    calls, searches = [], []
+    search = experiment._best_approx_orders
+    monkeypatch.setattr(experiment, "approx_min_power", lambda rows, targets:
+                        calls.append(len(rows)) or approx_min_power(rows, targets))
+    monkeypatch.setattr(experiment, "_best_approx_orders",
+                        lambda *args: searches.append(1) or search(*args))
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
     series = [(alg, "approx") for alg in cfg.algorithms]
     rus = [SeedSpec(5, 2 * i + 1) for i in range(t)]
@@ -185,32 +177,7 @@ def test_an_infeasible_cell_reprices_halves_not_rows(monkeypatch):
     assert np.isnan(totals[("NUS", "approx")]).tolist() == [i == bad for i in range(t)]
     for key in series:
         assert not np.isnan(np.delete(totals[key], bad)).any()
-    assert len(calls) <= 2 * math.ceil(math.log2(t)) + len(series) + 1
-    assert len(searches) == 1
-
-
-def test_a_clean_first_half_leaves_the_raise_to_the_second(monkeypatch):
-    # one of a raising block's halves raises, so when the first prices
-    # clean the second is cut again without a call of its own
-    cfg = experiment.ExperimentConfig(
-        M=4, K=6, K_s=2, gamma_db=10.0, sigma_sq=0.1, algorithms=("NUS", "SUS"),
-        trials=4, master_seed=8,
-    )
-    h = sample_channel_set(4, 6, [SeedSpec(8, 2 * i) for i in range(4)]).users.copy()
-    _copy_strongest_user(h, [3])
-    calls = []
-
-    def counted(rows, targets):
-        calls.append(len(rows))
-        return approx_min_power(rows, targets)
-
-    monkeypatch.setattr(experiment, "approx_min_power", counted)
-    targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
-    series = [(alg, "approx") for alg in cfg.algorithms]
-    totals = _totals(cfg, targets, series, ChannelSet(h))
-    assert np.isnan(totals[("NUS", "approx")]).tolist() == [False, False, False, True]
-    assert not np.isnan(totals[("SUS", "approx")]).any()
-    assert calls == [8, 4, 2, 1, 1]
+    assert calls == [len(series) * t] + [1] * (len(series) * t) and len(searches) == 1
 
 
 def test_an_overflowed_total_is_infinite_not_infeasible():

@@ -299,17 +299,20 @@ def test_m_past_the_gamma_kernel_bound_exits_3(capsys):
 def test_commands_do_not_import_scipy_integrate(tmp_path):
     # the quadrature and the special functions are the package's own, so
     # neither command loads any part of scipy; pytest's filterwarnings setting
-    # imports scipy.integrate into this process, so a fresh one runs both
+    # imports scipy.integrate into this process, so a fresh one runs both.
+    # At one worker no process pool is opened, so neither is its import
     code = "\n".join((
         "import sys",
         "from sinrmin.cli import main",
         f"assert main(['analytic', *{BASE_FLAGS!r}, '--algorithms', 'NUS,SUS,AUS,RUS']) == 0",
-        f"assert main(['simulate', *{BASE_FLAGS!r}, '--trials', '1', '--out', {str(tmp_path)!r}]) == 0",
+        f"assert main(['simulate', *{BASE_FLAGS!r}, '--trials', '1', '--workers', '1', "
+        f"'--out', {str(tmp_path)!r}]) == 0",
         "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "print(*sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
     ))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == ""
+    assert proc.stdout.splitlines()[-2:] == ["", ""]
     assert (tmp_path / "results.csv").is_file()
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo harness tests: determinism, oracles, flags, validation."""
 
 import dataclasses
+import functools
 import math
 import types
 from collections import Counter
@@ -21,6 +22,7 @@ from sinrmin.experiment import (
     ResultRow,
     _piece_totals,
     _runnable,
+    _searches,
     _summaries,
     _sweep_samples,
     run_point,
@@ -130,7 +132,7 @@ def test_validate_checks_every_sweep_point():
     (dict(power_method=None), "power_method"),
 ])
 def test_field_types_are_checked_before_sampling(monkeypatch, overrides, field):
-    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    monkeypatch.setattr("sinrmin.experiment._stream_normals", None)  # never reached
     with pytest.raises(ConfigError, match=f"^{field}="):
         run_sweep(_cfg(**overrides))
 
@@ -140,7 +142,7 @@ def test_field_types_are_checked_before_sampling(monkeypatch, overrides, field):
     (dict(trials=10.5), "^trials="),
 ])
 def test_run_point_validates_before_any_work(monkeypatch, overrides, message):
-    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    monkeypatch.setattr("sinrmin.experiment._stream_normals", None)  # never reached
     with pytest.raises(ConfigError, match=message):
         run_point(_cfg(**overrides))
 
@@ -149,9 +151,12 @@ def test_run_point_validates_before_any_work(monkeypatch, overrides, message):
     (dict(K=None, sweep_axis="K", sweep_values=(4, 6)), None),
     (dict(K=None, sweep_axis="K", sweep_values=(4, 6)), 9),
     (dict(), 4),  # a config with no sweep has the one point None
+    # values equal to a point that are no int: True == 1, 3.0 == 3
+    (dict(K=None, sweep_axis="K", sweep_values=(1, 4), K_s=1), True),
+    (dict(M=None, sweep_axis="M", sweep_values=(3, 4)), 3.0),
 ])
 def test_run_point_checks_its_sweep_value(monkeypatch, overrides, sweep_value):
-    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    monkeypatch.setattr("sinrmin.experiment._stream_normals", None)  # never reached
     with pytest.raises(ConfigError, match=f"^sweep value {sweep_value!r} is not a point"):
         run_point(_cfg(**overrides), sweep_value)
 
@@ -211,7 +216,7 @@ def test_exact_search_memory_is_bounded_before_any_work(monkeypatch):
     totals = _alone(_cfg(**big, power_method="exact"))
     assert 0.0 < totals["EXHAUSTIVE", "exact"][0] <= totals["NUS", "exact"][0] < math.inf
     # a search whose trial's channels overflow is refused before any sampling
-    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    monkeypatch.setattr("sinrmin.experiment._stream_normals", None)  # never reached
     with pytest.raises(ConfigError, match=f"channels take {16 * 4097 * 16} bytes"):
         run_point(_cfg(M=16, K=4097, K_s=2, algorithms=("EXHAUSTIVE",),
                        exhaustive_budget=10**8, power_method="exact"))
@@ -239,7 +244,7 @@ def test_exact_search_memory_is_bounded_before_any_work(monkeypatch):
 @pytest.mark.parametrize("run", [run_sweep, run_point])
 @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
 def test_bad_worker_counts_are_config_errors(monkeypatch, run, workers):
-    monkeypatch.setattr("sinrmin.experiment.sample_channel_set", None)  # never reached
+    monkeypatch.setattr("sinrmin.experiment._stream_normals", None)  # never reached
     with pytest.raises(ConfigError, match=f"^workers must be an int >= 1, got {workers!r}$"):
         run(_cfg(), workers=workers)
 
@@ -540,15 +545,17 @@ def test_a_block_takes_its_channels_norms_once(monkeypatch):
 def _reference(cfg, sweep_value):
     """Per-trial totals of the series run at one point, from one block drawn
     for that point alone: channels by `sample_channel_set` at its K and M,
-    and the random-selection words the rule draws itself."""
+    the EXHAUSTIVE orders of a search at that K, and the random-selection
+    words the rule draws itself."""
     m, k = cfg.dims_at(sweep_value)
     seeds = [SeedSpec(cfg.master_seed, 2 * t) for t in range(cfg.trials)]
     rus = [SeedSpec(cfg.master_seed, 2 * t + 1) for t in range(cfg.trials)]
     series = [(alg, meth) for alg in _runnable(cfg, k) for meth in cfg.methods()]
     targets = SinrTargets(cfg.gamma_linear, cfg.sigma_sq)
+    block = sample_channel_set(m, k, seeds)
     with np.errstate(over="ignore", invalid="ignore"):
-        (totals,) = _piece_totals(cfg, targets, sample_channel_set(m, k, seeds),
-                                  [(k, series, {})], rus)
+        (found,) = _searches(cfg, targets, block, [(k, series)])
+        (totals,) = _piece_totals(cfg, targets, block, [(k, series, found)], rus)
     return totals
 
 
@@ -601,7 +608,7 @@ def test_sweep_points_equal_each_point_alone(monkeypatch, sweep, workers):
 
 def test_a_trial_infeasible_at_one_k_only(monkeypatch):
     # trial 5's third user copies its first, so at K = K_s = 3 every ordering
-    # is infeasible and the block halves there, while K = 4 and 6 search it
+    # is infeasible and the DP marks the trial there, while K = 4 and 6 search it
     import sinrmin.experiment as exp
 
     draw = exp._stream_normals
@@ -694,10 +701,8 @@ def test_piece_orders_equal_each_point_alone(monkeypatch, case):
         if case == "lemire":  # one choice call for each K of the piece
             assert [list(c.args[0]) for c in chosen.call_args_list] == \
                 [[], [SeedSpec(cfg.master_seed, 2 * 3 + 1)], []]
-        assert [len(set(args[4].tolist())) if args[4] is not None else 1
-                for args, _ in calls] == sizes
+        assert [len(set(args[4].tolist())) for args, _ in calls] == sizes
         for (_, h, _, _, live, seeds, piece_words), found in calls:
-            live = np.full(len(h), h.shape[1]) if live is None else live
             for k in dict.fromkeys(live.tolist()):
                 rows = np.flatnonzero(live == k)
                 rus = [seeds[r] for r in rows]
@@ -723,7 +728,8 @@ def test_stacked_calls_fit_the_cap_unless_a_piece_is_one_point(monkeypatch):
                power_method="both", algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
     calls = []
     _spied(monkeypatch, "_rule_orders",
-           lambda args, kwargs, out: calls.append(("select", args[1].nbytes, args[4] is None)))
+           lambda args, kwargs, out: calls.append(("select", args[1].nbytes,
+                                                   len(set(args[4].tolist())) == 1)))
     for solver in ("approx_min_power", "exact_min_power"):
         _spied(monkeypatch, solver, lambda args, kwargs, out: calls.append(("price", args[0].nbytes)))
     pieces = []
@@ -743,13 +749,40 @@ def test_stacked_calls_fit_the_cap_unless_a_piece_is_one_point(monkeypatch):
     assert False in pieces and True in pieces
 
 
+def _calls(monkeypatch):
+    """Spy on a block's searches, selection and solvers: per name, each
+    call's arguments and its result, or the InfeasibleGeometryError it raised."""
+    import sinrmin.experiment as exp
+
+    calls = {name: [] for name in ("_best_approx_orders", "_best_exact_orders", "_rule_orders",
+                                   "approx_min_power", "exact_min_power")}
+
+    def spy(*args, real, made):
+        try:
+            made.append((args, real(*args)))
+        except InfeasibleGeometryError as exc:
+            made.append((args, exc))
+            raise
+        return made[-1][1]
+
+    for name, made in calls.items():
+        monkeypatch.setattr(exp, name, functools.partial(spy, real=getattr(exp, name), made=made))
+    return calls
+
+
+def _raised(calls):
+    """How many of `calls` raised."""
+    return sum(isinstance(out, InfeasibleGeometryError) for _, out in calls)
+
+
 def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
     # trial 5's user 2 copies its user 0, the strongest of the first three,
     # so at K = 3 NUS picks that dependent pair and its approx pricing
-    # raises; at K = 6 and 8 user 3, stronger still, goes first. The piece
-    # then runs again as halves of its trials, each holding every point:
-    # only K = 3's NUS approx cell of trial 5 turns NaN, and each point
-    # equals its lone totals
+    # raises; at K = 6 and 8 user 3, stronger still, goes first. One piece
+    # holds every point: one DP, one exact search a point and one solver
+    # call a method, whose approx call then prices its rows alone. Only
+    # K = 3's NUS approx cell of trial 5 turns NaN, each point equal to its
+    # lone totals
     import sinrmin.experiment as exp
 
     draw = exp._stream_normals
@@ -767,14 +800,14 @@ def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(3, 6, 8), K_s=2, trials=8,
                power_method="both", algorithms=("NUS", "SUS", "AUS", "EXHAUSTIVE"))
     alone = {v: _alone(cfg, v) for v in cfg.points()}
-    pieces, points = [], []
-    _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: pieces.append(args[4]))
-    _spied(monkeypatch, "_piece_totals", lambda args, kwargs, out:
-           points.append((len(args[2].users), [k for k, _, _ in args[3]])))
+    calls = _calls(monkeypatch)
     _, samples = _sweep_samples(cfg, cfg.points(), 1)
-    assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
-    halves = [ks for t, ks in points if 1 < t < cfg.trials]
-    assert halves and all(ks == [3, 6, 8] for ks in halves)
+    (block, _), *rows = calls.pop("approx_min_power")
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_best_approx_orders": 1, "_best_exact_orders": 3, "_rule_orders": 1,
+        "exact_min_power": 1}
+    assert len(block[0]) == len(cfg.algorithms) * len(cfg.points()) * cfg.trials
+    assert [len(args[0]) for args, _ in rows] == [1] * len(block[0]) and _raised(rows) == 1
     for v, got in zip(cfg.points(), samples):
         _assert_same_totals(got, alone[v])
         nan = {(name, t) for name, arr in got.items() for t in np.flatnonzero(np.isnan(arr))}
@@ -785,8 +818,11 @@ def test_a_dependent_pair_at_one_k_of_a_piece(monkeypatch):
 def test_a_piece_whose_searches_find_nothing_at_one_k(monkeypatch, trials):
     # trial 5's first three users are multiples of one weak user, and its
     # users 3 and up are drawn as usual: at K = 3 every pick is a dependent
-    # pair, so each approx cell of trial 5 raises and the block's DP finds
-    # no orders there, while K = 6 and 8 pick and search around them
+    # pair, so each approx cell of trial 5 raises and the block's DP marks
+    # the trial -1 there, while K = 6 and 8 pick and search around them. The
+    # -1 row is never priced, and the block takes one DP, one exact search a
+    # point, one selection call and one solver call a method, whose approx
+    # call then prices its rows alone
     import sinrmin.experiment as exp
 
     draw, bad = exp._stream_normals, 5
@@ -803,26 +839,23 @@ def test_a_piece_whose_searches_find_nothing_at_one_k(monkeypatch, trials):
     cfg = _cfg(K=None, sweep_axis="K", sweep_values=(3, 6, 8), K_s=2, trials=trials,
                power_method="both", algorithms=("NUS", "SUS", "AUS", "RUS", "EXHAUSTIVE"))
     alone = {v: _alone(cfg, v) for v in cfg.points()}
-    pieces, dp, exact = [], [], []
-    _spied(monkeypatch, "_rule_orders", lambda args, kwargs, out: pieces.append(args[4]))
-    _spied(monkeypatch, "_best_approx_orders",
-           lambda args, kwargs, out: dp.append((len(args[0]), list(args[4]), out)))
-    _spied(monkeypatch, "_best_exact_orders", lambda args, kwargs, out: exact.append(out))
+    calls = _calls(monkeypatch)
     _, samples = _sweep_samples(cfg, cfg.points(), 1)
-    assert len(pieces) == 1 and set(pieces[0].tolist()) == {3, 6, 8}  # one piece
-    # the block's DP finds none at K = 3 only; the halves search K = 3 alone
-    (t, ks, found), *halves = dp
-    assert t == trials and [o is None for o in found] == [k == 3 for k in ks]
-    assert halves and all(t < trials and ks == [3] for t, ks, _ in halves)
-    assert all(o is not None for o in exact)
+    (block, _), *rows = calls.pop("approx_min_power")
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_best_approx_orders": 1, "_best_exact_orders": 3, "_rule_orders": 1,
+        "exact_min_power": 1}
+    ((_, found),) = calls["_best_approx_orders"]
+    assert [np.flatnonzero(o[:, 0] < 0).tolist() for o in found] == [[bad], [], []]
+    assert all((o >= 0).all() for _, o in calls["_best_exact_orders"])
+    # every series of every point but the DP's one -1 row; each rule's pick raises alone
+    assert len(block[0]) == len(cfg.algorithms) * len(cfg.points()) * trials - 1
+    assert [len(args[0]) for args, _ in rows] == [1] * len(block[0]) and _raised(rows) == 4
     for v, got in zip(cfg.points(), samples):
         _assert_same_totals(got, alone[v])
         nan = {(name, t) for name, arr in got.items() for t in np.flatnonzero(np.isnan(arr))}
         want = {((alg, "approx"), bad) for alg in cfg.algorithms}
         assert nan == (want if v == 3 else set()), v
-    # one exact search a point, and a DP for the block, for at most two
-    # halves a level and for the bad trial alone
-    assert len(dp) + len(exact) <= 2 * math.ceil(math.log2(trials)) + len(cfg.points()) + 2
 
 
 def test_sweep_groups_keep_the_rows(monkeypatch):

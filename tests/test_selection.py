@@ -209,7 +209,7 @@ def test_sus_and_aus_share_their_first_pick_and_step(monkeypatch, k_s):
     steps, step = [], selection._complement_step
     monkeypatch.setattr(selection, "_complement_step",
                         lambda *args: steps.append(1) or step(*args))
-    found = selection._rule_orders({"SUS", "AUS"}, c.users, c._norms, k_s)
+    found = selection._rule_orders({"SUS", "AUS"}, c.users, c._norms, k_s, np.full(5, 7))
     assert len(steps) == max(0, 2 * k_s - 3)
     for rule, select in (("SUS", select_sus), ("AUS", select_aus)):
         steps.clear()
@@ -738,8 +738,39 @@ def test_exhaustive_dp_serves_every_k_prefix(monkeypatch, k_s):
                     want = select_exhaustive(ChannelSet(h[:, :k]), k_s, targets).encoding_order
                 except InfeasibleGeometryError:
                     want = None
-                assert (got is None) == (want is None) and np.array_equal(got, want), k
-    assert any(o is None for o in shared) and shared[-1] is not None
+                assert (got < 0).any() == (want is None), k
+                assert want is None or np.array_equal(got, want), k
+    assert any((o < 0).any() for o in shared) and (shared[-1] >= 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.booleans(), st.data())
+def test_searches_mark_exactly_the_trials_that_raise_alone(m, k, t, seed, chunked, data):
+    # a block's row of -1 is exactly a trial whose search alone raises, and
+    # every other row is that search's order: the DP at every K' of the
+    # block, and the exact search, over trials with dependent copies of a
+    # user and zero users, in one chunk or a trial (a prefix) a chunk
+    k_s = data.draw(st.integers(1, min(m, k)), label="k_s")
+    h = sample_channel_set(m, k, [SeedSpec(seed, i) for i in range(t)]).users.copy()
+    for i in range(t):
+        copies = data.draw(st.sets(st.integers(0, k - 1)), label=f"copies of user 0 in {i}")
+        zeros = data.draw(st.sets(st.integers(0, k - 1)), label=f"zero users in {i}")
+        h[i, sorted(copies)] = (1.5 - 0.5j) * h[i, 0]
+        h[i, sorted(zeros)] = 0.0
+    c, ks = ChannelSet(h), range(k_s, k + 1)
+    with mock.patch.object(selection, "_CHUNK_BYTES", 1 if chunked else selection._CHUNK_BYTES):
+        found = {("approx", kk): o for kk, o in
+                 zip(ks, selection._best_approx_orders(c.users, c._norms, k_s, T10, ks))}
+        found["exact", k] = selection._best_exact_orders(c.users, c._norms, k_s, T10)
+    for (method, kk), orders in found.items():
+        assert orders.shape == (t, k_s) and orders.dtype == np.intp
+        for i in range(t):
+            try:
+                want = select_exhaustive(ChannelSet(h[i, :kk]), k_s, T10, method).encoding_order
+            except InfeasibleGeometryError:
+                want = (-1,) * k_s
+            assert tuple(orders[i].tolist()) == want, (method, kk, i)
 
 
 def test_exhaustive_dp_steps_lower_levels_once_a_chunk_for_a_k_sweep(monkeypatch):
